@@ -242,6 +242,15 @@ class KeyCentricCache:
                                           "cache.inflight"),
         init=False, repr=False,
     )
+    # the graph epoch the stores were last retired to; shared by every
+    # executor over this cache (the serving path builds one per batch)
+    _retired_epoch: int | None = field(default=None, init=False,
+                                       repr=False)
+    _epoch_lock: Any = field(
+        default_factory=lambda: wrap_lock(threading.Lock(),
+                                          "cache.epoch"),
+        init=False, repr=False,
+    )
 
     @classmethod
     def create(
@@ -368,6 +377,21 @@ class KeyCentricCache:
         if self.enabled_path:
             dropped += self.path.drop_where(stale)
         return dropped
+
+    def observe_epoch(self, epoch: int) -> int:
+        """Retire stale entries on the first observation of ``epoch``.
+
+        Returns how many entries were retired; 0 when the stores are
+        already current.  The last-retired epoch lives on the cache,
+        not on an executor, so retirement happens once per graph
+        mutation however many executors share the cache.
+        """
+        with self._epoch_lock:
+            note_write("cache.epoch")
+            if epoch == self._retired_epoch:
+                return 0
+            self._retired_epoch = epoch
+            return self.retire_stale(epoch)
 
     @property
     def item_count(self) -> int:

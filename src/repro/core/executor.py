@@ -173,9 +173,6 @@ class QueryGraphExecutor:
         # attributes stay worker-count invariant
         self._slot_candidates = 0
         self._slot_pruned = 0
-        # last graph epoch this executor saw; when the graph moves on,
-        # scope/path entries tagged with older epochs are retired
-        self._seen_epoch = self.graph.epoch
 
     # ------------------------------------------------------------------
     # Algorithm 3 main loop
@@ -418,11 +415,9 @@ class QueryGraphExecutor:
         new epoch retires every scope/path entry computed under older
         ones (the epoch lives at index 1 of each cache key)."""
         epoch = self.graph.epoch
-        if epoch != self._seen_epoch:
-            dropped = self.cache.retire_stale(epoch)
-            self._seen_epoch = epoch
-            if dropped and self.stats is not None:
-                self.stats.record_stale_scope_drops(dropped)
+        dropped = self.cache.observe_epoch(epoch)
+        if dropped and self.stats is not None:
+            self.stats.record_stale_scope_drops(dropped)
         return epoch
 
     def _scope_get_or_compute(

@@ -111,12 +111,16 @@ class SVQA:
     >>> svqa = SVQA(scenes, build_commonsense_kg())
     >>> svqa.build()                                    # doctest: +SKIP
     >>> svqa.answer("Is there a dog near the fence?")   # doctest: +SKIP
+
+    ``scenes`` and ``kg`` (the corpus) are needed only by
+    :meth:`build`; a warm start constructs the system without them and
+    installs a recovered graph with :meth:`adopt_merged`.
     """
 
     def __init__(
         self,
-        scenes: list[SyntheticScene],
-        kg: Graph,
+        scenes: list[SyntheticScene] | None = None,
+        kg: Graph | None = None,
         config: SVQAConfig | None = None,
         clock: SimClock | None = None,
         annotations: dict[tuple[int, str], str] | None = None,
@@ -189,8 +193,17 @@ class SVQA:
         """Scene-graph generation + graph merging (query-independent).
 
         Images and graph are query-independent (Assumption 1), so this
-        runs once, before any question arrives.
+        runs once, before any question arrives.  Raises
+        :class:`~repro.errors.QueryError` when the system was
+        constructed without a corpus.
         """
+        scenes, kg = self.scenes, self.kg
+        if scenes is None or kg is None:
+            raise QueryError(
+                "build() needs a corpus: construct SVQA with scenes "
+                "and a knowledge graph, or adopt_merged() a recovered "
+                "graph instead"
+            )
         spec = MODELS.get(self.config.relation_model)
         if spec is None:
             raise QueryError(
@@ -198,7 +211,7 @@ class SVQA:
             )
         with maybe_trace(self.tracer, "build", self.clock), \
                 maybe_span(self.tracer, "build",
-                           images=len(self.scenes)) as span:
+                           images=len(scenes)) as span:
             self.clock.charge("model_load_sgg")
             sgg_config = SGGConfig(**{
                 **self.config.sgg.__dict__,
@@ -211,9 +224,9 @@ class SVQA:
                 clock=self.clock,
                 resilience=self.resilience,
             )
-            self.scene_graphs = pipeline.run_many(self.scenes)
+            self.scene_graphs = pipeline.run_many(scenes)
             aggregator = DataAggregator(
-                self.kg, self.config.aggregator, clock=self.clock,
+                kg, self.config.aggregator, clock=self.clock,
                 resilience=self.resilience, tracer=self.tracer,
             )
             self.merged = aggregator.merge(

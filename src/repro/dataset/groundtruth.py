@@ -16,6 +16,7 @@ generation (Fig. 8).
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -41,16 +42,21 @@ def categories_for_word(word: str) -> set[str]:
 
     A category word denotes itself; a hypernym word ("pet", "animal",
     "clothes") denotes every category whose hypernym chain contains it.
+    Returns a fresh set: callers may mutate it.
     """
-    lowered = word.lower()
-    result: set[str] = set()
-    known = set(category_names())
-    if lowered in known:
-        result.add(lowered)
-    for category in known:
-        if lowered in hypernym_chain(category):
-            result.add(category)
-    return result
+    return set(_word_categories().get(word.lower(), ()))
+
+
+@functools.cache
+def _word_categories() -> dict[str, frozenset[str]]:
+    """Inverse hypernym closure: word -> the categories it denotes,
+    built once from every category's hypernym chain."""
+    closure: dict[str, set[str]] = {}
+    for category in category_names():
+        closure.setdefault(category, set()).add(category)
+        for hypernym in hypernym_chain(category):
+            closure.setdefault(hypernym, set()).add(category)
+    return {word: frozenset(found) for word, found in closure.items()}
 
 
 class GroundTruthIndex:

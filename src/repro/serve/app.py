@@ -31,6 +31,7 @@ from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 from socketserver import ThreadingMixIn
 
 from repro.core.pipeline import SVQA, SVQAConfig
+from repro.graph import Graph
 from repro.graph.durable import RecoveryReport
 from repro.locks import wrap_lock
 from repro.errors import QueryError
@@ -46,6 +47,7 @@ from repro.serve.contract import (
     healthz_payload,
     parse_deadline_ms,
 )
+from repro.synth.scene import SyntheticScene
 
 _MAX_BODY_BYTES = 64 * 1024
 _STATUS_LINES = {
@@ -108,8 +110,9 @@ def build_svqa_with_store(
 
     With ``config.snapshot`` set, the durable store at that directory
     is recovered (snapshot load + WAL replay) and adopted in place of
-    the cold vision-pipeline build; an unrecoverable store degrades to
-    the cold build, counted on ``svqa_store_rebuilds_total`` and
+    the cold build, so neither the scenario corpus nor the vision
+    pipeline runs; an unrecoverable store degrades to the cold build
+    (corpus + vision), counted on ``svqa_store_rebuilds_total`` and
     surfaced in the returned :class:`~repro.graph.durable.RecoveryReport`.
     Either way, every breaker gauge series is published so cold and
     warm servers expose identical ``/metrics`` families.
@@ -119,42 +122,61 @@ def build_svqa_with_store(
                                             seed=config.seed)
     else:
         resilience = ResilienceConfig(seed=config.seed)
-    if config.scenario == "movie":
-        from repro.dataset.kg import build_movie_kg
-        from repro.dataset.movie import build_movie_scenes
-        from repro.vision.detector import DetectorConfig
-
-        movie = build_movie_scenes()
-        svqa = SVQA(
-            movie.scenes,
-            build_movie_kg(),
-            SVQAConfig(
-                workers=config.workers,
-                resilience=resilience,
-                detector=DetectorConfig(label_noise=0.0, miss_rate=0.0),
-            ),
-            annotations=movie.annotations,
-        )
-    elif config.scenario == "mvqa":
-        from repro.dataset.mvqa import build_mvqa
-
-        dataset = build_mvqa(seed=5, pool_size=1_200, image_count=400)
-        svqa = SVQA(dataset.scenes, dataset.kg,
-                    SVQAConfig(workers=config.workers,
-                               resilience=resilience))
-    else:
-        raise ValueError(
-            f"unknown scenario {config.scenario!r} "
-            "(expected 'movie' or 'mvqa')"
-        )
+    svqa = SVQA(config=_svqa_config(config, resilience))
     report: RecoveryReport | None = None
     if config.snapshot is not None:
         report = _warm_start(svqa, config.snapshot)
     if svqa.merged is None:
+        # the corpus is built only when there is nothing to adopt
+        svqa.scenes, svqa.kg, svqa.annotations = \
+            _scenario_corpus(config.scenario)
         svqa.build()
     if svqa.resilience is not None:
         svqa.resilience.publish_breaker_states()
     return svqa, report
+
+
+def _svqa_config(
+    config: ServeConfig, resilience: ResilienceConfig
+) -> SVQAConfig:
+    """The scenario's pipeline configuration (validates the name)."""
+    if config.scenario == "movie":
+        from repro.vision.detector import DetectorConfig
+
+        return SVQAConfig(
+            workers=config.workers,
+            resilience=resilience,
+            detector=DetectorConfig(label_noise=0.0, miss_rate=0.0),
+        )
+    if config.scenario == "mvqa":
+        return SVQAConfig(workers=config.workers, resilience=resilience)
+    raise ValueError(
+        f"unknown scenario {config.scenario!r} "
+        "(expected 'movie' or 'mvqa')"
+    )
+
+
+def _scenario_corpus(
+    scenario: str,
+) -> tuple[list[SyntheticScene], Graph,
+           dict[tuple[int, str], str] | None]:
+    """The scenario's images, knowledge graph and annotations.
+
+    Built only for a cold build: a warm start adopts the recovered
+    merged graph and never needs them.  ``build_mvqa`` is resolved
+    through its module at call time, so patching
+    ``repro.dataset.mvqa.build_mvqa`` takes effect here.
+    """
+    if scenario == "movie":
+        from repro.dataset.kg import build_movie_kg
+        from repro.dataset.movie import build_movie_scenes
+
+        movie = build_movie_scenes()
+        return movie.scenes, build_movie_kg(), movie.annotations
+    from repro.dataset.mvqa import build_mvqa
+
+    dataset = build_mvqa(seed=5, pool_size=1_200, image_count=400)
+    return dataset.scenes, dataset.kg, None
 
 
 def _warm_start(svqa: SVQA, store_root: str) -> RecoveryReport:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.synth.scene import Box, CANVAS, Raster
 from repro.synth.taxonomy import category_names
@@ -140,6 +139,11 @@ class SimulatedDetector:
 
 def _connected_regions(labels: np.ndarray):
     """Yield (label_value, mask) for 4-connected same-label regions."""
+    # imported here, not at module level: only a vision build needs
+    # scipy, so importing repro (serving, linting, warm start) neither
+    # pays for nor requires it
+    from scipy import ndimage
+
     for value in np.unique(labels):
         if value == 0:
             continue

@@ -90,21 +90,34 @@ class RelationPredictor:
         maps are replaced by zero vectors, so the evidence term
         vanishes while bias and geometry remain.
         """
+        factual, counterfactual = self.factual_and_masked_logits(
+            subject, obj, image_id)
+        return counterfactual if masked else factual
+
+    def factual_and_masked_logits(
+        self, subject: Detection, obj: Detection, image_id: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The Eq. 1 and Eq. 2 logits of one pair, from one pass.
+
+        Both passes share the pair's random stream, so the extraction
+        draws, the noise, and the bias + geometry term are computed
+        once; the masked logits are the same sum without the evidence
+        term (zero feature maps contribute exactly zero).
+        """
         rng = self._pair_rng(subject, obj, image_id)
-        logits = BIAS_WEIGHT * self._log_prior.copy()
-        logits += GEOMETRY_WEIGHT * self._geometry_hint(subject, obj)
-        subject_features = subject.features.masked() if masked \
-            else subject.features
-        object_features = obj.features.masked() if masked else obj.features
-        evidence = subject_features.subject_signal * \
-            object_features.object_signal
+        base = BIAS_WEIGHT * self._log_prior
+        base += GEOMETRY_WEIGHT * self._geometry_hint(subject, obj)
+        evidence = subject.features.subject_signal * \
+            obj.features.object_signal
         # the model's context mechanism extracts each cue with
         # probability evidence_fidelity (drawn per pair+channel from the
-        # deterministic stream, so the factual and masked passes agree)
+        # deterministic stream)
         extraction = rng.random(len(RELATIONS)) < self.spec.evidence_fidelity
-        logits += self.spec.evidence_weight * evidence * extraction
-        logits += rng.normal(0.0, self.spec.noise_scale, len(RELATIONS))
-        return logits
+        noise = rng.normal(0.0, self.spec.noise_scale, len(RELATIONS))
+        factual = base + self.spec.evidence_weight * evidence * extraction
+        factual += noise
+        base += noise
+        return factual, base
 
     def pair_probabilities(
         self,
@@ -114,10 +127,7 @@ class RelationPredictor:
         masked: bool = False,
     ) -> np.ndarray:
         """Softmax of :meth:`pair_logits` — the ``p_rij`` of Eq. 1."""
-        logits = self.pair_logits(subject, obj, image_id, masked)
-        logits -= logits.max()
-        exp = np.exp(logits)
-        return exp / exp.sum()
+        return softmax(self.pair_logits(subject, obj, image_id, masked))
 
     def _geometry_hint(self, subject: Detection, obj: Detection) -> np.ndarray:
         """One-hot-ish support from detected geometry."""
@@ -136,6 +146,13 @@ class RelationPredictor:
         key = stable_hash(self.spec.name, self._seed, image_id,
                           subject.index, obj.index)
         return np.random.default_rng(key)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Probabilities from logits (consumes ``logits`` in place)."""
+    logits -= logits.max()
+    exp = np.exp(logits)
+    return exp / exp.sum()
 
 
 class _GeometryShim:

@@ -1,10 +1,13 @@
 """Total Direct Effect (TDE) debiasing for relation prediction.
 
-Implements Eq. 1-3 of the paper (§III-A).  The predictor is run twice:
-once on the real inputs (Eq. 1) and once with the feature maps masked
-to zero vectors (Eq. 2).  The masked pass measures what the model
-would predict from *bias alone* (label priors + geometry); subtracting
-it isolates the direct effect of the visual evidence:
+Implements Eq. 1-3 of the paper (§III-A).  The predictor scores each
+pair on the real inputs (Eq. 1) and with the feature maps masked to
+zero vectors (Eq. 2); one pass over the pair's shared terms yields
+both logit vectors
+(:meth:`~repro.vision.relation.RelationPredictor.factual_and_masked_logits`).
+The masked pass measures what the model would predict from *bias
+alone* (label priors + geometry); subtracting it isolates the direct
+effect of the visual evidence:
 
     r_ij = argmax(p_rij - p'_rij)                                (Eq. 3)
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.vision.detector import Detection
-from repro.vision.relation import RelationPredictor
+from repro.vision.relation import RelationPredictor, softmax
 
 
 def tde_scores(
@@ -27,11 +30,9 @@ def tde_scores(
     image_id: int,
 ) -> np.ndarray:
     """The debiased score vector ``p - p'`` for an ordered pair."""
-    factual = predictor.pair_probabilities(subject, obj, image_id,
-                                           masked=False)
-    counterfactual = predictor.pair_probabilities(subject, obj, image_id,
-                                                  masked=True)
-    return factual - counterfactual
+    factual, counterfactual = predictor.factual_and_masked_logits(
+        subject, obj, image_id)
+    return softmax(factual) - softmax(counterfactual)
 
 
 def predict_relation(

@@ -1,5 +1,6 @@
 """Unit and property tests for LFU/LRU and the key-centric cache."""
 
+import sys
 import threading
 
 import pytest
@@ -379,6 +380,62 @@ class TestRetireStale:
     def test_disabled_cache_is_a_noop(self):
         cache = KeyCentricCache.disabled()
         assert cache.retire_stale(3) == 0
+
+
+class TestObserveEpoch:
+    """The last-retired epoch lives on the shared cache, so executors
+    built after a mutation (one per ``answer_many`` batch) still
+    retire what the previous ones cached."""
+
+    def test_first_observation_of_an_epoch_retires_once(self):
+        cache = KeyCentricCache.create(pool_size=16)
+        assert cache.observe_epoch(1) == 0
+        cache.put_scope(("scope", 1, "dog"), [1])
+        cache.put_path(("path", 1, "a", "b"), [(1, 2)])
+        assert cache.observe_epoch(1) == 0
+        assert cache.get_scope(("scope", 1, "dog")) == [1]
+        assert cache.observe_epoch(2) == 2
+        assert cache.observe_epoch(2) == 0
+        assert cache.item_count == 0
+
+    def test_concurrent_observers_retire_each_epoch_once(self):
+        # every worker executor of a batch observes the same new epoch
+        # at once; the check-then-retire must let exactly one through
+        threads, epochs = 8, 60
+        cache = KeyCentricCache.create(pool_size=64)
+        retirements: list[int] = []
+        retire = cache.retire_stale
+
+        def counting_retire(epoch):
+            retirements.append(epoch)
+            return retire(epoch)
+
+        cache.retire_stale = counting_retire
+        barrier = threading.Barrier(threads, timeout=30)
+        dropped = [0] * threads
+
+        def observer(index):
+            for epoch in range(1, epochs + 1):
+                barrier.wait()
+                if index == 0:
+                    cache.put_scope(("scope", epoch - 1, "dog"), [epoch])
+                barrier.wait()
+                dropped[index] += cache.observe_epoch(epoch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=observer, args=(i,))
+                       for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sorted(retirements) == list(range(1, epochs + 1))
+        assert sum(dropped) == epochs
 
 
 class TestRetireStaleUnderContention:

@@ -29,6 +29,15 @@ class TestBuild:
         with pytest.raises(QueryError):
             system.build()
 
+    def test_corpusless_build_raises(self):
+        # a warm-start system has no corpus; building it must fail
+        # loudly instead of merging an empty graph
+        scenes = SceneGenerator(seed=1).generate_pool(3)
+        for system in (SVQA(config=SVQAConfig()), SVQA(scenes)):
+            with pytest.raises(QueryError, match="corpus"):
+                system.build()
+            assert system.merged is None
+
     def test_build_returns_merged_graph(self, svqa):
         assert svqa.merged is not None
         assert svqa.merged.graph.vertex_count > 0
@@ -72,6 +81,36 @@ class TestAnswering:
         svqa.answer("Is there a dog near the fence?")
         report = svqa.cache_report()
         assert report.scope_hits > 0
+
+
+class TestStaleRetirementAcrossBatches:
+    """Every ``answer_many`` batch builds fresh executors; a graph
+    mutation between batches must still retire the entries the
+    earlier batch cached under the old epoch."""
+
+    QUESTIONS = [
+        "Is there a dog near the fence?",
+        "How many dogs are standing on the grass?",
+        "What is the man holding?",
+    ]
+
+    def test_next_batch_retires_stale_entries(self):
+        scenes = SceneGenerator(seed=31).generate_pool(30)
+        system = SVQA(scenes, build_commonsense_kg())
+        system.build()
+        before = [a.value for a in system.answer_many(self.QUESTIONS)]
+        assert system.stats.snapshot().stale_scope_drops == 0
+        assert system.cache_report().scope_misses > 0
+        # an isolated vertex moves the epoch without touching any
+        # answer
+        system.merged.graph.add_vertex("zeppelin")
+        after = [a.value for a in system.answer_many(self.QUESTIONS)]
+        assert system.stats.snapshot().stale_scope_drops > 0
+        assert after == before
+        # the new epoch is retired once, not per batch
+        drops = system.stats.snapshot().stale_scope_drops
+        system.answer_many(self.QUESTIONS)
+        assert system.stats.snapshot().stale_scope_drops == drops
 
 
 class TestSchedulerIntegration:

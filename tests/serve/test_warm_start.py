@@ -3,14 +3,19 @@
 The contract: a server warm-started from a snapshot of a same-seed
 cold build answers **byte-identically** to that cold build — same
 ``/ask`` bodies, same ``/metrics`` exposition — while skipping the
-vision pipeline entirely (no ``build``/``aggregate.merge`` spans, one
-``store.recover`` span).  An unrecoverable store degrades to the cold
-path, counted and surfaced in ``/healthz``.
+scenario corpus and the vision pipeline entirely (no corpus builder
+call, no ``build``/``aggregate.merge`` spans, one ``store.recover``
+span).  An unrecoverable store degrades to the cold path, counted and
+surfaced in ``/healthz``.
 """
 
 import json
 
 import pytest
+
+import repro.dataset.kg
+import repro.dataset.movie
+import repro.dataset.mvqa
 
 from repro.dataset.kg import build_movie_kg
 from repro.dataset.movie import (
@@ -20,10 +25,11 @@ from repro.dataset.movie import (
 )
 from repro.core.pipeline import SVQA, SVQAConfig
 from repro.graph.durable import DurableStore
+from repro.graph.store import extensional_digest
 from repro.observability import ObservabilityConfig
 from repro.observability.spans import span_multiset
 from repro.serve import ServeConfig, build_service
-from repro.serve.app import _warm_start
+from repro.serve.app import _warm_start, build_svqa_with_store
 from repro.vision.detector import DetectorConfig
 
 from tests.serve.test_app import ask, request
@@ -151,3 +157,101 @@ class TestWarmStartDegradation:
         status, _, body = ask(service, FLAGSHIP_QUESTION)
         assert status == 200
         assert json.loads(body)["answer"] == FLAGSHIP_ANSWER
+
+
+def corpus_must_not_be_built(*args, **kwargs):
+    raise AssertionError("a warm start built the scenario corpus")
+
+
+#: ``extensional_digest`` of the fast MVQA merged graph (seed 5, pool
+#: 1,200, 400 images) — the graph both ``repro mvqa --fast`` and
+#: ``repro serve --scenario mvqa`` build.  Any change to synthesis,
+#: ground truth, detection, relation prediction or merging that moves
+#: a single vertex, edge or property changes it.
+FAST_MVQA_DIGEST = "345bf56401ec613927ed75b0936e338e"
+
+
+@pytest.fixture(scope="module")
+def mvqa_cold(tmp_path_factory):
+    """The served MVQA scenario built cold: its questions, its answers
+    to them, its merged-graph digest, and a snapshot of it."""
+    kept = {}
+    original = repro.dataset.mvqa.build_mvqa
+
+    def capture(*args, **kwargs):
+        kept["dataset"] = original(*args, **kwargs)
+        return kept["dataset"]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.dataset.mvqa, "build_mvqa", capture)
+        svqa, report = build_svqa_with_store(ServeConfig(scenario="mvqa"))
+    assert report is None
+    questions = [q.text for q in kept["dataset"].questions]
+    root = tmp_path_factory.mktemp("mvqa-store")
+    store = DurableStore(root)
+    store.snapshot(svqa.merged.graph, merged_meta=svqa.merged.meta_dict())
+    store.close()
+    return {
+        "questions": questions,
+        "answers": [a.to_json() for a in svqa.answer_many(questions)],
+        "digest": extensional_digest(svqa.merged.graph),
+        "store": root,
+    }
+
+
+class TestCorpusFreeWarmStart:
+    def test_fast_mvqa_merged_graph_digest_is_pinned(self, mvqa_cold):
+        assert mvqa_cold["digest"] == FAST_MVQA_DIGEST
+
+    def test_mvqa_warm_start_never_builds_the_corpus(self, mvqa_cold,
+                                                     monkeypatch):
+        monkeypatch.setattr(repro.dataset.mvqa, "build_mvqa",
+                            corpus_must_not_be_built)
+        svqa, report = build_svqa_with_store(ServeConfig(
+            scenario="mvqa", snapshot=str(mvqa_cold["store"])))
+        assert report.source == "snapshot"
+        assert svqa.scenes is None and svqa.kg is None
+        assert extensional_digest(svqa.merged.graph) == FAST_MVQA_DIGEST
+        answers = svqa.answer_many(mvqa_cold["questions"])
+        assert [a.to_json() for a in answers] == mvqa_cold["answers"]
+
+    def test_movie_warm_start_never_builds_the_corpus(self, store_dir,
+                                                      monkeypatch):
+        monkeypatch.setattr(repro.dataset.movie, "build_movie_scenes",
+                            corpus_must_not_be_built)
+        monkeypatch.setattr(repro.dataset.kg, "build_movie_kg",
+                            corpus_must_not_be_built)
+        service = build_service(ServeConfig(snapshot=str(store_dir)))
+        assert service.store_report.source == "snapshot"
+        status, _, body = ask(service, FLAGSHIP_QUESTION)
+        assert status == 200
+        assert json.loads(body)["answer"] == FLAGSHIP_ANSWER
+
+    def test_missing_merged_meta_builds_the_corpus_once(
+            self, mvqa_cold, tmp_path, monkeypatch):
+        root = tmp_path / "nometa"
+        store = DurableStore(root)
+        store.snapshot(build_movie_kg())  # no merged_meta record
+        store.close()
+        calls = []
+        original = repro.dataset.mvqa.build_mvqa
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.dataset.mvqa, "build_mvqa", counting)
+        svqa, report = build_svqa_with_store(
+            ServeConfig(scenario="mvqa", snapshot=str(root)))
+        assert report.source == "rebuild"
+        assert len(calls) == 1
+        assert svqa.execution_report().stats.store_rebuilds == 1
+        assert extensional_digest(svqa.merged.graph) == FAST_MVQA_DIGEST
+        first = mvqa_cold["questions"][0]
+        assert svqa.answer_many([first])[0].value == \
+            json.loads(mvqa_cold["answers"][0])["answer"]
+
+    def test_unknown_scenario_is_rejected_before_recovery(self, store_dir):
+        with pytest.raises(ValueError, match="unknown scenario"):
+            build_svqa_with_store(ServeConfig(scenario="imagenet",
+                                              snapshot=str(store_dir)))
