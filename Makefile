@@ -63,12 +63,12 @@ bench:
 chaos:
 	PYTHONPATH=src python -m repro chaos --fast
 
-# extensional-equivalence fuzz of the retrieval tier: the ANN index
-# must equal the linear rank_scores/max_score scans outright, and the
-# BM25 fallback must keep its normalized confidence in [0, 1]
+# extensional-equivalence fuzz of the embedding score memo: it must
+# equal the linear rank_scores/max_score scans (the oracle) outright,
+# in the index and through the executor
 retrieval-fuzz:
 	PYTHONPATH=src python -m pytest -x -q tests/nlp/test_ann.py \
-		tests/nlp/test_embed_cache.py tests/retrieval \
+		tests/nlp/test_embed_cache.py \
 		tests/core/test_executor_retrieval.py
 
 # long-lived QA server over the movie scenario (POST /ask,

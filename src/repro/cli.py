@@ -11,7 +11,6 @@ Commands
 ``trace``         answer one question and print its span tree
 ``chaos``         fault-injection sweep: accuracy decay vs fault rate
 ``stats``         print the MVQA dataset statistics (Tables I & II)
-``retrieval``     inspect the ANN + BM25 retrieval tier indexes
 ``parse``         show the query graph for a question (Algorithm 2)
 ``lint-queries``  semantic-validate query graphs (MVQA sweep or ad hoc)
 ``lint-code``     run the repo-invariant linter over the source tree
@@ -22,8 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core import PlannerConfig, SVQA, SVQAConfig, \
-    describe_query_graph, generate_query_graph, render_answer
+from repro.core import SVQA, SVQAConfig, describe_query_graph, \
+    generate_query_graph, render_answer
 from repro.errors import QueryError
 
 
@@ -205,15 +204,8 @@ def _build_mvqa_svqa(args: argparse.Namespace) -> tuple[object, SVQA]:
 
         resilience = ResilienceConfig.chaos(
             chaos_rate, seed=getattr(args, "seed", 0))
-    planner = PlannerConfig() if getattr(args, "planner", False) else None
-    retrieval = None
-    if getattr(args, "retrieval", False):
-        from repro.core import RetrievalConfig
-
-        retrieval = RetrievalConfig()
     svqa = SVQA(dataset.scenes, dataset.kg,
-                SVQAConfig(workers=workers, resilience=resilience,
-                           planner=planner, retrieval=retrieval))
+                SVQAConfig(workers=workers, resilience=resilience))
     svqa.build()
     return dataset, svqa
 
@@ -285,20 +277,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ["validation warnings", str(stats.validation_warnings)],
         ["validation errors", str(stats.validation_errors)],
         ["stale scope drops", str(stats.stale_scope_drops)],
+        ["plan batches", str(stats.plan_batches)],
+        ["plan nodes", str(stats.plan_nodes)],
+        ["plan shared nodes", str(stats.plan_shared_nodes)],
+        ["plan overlay fills", str(stats.plan_overlay_fills)],
+        ["ann fresh scores", str(stats.retrieval_ann_fresh)],
+        ["ann memo probes", str(stats.retrieval_ann_probes)],
     ]
-    if svqa.last_plan is not None:
-        rows += [
-            ["plan batches", str(stats.plan_batches)],
-            ["plan nodes", str(stats.plan_nodes)],
-            ["plan shared nodes", str(stats.plan_shared_nodes)],
-            ["plan overlay fills", str(stats.plan_overlay_fills)],
-        ]
-    if getattr(args, "retrieval", False):
-        rows += [
-            ["ann fresh scores", str(stats.retrieval_ann_fresh)],
-            ["ann memo probes", str(stats.retrieval_ann_probes)],
-            ["retrieval fallbacks", str(stats.retrieval_fallbacks)],
-        ]
     if svqa.resilience is not None:
         rows += [
             ["faults injected", str(stats.faults_injected)],
@@ -314,34 +299,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print()
     print(format_table(["Metric", "Value"], rows,
                        title="Executor statistics"))
-    if svqa.last_plan is not None:
-        baseline = _load_baseline(args.baseline)
-        if baseline is not None:
-            from repro.core import CalibratedCosts, predict_makespan
-
-            plan = svqa.last_plan
-            calibration = CalibratedCosts.from_baseline(
-                baseline, svqa.clock.costs)
-            prediction = predict_makespan(
-                plan.forest, plan.positions, args.workers, calibration)
-            measured = batch.simulated_makespan
-            error = (abs(prediction.makespan - measured) / measured
-                     if measured else 0.0)
-            print()
-            print(format_table(
-                ["Makespan", "Seconds"],
-                [["predicted (plan-aware)",
-                  f"{prediction.makespan:.3f}"],
-                 ["measured", f"{measured:.3f}"],
-                 ["relative error", f"{error:.1%}"],
-                 ["share phase (predicted)",
-                  f"{prediction.share_cost:.3f}"]],
-                title="Predicted vs measured makespan "
-                      f"(calibrated from {args.baseline})",
-            ))
-        else:
-            print(f"\n(no baseline at {args.baseline}; skipping the "
-                  "predicted-vs-measured makespan table)")
+    print()
+    _print_makespan_prediction(svqa, args)
     if args.explain:
         from repro.observability import explain_lines
 
@@ -352,29 +311,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    """Print the shared-sub-plan forest for a batch, plus the plan-aware
-    makespan prediction against the measured makespan."""
-    from repro.core import CalibratedCosts, predict_makespan, \
-        render_forest
+def _print_makespan_prediction(svqa: SVQA,
+                               args: argparse.Namespace) -> None:
+    """Print the plan-aware makespan prediction for the last batch
+    against its measured makespan (calibrated from ``--baseline``)."""
+    from repro.core import CalibratedCosts, predict_makespan
     from repro.eval.harness import format_table
 
-    dataset, svqa = _build_mvqa_svqa(args)
-    svqa.answer_many([q.text for q in dataset.questions],
-                     workers=args.workers)
-    plan = svqa.last_plan
-    batch = svqa.last_batch
+    plan, batch = svqa.last_plan, svqa.last_batch
     assert plan is not None and batch is not None
-    print(render_forest(plan.forest, limit=args.top))
-    print(f"  share phase: {plan.share.shared_scopes} scopes + "
-          f"{plan.share.shared_neighborhoods} neighborhoods computed "
-          f"once, {plan.share.charged_seconds:.3f} s charged")
-    print()
     baseline = _load_baseline(args.baseline)
     if baseline is None:
         print(f"(no baseline at {args.baseline}; skipping the "
               "predicted-vs-measured makespan table)")
-        return 0
+        return
     calibration = CalibratedCosts.from_baseline(baseline,
                                                 svqa.clock.costs)
     prediction = predict_makespan(plan.forest, plan.positions,
@@ -386,10 +336,29 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         ["Makespan", "Seconds"],
         [["predicted (plan-aware)", f"{prediction.makespan:.3f}"],
          ["measured", f"{measured:.3f}"],
-         ["relative error", f"{error:.1%}"]],
-        title=f"Predicted vs measured makespan "
-              f"(workers={args.workers})",
+         ["relative error", f"{error:.1%}"],
+         ["share phase (predicted)", f"{prediction.share_cost:.3f}"]],
+        title=f"Predicted vs measured makespan (workers={args.workers}, "
+              f"calibrated from {args.baseline})",
     ))
+
+
+def _cmd_plan(args: argparse.Namespace) -> int:
+    """Print the shared-sub-plan forest for a batch, plus the plan-aware
+    makespan prediction against the measured makespan."""
+    from repro.core import render_forest
+
+    dataset, svqa = _build_mvqa_svqa(args)
+    svqa.answer_many([q.text for q in dataset.questions],
+                     workers=args.workers)
+    plan = svqa.last_plan
+    assert plan is not None
+    print(render_forest(plan.forest, limit=args.top))
+    print(f"  share phase: {plan.share.shared_scopes} scopes + "
+          f"{plan.share.shared_neighborhoods} neighborhoods computed "
+          f"once, {plan.share.charged_seconds:.3f} s charged")
+    print()
+    _print_makespan_prediction(svqa, args)
     return 0
 
 
@@ -417,16 +386,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                              image_count=400)
     else:
         dataset = build_mvqa(seed=args.seed)
-    retrieval = None
-    if args.retrieval:
-        from repro.core import RetrievalConfig
-
-        retrieval = RetrievalConfig()
     config = SVQAConfig(workers=args.workers,
-                        observability=ObservabilityConfig(),
-                        planner=PlannerConfig() if args.planner
-                        else None,
-                        retrieval=retrieval)
+                        observability=ObservabilityConfig())
     svqa = SVQA(dataset.scenes, dataset.kg, config)
     svqa.build()
     result = evaluate("SVQA", dataset.questions, svqa.answer_many,
@@ -701,61 +662,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_retrieval(args: argparse.Namespace) -> int:
-    """Inspect the retrieval tier's indexes over the merged graph.
-
-    Prints the ANN index and BM25 lexical-index statistics; with
-    ``--query`` also the ANN neighborhood of a phrase over the indexed
-    edge labels, and with ``--question`` a dry run of the ranked
-    degraded-parse fallback (the query graph it would build and the
-    confidence it would carry).
-    """
-    from repro.core import RetrievalConfig
-    from repro.eval.harness import format_table
-    from repro.resilience.degrade import retrieval_query_graph
-
-    args.retrieval = True
-    _, svqa = _build_mvqa_svqa(args)
-    assert svqa.merged is not None
-    graph = svqa.merged.graph
-    ann = graph.ann_index.stats()
-    lexical = graph.lexical_index.stats()
-    print(format_table(
-        ["Index", "Stat", "Value"],
-        [["ann", key, str(value)]
-         for key, value in sorted(ann.items())] +
-        [["bm25", key, str(value)]
-         for key, value in sorted(lexical.items())],
-        title="Retrieval-tier indexes (merged graph)",
-    ))
-    if args.query:
-        neighbors = graph.ann_index.neighbors(args.query,
-                                              limit=args.top)
-        print()
-        if neighbors:
-            print(format_table(
-                ["Edge label", "Score"],
-                [[label, f"{score:.4f}"]
-                 for label, score in neighbors],
-                title=f"ANN neighbors of {args.query!r}",
-            ))
-        else:
-            print(f"no ANN neighbors for {args.query!r} "
-                  "(no bucket collision)")
-    if args.question:
-        ranked = retrieval_query_graph(args.question, graph,
-                                       RetrievalConfig())
-        print()
-        if ranked is None:
-            print(f"retrieval fallback found no anchors for "
-                  f"{args.question!r} (keyword rung would run next)")
-        else:
-            fallback_graph, confidence = ranked
-            print(f"retrieval fallback (confidence={confidence:.3f}):")
-            print(describe_query_graph(fallback_graph))
-    return 0
-
-
 def _cmd_lint_queries(args: argparse.Namespace) -> int:
     from repro.analysis import Severity, validate_query_graph
     from repro.analysis.diagnostics import (
@@ -1012,14 +918,6 @@ def main(argv: list[str] | None = None) -> int:
                             "counters to the stats table)")
     bench.add_argument("--seed", type=int, default=0,
                        help="fault-injection seed for --chaos")
-    bench.add_argument("--no-planner", dest="planner",
-                       action="store_false", default=True,
-                       help="disable the cost-based multi-query "
-                            "planner (cross-query plan sharing)")
-    bench.add_argument("--no-retrieval", dest="retrieval",
-                       action="store_false", default=True,
-                       help="disable the ANN retrieval tier (exact "
-                            "pre-retrieval scoring path)")
     bench.add_argument("--baseline", default="BENCH_baseline.json",
                        metavar="PATH",
                        help="recorded baseline used to calibrate the "
@@ -1044,7 +942,7 @@ def main(argv: list[str] | None = None) -> int:
                            "makespan predictor")
     plan.add_argument("--top", type=_positive_int, default=12,
                       help="shared nodes to list, by fan-out uses")
-    plan.set_defaults(handler=_cmd_plan, planner=True)
+    plan.set_defaults(handler=_cmd_plan)
 
     profile = commands.add_parser(
         "profile",
@@ -1070,14 +968,6 @@ def main(argv: list[str] | None = None) -> int:
                               "counts against a recorded baseline and "
                               "fail if vertex_match, edge_scan, or "
                               "embed_score exceeds its ceiling")
-    profile.add_argument("--no-planner", dest="planner",
-                         action="store_false", default=True,
-                         help="profile without the multi-query "
-                              "planner (pre-planner execution path)")
-    profile.add_argument("--no-retrieval", dest="retrieval",
-                         action="store_false", default=True,
-                         help="profile without the ANN retrieval tier "
-                              "(exact pre-retrieval scoring path)")
     profile.set_defaults(handler=_cmd_profile)
 
     trace = commands.add_parser(
@@ -1113,23 +1003,6 @@ def main(argv: list[str] | None = None) -> int:
     stats = commands.add_parser("stats", help="MVQA dataset statistics")
     stats.add_argument("--fast", action="store_true")
     stats.set_defaults(handler=_cmd_stats)
-
-    retrieval = commands.add_parser(
-        "retrieval",
-        help="inspect the ANN + BM25 retrieval-tier indexes over the "
-             "MVQA merged graph",
-    )
-    retrieval.add_argument("--fast", action="store_true",
-                           help="build the reduced MVQA pool")
-    retrieval.add_argument("--query", default=None, metavar="PHRASE",
-                           help="print the ANN neighborhood of this "
-                                "phrase over the indexed edge labels")
-    retrieval.add_argument("--question", default=None, metavar="TEXT",
-                           help="dry-run the BM25-ranked degraded-"
-                                "parse fallback for this question")
-    retrieval.add_argument("--top", type=_positive_int, default=8,
-                           help="ANN neighbors to list (default 8)")
-    retrieval.set_defaults(handler=_cmd_retrieval)
 
     parse_cmd = commands.add_parser("parse", help="show a question's "
                                                   "query graph")

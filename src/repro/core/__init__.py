@@ -38,7 +38,6 @@ from repro.core.planner import (
     PlanNode,
     PlanOverlay,
     PlannedBatch,
-    PlannerConfig,
     QueryPlan,
     SharedNode,
     build_forest,
@@ -50,7 +49,6 @@ from repro.core.planner import (
     render_forest,
 )
 from repro.observability.config import ObservabilityConfig
-from repro.retrieval.config import RetrievalConfig
 from repro.core.stats import ExecutorStats, ExecutorStatsReport
 from repro.core.query_graph import (
     describe_query_graph,
@@ -88,12 +86,10 @@ __all__ = [
     "PlanNode",
     "PlanOverlay",
     "PlannedBatch",
-    "PlannerConfig",
     "QueryGraph",
     "QueryGraphExecutor",
     "QueryPlan",
     "QuestionType",
-    "RetrievalConfig",
     "SPOC",
     "SVQA",
     "SVQAConfig",

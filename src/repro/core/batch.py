@@ -47,7 +47,6 @@ from repro.simtime import SimClock
 if TYPE_CHECKING:
     from repro.core.planner import PlanOverlay
     from repro.resilience.manager import ResilienceManager
-    from repro.retrieval.config import RetrievalConfig
 
 
 @dataclass
@@ -102,7 +101,6 @@ class BatchExecutor:
         resilience: ResilienceManager | None = None,
         tracer: Tracer | None = None,
         plan_overlay: PlanOverlay | None = None,
-        retrieval: RetrievalConfig | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -116,11 +114,8 @@ class BatchExecutor:
         self.resilience = resilience
         self.tracer = tracer
         # frozen shared-sub-plan results from the planner's share
-        # phase, handed to every per-thread executor (None = no planner)
+        # phase, handed to every per-thread executor
         self.plan_overlay = plan_overlay
-        # retrieval-tier config handed to every per-thread executor
-        # (None = the exact pre-retrieval code path)
-        self.retrieval = retrieval
 
     def _new_shard(self) -> SimClock:
         if self.costs is not None:
@@ -178,7 +173,6 @@ class BatchExecutor:
                     resilience=self.resilience,
                     tracer=self.tracer,
                     plan_overlay=self.plan_overlay,
-                    retrieval=self.retrieval,
                 )
                 local.executor = executor
             trace_id = trace_ids[index] if trace_ids is not None \

@@ -13,9 +13,10 @@ vertices toward the main clause.  For every vertex it
 2. **retrieves** the relation pairs between the two vertex sets
    (``getRelationpairs``);
 3. **filters** pairs by the predicate's most similar edge label
-   (``maxScore`` over embeddings) and applies the constraint
-   ("most frequently" keeps the subject group supported by the most
-   images);
+   (``maxScore`` over embeddings, through the graph's exact score
+   memo :class:`~repro.nlp.ann.EmbeddingANNIndex`) and applies the
+   constraint ("most frequently" keeps the subject group supported by
+   the most images);
 4. **propagates** the surviving labels along S2S/S2O/O2S/O2O edges to
    its consumers (Update stage).
 
@@ -39,16 +40,11 @@ if TYPE_CHECKING:
     from repro.analysis.query_validator import QueryGraphValidator
     from repro.core.planner import PlanOverlay
     from repro.graph.model import Edge
-    from repro.nlp.ann import EmbeddingANNIndex
     from repro.resilience.manager import ResilienceManager
-    from repro.retrieval.config import RetrievalConfig
 
 from repro.errors import ExecutionError, QueryValidationError
 from repro.graph import Graph, RelationPair, Vertex, relations_between
-from repro.nlp.dword import within_distance
-from repro.nlp.embeddings import max_score, rank_scores
 from repro.nlp.morphology import noun_singular
-from repro.nlp.semlex import are_synonyms
 from repro.observability.spans import Tracer, maybe_span
 from repro.resilience.events import FaultEvent
 from repro.resilience.retry import DeadlineBudget
@@ -132,21 +128,16 @@ class QueryGraphExecutor:
         resilience: ResilienceManager | None = None,
         tracer: Tracer | None = None,
         plan_overlay: PlanOverlay | None = None,
-        retrieval: RetrievalConfig | None = None,
     ) -> None:
         self.merged = merged
         self.graph: Graph = merged.graph
-        # ANN retrieval tier: with a RetrievalConfig attached, the
-        # three embedding lookups route through the graph's score
-        # memo (answers stay byte-identical — only clock charges
-        # change); None runs the exact pre-retrieval code path
-        self._ann: EmbeddingANNIndex | None = \
-            self.graph.ann_index if retrieval is not None else None
+        # the three embedding lookups go through the graph's exact
+        # score memo: a repeat (query, label) pair charges ann_probe
+        self._ann = self.graph.ann_index
         self.cache = cache if cache is not None else KeyCentricCache.disabled()
         self.clock = clock
         # frozen fan-out store of shared sub-plan results for the
-        # current planned batch (None when the planner is off — the
-        # executor then runs the exact pre-planner code path)
+        # current planned batch (None outside answer_many)
         self.plan_overlay = plan_overlay
         self.config = config or ExecutorConfig()
         if self.config.validation not in VALIDATION_MODES:
@@ -477,8 +468,8 @@ class QueryGraphExecutor:
         """Label -> vertices: candidate-index match + is-a/instance-of
         expansion.
 
-        The candidate index returns exactly the labels the old linear
-        ``_labels_match`` scan accepted, but only *examines* the small
+        The candidate index returns exactly the labels the linear
+        label-test scan accepts, but only *examines* the small
         bucket-selected candidate set — and ``vertex_match`` is charged
         per candidate examined.  The cache key carries the graph epoch,
         so a mutated graph can never serve a stale id list (which is
@@ -594,35 +585,6 @@ class QueryGraphExecutor:
         return [p for p in pairs
                 if p.edge.label not in _STRUCTURAL_LABELS]
 
-    def _labels_match(self, query: str, candidate: str) -> bool:
-        """``matchVertex``'s label test — the reference predicate.
-
-        Production matching goes through the graph's
-        :class:`~repro.graph.candidates.VertexCandidateIndex`, which
-        must accept exactly the labels this predicate accepts (the
-        index/scan equivalence property test holds the two together).
-
-        Exact, number-normalized, and synonym matches always count;
-        the normalized-Levenshtein fallback only applies to words of
-        five or more characters, so short labels ("cat"/"car",
-        "grass"/"dress") don't collide on one edit.
-        """
-        q = query.lower()
-        c = candidate.lower()
-        if q == c:
-            return True
-        if noun_singular(q) == noun_singular(c):
-            return True
-        if are_synonyms(q, c) and not _is_category(q):
-            # a non-category query word reaches its cluster ("puppy"
-            # finds dog instances); a category query ("girl") matches
-            # exactly, so it neither bleeds into sibling categories
-            # ("woman") nor climbs to a broad concept ("person")
-            return True
-        if min(len(q), len(c)) >= 5:
-            return within_distance(q, c, self.config.ld_threshold)
-        return False
-
     def _match_possessive(self, term: Term) -> list[Vertex]:
         """"Harry Potter's girlfriend": resolve the owner, follow its
         most similar out-edge, expand the targets."""
@@ -645,15 +607,9 @@ class QueryGraphExecutor:
                 # an owner with no candidate out-edges has nothing to
                 # score: no embed_score charge, no maxScore call
                 return [], examined, pruned
-            if self._ann is not None:
-                best, score, fresh, probes = \
-                    self._ann.best(term.head, out_labels)
-                self._charge_retrieval("possessive", fresh, probes)
-            else:
-                if self.clock is not None:
-                    self.clock.charge("embed_score",
-                                      times=len(out_labels))
-                best, score = max_score(term.head, out_labels)
+            best, score, fresh, probes = \
+                self._ann.best(term.head, out_labels)
+            self._charge_retrieval("possessive", fresh, probes)
             targets: dict[int, Vertex] = {}
             if best is not None and \
                     score >= self.config.predicate_threshold:
@@ -875,7 +831,7 @@ class QueryGraphExecutor:
 
     def _charge_retrieval(self, site: str, fresh: int,
                           probes: int) -> None:
-        """Charge one ANN-tier lookup: ``fresh`` scores computed for
+        """Charge one score-memo lookup: ``fresh`` scores computed for
         the first time cost the same ``embed_score`` the linear scan
         charged; ``probes`` memo hits cost the far cheaper
         ``ann_probe``.  Zero counts charge (and record) nothing."""
@@ -894,13 +850,8 @@ class QueryGraphExecutor:
         if not pairs:
             return None, []
         labels = sorted({pair.edge.label for pair in pairs})
-        if self._ann is not None:
-            ranked, fresh, probes = self._ann.rank(predicate, labels)
-            self._charge_retrieval("predicate", fresh, probes)
-        else:
-            if self.clock is not None:
-                self.clock.charge("embed_score", times=len(labels))
-            ranked = rank_scores(predicate, labels)
+        ranked, fresh, probes = self._ann.rank(predicate, labels)
+        self._charge_retrieval("predicate", fresh, probes)
         best, best_score = ranked[0]
         if best_score < self.config.predicate_threshold:
             if self.stats is not None:
@@ -955,17 +906,10 @@ class QueryGraphExecutor:
     ) -> list[RelationPair]:
         if spoc.constraint is None or not pairs:
             return pairs
-        if self._ann is not None:
-            constraint, score, fresh, probes = self._ann.best(
-                spoc.constraint, list(CONSTRAINT_WORDS)
-            )
-            self._charge_retrieval("constraint", fresh, probes)
-        else:
-            if self.clock is not None:
-                self.clock.charge("embed_score",
-                                  times=len(CONSTRAINT_WORDS))
-            constraint, score = max_score(spoc.constraint,
-                                          list(CONSTRAINT_WORDS))
+        constraint, score, fresh, probes = self._ann.best(
+            spoc.constraint, list(CONSTRAINT_WORDS)
+        )
+        self._charge_retrieval("constraint", fresh, probes)
         if constraint is None or score < self.config.constraint_threshold:
             return pairs
         keep_max = constraint.startswith("most")

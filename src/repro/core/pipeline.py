@@ -7,8 +7,9 @@
 * **answer** — decompose a question into a query graph (§IV) and
   execute it over the merged graph (§V);
 * **answer_many** — the multi-query path with the §V-B optimizations:
-  key-centric caching, frequency-ratio scheduling, and concurrent
-  execution on a configurable worker pool (``SVQAConfig.workers``).
+  cross-query plan sharing (:mod:`repro.core.planner`), key-centric
+  caching, frequency-ratio scheduling, and concurrent execution on a
+  configurable worker pool (``SVQAConfig.workers``).
 
 All latencies are accounted on a :class:`~repro.simtime.SimClock`
 (see that module for why), and every answer carries its own simulated
@@ -32,7 +33,6 @@ from repro.observability.spans import (
 )
 from repro.resilience.events import FaultEvent
 from repro.resilience.manager import ResilienceConfig, ResilienceManager
-from repro.retrieval.config import RetrievalConfig
 from repro.simtime import SimClock
 from repro.synth.scene import SyntheticScene
 from repro.vision.detector import DetectorConfig, SimulatedDetector
@@ -45,7 +45,6 @@ from repro.core.cache import CacheReport, KeyCentricCache
 from repro.core.executor import ExecutorConfig, QueryGraphExecutor
 from repro.core.planner import (
     PlannedBatch,
-    PlannerConfig,
     PlanOverlay,
     build_forest,
     build_plans,
@@ -53,7 +52,6 @@ from repro.core.planner import (
     plan_order,
 )
 from repro.core.query_graph import generate_query_graph
-from repro.core.scheduler import schedule_queries
 from repro.core.spoc import QueryGraph
 from repro.core.stats import ExecutorStats, ExecutorStatsReport
 
@@ -80,16 +78,6 @@ class SVQAConfig:
     enable_path_cache: bool = True
     enable_scheduler: bool = True
     workers: int = 1  # worker threads for answer_many (1 = serial)
-    #: cost-based multi-query planner (cross-query plan sharing +
-    #: affinity ordering); ``None`` keeps the batch path bit-identical
-    #: to the pre-planner system — same answers, span multisets, and
-    #: metric families
-    planner: PlannerConfig | None = None
-    #: ANN retrieval tier (score-memo embedding lookups + BM25-ranked
-    #: degraded fallback); ``None`` keeps every output bit-identical
-    #: to the pre-retrieval system — the indexes are maintained but
-    #: never consulted
-    retrieval: RetrievalConfig | None = None
     #: resilience layer (fault injection / retry / deadline / breaker);
     #: ``None`` keeps the whole layer strictly zero-cost
     resilience: ResilienceConfig | None = None
@@ -241,7 +229,6 @@ class SVQA:
             self.merged, cache=self._cache, clock=self.clock,
             config=self.config.executor, stats=self._stats,
             resilience=self.resilience, tracer=self.tracer,
-            retrieval=self.config.retrieval,
         )
         return self.merged
 
@@ -261,7 +248,6 @@ class SVQA:
             merged, cache=self._cache, clock=self.clock,
             config=self.config.executor, stats=self._stats,
             resilience=self.resilience, tracer=self.tracer,
-            retrieval=self.config.retrieval,
         )
         return merged
 
@@ -298,13 +284,11 @@ class SVQA:
         clean parse.  When the grammar (or an injected fault,
         permanently) rejects the question, the degraded fallback
         supplies a single-clause graph and the cap its answers'
-        confidence ceiling: with the retrieval tier enabled,
-        :func:`~repro.resilience.degrade.retrieval_query_graph`
-        BM25-grounds the query and the cap is its normalized
-        retrieval score; otherwise (or when retrieval finds nothing)
+        confidence ceiling:
         :func:`~repro.resilience.degrade.keyword_query_graph` supplies
-        the flat ``KEYWORD_FALLBACK_CONFIDENCE``.  ``(None, None)``
-        means every rung failed and the caller answers ``"unknown"``.
+        the graph and ``KEYWORD_FALLBACK_CONFIDENCE`` the cap.
+        ``(None, None)`` means every rung failed and the caller
+        answers ``"unknown"``.
         """
         manager = self.resilience
         assert manager is not None
@@ -322,25 +306,6 @@ class SVQA:
                 detail=f"{type(exc).__name__}: {exc}",
             ))
         if manager.config.degrade_parse:
-            if self.config.retrieval is not None and \
-                    self.merged is not None:
-                from repro.resilience.degrade import retrieval_query_graph
-
-                found = retrieval_query_graph(
-                    question, self.merged.graph, self.config.retrieval
-                )
-                if found is not None:
-                    graph, confidence = found
-                    events.append(FaultEvent(
-                        "parse.question", "degraded",
-                        detail="retrieval-ranked fallback "
-                               f"(confidence={confidence:.3f})",
-                    ))
-                    self._stats.record_retrieval_fallback(
-                        "ranked", confidence
-                    )
-                    return graph, confidence
-                self._stats.record_retrieval_fallback("empty")
             from repro.resilience.degrade import (
                 KEYWORD_FALLBACK_CONFIDENCE,
                 keyword_query_graph,
@@ -445,9 +410,10 @@ class SVQA:
     ) -> list[Answer]:
         """Answer a batch with the §V-B multi-query optimizations.
 
-        Query graphs are generated for all questions, scheduled by
-        frequency ratio (when enabled), executed in that order against
-        the shared thread-safe key-centric cache on ``workers`` pool
+        Query graphs are generated for all questions and planned
+        (:meth:`_plan_batch`: sub-plans shared across the batch run
+        once up front), executed in the planned order against the
+        shared thread-safe key-centric cache on ``workers`` pool
         threads (``workers=1``, the default, runs serially in the
         calling thread), and returned in input order.  Each worker
         charges a private :class:`~repro.simtime.SimClock` shard; the
@@ -495,22 +461,13 @@ class SVQA:
             pre_events.append(events)
             parse_caps.append(cap)
 
-        order = list(range(len(questions)))
-        overlay: PlanOverlay | None = None
-        if self.config.planner is not None:
-            order, overlay = self._plan_batch(graphs)
-        elif self.config.enable_scheduler:
-            valid = [i for i, g in enumerate(graphs) if g is not None]
-            plan = schedule_queries([graphs[i] for i in valid])
-            order = [valid[i] for i in plan.order] + \
-                [i for i, g in enumerate(graphs) if g is None]
-
+        order, overlay = self._plan_batch(graphs)
         batch = BatchExecutor(
             self.merged, cache=self._cache,
             config=self.config.executor, workers=workers,
             costs=self.clock.costs, stats=self._stats,
             resilience=self.resilience, tracer=self.tracer,
-            plan_overlay=overlay, retrieval=self.config.retrieval,
+            plan_overlay=overlay,
         )
         result = batch.run(graphs, order=order, trace_ids=trace_ids,
                            deadlines=deadlines)
@@ -525,36 +482,41 @@ class SVQA:
     def _plan_batch(
         self, graphs: list[QueryGraph | None]
     ) -> tuple[list[int], PlanOverlay]:
-        """The cost-based planner path of :meth:`answer_many`.
+        """Plan one :meth:`answer_many` batch.
 
         Canonicalizes the parsed graphs under the current graph epoch,
-        detects structurally shared sub-plans across the batch,
-        executes each shared node exactly once on the main thread (the
-        ``planner.share`` span, charged to the aggregate clock), and
-        chooses an affinity-clustered execution order.  Returns the
-        submission order plus the frozen fan-out overlay the batch's
-        executors will consult; unparseable slots go last, exactly as
-        on the scheduler path.
+        detects structurally shared sub-plans across the batch (only
+        of the kinds whose cache is enabled — sharing is cross-query
+        reuse), executes each shared node exactly once on the main
+        thread (the ``planner.share`` span, charged to the aggregate
+        clock), and picks the submission order: affinity-clustered
+        frequency-ratio order with the scheduler on (unparseable slots
+        last), the input order with it off.  Returns that order plus
+        the frozen fan-out overlay the batch's executors will consult.
         """
-        config = self.config.planner
-        assert config is not None
         assert self.merged is not None
+        config = self.config
         valid = [i for i, g in enumerate(graphs) if g is not None]
         valid_graphs: list[QueryGraph] = \
             [g for g in graphs if g is not None]
         epoch = self.merged.graph.epoch
         plans = build_plans(valid_graphs, epoch)
-        forest = build_forest(plans, epoch,
-                              threshold=config.share_threshold)
-        positions = plan_order(plans, forest, reorder=config.reorder)
-        order = [valid[p] for p in positions] + \
-            [i for i, g in enumerate(graphs) if g is None]
+        enabled = {"scope": config.enable_scope_cache,
+                   "neighborhood": config.enable_path_cache}
+        kinds = [kind for kind, on in enabled.items() if on]
+        forest = build_forest(plans, epoch, kinds=kinds)
+        if config.enable_scheduler:
+            positions = plan_order(plans, forest)
+            order = [valid[p] for p in positions] + \
+                [i for i, g in enumerate(graphs) if g is None]
+        else:
+            positions = list(range(len(plans)))
+            order = list(range(len(graphs)))
         overlay = PlanOverlay(epoch)
         share_executor = QueryGraphExecutor(
             self.merged, cache=self._cache, clock=self.clock,
-            config=self.config.executor, stats=self._stats,
+            config=config.executor, stats=self._stats,
             resilience=self.resilience, tracer=self.tracer,
-            retrieval=self.config.retrieval,
         )
         trace_id = f"plan{self._plan_seq:04d}"
         self._plan_seq += 1
@@ -625,8 +587,8 @@ class SVQA:
 
     @property
     def last_plan(self) -> PlannedBatch | None:
-        """The most recent planned batch (``None`` when the planner is
-        off or no batch has run)."""
+        """The most recent planned batch (``None`` until
+        ``answer_many`` has run)."""
         return self._last_plan
 
     @property

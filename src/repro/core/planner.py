@@ -30,7 +30,8 @@ whole-plan sharing:
   over shared canonical keys) and clusters run back to back, largest
   shared mass first, which maximizes scope/path reuse while entries are
   hot in the bounded pool; within a cluster the §V-B frequency-ratio
-  order is kept;
+  order is kept (the scheduler ablation, ``enable_scheduler=False``,
+  keeps the input order instead and still shares);
 * **predict** — a makespan predictor calibrated from the per-operation
   clock counts in ``BENCH_baseline.json`` (schema v2) walks the plan
   nodes in scheduled order, simulating first-touch misses and fan-out
@@ -50,6 +51,7 @@ endpoint set matches exactly.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -62,18 +64,9 @@ if TYPE_CHECKING:
     from repro.graph import RelationPair
 
 
-@dataclass
-class PlannerConfig:
-    """Configuration of the cost-based multi-query planner.
-
-    ``share_threshold`` is how many uses a canonical node needs across
-    the batch before the share phase precomputes it (2 = any reuse).
-    ``reorder`` enables affinity-cluster ordering; ``False`` keeps the
-    plain §V-B frequency-ratio order while still sharing nodes.
-    """
-
-    share_threshold: int = 2
-    reorder: bool = True
+#: how many uses a canonical node needs across the batch before the
+#: share phase precomputes it (2 = any reuse)
+SHARE_THRESHOLD = 2
 
 
 #: the three plan-node kinds (also the ``kind`` label values of the
@@ -281,13 +274,19 @@ def build_plans(graphs: list[QueryGraph], epoch: int) -> list[QueryPlan]:
 
 
 def build_forest(plans: list[QueryPlan], epoch: int,
-                 threshold: int = 2) -> PlanForest:
+                 threshold: int = SHARE_THRESHOLD,
+                 kinds: Collection[str] = NODE_KINDS,
+                 ) -> PlanForest:
     """Detect structurally shared sub-plans across the batch.
 
-    A shareable node whose canonical key is used at least ``threshold``
-    times (across all plans, repeated uses within one plan included —
-    each use is a store request) becomes a :class:`SharedNode` the
-    share phase executes exactly once.
+    A shareable node of one of ``kinds`` whose canonical key is used
+    at least ``threshold`` times (across all plans, repeated uses
+    within one plan included — each use is a store request) becomes a
+    :class:`SharedNode` the share phase executes exactly once.
+    Sharing is cross-query reuse, so ``answer_many`` leaves out the
+    kind whose cache the configuration disables (``scope`` with the
+    scope store, ``neighborhood`` with the path store): a cache-off
+    ablation must not be quietly served from the plan overlay.
     """
     if threshold < 2:
         raise ValueError(f"share_threshold must be >= 2, got {threshold}")
@@ -296,7 +295,7 @@ def build_forest(plans: list[QueryPlan], epoch: int,
     nodes: dict[tuple[Any, ...], PlanNode] = {}
     for plan in plans:
         for node in plan.nodes:
-            if not node.shareable:
+            if not node.shareable or node.kind not in kinds:
                 continue
             uses[node.key] = uses.get(node.key, 0) + 1
             nodes[node.key] = node
@@ -311,8 +310,7 @@ def build_forest(plans: list[QueryPlan], epoch: int,
     return PlanForest(epoch=epoch, plans=plans, shared=shared)
 
 
-def plan_order(plans: list[QueryPlan], forest: PlanForest,
-               reorder: bool = True) -> list[int]:
+def plan_order(plans: list[QueryPlan], forest: PlanForest) -> list[int]:
     """Choose the batch execution order (positions into ``plans``).
 
     Plans are clustered by shared-key affinity (union-find over the
@@ -328,9 +326,6 @@ def plan_order(plans: list[QueryPlan], forest: PlanForest,
         plan.index: (-plan.score, -plan.vertices, plan.index)
         for plan in plans
     }
-    if not reorder:
-        return sorted((p.index for p in plans), key=lambda i: member_key[i])
-
     parent = {plan.index: plan.index for plan in plans}
 
     def find(i: int) -> int:

@@ -30,13 +30,8 @@ from repro.locks import note_read, note_write, wrap_lock
 from repro.observability.metrics import (
     COUNT_BUCKETS,
     LATENCY_BUCKETS,
-    Counter,
-    Histogram,
     MetricsRegistry,
 )
-
-#: histogram buckets for normalized fallback confidences in [0, 1]
-CONFIDENCE_BUCKETS: tuple[float, ...] = (0.25, 0.5, 0.75, 0.9)
 
 #: numeric encoding of breaker states for the ``svqa_breaker_state``
 #: gauge (closed flows, half-open probes, open short-circuits)
@@ -112,13 +107,11 @@ class ExecutorStatsReport:
     plan_shared_nodes: int = 0
     #: cache-miss closures served from the plan overlay
     plan_overlay_fills: int = 0
-    #: ANN-tier scores computed for the first time (charged
+    #: score-memo lookups computed for the first time (charged
     #: ``embed_score``)
     retrieval_ann_fresh: int = 0
-    #: ANN-tier scores served from the memo (charged ``ann_probe``)
+    #: score-memo lookups served from the memo (charged ``ann_probe``)
     retrieval_ann_probes: int = 0
-    #: degraded parses that went through the ranked retrieval fallback
-    retrieval_fallbacks: int = 0
 
     @property
     def scope_hit_rate(self) -> float:
@@ -225,32 +218,6 @@ class ExecutorStats:
             "Circuit-breaker state by site "
             "(0=closed, 1=half-open, 2=open).",
             labels=("site",))
-        # planner families are registered lazily on first planner use:
-        # a registered family is exported even with zero series, and
-        # the planner-off path must keep /metrics snapshots
-        # byte-identical to the pre-planner system
-        self._plan_batches: Counter | None = None
-        self._plan_nodes: Counter | None = None
-        self._plan_shared: Counter | None = None
-        self._plan_fills: Counter | None = None
-        # retrieval families follow the same lazy discipline: the
-        # retrieval-off path must keep /metrics byte-identical to the
-        # pre-retrieval system
-        self._retrieval_lookups: Counter | None = None
-        self._retrieval_fallbacks: Counter | None = None
-        self._retrieval_confidence: Histogram | None = None
-
-    def _ensure_plan_metrics(self) -> None:
-        """Register the ``svqa_plan_*`` families (idempotent).
-
-        Called from the planner's record methods; the first call runs
-        on the main thread during the share phase, before any worker
-        forks, and the registry's get-or-create is lock-guarded, so
-        later defensive calls are safe from any thread.
-        """
-        if self._plan_batches is not None:
-            return
-        r = self.registry
         self._plan_batches = r.counter(
             "svqa_plan_batches_total",
             "Batches routed through the multi-query planner.")
@@ -268,57 +235,20 @@ class ExecutorStats:
             "Cache-miss closures served from the plan overlay, "
             "by store.",
             labels=("store",))
-
-    def _ensure_retrieval_metrics(self) -> None:
-        """Register the ``svqa_retrieval_*`` families (idempotent).
-
-        Same threading contract as :meth:`_ensure_plan_metrics`: the
-        registry's get-or-create is lock-guarded, and duplicate
-        assignments of the same family object are benign.
-        """
-        if self._retrieval_lookups is not None:
-            return
-        r = self.registry
-        self._retrieval_lookups = r.counter(
+        self._ann_lookups = r.counter(
             "svqa_retrieval_ann_lookups_total",
             "ANN-tier scores by executor site and outcome "
             "(fresh=computed, probe=memo hit).",
             labels=("site", "outcome"))
-        self._retrieval_fallbacks = r.counter(
-            "svqa_retrieval_fallbacks_total",
-            "Degraded parses offered to the ranked retrieval "
-            "fallback, by outcome.",
-            labels=("outcome",))
-        self._retrieval_confidence = r.histogram(
-            "svqa_retrieval_fallback_confidence",
-            "Normalized BM25 confidence of ranked fallback answers.",
-            buckets=CONFIDENCE_BUCKETS)
 
     def record_retrieval(self, site: str, fresh: int,
                          probes: int) -> None:
-        """One ANN-tier lookup at ``site`` computed ``fresh`` scores
+        """One score-memo lookup at ``site`` computed ``fresh`` scores
         and served ``probes`` from the memo."""
-        self._ensure_retrieval_metrics()
-        assert self._retrieval_lookups is not None
         if fresh:
-            self._retrieval_lookups.inc(fresh, site=site,
-                                        outcome="fresh")
+            self._ann_lookups.inc(fresh, site=site, outcome="fresh")
         if probes:
-            self._retrieval_lookups.inc(probes, site=site,
-                                        outcome="probe")
-
-    def record_retrieval_fallback(
-        self, outcome: str, confidence: float | None = None
-    ) -> None:
-        """One degraded parse reached the ranked retrieval fallback
-        (``outcome`` is ``ranked`` or ``empty``); ranked fallbacks
-        also observe their normalized confidence."""
-        self._ensure_retrieval_metrics()
-        assert self._retrieval_fallbacks is not None
-        assert self._retrieval_confidence is not None
-        self._retrieval_fallbacks.inc(outcome=outcome)
-        if confidence is not None:
-            self._retrieval_confidence.observe(confidence)
+            self._ann_lookups.inc(probes, site=site, outcome="probe")
 
     def record_query(self, vertex_count: int) -> None:
         """One query ran to completion, executing ``vertex_count``
@@ -412,9 +342,6 @@ class ExecutorStats:
         """One batch went through the planner, discovering ``nodes``
         canonical plan nodes (keyed by node kind); the shared subset
         is recorded per execution by :meth:`record_plan_shared`."""
-        self._ensure_plan_metrics()
-        assert self._plan_batches is not None
-        assert self._plan_nodes is not None
         self._plan_batches.inc()
         for kind, count in sorted(nodes.items()):
             if count > 0:
@@ -422,15 +349,11 @@ class ExecutorStats:
 
     def record_plan_shared(self, kind: str) -> None:
         """The share phase executed one shared sub-plan node."""
-        self._ensure_plan_metrics()
-        assert self._plan_shared is not None
         self._plan_shared.inc(kind=kind)
 
     def record_plan_fill(self, store: str) -> None:
         """One cache-miss closure was served from the plan overlay
         instead of recomputing (``store`` is ``scope`` or ``path``)."""
-        self._ensure_plan_metrics()
-        assert self._plan_fills is not None
         self._plan_fills.inc(store=store)
 
     def record_store_rebuild(self) -> None:
@@ -467,6 +390,9 @@ class ExecutorStats:
             (key[0], int(value))
             for key, value in self._faults.series_items()
         )
+        lookups: dict[str, float] = {}
+        for (_, outcome), value in self._ann_lookups.series_items():
+            lookups[outcome] = lookups.get(outcome, 0.0) + value
         return ExecutorStatsReport(
             queries=int(self._queries.total()),
             vertices=sum(counts),
@@ -494,26 +420,10 @@ class ExecutorStats:
             degraded_answers=int(self._degraded.total()),
             stale_scope_drops=int(self._stale_drops.total()),
             store_rebuilds=int(self._store_rebuilds.total()),
-            plan_batches=int(self._plan_batches.total())
-            if self._plan_batches is not None else 0,
-            plan_nodes=int(self._plan_nodes.total())
-            if self._plan_nodes is not None else 0,
-            plan_shared_nodes=int(self._plan_shared.total())
-            if self._plan_shared is not None else 0,
-            plan_overlay_fills=int(self._plan_fills.total())
-            if self._plan_fills is not None else 0,
-            retrieval_ann_fresh=int(
-                sum(value
-                    for key, value
-                    in self._retrieval_lookups.series_items()
-                    if key[1] == "fresh"))
-            if self._retrieval_lookups is not None else 0,
-            retrieval_ann_probes=int(
-                sum(value
-                    for key, value
-                    in self._retrieval_lookups.series_items()
-                    if key[1] == "probe"))
-            if self._retrieval_lookups is not None else 0,
-            retrieval_fallbacks=int(self._retrieval_fallbacks.total())
-            if self._retrieval_fallbacks is not None else 0,
+            plan_batches=int(self._plan_batches.total()),
+            plan_nodes=int(self._plan_nodes.total()),
+            plan_shared_nodes=int(self._plan_shared.total()),
+            plan_overlay_fills=int(self._plan_fills.total()),
+            retrieval_ann_fresh=int(lookups.get("fresh", 0.0)),
+            retrieval_ann_probes=int(lookups.get("probe", 0.0)),
         )

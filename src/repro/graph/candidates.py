@@ -6,8 +6,10 @@ with the image pool.  This module provides the standard
 subgraph-matching acceleration — indexed candidate pruning before
 per-candidate verification (gStore-style label filtering, the
 candidate-selection stage of TurboISO-family matchers) — specialised
-to the exact label test of
-:meth:`repro.core.executor.QueryGraphExecutor._labels_match`:
+to ``matchVertex``'s exact label test (exact, number-normalized, and
+non-category synonym matches; normalized Levenshtein for words of five
+or more characters — the linear reference predicate lives in
+``tests/graph/test_candidates.py`` as this index's oracle):
 
 * an **exact** bucket (lowercased label -> labels),
 * a **number-normalized** bucket (``noun_singular`` form -> labels),
@@ -25,8 +27,8 @@ to the exact label test of
 
 Every lookup path *verifies* fuzzy candidates with the same
 :func:`~repro.nlp.dword.within_distance` call the linear scan used, so
-the index-backed matcher returns exactly the label set of the old
-``_labels_match`` scan — in the same order (labels carry their graph
+the index-backed matcher returns exactly the label set of the linear
+scan — in the same order (labels carry their graph
 insertion position, mirroring :class:`~repro.graph.index.LabelIndex`
 iteration order).
 

@@ -27,7 +27,6 @@ from repro.errors import (
 from repro.graph.candidates import VertexCandidateIndex
 from repro.graph.index import LabelIndex
 from repro.nlp.ann import EmbeddingANNIndex
-from repro.retrieval.lexical import LexicalIndex
 
 if TYPE_CHECKING:
     from typing import Protocol
@@ -115,7 +114,6 @@ class Graph:
         self.edge_labels = LabelIndex()
         self.candidate_index = VertexCandidateIndex()
         self.ann_index = EmbeddingANNIndex()
-        self.lexical_index = LexicalIndex()
         self._epoch = 0
         self._mutation_sink: MutationSink | None = None
 
@@ -184,7 +182,6 @@ class Graph:
         self._in[vertex_id] = []
         self.vertex_labels.add(label, vertex_id)
         self.candidate_index.add_label(label)
-        self.lexical_index.add_document(label)
         self._epoch += 1
         if self._mutation_sink is not None:
             self._mutation_sink.record({
@@ -267,7 +264,6 @@ class Graph:
         del self._in[vertex_id]
         self.vertex_labels.remove(vertex.label, vertex_id)
         self.candidate_index.remove_label(vertex.label)
-        self.lexical_index.remove_document(vertex.label)
         self._epoch += 1
         if self._mutation_sink is not None:
             self._mutation_sink.record({
@@ -280,11 +276,9 @@ class Graph:
         vertex = self.vertex(vertex_id)
         self.vertex_labels.remove(vertex.label, vertex_id)
         self.candidate_index.remove_label(vertex.label)
-        self.lexical_index.remove_document(vertex.label)
         vertex.label = label
         self.vertex_labels.add(label, vertex_id)
         self.candidate_index.add_label(label)
-        self.lexical_index.add_document(label)
         self._epoch += 1
         if self._mutation_sink is not None:
             self._mutation_sink.record({

@@ -1,37 +1,26 @@
-"""Seeded, deterministic ANN index over the embedding space.
+"""Refcounted, exact score memo over the embedding space.
 
 PR 5 made vertex label matching sublinear; this module does the same
 for the *embedding* lookups left on the hot path
 (``_filter_by_predicate``, ``_apply_constraint``,
 ``_match_possessive``), each of which charged ``embed_score`` once
-per candidate label per clause per query.  Two structures cooperate:
+per candidate label per clause per query.  The index is a **score
+memo** keyed ``(query, candidate)`` (both lowercased): cosine scores
+are pure functions of the two spellings, so a pair scored once is
+scored forever.  The first computation of a pair charges
+``embed_score`` exactly like the linear scan did; every repeat charges
+the much cheaper ``ann_probe``.  Across a workload the same
+(predicate, edge-label) pairs recur constantly, which is where the
+aggregate ``embed_score`` drop comes from.
 
-* a **score memo** keyed ``(query, candidate)`` (both lowercased):
-  cosine scores are pure functions of the two spellings, so a pair
-  scored once is scored forever.  The first computation of a pair
-  charges ``embed_score`` exactly like the linear scan did; every
-  repeat charges the much cheaper ``ann_probe``.  Across a workload
-  the same (predicate, edge-label) pairs recur constantly, which is
-  where the aggregate ``embed_score`` drop comes from;
-* **LSH band signatures** (random-hyperplane sign bits, grouped into
-  bands) over the indexed labels, serving the approximate
-  :meth:`EmbeddingANNIndex.neighbors` probe used by the degraded-mode
-  retrieval fallback.
-
-Determinism rules:
-
-* the hyperplanes are drawn from ``np.random.default_rng`` with a
-  literal seed (RP002) at construction — identical across processes;
-* :meth:`~EmbeddingANNIndex.rank` and
-  :meth:`~EmbeddingANNIndex.best` are **extensionally equal** to
-  :func:`repro.nlp.embeddings.rank_scores` /
-  :func:`repro.nlp.embeddings.max_score`: scores are produced by the
-  byte-identical float expression, assembled in caller candidate
-  order, and tie-broken by the same stable sort / first-strict-greater
-  scan — the fuzz suite asserts equality outright;
-* ``neighbors`` output is ordered by ``(-score, insertion order)``,
-  with insertion order maintained exactly like
-  :class:`~repro.graph.candidates.VertexCandidateIndex`.
+:meth:`~EmbeddingANNIndex.rank` and :meth:`~EmbeddingANNIndex.best`
+are **extensionally equal** to
+:func:`repro.nlp.embeddings.rank_scores` /
+:func:`repro.nlp.embeddings.max_score`: scores are produced by the
+byte-identical float expression, assembled in caller candidate order,
+and tie-broken by the same stable sort / first-strict-greater scan.
+The linear scans stay in :mod:`repro.nlp.embeddings` as the oracle the
+fuzz suite compares against outright.
 
 Membership is maintained incrementally by
 :class:`~repro.graph.model.Graph` on ``add_edge`` / ``remove_edge``
@@ -40,8 +29,7 @@ retires exactly when its last edge does; retiring a label also purges
 its memo rows (sound: scores are pure, so a re-added label recomputes
 identical floats).  The index itself never touches the
 :class:`~repro.simtime.SimClock` — call sites charge the returned
-``(fresh, probes)`` counts, so the ``SVQAConfig.retrieval=None`` off
-path stays bit-identical.
+``(fresh, probes)`` counts.
 
 The score memo is read and written from BatchExecutor worker threads,
 so it lives behind a :func:`repro.locks.wrap_lock` lock (role
@@ -60,24 +48,11 @@ from typing import Any
 import numpy as np
 
 from repro import locks
-from repro.nlp.embeddings import DIM, phrase_vector
-
-#: literal hyperplane seed (RP002: every RNG is seeded and auditable)
-ANN_SEED = 20240612
-
-#: sign-bit hyperplanes per signature; grouped into ``ANN_BANDS``
-#: bands of ``ANN_PLANES // ANN_BANDS`` bits each.  24/4 gives 6-bit
-#: band keys: coarse enough to recall morphological variants, fine
-#: enough that a band bucket holds a small fraction of the labels.
-ANN_PLANES = 24
-ANN_BANDS = 4
-
-#: sentinel distinguishing "absent" from a stored ``None`` bucket value
-_MISSING = object()
+from repro.nlp.embeddings import phrase_vector
 
 
 class EmbeddingANNIndex:
-    """Refcounted label index + exact score memo over embeddings.
+    """Refcounted edge-label set + exact score memo over embeddings.
 
     Mutate membership only through the
     :class:`~repro.graph.model.Graph` mutation API (``add_edge`` /
@@ -86,23 +61,13 @@ class EmbeddingANNIndex:
     :class:`~repro.graph.candidates.VertexCandidateIndex` invariant.
     """
 
-    def __init__(self, seed: int = ANN_SEED, planes: int = ANN_PLANES,
-                 bands: int = ANN_BANDS) -> None:
-        if planes % bands:
-            raise ValueError("planes must divide evenly into bands")
-        rng = np.random.default_rng(seed)
-        self._planes = rng.standard_normal((planes, DIM))
-        self._bands = bands
-        self._per_band = planes // bands
+    def __init__(self) -> None:
+        #: live edge-label refcounts, in graph insertion order
         self._refs: dict[str, int] = {}
-        self._order: dict[str, int] = {}
-        self._next_position = 0
-        #: labels admitted but not yet signed (signatures need
-        #: ``phrase_vector``, computed lazily outside the lock)
-        self._unsigned: dict[str, None] = {}
-        self._signatures: dict[str, tuple[int, ...]] = {}
-        self._buckets: dict[tuple[int, int], dict[str, None]] = {}
-        self._scores: dict[tuple[str, str], float] = {}
+        #: the memo, lowercased candidate -> lowercased query -> score
+        #: (keyed by candidate first, so retiring a label drops its rows
+        #: in one step)
+        self._scores: dict[str, dict[str, float]] = {}
         # lazy wrap: calling wrap_lock with no observer installed
         # would trigger SVQA_SANITIZE env activation at construction
         # time (e.g. during test collection); _refresh_lock wraps the
@@ -134,18 +99,11 @@ class EmbeddingANNIndex:
         self._refresh_lock()
         with self._lock:
             locks.note_write("retrieval.ann", label)
-            count = self._refs.get(label, 0)
-            self._refs[label] = count + 1
-            if count:
-                return
-            self._order[label] = self._next_position
-            self._next_position += 1
-            self._unsigned[label] = None
+            self._refs[label] = self._refs.get(label, 0) + 1
 
     def remove_label(self, label: str) -> None:
         """Unregister one edge carrying ``label``; the label retires
-        from signatures, buckets, and the score memo when its last
-        edge goes."""
+        from the index and the score memo when its last edge goes."""
         self._refresh_lock()
         with self._lock:
             locks.note_write("retrieval.ann", label)
@@ -156,19 +114,7 @@ class EmbeddingANNIndex:
                 self._refs[label] = count - 1
                 return
             del self._refs[label]
-            del self._order[label]
-            self._unsigned.pop(label, None)
-            signature = self._signatures.pop(label, None)
-            if signature is not None:
-                for band, key in enumerate(signature):
-                    bucket = self._buckets[(band, key)]
-                    del bucket[label]
-                    if not bucket:
-                        del self._buckets[(band, key)]
-            lowered = label.lower()
-            stale = [pair for pair in self._scores if pair[1] == lowered]
-            for pair in stale:
-                del self._scores[pair]
+            self._scores.pop(label.lower(), None)
 
     # ------------------------------------------------------------------
     # exact scoring (extensionally equal to the linear scan)
@@ -224,7 +170,7 @@ class EmbeddingANNIndex:
         with self._lock:
             for key in keys:
                 locks.note_read("retrieval.ann", key)
-                cached = self._scores.get(key)
+                cached = self._scores.get(key[1], {}).get(key[0])
                 if cached is None:
                     fresh += 1
                 else:
@@ -242,77 +188,8 @@ class EmbeddingANNIndex:
                 for key in computed:
                     locks.note_write("retrieval.ann", key)
                     known[key] = self._scores.setdefault(
-                        key, computed[key]
-                    )
+                        key[1], {}).setdefault(key[0], computed[key])
         return [known[key] for key in keys], fresh, probes
-
-    # ------------------------------------------------------------------
-    # approximate neighborhood probe (LSH bands)
-    # ------------------------------------------------------------------
-    def neighbors(self, query: str,
-                  limit: int = 8) -> list[tuple[str, float]]:
-        """Indexed labels sharing at least one LSH band with
-        ``query``, exactly scored, ordered ``(-score, insertion
-        order)``, truncated to ``limit``.
-
-        Approximate by design: a label landing in no shared band is
-        simply not returned (callers fall back), but any label
-        returned carries its true cosine score.
-        """
-        query_vec = phrase_vector(query)
-        self._ensure_signatures()
-        signature = self._signature_of(query_vec)
-        self._refresh_lock()
-        with self._lock:
-            locks.note_read("retrieval.ann")
-            seen: dict[str, None] = {}
-            for band, key in enumerate(signature):
-                for label in self._buckets.get((band, key), ()):
-                    seen.setdefault(label, None)
-            order = {label: self._order[label] for label in seen}
-        if not seen:
-            return []
-        candidates = sorted(seen, key=order.__getitem__)
-        ranked, _, _ = self.rank(query, candidates)
-        return ranked[:limit]
-
-    def _ensure_signatures(self) -> None:
-        """Sign any labels admitted since the last probe.
-
-        Two-phase like :meth:`_score_all`: signatures need
-        ``phrase_vector``, so they are computed with no lock held.
-        """
-        with self._lock:
-            locks.note_read("retrieval.ann")
-            pending = list(self._unsigned)
-        if not pending:
-            return
-        signed = [
-            (label, self._signature_of(phrase_vector(label)))
-            for label in pending
-        ]
-        with self._lock:
-            for label, signature in signed:
-                locks.note_write("retrieval.ann", label)
-                if self._unsigned.pop(label, _MISSING) is _MISSING:
-                    continue  # retired (or re-signed) between phases
-                self._signatures[label] = signature
-                for band, key in enumerate(signature):
-                    self._buckets.setdefault((band, key), {})[label] = \
-                        None
-
-    def _signature_of(self, vector: np.ndarray) -> tuple[int, ...]:
-        """The band keys of ``vector``: each band's hyperplane sign
-        bits packed into one int."""
-        bits = self._planes @ vector >= 0.0
-        keys = []
-        for band in range(self._bands):
-            key = 0
-            for bit in bits[band * self._per_band:
-                            (band + 1) * self._per_band]:
-                key = (key << 1) | int(bit)
-            keys.append(key)
-        return tuple(keys)
 
     # ------------------------------------------------------------------
     # introspection
@@ -334,29 +211,9 @@ class EmbeddingANNIndex:
         self._refresh_lock()
         with self._lock:
             locks.note_read("retrieval.ann")
-            return sorted(self._refs, key=self._order.__getitem__)
-
-    def stats(self) -> dict[str, int]:
-        """Deterministic structural counters for ``repro retrieval``."""
-        self._refresh_lock()
-        with self._lock:
-            locks.note_read("retrieval.ann")
-            sizes = [len(bucket) for bucket in self._buckets.values()]
-            return {
-                "labels": len(self._refs),
-                "signed": len(self._signatures),
-                "pending": len(self._unsigned),
-                "bands": self._bands,
-                "planes": self._planes.shape[0],
-                "buckets": len(self._buckets),
-                "largest_bucket": max(sizes, default=0),
-                "memo_entries": len(self._scores),
-            }
+            return list(self._refs)
 
 
 __all__ = [
-    "ANN_BANDS",
-    "ANN_PLANES",
-    "ANN_SEED",
     "EmbeddingANNIndex",
 ]

@@ -161,7 +161,7 @@ def phrase_vector(phrase: str) -> np.ndarray:
     Averaging word-by-word (with lemma-aware word vectors) makes
     morphological variants of a phrase nearly identical:
     cosine("hang out with", "hanging out with") ~ 1.  Memoized in the
-    shared :class:`VectorCache`, so the ANN retrieval index and the
+    shared :class:`VectorCache`, so the executor's score memo and the
     linear reference scan read the exact same array per phrase.
     """
     lowered = phrase.lower().strip()

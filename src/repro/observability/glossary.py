@@ -51,17 +51,11 @@ METRIC_GLOSSARY: dict[str, str] = {
     "svqa_plan_overlay_fills_total":
         "Cache-miss closures served from the plan overlay instead of "
         "recomputing, labeled by store (scope/path).",
-    # --- retrieval tier ---
+    # --- embedding score memo ---
     "svqa_retrieval_ann_lookups_total":
-        "ANN-tier embedding scores, labeled by executor site "
-        "(predicate/constraint/possessive) and outcome "
+        "Embedding scores through the score memo, labeled by executor "
+        "site (predicate/constraint/possessive) and outcome "
         "(fresh=computed, probe=score-memo hit).",
-    "svqa_retrieval_fallbacks_total":
-        "Degraded parses offered to the BM25-ranked retrieval "
-        "fallback, labeled by outcome (ranked/empty).",
-    "svqa_retrieval_fallback_confidence":
-        "Histogram of normalized BM25 confidences carried by "
-        "ranked fallback answers (in [0, 1]).",
     # --- resilience ---
     "svqa_faults_injected_total":
         "Injected faults that fired, labeled by fault site.",
@@ -167,14 +161,11 @@ BENCH_GLOSSARY: dict[str, str] = {
         "The plan-aware makespan predictor's estimate, calibrated "
         "from the recorded baseline's per-operation clock counts.",
     "ann fresh scores":
-        "ANN-tier scores computed for the first time "
+        "Embedding scores computed for the first time "
         "(svqa_retrieval_ann_lookups_total, outcome=fresh).",
     "ann memo probes":
-        "ANN-tier scores served from the memo "
+        "Embedding scores served from the score memo "
         "(svqa_retrieval_ann_lookups_total, outcome=probe).",
-    "retrieval fallbacks":
-        "Degraded parses offered to the ranked fallback "
-        "(svqa_retrieval_fallbacks_total).",
     "faults injected":
         "Injected faults that fired (svqa_faults_injected_total).",
     "retry attempts":

@@ -5,16 +5,10 @@ unanswerable and foreign-word questions), and scene-graph QA systems
 degrade with upstream noise rather than crashing.  This module holds
 the bottom rungs of the ladder:
 
-* :func:`retrieval_query_graph` — with the retrieval tier enabled,
-  the question's noun tokens are BM25-ranked against the live
-  merged-graph label corpus and the best-grounded labels anchor the
-  fallback query; the normalized retrieval score (in [0, 1]) becomes
-  the salvaged answer's confidence instead of the flat constant;
-* :func:`keyword_query_graph` — when Algorithm 2 rejects a question
-  (and retrieval is off, or found nothing), fall back to a
-  single-clause keyword-match query built from the known nouns of the
-  surface text (skipping the unknown/foreign words that broke the
-  parse);
+* :func:`keyword_query_graph` — when Algorithm 2 rejects a question,
+  fall back to a single-clause keyword-match query built from the
+  known nouns of the surface text (skipping the unknown/foreign words
+  that broke the parse);
 * the degraded-confidence constants attached to salvaged answers.
 
 Each rung trades answer quality for availability; every salvaged
@@ -24,14 +18,8 @@ answer is marked ``degraded`` and carries its
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.core.spoc import QueryGraph, QuestionType, SPOC, Term
 from repro.errors import ReproError
-
-if TYPE_CHECKING:
-    from repro.graph.model import Graph
-    from repro.retrieval.config import RetrievalConfig
 
 #: confidence of an answer produced by the keyword-match fallback
 KEYWORD_FALLBACK_CONFIDENCE = 0.3
@@ -58,8 +46,7 @@ def classify_question_text(question: str) -> QuestionType:
 
 
 def _fallback_predicate(tagged: list) -> str:
-    """The first preposition or content-verb lemma, default ``"be"``
-    — the shared predicate heuristic of both fallback rungs."""
+    """The first preposition or content-verb lemma, default ``"be"``."""
     for token in tagged:
         if token.tag == "IN":
             return token.lemma
@@ -70,7 +57,7 @@ def _fallback_predicate(tagged: list) -> str:
 
 def _fallback_graph(question: str, anchors: list[Term],
                     predicate: str) -> QueryGraph:
-    """Wire up to two anchor terms and a predicate into the shared
+    """Wire up to two anchor terms and a predicate into the
     single-main-clause fallback query shape."""
     qtype = classify_question_text(question)
     subject: Term | None = anchors[0]
@@ -95,72 +82,6 @@ def _fallback_graph(question: str, anchors: list[Term],
         source_text=question,
     )
     return QueryGraph(vertices=[spoc], edges=[], question=question)
-
-
-def retrieval_query_graph(
-    question: str, graph: Graph, config: RetrievalConfig
-) -> tuple[QueryGraph, float] | None:
-    """A ranked-retrieval fallback query over the live label corpus.
-
-    Each noun token of the question (unknown and foreign words
-    included — gibberish simply retrieves nothing) is BM25-ranked
-    against the merged graph's :class:`~repro.retrieval.lexical.LexicalIndex`;
-    a token anchors the query when its best hit's *normalized* score
-    (candidate over the label's self-score, in [0, 1]) clears
-    ``config.fallback_floor``.  The first two distinct winning labels
-    become the SPOC terms — grounded in labels that actually exist,
-    unlike the keyword rung's surface lemmas — and the predicate
-    guess is upgraded to its nearest indexed edge label when the
-    graph's ANN index knows one within
-    ``config.fallback_predicate_threshold``.
-
-    Returns ``(query_graph, confidence)`` where ``confidence`` is the
-    mean normalized anchor score, or ``None`` when tagging fails or
-    no token retrieves anything — the caller then tries the keyword
-    rung.
-    """
-    try:
-        from repro.nlp.pos import tag
-
-        tagged = tag(question)
-    except ReproError:
-        return None
-
-    anchors: list[Term] = []
-    scores: list[float] = []
-    seen_labels: set[str] = set()
-    for token in tagged:
-        if len(anchors) >= 2:
-            break
-        if not token.is_noun:
-            continue
-        query = token.lemma or token.text
-        ranked = graph.lexical_index.rank(query, limit=1)
-        if not ranked:
-            continue
-        label, score = ranked[0]
-        ceiling = graph.lexical_index.self_score(label)
-        if ceiling <= 0.0:
-            continue
-        normalized = min(1.0, score / ceiling)
-        if normalized < config.fallback_floor or label in seen_labels:
-            continue
-        seen_labels.add(label)
-        anchors.append(Term(text=query, head=label))
-        scores.append(normalized)
-    if not anchors:
-        return None
-
-    predicate = _fallback_predicate(tagged)
-    neighbors = graph.ann_index.neighbors(
-        predicate, limit=config.neighbor_limit
-    )
-    if neighbors and \
-            neighbors[0][1] >= config.fallback_predicate_threshold:
-        predicate = neighbors[0][0]
-
-    confidence = max(0.0, min(1.0, sum(scores) / len(scores)))
-    return _fallback_graph(question, anchors, predicate), confidence
 
 
 def keyword_query_graph(question: str) -> QueryGraph | None:
@@ -201,5 +122,4 @@ __all__ = [
     "PARTIAL_ANSWER_CONFIDENCE",
     "classify_question_text",
     "keyword_query_graph",
-    "retrieval_query_graph",
 ]

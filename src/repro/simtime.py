@@ -53,7 +53,7 @@ DEFAULT_COSTS: dict[str, float] = {
     "path_probe": 0.008,            # relation-pair retrieval for one vertex pair set
     "edge_scan": 0.000028,          # scanning one edge during getRelations
     "embed_score": 0.0007,          # one maxScore embedding comparison
-    "ann_probe": 0.00002,           # one ANN score-memo hit (retrieval tier)
+    "ann_probe": 0.00002,           # one embedding score-memo hit
     "cache_hit": 0.0004,            # fetching a cached scope/path item
     "pair_filter": 0.000007,        # membership test on one materialized pair
     "kg_lookup": 0.006,             # direct storage lookup for rare vertices

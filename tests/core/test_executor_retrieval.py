@@ -1,4 +1,4 @@
-"""Executor-side tests for the ANN retrieval tier and the two
+"""Executor-side tests for the embedding score memo and the two
 satellite bugfixes that rode along with it.
 
 * ``_apply_constraint`` used to group pairs by case-sensitive label
@@ -6,9 +6,9 @@ satellite bugfixes that rode along with it.
   here fails on the old code;
 * ``_be_pairs`` used to call ``edges_between`` twice per matched
   identity pair;
-* with ``retrieval`` enabled, answers must stay byte-identical to the
-  linear-scan path while ``embed_score`` charges split into
-  ``fresh + probes``.
+* through the score memo, answers must stay byte-identical to the
+  linear-scan oracle (:class:`tests.core.oracles.LinearScores`) while
+  its ``embed_score`` charges split into ``fresh + probes``.
 """
 
 from repro.core import (
@@ -16,12 +16,12 @@ from repro.core import (
     ExecutorStats,
     QueryGraphExecutor,
     QuestionType,
-    RetrievalConfig,
     SPOC,
     Term,
     generate_query_graph,
 )
 from repro.simtime import SimClock
+from tests.core.oracles import LinearScores
 from tests.core.test_executor import make_merged
 
 QUESTIONS = [
@@ -119,11 +119,14 @@ class TestBePairsSingleScan:
         assert calls == [(a.id, b.id)]
 
 
-def run_questions(retrieval):
+def run_questions(scores=None):
+    """Run :data:`QUESTIONS` through the score memo, or through
+    ``scores`` (the linear-scan oracle) in its place."""
     executor = QueryGraphExecutor(
         make_merged(), clock=SimClock(), stats=ExecutorStats(),
-        retrieval=retrieval,
     )
+    if scores is not None:
+        executor._ann = scores
     answers = [executor.execute(generate_query_graph(q))
                for q in QUESTIONS]
     return executor, answers
@@ -131,14 +134,14 @@ def run_questions(retrieval):
 
 class TestRetrievalParity:
     def test_answers_byte_identical_on_and_off(self):
-        _, plain = run_questions(None)
-        _, tiered = run_questions(RetrievalConfig())
+        _, plain = run_questions(LinearScores())
+        _, tiered = run_questions()
         assert [(a.value, a.sources()) for a in plain] == \
             [(a.value, a.sources()) for a in tiered]
 
     def test_charges_split_into_fresh_and_probes(self):
-        off, _ = run_questions(None)
-        on, _ = run_questions(RetrievalConfig())
+        off, _ = run_questions(LinearScores())
+        on, _ = run_questions()
         baseline = off.clock.counts["embed_score"]
         fresh = on.clock.counts.get("embed_score", 0)
         probes = on.clock.counts.get("ann_probe", 0)
@@ -150,7 +153,7 @@ class TestRetrievalParity:
         assert off.clock.counts.get("ann_probe", 0) == 0
 
     def test_stats_record_sites_and_outcomes(self):
-        on, _ = run_questions(RetrievalConfig())
+        on, _ = run_questions()
         report = on.stats.snapshot()
         assert report.retrieval_ann_fresh > 0
         assert report.retrieval_ann_probes > 0
@@ -158,9 +161,3 @@ class TestRetrievalParity:
             report.retrieval_ann_probes == \
             on.clock.counts["embed_score"] + \
             on.clock.counts["ann_probe"]
-
-    def test_off_path_records_nothing(self):
-        off, _ = run_questions(None)
-        report = off.stats.snapshot()
-        assert report.retrieval_ann_fresh == 0
-        assert report.retrieval_ann_probes == 0

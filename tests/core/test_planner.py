@@ -1,4 +1,9 @@
-"""Tests for cost-based multi-query plan sharing (DESIGN.md §5j)."""
+"""Tests for cost-based multi-query plan sharing (DESIGN.md §5j).
+
+Plan sharing is the only batch path, so its equivalence suite is
+differential: answers must equal the unplanned, uncached oracle of
+:mod:`tests.core.oracles`.
+"""
 
 import pytest
 
@@ -6,7 +11,6 @@ from repro.core import (
     CalibratedCosts,
     ObservabilityConfig,
     PlanOverlay,
-    PlannerConfig,
     QueryGraphExecutor,
     SVQA,
     SVQAConfig,
@@ -19,6 +23,7 @@ from repro.core import (
 )
 from repro.dataset.kg import build_commonsense_kg
 from repro.synth import SceneGenerator
+from tests.core.oracles import unplanned_answers
 from tests.core.test_executor import make_merged
 
 QUESTIONS = [
@@ -36,24 +41,16 @@ def parse_all(questions=QUESTIONS):
     return [generate_query_graph(q) for q in questions]
 
 
-def build_system(planner=None, observability=None):
+def build_system(**config):
     scenes = SceneGenerator(seed=31).generate_pool(40)
-    config = SVQAConfig(planner=planner, observability=observability)
-    system = SVQA(scenes, build_commonsense_kg(), config)
+    system = SVQA(scenes, build_commonsense_kg(), SVQAConfig(**config))
     system.build()
     return system
 
 
 @pytest.fixture(scope="module")
 def svqa_on():
-    return build_system(planner=PlannerConfig(),
-                        observability=ObservabilityConfig())
-
-
-@pytest.fixture(scope="module")
-def svqa_off():
-    return build_system(planner=None,
-                        observability=ObservabilityConfig())
+    return build_system(observability=ObservabilityConfig())
 
 
 def answer_dicts(system, workers=1):
@@ -99,8 +96,18 @@ class TestCanonicalization:
         forest = build_forest(plans, epoch)
         order = plan_order(plans, forest)
         assert sorted(order) == list(range(len(plans)))
-        unordered = plan_order(plans, forest, reorder=False)
-        assert sorted(unordered) == list(range(len(plans)))
+
+    def test_kinds_limit_what_is_shared(self):
+        epoch = 4
+        plans = build_plans(parse_all(), epoch)
+        everything = build_forest(plans, epoch)
+        assert everything.shared_counts()["scope"] > 0
+        assert everything.shared_counts()["neighborhood"] > 0
+        scopes = build_forest(plans, epoch, kinds=("scope",))
+        assert scopes.shared_counts()["neighborhood"] == 0
+        assert scopes.shared_counts()["scope"] == \
+            everything.shared_counts()["scope"]
+        assert not build_forest(plans, epoch, kinds=()).shared
 
 
 class TestPredictor:
@@ -133,9 +140,14 @@ def strip_latency(dicts):
 
 
 class TestPlannerEquivalence:
-    def test_planner_on_matches_planner_off(self, svqa_on, svqa_off):
-        assert strip_latency(answer_dicts(svqa_on)) == \
-            strip_latency(answer_dicts(svqa_off))
+    def test_planner_on_matches_planner_off(self, svqa_on):
+        """The planned batch answers exactly like the unplanned,
+        uncached oracle, at any worker count."""
+        oracle = strip_latency([a.to_dict() for a in
+                                unplanned_answers(svqa_on, QUESTIONS)])
+        for workers in (1, 4):
+            assert strip_latency(answer_dicts(svqa_on, workers)) == \
+                oracle, workers
 
     def test_worker_count_does_not_change_answers(self, svqa_on):
         assert answer_dicts(svqa_on, workers=1) == \
@@ -158,26 +170,58 @@ class TestPlannerEquivalence:
         assert "planner.share" in names
 
 
-class TestOffPathPurity:
-    def test_no_plan_metrics_when_planner_off(self, svqa_off):
-        svqa_off.answer_many(QUESTIONS)
-        snapshot = svqa_off.metrics_snapshot()
-        assert not any(name.startswith("svqa_plan")
-                       for name in snapshot)
+class TestSchedulerAblation:
+    """``enable_scheduler=False`` must keep the input order — it used
+    to be ignored whenever the planner ran — and still share."""
 
-    def test_no_share_span_when_planner_off(self, svqa_off):
-        svqa_off.answer_many(QUESTIONS)
-        names = {span.name for span in svqa_off.finished_spans()}
-        assert "planner.share" not in names
+    def test_scheduler_off_keeps_input_order_and_shares(self, svqa_on):
+        answers_on = strip_latency(answer_dicts(svqa_on))
+        planned = svqa_on.last_plan
+        identity = list(range(len(QUESTIONS)))
+        # precondition: the scheduler does reorder this batch
+        assert planned is not None and planned.order != identity
+        off = build_system(enable_scheduler=False)
+        assert strip_latency(answer_dicts(off)) == answers_on
+        plan = off.last_plan
+        assert plan is not None
+        assert plan.order == identity
+        assert plan.positions == identity
+        assert plan.share.shared_scopes > 0
+        assert plan.share.shared_neighborhoods > 0
 
-    def test_report_defaults_are_zero(self, svqa_off):
-        svqa_off.answer_many(QUESTIONS)
-        report = svqa_off.execution_report().stats
-        assert report.plan_batches == 0
-        assert report.plan_nodes == 0
-        assert report.plan_shared_nodes == 0
-        assert report.plan_overlay_fills == 0
-        assert svqa_off.last_plan is None
+
+class TestCacheOffAblation:
+    """With both caches off there is no cross-query reuse: the plan
+    overlay must not serve anything the stores would not."""
+
+    def test_cache_off_charges_equal_unplanned_oracle(self):
+        config = dict(enable_scope_cache=False, enable_path_cache=False)
+        planned = build_system(**config)
+        oracle = build_system(**config)
+        answers = planned.answer_many(QUESTIONS)
+        expected = unplanned_answers(oracle, QUESTIONS)
+        assert strip_latency([a.to_dict() for a in answers]) == \
+            strip_latency([a.to_dict() for a in expected])
+        assert planned.last_plan is not None
+        assert not planned.last_plan.forest.shared
+        # the score memo's fresh + probe counts do not depend on the
+        # order the questions ran in, so every count must agree
+        assert dict(planned.clock.counts) == dict(oracle.clock.counts)
+        assert planned.execution_report().stats.plan_overlay_fills == 0
+
+    def test_one_cache_off_shares_only_the_other_kind(self):
+        scope_only = build_system(enable_path_cache=False)
+        scope_only.answer_many(QUESTIONS)
+        plan = scope_only.last_plan
+        assert plan is not None
+        assert plan.share.shared_scopes > 0
+        assert plan.share.shared_neighborhoods == 0
+        path_only = build_system(enable_scope_cache=False)
+        path_only.answer_many(QUESTIONS)
+        plan = path_only.last_plan
+        assert plan is not None
+        assert plan.share.shared_scopes == 0
+        assert plan.share.shared_neighborhoods > 0
 
 
 class TestEpochSafety:

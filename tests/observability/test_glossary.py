@@ -57,6 +57,17 @@ class TestMetricGlossary:
             f"docs/OPERATIONS.md does not mention: {missing}"
         )
 
+    def test_runbook_names_only_glossary_families(self):
+        """The reverse direction: a family deleted from the code and
+        the glossary must not linger in the runbook either."""
+        text = OPERATIONS.read_text(encoding="utf-8")
+        named = set(re.findall(r"\bsvqa_[a-z0-9_]+", text))
+        stale = named - set(METRIC_GLOSSARY)
+        assert not stale, (
+            f"docs/OPERATIONS.md names families no code registers: "
+            f"{sorted(stale)}"
+        )
+
     def test_definitions_are_one_line_and_nonempty(self):
         for name, definition in {**METRIC_GLOSSARY,
                                  **BENCH_GLOSSARY}.items():
