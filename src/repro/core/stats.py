@@ -23,10 +23,8 @@ constraint ("most frequently") actually narrowed a result.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
-from repro.locks import note_read, note_write, wrap_lock
 from repro.observability.metrics import (
     COUNT_BUCKETS,
     LATENCY_BUCKETS,
@@ -53,10 +51,9 @@ class ExecutorStatsReport:
 
     #: queries that ran to an answer (Algorithm 3 completions)
     queries: int
-    #: query-graph vertices executed, summed over all queries
+    #: query-graph vertices executed, summed over all queries (their
+    #: distribution is the ``svqa_query_vertices`` histogram)
     vertices: int
-    #: vertices executed by each query, in completion order
-    per_query_vertices: tuple[int, ...]
     #: scope-store (matchVertex) cache hits
     scope_hits: int
     #: scope-store cache misses
@@ -140,8 +137,6 @@ class ExecutorStats:
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self._lock = wrap_lock(threading.Lock(), "stats")
-        self._per_query_vertices: list[int] = []
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         r = self.registry
@@ -253,9 +248,6 @@ class ExecutorStats:
     def record_query(self, vertex_count: int) -> None:
         """One query ran to completion, executing ``vertex_count``
         query-graph vertices."""
-        with self._lock:
-            note_write("stats.per_query_vertices")
-            self._per_query_vertices.append(vertex_count)
         self._queries.inc()
         self._query_vertices.observe(vertex_count)
 
@@ -363,9 +355,6 @@ class ExecutorStats:
 
     def reset(self) -> None:
         """Zero every counter, histogram, and gauge."""
-        with self._lock:
-            note_write("stats.per_query_vertices")
-            self._per_query_vertices.clear()
         self.registry.reset()
 
     def snapshot(self) -> ExecutorStatsReport:
@@ -375,9 +364,6 @@ class ExecutorStats:
         a registry export taken right after a snapshot is consistent
         with the report.
         """
-        with self._lock:
-            note_read("stats.per_query_vertices")
-            counts = tuple(self._per_query_vertices)
         cache = self._cache_requests
         scope_hits = int(cache.value(store="scope", outcome="hit"))
         scope_misses = int(cache.value(store="scope", outcome="miss"))
@@ -395,8 +381,8 @@ class ExecutorStats:
             lookups[outcome] = lookups.get(outcome, 0.0) + value
         return ExecutorStatsReport(
             queries=int(self._queries.total()),
-            vertices=sum(counts),
-            per_query_vertices=counts,
+            vertices=int(sum(total for _, (_, total, _)
+                             in self._query_vertices.series_items())),
             scope_hits=scope_hits,
             scope_misses=scope_misses,
             path_hits=path_hits,

@@ -9,7 +9,7 @@ from repro.vision.detector import (
     DetectorConfig,
     SimulatedDetector,
 )
-from repro.vision.features import FEATURE_DIM, FeatureMap, extract_features
+from repro.vision.features import FEATURE_DIM, FeatureMap
 from repro.vision.metrics import RecallCounts, evaluate_scene, mean_recall_at
 from repro.vision.relation import (
     MODELS,
@@ -26,7 +26,7 @@ from repro.vision.scene_graph import (
     SGGConfig,
     SGGPipeline,
 )
-from repro.vision.tde import predict_relation, tde_scores
+from repro.vision.tde import tde_scores
 
 __all__ = [
     "CONFUSIONS",
@@ -48,10 +48,8 @@ __all__ = [
     "VTRANSE",
     "candidate_pairs",
     "evaluate_scene",
-    "extract_features",
     "match_boxes",
     "mean_recall_at",
     "nms",
-    "predict_relation",
     "tde_scores",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.synth.scene import Box, CANVAS, Raster
 from repro.synth.taxonomy import category_names
-from repro.vision.features import FeatureMap, extract_features
+from repro.vision.features import FeatureMap, region_features
 
 #: plausible label-confusion pairs (both directions)
 CONFUSIONS: dict[str, tuple[str, ...]] = {
@@ -89,27 +89,29 @@ class SimulatedDetector:
         """Detect objects in ``raster``; deterministic per image id."""
         rng = np.random.default_rng((self.config.seed << 32) ^ (image_id + 1))
         detections: list[Detection] = []
-        for label_value, mask in _connected_regions(raster.labels):
-            visible = int(mask.sum())
+        label_values, boxes, visibles, instance_pixels = _regions(raster)
+        for label_value, (x, y, w, h), visible, owners in zip(
+                label_values.tolist(), boxes.tolist(), visibles.tolist(),
+                instance_pixels):
             if visible < self.config.min_area:
                 continue
             if rng.random() < self.config.miss_rate:
                 continue
-            box = _region_box(mask)
-            box = self._jitter_box(box, rng)
+            box = self._jitter_box(Box(x, y, w, h), rng)
             category = self._names[label_value - 1]
             category = self._corrupt_label(category, visible, rng)
-            features = extract_features(raster, box, mask)
+            features = region_features(raster, box, label_value, visible,
+                                       owners)
             visibility = visible / max(1, box.area)
-            score = float(np.clip(0.5 + 0.5 * visibility
-                                  - self.config.label_noise, 0.05, 0.99))
+            score = min(max(0.5 + 0.5 * visibility
+                            - self.config.label_noise, 0.05), 0.99)
             detections.append(Detection(
                 index=len(detections),
                 box=box,
                 features=features,
                 label=category,
                 score=score,
-                depth_estimate=float(np.clip(1.0 - visibility, 0.0, 1.0)),
+                depth_estimate=min(max(1.0 - visibility, 0.0), 1.0),
             ))
         return detections
 
@@ -137,23 +139,113 @@ class SimulatedDetector:
         return category
 
 
-def _connected_regions(labels: np.ndarray):
-    """Yield (label_value, mask) for 4-connected same-label regions."""
-    # imported here, not at module level: only a vision build needs
-    # scipy, so importing repro (serving, linting, warm start) neither
-    # pays for nor requires it
-    from scipy import ndimage
+def _regions(
+    raster: Raster,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-region sums of the raster's 4-connected same-label regions.
 
-    for value in np.unique(labels):
-        if value == 0:
-            continue
-        components, count = ndimage.label(labels == value)
-        for component in range(1, count + 1):
-            yield int(value), components == component
+    Returns ``(label_values, boxes, visible, instance_pixels)``: one
+    row per region, boxes as ``(x, y, w, h)``, ``visible`` its pixel
+    count and ``instance_pixels[r, i]`` how many of them show object
+    ``i``.  Regions come in ``scipy.ndimage.label`` order — label value
+    ascending, then the region's first pixel in raster scan order —
+    which fixes the order of the detector's per-image random draws.
+
+    The whole raster is labelled at once.  Identical consecutive rows
+    join run for run, so each block of them is labelled as its first
+    row, weighted by the block's height.  Every block row splits into
+    runs of constant (label, instance); same-label runs that touch
+    (side by side in a row, or overlapping columns in adjacent block
+    rows) are joined, and the per-region sums are bincounts over runs.
+    """
+    height, width = raster.labels.shape
+    new_row = np.ones(height, dtype=bool)
+    new_row[1:] = ((raster.labels[1:] != raster.labels[:-1])
+                   | (raster.instances[1:] != raster.instances[:-1])
+                   ).any(axis=1)
+    block_top = np.flatnonzero(new_row)
+    block_height = np.diff(block_top, append=height)
+    labels = raster.labels[block_top].ravel()
+    instances = raster.instances[block_top].ravel()
+
+    start = np.empty(labels.size, dtype=bool)
+    start[0] = True
+    np.not_equal(labels[1:], labels[:-1], out=start[1:])
+    start[1:] |= instances[1:] != instances[:-1]
+    start[::width] = True
+    first = np.flatnonzero(start)            # each run's first pixel
+    run_label = labels[first]
+
+    # vertical contacts: an overlapping pair of same-label runs in
+    # adjacent block rows first shares a column where one of them starts
+    lower = np.concatenate([first[first >= width],
+                            first[first < labels.size - width] + width])
+    lower = lower[(labels[lower] == labels[lower - width])
+                  & (labels[lower] != 0)]
+    # horizontal contacts: neighbouring runs of one label in one row
+    beside = np.flatnonzero((run_label[1:] == run_label[:-1])
+                            & (run_label[1:] != 0)
+                            & (first[1:] % width != 0))
+    root = _components(
+        len(first),
+        np.concatenate([np.searchsorted(first, lower - width, "right") - 1,
+                        beside]),
+        np.concatenate([np.searchsorted(first, lower, "right") - 1,
+                        beside + 1]),
+    )
+
+    runs = np.flatnonzero(run_label != 0)   # foreground runs
+    # the root is a region's lowest run index, i.e. its first run in
+    # raster scan order
+    order_key = run_label[runs].astype(np.int64) * len(first) + root[runs]
+    keys, region = np.unique(order_key, return_inverse=True)
+    count = len(keys)
+    label_values = keys // len(first)
+
+    block = first[runs] // width
+    column = first[runs] % width
+    length = np.diff(first, append=labels.size)[runs]
+    pixels = length * block_height[block]
+    visible = np.bincount(region, weights=pixels,
+                          minlength=count).astype(np.int64)
+    y1 = block_top[first[keys % len(first)] // width]
+    y2 = np.zeros(count, dtype=np.int64)
+    np.maximum.at(y2, region, block_top[block] + block_height[block])
+    x1 = np.full(count, width, dtype=np.int64)
+    np.minimum.at(x1, region, column)
+    x2 = np.zeros(count, dtype=np.int64)
+    np.maximum.at(x2, region, column + length)
+    boxes = np.stack([x1, y1, x2 - x1, y2 - y1], axis=1)
+
+    objects = max(raster.subject_signals.shape[0],
+                  int(instances.max()) + 1)
+    instance = instances[first[runs]].astype(np.int64)
+    owned = instance >= 0
+    instance_pixels = np.bincount(
+        region[owned] * objects + instance[owned], weights=pixels[owned],
+        minlength=count * objects,
+    ).astype(np.int64).reshape(count, objects)
+    return label_values, boxes, visible, instance_pixels
 
 
-def _region_box(mask: np.ndarray) -> Box:
-    ys, xs = np.nonzero(mask)
-    y1, y2 = int(ys.min()), int(ys.max()) + 1
-    x1, x2 = int(xs.min()), int(xs.max()) + 1
-    return Box(x1, y1, x2 - x1, y2 - y1)
+def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lowest node index of each node's connected component.
+
+    Undirected edges ``a[k]``--``b[k]`` over nodes ``0..count-1``.
+    Hook-and-shortcut: each round points the higher of two different
+    roots at the lower, then jumps every node to its root, so
+    ``parent[i] <= i`` always holds and no cycle can form.
+    """
+    parent = np.arange(count)
+    while True:
+        root_a, root_b = parent[a], parent[b]
+        differ = root_a != root_b
+        if not differ.any():
+            return parent
+        np.minimum.at(parent, np.maximum(root_a, root_b)[differ],
+                      np.minimum(root_a, root_b)[differ])
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand

@@ -12,7 +12,8 @@ The paper's RPN produces a feature map ``m_i`` per bounding box
 
 ``Mask(m_i)`` (Eq. 2 of the paper) zeroes the interaction part — the
 appearance evidence — while geometry stays available, exactly like TDE
-keeps boxes/labels but masks feature maps.
+keeps boxes/labels but masks feature maps; the relation predictors
+apply it by dropping the evidence term.
 """
 
 from __future__ import annotations
@@ -54,25 +55,25 @@ class FeatureMap:
         start = GEOMETRY_DIM + APPEARANCE_DIM + len(RELATIONS)
         return self.vector[start:]
 
-    def masked(self) -> FeatureMap:
-        """The TDE mask: interaction signals zeroed, geometry kept."""
-        vector = self.vector.copy()
-        vector[GEOMETRY_DIM + APPEARANCE_DIM:] = 0.0
-        return FeatureMap(vector)
 
-
-def extract_features(
-    raster: Raster, box: Box, region_mask: np.ndarray
+def region_features(
+    raster: Raster,
+    box: Box,
+    label_value: int,
+    visible: int,
+    instance_pixels: np.ndarray,
 ) -> FeatureMap:
-    """Feature map for a region of the raster.
+    """Feature map of a detected region, from its pixel sums.
 
-    ``region_mask`` is a boolean (H, W) array of the region's visible
-    pixels (the connected component the detector found).
+    A region is a connected component of one category value, so its
+    appearance histogram is one-hot at ``label_value``'s bucket.
+    ``visible`` is the region's pixel count and ``instance_pixels[i]``
+    the number of those pixels that show object ``i`` (the ownership
+    mix the interaction signals are pooled over).
     """
     vector = np.zeros(FEATURE_DIM, dtype=np.float32)
 
     # geometry: normalized x, y, w, h, area fraction, visibility
-    visible = int(region_mask.sum())
     vector[0] = box.x / CANVAS
     vector[1] = box.y / CANVAS
     vector[2] = box.w / CANVAS
@@ -80,20 +81,13 @@ def extract_features(
     vector[4] = box.area / (CANVAS * CANVAS)
     vector[5] = visible / box.area if box.area else 0.0
 
-    # appearance: hashed histogram of category pixels in the region
-    labels = raster.labels[region_mask]
-    if labels.size:
-        hist = np.bincount(labels % APPEARANCE_DIM,
-                           minlength=APPEARANCE_DIM).astype(np.float32)
-        vector[GEOMETRY_DIM:GEOMETRY_DIM + APPEARANCE_DIM] = \
-            hist / labels.size
+    # appearance: hashed histogram of the region's category pixels
+    vector[GEOMETRY_DIM + label_value % APPEARANCE_DIM] = 1.0
 
     # interaction: pooled per-object signals weighted by pixel ownership
-    instances = raster.instances[region_mask]
-    owners = instances[instances >= 0]
-    if owners.size:
-        counts = np.bincount(owners, minlength=raster.subject_signals.shape[0])
-        weights = counts / owners.size
+    owned = int(instance_pixels.sum())
+    if owned:
+        weights = instance_pixels / owned
         start = GEOMETRY_DIM + APPEARANCE_DIM
         vector[start:start + len(RELATIONS)] = \
             weights @ raster.subject_signals

@@ -16,6 +16,9 @@ behaviourally):
   feature maps (Eq. 2) zeroes exactly this term;
 * **noise** — per-model Gaussian logit noise.
 
+A predictor scores all of an image's candidate pairs at once, as a
+pairs x relation-classes matrix.
+
 The three models differ in how well they exploit evidence: MOTIFNET's
 global context gives it the strongest, cleanest evidence term, VCTree's
 dynamic trees sit in the middle, and VTransE's translation embeddings
@@ -77,67 +80,46 @@ class RelationPredictor:
         self._seed = seed
         self._log_prior = np.log(prior_vector())
 
-    def pair_logits(
+    def logits(
         self,
-        subject: Detection,
-        obj: Detection,
+        pairs: list[tuple[Detection, Detection]],
+        predicates: list[str | None],
         image_id: int,
-        masked: bool = False,
-    ) -> np.ndarray:
-        """Logits over RELATIONS for the ordered pair (Eq. 1 / Eq. 2).
-
-        ``masked=True`` is the TDE counterfactual pass: the feature
-        maps are replaced by zero vectors, so the evidence term
-        vanishes while bias and geometry remain.
-        """
-        factual, counterfactual = self.factual_and_masked_logits(
-            subject, obj, image_id)
-        return counterfactual if masked else factual
-
-    def factual_and_masked_logits(
-        self, subject: Detection, obj: Detection, image_id: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The Eq. 1 and Eq. 2 logits of one pair, from one pass.
+        """The Eq. 1 and Eq. 2 logits of an image's candidate pairs.
 
-        Both passes share the pair's random stream, so the extraction
-        draws, the noise, and the bias + geometry term are computed
-        once; the masked logits are the same sum without the evidence
-        term (zero feature maps contribute exactly zero).
+        One row per ordered pair, one column per relation class.
+        ``predicates[k]`` is pair ``k``'s spatial predicate from the
+        detected geometry (:func:`spatial_predicates`).  The Eq. 2 row
+        is the TDE counterfactual pass: with the feature maps masked
+        to zero vectors the evidence term vanishes while bias,
+        geometry and noise remain, so both passes share every other
+        term.  Each pair keeps its own random stream, so a pair's
+        extraction draws and noise do not depend on which other pairs
+        the image has.
         """
-        rng = self._pair_rng(subject, obj, image_id)
-        base = BIAS_WEIGHT * self._log_prior
-        base += GEOMETRY_WEIGHT * self._geometry_hint(subject, obj)
-        evidence = subject.features.subject_signal * \
-            obj.features.object_signal
+        classes = len(RELATIONS)
+        hint = np.zeros((len(pairs), classes))
+        for row, predicate in enumerate(predicates):
+            if predicate is not None:
+                hint[row, relation_index(predicate)] = 1.0
+        uniform = np.empty((len(pairs), classes))
+        noise = np.empty((len(pairs), classes))
+        for row, (subject, obj) in enumerate(pairs):
+            rng = self._pair_rng(subject, obj, image_id)
+            rng.random(out=uniform[row])
+            noise[row] = rng.normal(0.0, self.spec.noise_scale, classes)
+        evidence = np.array([s.features.subject_signal for s, _ in pairs]) \
+            * np.array([o.features.object_signal for _, o in pairs])
         # the model's context mechanism extracts each cue with
         # probability evidence_fidelity (drawn per pair+channel from the
         # deterministic stream)
-        extraction = rng.random(len(RELATIONS)) < self.spec.evidence_fidelity
-        noise = rng.normal(0.0, self.spec.noise_scale, len(RELATIONS))
+        extraction = uniform < self.spec.evidence_fidelity
+        base = BIAS_WEIGHT * self._log_prior + GEOMETRY_WEIGHT * hint
         factual = base + self.spec.evidence_weight * evidence * extraction
         factual += noise
         base += noise
         return factual, base
-
-    def pair_probabilities(
-        self,
-        subject: Detection,
-        obj: Detection,
-        image_id: int,
-        masked: bool = False,
-    ) -> np.ndarray:
-        """Softmax of :meth:`pair_logits` — the ``p_rij`` of Eq. 1."""
-        return softmax(self.pair_logits(subject, obj, image_id, masked))
-
-    def _geometry_hint(self, subject: Detection, obj: Detection) -> np.ndarray:
-        """One-hot-ish support from detected geometry."""
-        hint = np.zeros(len(RELATIONS))
-        shim_a = _GeometryShim(subject)
-        shim_b = _GeometryShim(obj)
-        predicate = spatial_relation(shim_a, shim_b)
-        if predicate is not None:
-            hint[relation_index(predicate)] = 1.0
-        return hint
 
     def _pair_rng(
         self, subject: Detection, obj: Detection, image_id: int
@@ -149,10 +131,10 @@ class RelationPredictor:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Probabilities from logits (consumes ``logits`` in place)."""
-    logits -= logits.max()
+    """Row-wise probabilities from logits (consumes ``logits`` in place)."""
+    logits -= logits.max(axis=-1, keepdims=True)
     exp = np.exp(logits)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 class _GeometryShim:
@@ -166,17 +148,30 @@ class _GeometryShim:
         self.index = detection.index
 
 
+def spatial_predicates(
+    pairs: list[tuple[Detection, Detection]],
+) -> list[str | None]:
+    """Each pair's spatial predicate from its detected boxes and depths
+    (the ground-truth rules, :func:`~repro.synth.scene.spatial_relation`)."""
+    return [spatial_relation(_GeometryShim(subject), _GeometryShim(obj))
+            for subject, obj in pairs]
+
+
 def candidate_pairs(
     detections: list[Detection], max_pairs: int = 48
 ) -> list[tuple[Detection, Detection]]:
-    """Ordered detection pairs worth scoring, nearest first."""
-    from repro.synth.scene import center_distance
+    """Ordered detection pairs worth scoring, nearest first.
 
-    scored = []
-    for a in detections:
-        for b in detections:
-            if a.index == b.index:
-                continue
-            scored.append((center_distance(a.box, b.box), a, b))
-    scored.sort(key=lambda item: item[0])
-    return [(a, b) for _, a, b in scored[:max_pairs]]
+    Ties keep subject-major order (a stable sort of the pairs as
+    ``(subject, object)`` loops enumerate them).
+    """
+    count = len(detections)
+    centers = np.array([d.box.center for d in detections]).reshape(count, 2)
+    offset = centers[:, None, :] - centers[None, :, :]
+    distance = np.hypot(offset[..., 0], offset[..., 1])
+    subjects, objects = np.nonzero(~np.eye(count, dtype=bool))
+    nearest = np.argsort(distance[subjects, objects], kind="stable")
+    nearest = nearest[:max_pairs]
+    return [(detections[a], detections[b])
+            for a, b in zip(subjects[nearest].tolist(),
+                            objects[nearest].tolist())]

@@ -19,7 +19,12 @@ from repro.simtime import SimClock
 from repro.synth.relations import RELATIONS
 from repro.synth.scene import SyntheticScene
 from repro.vision.detector import Detection, SimulatedDetector
-from repro.vision.relation import RelationPredictor, candidate_pairs
+from repro.vision.relation import (
+    RelationPredictor,
+    candidate_pairs,
+    softmax,
+    spatial_predicates,
+)
 from repro.vision.tde import tde_scores
 
 if TYPE_CHECKING:
@@ -68,18 +73,6 @@ class SGGConfig:
 #: score assigned to geometry-fallback edges: above keep_min_score but
 #: below any confident TDE prediction
 GEOMETRY_FALLBACK_SCORE = 0.08
-
-
-def _geometry_fallback(subject, obj) -> PredictedRelation | None:
-    from repro.synth.scene import spatial_relation
-    from repro.vision.relation import _GeometryShim
-
-    predicate = spatial_relation(_GeometryShim(subject),
-                                 _GeometryShim(obj))
-    if predicate is None:
-        return None
-    return PredictedRelation(subject.index, obj.index, predicate,
-                             GEOMETRY_FALLBACK_SCORE)
 
 
 class SGGPipeline:
@@ -151,42 +144,46 @@ class SGGPipeline:
         self, scene: SyntheticScene, detections: list[Detection]
     ) -> tuple[list[PredictedRelation], list[PredictedRelation]]:
         """Score candidate pairs; returns ``(ranked_triples, kept)``."""
+        pairs = candidate_pairs(detections, self.config.max_pairs)
+        if not pairs:
+            return [], []
+        predicates = spatial_predicates(pairs)
+        factual, counterfactual = self.predictor.logits(
+            pairs, predicates, scene.image_id)
+        if self.config.use_tde:
+            scores = tde_scores(factual, counterfactual)
+        else:
+            scores = softmax(factual)
+        # standard SGG ranking emits several predicate candidates per
+        # pair; the top one is the pair's argmax (Eq. 3)
+        order = np.argsort(scores, axis=1)[:, ::-1]
+        order = order[:, :self.config.predicates_per_pair]
+        top = np.take_along_axis(scores, order, axis=1)
         triples: list[PredictedRelation] = []
         best_per_pair: list[PredictedRelation] = []
-        for subject, obj in candidate_pairs(detections,
-                                            self.config.max_pairs):
-            if self.config.use_tde:
-                scores = tde_scores(self.predictor, subject, obj,
-                                    scene.image_id)
-            else:
-                scores = self.predictor.pair_probabilities(
-                    subject, obj, scene.image_id
-                )
-            # standard SGG ranking emits several predicate candidates
-            # per pair; the top one is the pair's argmax (Eq. 3)
-            order = np.argsort(scores)[::-1][:self.config.predicates_per_pair]
-            pair_best: PredictedRelation | None = None
-            for rank, class_index in enumerate(order):
-                relation = PredictedRelation(
-                    subject.index, obj.index, RELATIONS[int(class_index)],
-                    float(scores[int(class_index)]),
-                )
-                triples.append(relation)
-                if rank == 0:
-                    pair_best = relation
-            if self.config.use_tde and pair_best is not None and \
+        for (subject, obj), predicate, classes, values in zip(
+                pairs, predicates, order.tolist(), top.tolist()):
+            candidates = [
+                PredictedRelation(subject.index, obj.index,
+                                  RELATIONS[class_index], value)
+                for class_index, value in zip(classes, values)
+            ]
+            if not candidates:
+                continue
+            triples.extend(candidates)
+            pair_best = candidates[0]
+            if self.config.use_tde and predicate is not None and \
                     pair_best.score < self.config.keep_min_score:
                 # TDE found no direct visual effect for this pair:
                 # ubiquitous predicates have none.  The unmasked
                 # geometry (boxes + depth estimates are never masked)
                 # still supports a spatial predicate, so fall back to it
                 # — this is why the merged graph keeps its near/on edges
-                fallback = _geometry_fallback(subject, obj)
-                if fallback is not None:
-                    pair_best = fallback
-                    triples.append(fallback)
-            if pair_best is not None:
-                best_per_pair.append(pair_best)
+                pair_best = PredictedRelation(subject.index, obj.index,
+                                              predicate,
+                                              GEOMETRY_FALLBACK_SCORE)
+                triples.append(pair_best)
+            best_per_pair.append(pair_best)
         triples.sort(key=lambda t: -t.score)
         best_per_pair.sort(key=lambda t: -t.score)
         # Eq. 3 keeps the argmax relation of every pair; pairs whose

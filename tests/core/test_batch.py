@@ -108,7 +108,10 @@ class TestConcurrentExecution:
         report = stats.snapshot()
         assert report.queries == len(QUESTIONS)
         assert report.vertices >= report.queries
-        assert len(report.per_query_vertices) == report.queries
+        vertex_histogram = stats.registry.to_json()["svqa_query_vertices"]
+        assert sum(series["count"]
+                   for series in vertex_histogram["series"]) == \
+            report.queries
         assert report.scope_hits + report.scope_misses > 0
 
 

@@ -1,9 +1,10 @@
-"""Importing the package must not import scipy.
+"""The runtime needs numpy only: scipy is a test-only dependency.
 
-Only the simulated detector's connected-component pass needs scipy,
-so serving, warm start and the static-analysis commands run (and the
-CI lint job, which installs numpy but not scipy, can import the
-package) without it.  Each check runs in a fresh interpreter, because
+Importing the package, the static-analysis commands and a whole
+scene-graph build (detector, relation scoring, TDE) run with scipy
+blocked, so a plain ``pip install .`` can cold-boot ``repro serve``.
+Only the test oracles (``tests/vision/oracles.py``) use
+``scipy.ndimage``.  Each check runs in a fresh interpreter, because
 this test process has long since imported everything.
 """
 
@@ -43,3 +44,19 @@ class TestImportsLeaveScipyOut:
             "raise SystemExit(main(['lint-code']))\n")
         assert result.returncode == 0, result.stderr
         assert "0 error(s)" in result.stdout
+
+    def test_scene_graph_build_runs_without_scipy(self):
+        result = run_python(
+            BLOCK_SCIPY
+            + "from repro.synth import SceneGenerator\n"
+            "from repro.vision import (MOTIFNET, RelationPredictor,\n"
+            "                          SGGPipeline, SimulatedDetector)\n"
+            "scenes = SceneGenerator(seed=3).generate_pool(8)\n"
+            "pipeline = SGGPipeline(SimulatedDetector(),\n"
+            "                       RelationPredictor(MOTIFNET))\n"
+            "results = pipeline.run_many(scenes)\n"
+            "print(sum(len(r.detections) for r in results),\n"
+            "      sum(len(r.relations) for r in results))\n")
+        assert result.returncode == 0, result.stderr
+        detections, relations = map(int, result.stdout.split())
+        assert detections > 0 and relations > 0

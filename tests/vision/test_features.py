@@ -1,4 +1,9 @@
-"""Unit tests for feature-map extraction and the TDE mask."""
+"""Unit tests for feature-map extraction and the TDE mask.
+
+They exercise the mask-based reference extraction and mask of
+:mod:`tests.vision.oracles`; ``test_vision_oracle`` proves the
+detector's run-sum features byte-equal to it.
+"""
 
 import numpy as np
 import pytest
@@ -10,10 +15,8 @@ from repro.synth import (
     SyntheticScene,
     relation_index,
 )
-from repro.vision.features import (
-    FEATURE_DIM,
-    extract_features,
-)
+from repro.vision.features import FEATURE_DIM
+from tests.vision.oracles import extract_features, masked
 
 
 @pytest.fixture
@@ -81,17 +84,18 @@ class TestMask:
         _, raster = scene_raster
         features = extract_features(raster, Box(30, 55, 24, 24),
                                     region_of(raster, 1))
-        masked = features.masked()
-        assert np.all(masked.subject_signal == 0)
-        assert np.all(masked.object_signal == 0)
-        assert np.allclose(masked.geometry, features.geometry)
-        assert np.allclose(masked.appearance, features.appearance)
+        masked_features = masked(features)
+        assert np.all(masked_features.subject_signal == 0)
+        assert np.all(masked_features.object_signal == 0)
+        assert np.allclose(masked_features.geometry, features.geometry)
+        assert np.allclose(masked_features.appearance,
+                           features.appearance)
 
     def test_mask_is_a_copy(self, scene_raster):
         _, raster = scene_raster
         features = extract_features(raster, Box(30, 55, 24, 24),
                                     region_of(raster, 1))
-        features.masked()
+        masked(features)
         catching = relation_index("catching")
         assert features.subject_signal[catching] > 0.5
 

@@ -1,4 +1,8 @@
-"""Unit tests for relation prediction and TDE debiasing."""
+"""Unit tests for relation prediction and TDE debiasing.
+
+Per-pair scores come from :mod:`tests.vision.oracles`, which
+``test_vision_oracle`` proves byte-equal to the per-image matrix path.
+"""
 
 import numpy as np
 import pytest
@@ -17,6 +21,10 @@ from repro.vision import (
     RelationPredictor,
     SimulatedDetector,
     VTRANSE,
+)
+from tests.vision.oracles import (
+    pair_logits,
+    pair_probabilities,
     predict_relation,
     tde_scores,
 )
@@ -54,7 +62,7 @@ class TestPrediction:
         predictor = RelationPredictor(MOTIFNET)
         dog = by_label(detections, "dog")
         frisbee = by_label(detections, "frisbee")
-        probs = predictor.pair_probabilities(dog, frisbee, 3)
+        probs = pair_probabilities(predictor, dog, frisbee, 3)
         assert probs.shape == (len(RELATIONS),)
         assert probs.sum() == pytest.approx(1.0)
         assert (probs >= 0).all()
@@ -63,16 +71,16 @@ class TestPrediction:
         predictor = RelationPredictor(MOTIFNET)
         dog = by_label(detections, "dog")
         frisbee = by_label(detections, "frisbee")
-        a = predictor.pair_probabilities(dog, frisbee, 3)
-        b = predictor.pair_probabilities(dog, frisbee, 3)
+        a = pair_probabilities(predictor, dog, frisbee, 3)
+        b = pair_probabilities(predictor, dog, frisbee, 3)
         assert np.allclose(a, b)
 
     def test_masked_pass_removes_evidence(self, detections):
         predictor = RelationPredictor(MOTIFNET)
         dog = by_label(detections, "dog")
         frisbee = by_label(detections, "frisbee")
-        factual = predictor.pair_logits(dog, frisbee, 3, masked=False)
-        masked = predictor.pair_logits(dog, frisbee, 3, masked=True)
+        factual = pair_logits(predictor, dog, frisbee, 3, masked=False)
+        masked = pair_logits(predictor, dog, frisbee, 3, masked=True)
         catching = relation_index("catching")
         assert factual[catching] > masked[catching]
 
@@ -101,7 +109,7 @@ class TestTDE:
         frisbee = by_label(detections, "frisbee")
         head = [relation_index(p) for p in ("on", "near", "has")]
         biased_mass = sum(
-            predictor.pair_probabilities(dog, frisbee, image_id)[head].sum()
+            pair_probabilities(predictor, dog, frisbee, image_id)[head].sum()
             for image_id in range(30)
         )
         tde_mass = sum(

@@ -3,10 +3,11 @@
 The reference below is the predictor as first written: each call
 builds the pair's random stream, the bias + geometry term and the
 noise from scratch, and the counterfactual pass runs the whole
-predictor again on zero-masked feature maps.  The fused pass shares
-those terms; every score it produces must be bit-for-bit equal
-(``np.array_equal``) over every candidate pair of a seeded scene set,
-for every relation model.
+predictor again on zero-masked feature maps.  The fused per-pair pass
+(:mod:`tests.vision.oracles`, itself the oracle of the per-image
+matrix path) shares those terms; every score it produces must be
+bit-for-bit equal (``np.array_equal``) over every candidate pair of a
+seeded scene set, for every relation model.
 """
 
 import numpy as np
@@ -17,24 +18,21 @@ from repro.vision import (
     MODELS,
     RelationPredictor,
     SimulatedDetector,
-    predict_relation,
-    tde_scores,
-)
-from repro.vision.relation import (
-    BIAS_WEIGHT,
-    GEOMETRY_WEIGHT,
     candidate_pairs,
 )
+from repro.vision.relation import BIAS_WEIGHT, GEOMETRY_WEIGHT
+from tests.vision import oracles
 
 
 def two_pass_logits(predictor, subject, obj, image_id, masked):
     """Reference Eq. 1 / Eq. 2 logits: one full predictor run."""
     rng = predictor._pair_rng(subject, obj, image_id)
     logits = BIAS_WEIGHT * predictor._log_prior.copy()
-    logits += GEOMETRY_WEIGHT * predictor._geometry_hint(subject, obj)
-    subject_features = subject.features.masked() if masked \
+    logits += GEOMETRY_WEIGHT * oracles.geometry_hint(subject, obj)
+    subject_features = oracles.masked(subject.features) if masked \
         else subject.features
-    object_features = obj.features.masked() if masked else obj.features
+    object_features = oracles.masked(obj.features) if masked \
+        else obj.features
     evidence = subject_features.subject_signal * \
         object_features.object_signal
     extraction = rng.random(len(RELATIONS)) < \
@@ -78,7 +76,7 @@ class TestFusedPassMatchesTwoPasses:
         predictor = RelationPredictor(MODELS[model])
         for image_id, subject, obj in scored_pairs:
             assert np.array_equal(
-                tde_scores(predictor, subject, obj, image_id),
+                oracles.tde_scores(predictor, subject, obj, image_id),
                 two_pass_tde(predictor, subject, obj, image_id),
             )
 
@@ -88,14 +86,14 @@ class TestFusedPassMatchesTwoPasses:
         for image_id, subject, obj in scored_pairs:
             for masked in (False, True):
                 assert np.array_equal(
-                    predictor.pair_logits(subject, obj, image_id,
-                                          masked=masked),
+                    oracles.pair_logits(predictor, subject, obj, image_id,
+                                        masked=masked),
                     two_pass_logits(predictor, subject, obj, image_id,
                                     masked),
                 )
                 assert np.array_equal(
-                    predictor.pair_probabilities(subject, obj, image_id,
-                                                 masked=masked),
+                    oracles.pair_probabilities(predictor, subject, obj,
+                                               image_id, masked=masked),
                     two_pass_probabilities(predictor, subject, obj,
                                            image_id, masked),
                 )
@@ -103,13 +101,13 @@ class TestFusedPassMatchesTwoPasses:
     def test_predicted_relation_both_ablations(self, model, scored_pairs):
         predictor = RelationPredictor(MODELS[model])
         for image_id, subject, obj in scored_pairs:
-            best, score, scores = predict_relation(
+            best, score, scores = oracles.predict_relation(
                 predictor, subject, obj, image_id, use_tde=True)
             reference = two_pass_tde(predictor, subject, obj, image_id)
             assert best == int(np.argmax(reference))
             assert score == float(reference[best])
-            biased = predict_relation(predictor, subject, obj, image_id,
-                                      use_tde=False)[2]
+            biased = oracles.predict_relation(predictor, subject, obj,
+                                              image_id, use_tde=False)[2]
             assert np.array_equal(
                 biased,
                 two_pass_probabilities(predictor, subject, obj,
