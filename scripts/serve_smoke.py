@@ -6,7 +6,7 @@ three endpoints over actual HTTP:
 
 * ``POST /ask`` with the seeded flagship question answers correctly
   and carries the full contract (``answer``/``question_type``/
-  ``sources``/``meta``);
+  ``sources``/``meta``), and repeats of it return identical bytes;
 * ``GET /healthz`` reports a ready index and all breakers closed;
 * ``GET /metrics`` parses as Prometheus text and counts the request.
 
@@ -62,6 +62,31 @@ def check_ask(base):
         fail(f"/ask sources keys wrong: {sorted(payload['sources'])}")
     print(f"  /ask ok: answer={payload['answer']!r} "
           f"latency={payload['meta']['latency']}s")
+    check_repeats(base, body)
+
+
+def check_repeats(base, first):
+    """Repeats take the session's memoised parse and a warm cache.
+
+    The two repeats must be byte-identical; the first ask differs from
+    them only in its simulated latency (it filled the key-centric
+    cache the repeats hit).
+    """
+    repeats = []
+    for _ in range(2):
+        status, body = http("POST", base + "/ask",
+                            {"question": FLAGSHIP_QUESTION})
+        if status != 200:
+            fail(f"repeated /ask returned {status}")
+        repeats.append(body)
+    if repeats[0] != repeats[1]:
+        fail(f"repeated /ask bodies differ: {repeats[0]!r} != "
+             f"{repeats[1]!r}")
+    cold, warm = json.loads(first), json.loads(repeats[0])
+    del cold["meta"]["latency"], warm["meta"]["latency"]
+    if cold != warm:
+        fail(f"repeated /ask answers differently: {warm} != {cold}")
+    print("  /ask repeats ok: byte-identical bodies")
 
 
 def check_deadline(base):

@@ -234,11 +234,14 @@ def final_answer(
     labels = [v.label for v in answer_vertices
               if v.props.get("kind") != "concept" or v.label]
     if term is not None and term.kind_of and kind_filter is not None:
-        labels = [
-            label for label in labels
-            if label.lower() != term.head.lower()
-            and kind_filter(label, term.head)
-        ]
+        # one ``is a`` walk per distinct label, not per answer vertex
+        head = term.head
+        kinds = {
+            label: label.lower() != head.lower()
+            and kind_filter(label, head)
+            for label in dict.fromkeys(labels)
+        }
+        labels = [label for label in labels if kinds[label]]
     if not labels:
         return Answer(qtype, "unknown", [])
     winner = Counter(labels).most_common(1)[0][0]

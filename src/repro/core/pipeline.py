@@ -51,7 +51,7 @@ from repro.core.planner import (
     execute_shared,
     plan_order,
 )
-from repro.core.query_graph import generate_query_graph
+from repro.core.query_graph import QueryGraphMemo, generate_query_graph
 from repro.core.spoc import QueryGraph
 from repro.core.stats import ExecutorStats, ExecutorStatsReport
 
@@ -132,6 +132,9 @@ class SVQA:
             self.sanitizer = Sanitizer(self.config.sanitizer)
             locks.install(self.sanitizer)
         self._cache = self._make_cache()
+        # session-owned: a memoised parse never outlives (or leaks
+        # into another) SVQA instance
+        self._query_graphs = QueryGraphMemo()
         self._executor: QueryGraphExecutor | None = None
         self._stats = ExecutorStats()
         self._last_batch: BatchResult | None = None
@@ -271,9 +274,15 @@ class SVQA:
     # online phase
     # ------------------------------------------------------------------
     def parse_question(self, question: str) -> QueryGraph:
-        """§IV: question -> ordered query graph."""
+        """§IV: question -> ordered query graph.
+
+        Each distinct question is analysed once per session (the
+        :class:`~repro.core.query_graph.QueryGraphMemo`); a repeat is
+        charged and traced exactly like the first ask.
+        """
         return generate_query_graph(question, clock=self.clock,
-                                    tracer=self.tracer)
+                                    tracer=self.tracer,
+                                    analyse=self._query_graphs.analyse)
 
     def _parse_resilient(
         self, question: str, events: list[FaultEvent]
@@ -295,8 +304,7 @@ class SVQA:
         try:
             graph = manager.call(
                 "parse.question", question,
-                lambda: generate_query_graph(question, clock=self.clock,
-                                             tracer=self.tracer),
+                lambda: self.parse_question(question),
                 clock=self.clock, events=events,
             )
             return graph, None

@@ -1,6 +1,6 @@
 """Query-graph generation: Algorithm 2 of the paper.
 
-``generate_query_graph`` runs the full pipeline:
+Algorithm 2 runs in three stages:
 
 * **Initial stage** — POS-tag and dependency-parse the question (the
   Stanford tagger/parser substitutes live in :mod:`repro.nlp`);
@@ -10,11 +10,24 @@
   *provider* clauses (deeper conditions, executed first) to *consumer*
   clauses, so the main clause is the sink and start vertices are the
   in-degree-0 conditions, matching Algorithm 3's traversal.
+
+The stages depend on the question text alone, so they live in the
+pure :func:`analyse_question`.  :func:`generate_query_graph` wraps an
+analysis in the simulated cost (one charge per stage and clause) and
+the ``query_graph`` span tree.  The wrapper charges the same whether
+the analysis ran now or came from a session's
+:class:`QueryGraphMemo`, so memoising a question never moves a
+simulated latency.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from collections.abc import Callable
+
 from repro.errors import ParseError, QueryParseError
+from repro.locks import note_write, wrap_lock
 from repro.nlp.depparse import DependencyTree, parse
 from repro.nlp.semlex import are_synonyms
 from repro.observability.spans import Tracer, maybe_span
@@ -23,59 +36,126 @@ from repro.core.clauses import segment_clauses
 from repro.core.spoc import DependencyKind, QueryGraph, SPOC, Term
 from repro.core.spoc_extract import extract_spoc, validate_spoc
 
+#: distinct questions one session's memo keeps (least recently asked
+#: evicted first); the MVQA question sets hold 100-odd distinct texts
+QUERY_MEMO_CAPACITY = 1024
+
+
+def analyse_question(question: str) -> QueryGraph:
+    """Algorithm 2 as a pure function of the question text.
+
+    Raises :class:`~repro.errors.QueryParseError` when the question is
+    outside the grammar (e.g. contains an unknown foreign word — the
+    Fig. 8(a) failure mode) or a clause is degenerate (the error's
+    ``clause_index`` names it).
+    """
+    try:
+        tree = parse(question)
+    except ParseError as exc:
+        # forward the offending term so Fig. 8(a)-style failures
+        # stay attributable through the wrapping
+        raise QueryParseError(
+            f"cannot parse question: {exc}", term=exc.term
+        ) from exc
+    return query_graph_from_tree(tree, question)
+
 
 def generate_query_graph(
     question: str, clock: SimClock | None = None,
     tracer: Tracer | None = None,
+    analyse: Callable[[str], QueryGraph] = analyse_question,
 ) -> QueryGraph:
     """Decompose a complex question into an ordered query graph.
 
-    Raises :class:`~repro.errors.QueryParseError` when the question is
-    outside the grammar (e.g. contains an unknown foreign word — the
-    Fig. 8(a) failure mode).  With a tracer and an active trace, the
-    run is recorded as a ``query_graph`` span wrapping ``parse`` and
-    per-clause ``spoc`` spans.
+    ``analyse`` supplies the graph (a session passes its
+    :meth:`QueryGraphMemo.analyse`); this function charges Algorithm
+    2's stages on ``clock`` and, with a tracer and an active trace,
+    records a ``query_graph`` span wrapping ``parse`` and per-clause
+    ``spoc`` spans.  A failed analysis is charged up to the stage that
+    failed and its error re-raised.
     """
     with maybe_span(tracer, "query_graph", question=question) as root:
         if clock is not None:
             clock.charge("pos_tag")
             clock.charge("dep_parse")
-        with maybe_span(tracer, "parse"):
-            try:
-                tree = parse(question)
-            except ParseError as exc:
-                # forward the offending term so Fig. 8(a)-style failures
-                # stay attributable through the wrapping
-                raise QueryParseError(
-                    f"cannot parse question: {exc}", term=exc.term
-                ) from exc
-        graph = query_graph_from_tree(tree, question, clock, tracer)
+        try:
+            with maybe_span(tracer, "parse"):
+                graph = analyse(question)
+        except QueryParseError as exc:
+            if exc.clause_index is not None:
+                # the parse succeeded; clause ``clause_index`` failed
+                # validation after its SPOC was extracted
+                _charge_clauses(exc.clause_index + 1, clock, tracer)
+            raise
+        _charge_clauses(len(graph.vertices), clock, tracer)
         if root is not None:
             root.set("clauses", len(graph.vertices))
             root.set("edges", len(graph.edges))
         return graph
 
 
-def query_graph_from_tree(
-    tree: DependencyTree, question: str = "",
-    clock: SimClock | None = None,
-    tracer: Tracer | None = None,
-) -> QueryGraph:
-    """Algorithm 2's Parse + Connect stages on an existing parse tree."""
+def _charge_clauses(
+    count: int, clock: SimClock | None, tracer: Tracer | None
+) -> None:
+    """The Parse stage's cost: one segmentation, one SPOC per clause."""
     if clock is not None:
         clock.charge("clause_segment")
-    clauses = segment_clauses(tree)
-    spocs: list[SPOC] = []
-    for index, clause in enumerate(clauses):
+    for index in range(count):
         with maybe_span(tracer, "spoc", clause=index):
             if clock is not None:
                 clock.charge("spoc_extract")
-            spoc = extract_spoc(tree, clause, index)
-            validate_spoc(spoc)
-            spocs.append(spoc)
 
-    edges = _connect(spocs)
-    return QueryGraph(vertices=spocs, edges=edges, question=question)
+
+def query_graph_from_tree(
+    tree: DependencyTree, question: str = ""
+) -> QueryGraph:
+    """Algorithm 2's Parse + Connect stages on an existing parse tree."""
+    spocs: list[SPOC] = []
+    for index, clause in enumerate(segment_clauses(tree)):
+        spoc = extract_spoc(tree, clause, index)
+        validate_spoc(spoc)
+        spocs.append(spoc)
+    return QueryGraph(vertices=tuple(spocs), edges=tuple(_connect(spocs)),
+                      question=question)
+
+
+class QueryGraphMemo:
+    """A session's bounded LRU of :func:`analyse_question` results.
+
+    Keyed by the exact question string (the analysis reads nothing
+    else), so a hit returns the graph a fresh analysis would build.
+    Graphs are immutable and shared between every request that asks
+    the same question.  Failed analyses are not remembered: their
+    error is raised again on every ask.
+    """
+
+    def __init__(self, capacity: int = QUERY_MEMO_CAPACITY) -> None:
+        self.capacity = capacity
+        self._graphs: OrderedDict[str, QueryGraph] = OrderedDict()
+        self._lock = wrap_lock(threading.Lock(), "core.query_memo")
+
+    def __len__(self) -> int:
+        """Number of remembered questions."""
+        with self._lock:
+            return len(self._graphs)
+
+    def analyse(self, question: str) -> QueryGraph:
+        """The memoised :func:`analyse_question`."""
+        with self._lock:
+            note_write("core.query_memo", question)
+            graph = self._graphs.get(question)
+            if graph is not None:
+                self._graphs.move_to_end(question)
+                return graph
+        graph = analyse_question(question)
+        with self._lock:
+            note_write("core.query_memo", question)
+            # concurrent misses converge on the first stored graph
+            graph = self._graphs.setdefault(question, graph)
+            self._graphs.move_to_end(question)
+            if len(self._graphs) > self.capacity:
+                self._graphs.popitem(last=False)
+        return graph
 
 
 def _connect(spocs: list[SPOC]) -> list[tuple[int, int, DependencyKind]]:

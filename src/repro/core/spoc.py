@@ -8,7 +8,7 @@ needs (is it a "kind of X" phrase? does it have a possessive owner?).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -51,14 +51,15 @@ class Term:
         return self.text
 
 
-@dataclass
+@dataclass(frozen=True)
 class SPOC:
     """One clause's quadruple ``[c_s, c_p, c_o, c_c]`` (§IV-B).
 
     ``answer_role`` names the slot ("subject"/"object") whose matches
     constitute this clause's output — for the main clause that is the
     final answer, for condition clauses it is what propagates along
-    query-graph edges.
+    query-graph edges.  Frozen: a session shares one parsed graph
+    between every request that asks the same question.
     """
 
     subject: Term | None
@@ -117,18 +118,25 @@ class DependencyKind(str, Enum):
         return "subject" if self.value[2] == "S" else "object"
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryGraph:
     """The ordered query graph ``G_q`` (Definition 3).
 
     Vertices are SPOCs; directed edges run from *provider* clauses
     (conditions, executed first) to *consumer* clauses, ending at the
-    main clause, which yields the final answer.
+    main clause, which yields the final answer.  Immutable (vertices
+    and edges are stored as tuples), so one parsed graph can be
+    shared across requests.
     """
 
-    vertices: list[SPOC]
-    edges: list[tuple[int, int, DependencyKind]] = field(default_factory=list)
+    vertices: tuple[SPOC, ...]
+    edges: tuple[tuple[int, int, DependencyKind], ...] = ()
     question: str = ""
+
+    def __post_init__(self) -> None:
+        """Store ``vertices``/``edges`` as tuples whatever was passed."""
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(self.edges))
 
     @property
     def main_index(self) -> int:

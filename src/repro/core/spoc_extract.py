@@ -21,6 +21,8 @@ arcs:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.errors import QueryParseError
 from repro.nlp.depparse import DependencyTree
 from repro.nlp.morphology import normalize_predicate, noun_singular
@@ -104,11 +106,11 @@ def extract_spoc(
         is_main=clause.is_main,
         source_text=tree.text_of_subtree(head),
     )
-    if clause.is_main:
-        spoc.question_type, spoc.answer_role = _classify_question(tree, spoc)
-    else:
-        spoc.answer_role = "subject"
-    return spoc
+    if not clause.is_main:
+        return replace(spoc, answer_role="subject")
+    question_type, answer_role = _classify_question(tree, spoc)
+    return replace(spoc, question_type=question_type,
+                   answer_role=answer_role)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
 ADJ_TAGS = {"JJ", "JJR", "JJS", "CD"}
 VERB_TAGS = {"VB", "VBZ", "VBP", "VBG", "VBN", "VBD"}
 RELATIVIZERS = {"who", "that", "which", "whom"}
+_PUNCT_TAGS = frozenset({".", ",", ":"})
 
 #: multiword prepositions merged into a single IN node before chunking
 MULTIWORD_PREPOSITIONS = (
@@ -55,12 +56,22 @@ class DependencyTree:
     """A parsed question: tokens plus a head/label arc per token.
 
     ``heads[i]`` is the token index of ``i``'s head, or ``-1`` for the
-    root.  Exactly one root exists and the arcs form a tree.
+    root.  Exactly one root exists and the arcs form a tree.  Trees
+    are not mutated after construction: the per-head dependents index
+    is built once, so ``children`` and ``subtree`` cost the size of
+    their answer rather than a scan of every arc.
     """
 
     tokens: list[TaggedToken]
     heads: list[int]
     labels: list[str]
+    _dependents: dict[int, list[int]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._dependents = {}
+        for i, head in enumerate(self.heads):
+            self._dependents.setdefault(head, []).append(i)
 
     @property
     def root(self) -> int:
@@ -68,15 +79,17 @@ class DependencyTree:
 
     def children(self, head: int, label: str | None = None) -> list[int]:
         """Dependent indices of ``head`` (optionally filtered by label)."""
-        return [
-            i for i, (h, lab) in enumerate(zip(self.heads, self.labels, strict=True))
-            if h == head and (label is None or lab == label)
-        ]
+        deps = self._dependents.get(head, [])
+        if label is None:
+            return list(deps)
+        return [i for i in deps if self.labels[i] == label]
 
     def child(self, head: int, label: str) -> int | None:
         """First dependent with ``label``, or None."""
-        deps = self.children(head, label)
-        return deps[0] if deps else None
+        for i in self._dependents.get(head, ()):
+            if self.labels[i] == label:
+                return i
+        return None
 
     def label_of(self, index: int) -> str:
         return self.labels[index]
@@ -89,14 +102,12 @@ class DependencyTree:
 
     def subtree(self, index: int) -> list[int]:
         """All indices in the subtree rooted at ``index`` (sorted)."""
-        result = {index}
+        result = [index]
         frontier = [index]
         while frontier:
-            current = frontier.pop()
-            for i, head in enumerate(self.heads):
-                if head == current and i not in result:
-                    result.add(i)
-                    frontier.append(i)
+            deps = self._dependents.get(frontier.pop(), ())
+            result.extend(deps)
+            frontier.extend(deps)
         return sorted(result)
 
     def text_of_subtree(
@@ -112,8 +123,9 @@ class DependencyTree:
         same but only for direct children of ``index`` (e.g. drop the
         head's own case marker while keeping a nested "of").
         """
+        nodes = self.subtree(index)
         excluded: set[int] = set()
-        for i in self.subtree(index):
+        for i in nodes:
             if i == index or i in excluded:
                 continue
             label = self.labels[i]
@@ -121,12 +133,10 @@ class DependencyTree:
                 label in exclude_direct and self.heads[i] == index
             ):
                 excluded.update(self.subtree(i))
-        words = []
-        for i in self.subtree(index):
-            if i in excluded or self.tokens[i].tag in {".", ",", ":"}:
-                continue
-            words.append(self.tokens[i].text)
-        return " ".join(words)
+        return " ".join(
+            self.tokens[i].text for i in nodes
+            if i not in excluded and self.tokens[i].tag not in _PUNCT_TAGS
+        )
 
     def to_table(self) -> str:
         """Human-readable arc table (for examples and debugging)."""
@@ -206,14 +216,12 @@ def parse_tagged(tagged: list[TaggedToken]) -> DependencyTree:
 
 def _merge_multiword_prepositions(tagged: list[TaggedToken]) -> list[TaggedToken]:
     merged: list[TaggedToken] = []
+    lowered = [t.lower for t in tagged]
     i = 0
     while i < len(tagged):
         hit = None
         for mwe in MULTIWORD_PREPOSITIONS:
-            span = tagged[i:i + len(mwe)]
-            if len(span) == len(mwe) and all(
-                t.lower == w for t, w in zip(span, mwe, strict=True)
-            ):
+            if tuple(lowered[i:i + len(mwe)]) == mwe:
                 hit = mwe
                 break
         if hit is not None:

@@ -81,7 +81,7 @@ def _fallback_graph(question: str, anchors: list[Term],
         answer_role=answer_role,
         source_text=question,
     )
-    return QueryGraph(vertices=[spoc], edges=[], question=question)
+    return QueryGraph(vertices=(spoc,), question=question)
 
 
 def keyword_query_graph(question: str) -> QueryGraph | None:

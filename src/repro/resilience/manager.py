@@ -112,6 +112,8 @@ class ResilienceManager:
         self.stats = stats
         self.tracer = tracer
         self._breakers: dict[str, CircuitBreaker] = {}
+        #: the breaker state last written to the gauge, per site
+        self._published: dict[str, str] = {}
         self._lock = wrap_lock(threading.Lock(), "resilience.manager")
 
     def _breaker(self, site: str) -> CircuitBreaker:
@@ -261,9 +263,19 @@ class ResilienceManager:
     def _publish_breaker_state(
         self, site: str, breaker: CircuitBreaker
     ) -> None:
-        """Refresh the ``svqa_breaker_state`` gauge after a transition."""
-        if self.stats is not None:
-            self.stats.record_breaker_state(site, breaker.state)
+        """Refresh the ``svqa_breaker_state`` gauge after a transition.
+
+        Called after every breaker consultation; the gauge is written
+        only when the state differs from the one last published for
+        ``site`` (the first consultation always publishes).
+        """
+        if self.stats is None:
+            return
+        with self._lock:
+            state = breaker.state
+            if self._published.get(site) != state:
+                self._published[site] = state
+                self.stats.record_breaker_state(site, state)
 
     def _record(self, incident: str, site: str) -> None:
         if self.stats is None:

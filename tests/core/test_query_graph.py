@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.errors import QueryParseError
 from repro.nlp import parse
+from repro.simtime import SimClock
 
 
 FLAGSHIP = (
@@ -181,3 +182,32 @@ class TestErrors:
         graph = generate_query_graph("Is there a dog near the fence?")
         text = describe_query_graph(graph)
         assert "v0" in text
+
+
+class TestCharges:
+    """The skeleton charges Algorithm 2's stages however the analysis
+    went: a graph, a grammar rejection, or a degenerate clause."""
+
+    def test_graph_charges_every_clause(self):
+        clock = SimClock()
+        generate_query_graph(FLAGSHIP, clock=clock)
+        assert clock.counts == {"pos_tag": 1, "dep_parse": 1,
+                                "clause_segment": 1, "spoc_extract": 2}
+
+    def test_grammar_rejection_charges_the_parse_only(self):
+        clock = SimClock()
+        with pytest.raises(QueryParseError):
+            generate_query_graph("Is there a canis near the fence?",
+                                 clock=clock)
+        assert clock.counts == {"pos_tag": 1, "dep_parse": 1}
+
+    def test_degenerate_clause_charges_up_to_the_failure(self):
+        def reject_second_clause(question):
+            raise QueryParseError("degenerate clause", clause_index=1)
+
+        clock = SimClock()
+        with pytest.raises(QueryParseError):
+            generate_query_graph(FLAGSHIP, clock=clock,
+                                 analyse=reject_second_clause)
+        assert clock.counts == {"pos_tag": 1, "dep_parse": 1,
+                                "clause_segment": 1, "spoc_extract": 2}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.stats import ExecutorStats
+from repro.core.stats import BREAKER_STATE_VALUES, ExecutorStats
 from repro.errors import CircuitOpenError, FaultToleranceError
 from repro.resilience import (
     FaultSpec,
@@ -11,6 +11,8 @@ from repro.resilience import (
     ResilienceManager,
     RetryPolicy,
 )
+from repro.observability import parse_prometheus
+from repro.resilience.faults import FAULT_SITES
 from repro.simtime import SimClock
 
 SITE = "executor.match"
@@ -125,6 +127,73 @@ class TestBreakerIntegration:
                           fallback=lambda: "rejected") == "rejected"
         assert guard.call(SITE, "k", lambda: "ok") == "ok"
         assert guard.breaker_state(SITE) == "closed"
+
+
+class TestBreakerGauge:
+    """``svqa_breaker_state`` is written on transitions only, yet every
+    state the breaker passes through still reaches ``/metrics``."""
+
+    @staticmethod
+    def exposed(stats):
+        """The site's gauge value in the Prometheus exposition."""
+        families = parse_prometheus(stats.registry.to_prometheus())
+        samples = families.get("svqa_breaker_state", {"samples": []})
+        for _, labels, value in samples["samples"]:
+            if labels["site"] == SITE:
+                return value
+        return None
+
+    @staticmethod
+    def recording(stats):
+        writes = []
+        publish = stats.record_breaker_state
+
+        def record(site, state):
+            writes.append(state)
+            publish(site, state)
+
+        stats.record_breaker_state = record
+        return writes
+
+    def test_trip_half_open_and_recovery_reach_metrics(self):
+        stats = ExecutorStats()
+        writes = self.recording(stats)
+        guard = manager(FaultSpec(rate=0.0), stats=stats,
+                        breaker_threshold=1, breaker_cooldown=2)
+        for _ in range(3):
+            assert guard.call(SITE, "k", lambda: "ok") == "ok"
+        assert writes == ["closed"]
+        assert self.exposed(stats) == BREAKER_STATE_VALUES["closed"]
+        guard._breaker(SITE).record_failure()  # trip
+        assert guard.call(SITE, "k", lambda: "ok",
+                          fallback=lambda: "rejected") == "rejected"
+        assert self.exposed(stats) == BREAKER_STATE_VALUES["open"]
+        # the next call is the half-open probe: read the gauge inside it
+        probed = guard.call(SITE, "k", lambda: self.exposed(stats))
+        assert probed == BREAKER_STATE_VALUES["half-open"]
+        assert self.exposed(stats) == BREAKER_STATE_VALUES["closed"]
+        assert writes == ["closed", "open", "half-open", "closed"]
+
+    def test_injected_faults_trip_the_gauge_open(self):
+        stats = ExecutorStats()
+        guard = manager(FaultSpec(rate=1.0, persistent_fraction=1.0),
+                        stats=stats, breaker_threshold=3,
+                        breaker_cooldown=100)
+        TestBreakerIntegration().trip_site(guard)
+        assert self.exposed(stats) == BREAKER_STATE_VALUES["open"]
+
+    def test_publish_breaker_states_covers_every_site(self):
+        stats = ExecutorStats()
+        guard = manager(stats=stats)
+        guard.call(SITE, "k", lambda: "ok")
+        writes = self.recording(stats)
+        guard.publish_breaker_states()
+        # the consulted site was already published
+        assert writes == ["closed"] * (len(FAULT_SITES) - 1)
+        samples = parse_prometheus(stats.registry.to_prometheus())[
+            "svqa_breaker_state"]["samples"]
+        assert sorted(labels["site"] for _, labels, _ in samples) == \
+            sorted(FAULT_SITES)
 
 
 class TestDeadlineFactory:

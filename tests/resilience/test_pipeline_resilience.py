@@ -119,7 +119,7 @@ class TestParseFailureSurvival:
         system = build_svqa(resilience=None)
         real_parse = generate_query_graph
 
-        def flaky_parse(question, clock=None, tracer=None):
+        def flaky_parse(question, clock=None, tracer=None, analyse=None):
             if question == "BOOM":
                 raise TokenizationError("unlexable input")
             return real_parse(question, clock=clock)
@@ -136,7 +136,7 @@ class TestParseFailureSurvival:
         system = build_svqa(resilience=ResilienceConfig.chaos(0.0))
         real_parse = generate_query_graph
 
-        def rejecting_parse(question, clock=None, tracer=None):
+        def rejecting_parse(question, clock=None, tracer=None, analyse=None):
             if question.startswith("Is there a dog"):
                 raise TokenizationError("grammar rejected")
             return real_parse(question, clock=clock)

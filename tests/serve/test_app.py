@@ -11,6 +11,7 @@ import pytest
 
 from repro.dataset.movie import FLAGSHIP_ANSWER, FLAGSHIP_QUESTION
 from repro.observability import parse_prometheus
+from repro.resilience.faults import FAULT_SITES
 from repro.serve import QAService, ServeConfig, build_svqa
 
 
@@ -213,6 +214,15 @@ class TestMetrics:
             for _, labels, value in samples
         }
         assert served[("/ask", "200")] >= 1
+
+    def test_breaker_gauge_has_every_site(self, service):
+        ask(service, FLAGSHIP_QUESTION)
+        body = request(service, "GET", "/metrics")[2]
+        samples = parse_prometheus(body.decode("utf-8"))[
+            "svqa_breaker_state"]["samples"]
+        assert sorted(labels["site"] for _, labels, _ in samples) == \
+            sorted(FAULT_SITES)
+        assert {value for _, _, value in samples} == {0.0}  # closed
 
 
 class TestDeterministicReplay:
