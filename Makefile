@@ -1,7 +1,7 @@
 # Convenience targets mirroring the CI workflow (.github/workflows/ci.yml)
 
 .PHONY: test lint lint-analysis sanitize docs-check doc-links profile \
-	bench chaos retrieval-fuzz serve serve-smoke snapshot-smoke \
+	bench chaos retrieval-fuzz scope-fuzz serve serve-smoke snapshot-smoke \
 	store-torture
 
 test:
@@ -70,6 +70,12 @@ retrieval-fuzz:
 	PYTHONPATH=src python -m pytest -x -q tests/nlp/test_ann.py \
 		tests/nlp/test_embed_cache.py \
 		tests/core/test_executor_retrieval.py
+
+# differential fuzz of the taxonomy adjacency: scope ids and "kind of"
+# answers must equal the full-scan oracles after seeded mutation runs
+# (twenty seeds, longer runs than the tier-1 copy of the check)
+scope-fuzz:
+	PYTHONPATH=src python -m pytest -x -q tests/core/scope_fuzz.py
 
 # long-lived QA server over the movie scenario (POST /ask,
 # GET /healthz, GET /metrics)

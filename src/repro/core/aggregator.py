@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.graph import Graph, SubgraphView, k_hop_subgraph
+from repro.graph import INSTANCE_OF, Graph, SubgraphView, k_hop_subgraph
 from repro.observability.spans import Tracer, maybe_span
 from repro.simtime import SimClock
-from repro.dataset.kg import INSTANCE_OF
 from repro.vision.scene_graph import SceneGraphResult
 
 if TYPE_CHECKING:

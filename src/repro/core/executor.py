@@ -43,7 +43,15 @@ if TYPE_CHECKING:
     from repro.resilience.manager import ResilienceManager
 
 from repro.errors import ExecutionError, QueryValidationError
-from repro.graph import Graph, RelationPair, Vertex, relations_between
+from repro.graph import (
+    INSTANCE_OF,
+    IS_A,
+    TAXONOMY_LABELS,
+    Graph,
+    RelationPair,
+    Vertex,
+    relations_between,
+)
 from repro.nlp.morphology import noun_singular
 from repro.observability.spans import Tracer, maybe_span
 from repro.resilience.events import FaultEvent
@@ -55,16 +63,12 @@ from repro.core.cache import KeyCentricCache
 from repro.core.spoc import QueryGraph, QuestionType, SPOC, Term
 from repro.core.spoc_extract import CONSTRAINT_WORDS
 from repro.core.stats import ExecutorStats
-from repro.dataset.kg import INSTANCE_OF, IS_A
 
 #: FaultEvent kinds that mean an answer was actually degraded (faults
 #: that were retried away leave provenance but full answer quality)
 _DEGRADING_EVENT_KINDS = frozenset({
     "exhausted", "degraded", "short-circuit", "deadline",
 })
-
-#: edge labels that carry structure, not scene/KG relations
-_STRUCTURAL_LABELS = frozenset({INSTANCE_OF, IS_A})
 
 
 #: legal values of :attr:`ExecutorConfig.validation`
@@ -156,7 +160,7 @@ class QueryGraphExecutor:
         self._validator: QueryGraphValidator | None = None
         self._relation_labels = [
             label for label in merged.edge_labels
-            if label not in _STRUCTURAL_LABELS
+            if label not in TAXONOMY_LABELS
         ]
         # candidate work done by the current slot resolution (feeds the
         # executor.match span's candidates/pruned attributes); cached
@@ -508,7 +512,7 @@ class QueryGraphExecutor:
             self.stats.record_scope(hit)
         if hit and self.clock is not None:
             self.clock.charge("cache_hit")
-        return [self.graph.vertex(i) for i in ids]
+        return self.graph.vertices_by_id(ids)
 
     def _scope_value(self, label: str) -> tuple[list[int], int, int]:
         """The uncached scope computation: candidate-index match +
@@ -522,11 +526,11 @@ class QueryGraphExecutor:
         )
         if self.clock is not None:
             self.clock.charge("vertex_match", times=match.examined)
-        direct: list[Vertex] = []
+        direct: list[int] = []
         for candidate in match.labels:
-            direct.extend(self.graph.find_vertices(candidate))
-        ids = [v.id for v in self._expand_to_instances(direct)]
-        return ids, match.examined, match.pruned
+            direct.extend(self.graph.vertex_labels.ids(candidate))
+        return self._expand_to_instances(direct), match.examined, \
+            match.pruned
 
     # ------------------------------------------------------------------
     # planner share phase (multi-query plan sharing)
@@ -565,25 +569,15 @@ class QueryGraphExecutor:
                              f"got {direction!r}")
         if self.clock is not None:
             self.clock.charge("path_probe")
+            ids = [v.id for v in vertices]
             if direction == "out":
-                scans = sum(self.graph.out_degree(v.id) for v in vertices)
+                scans = self.graph.out_degree_sum(ids)
             else:
-                scans = sum(self.graph.in_degree(v.id) for v in vertices)
+                scans = self.graph.in_degree_sum(ids)
             self.clock.charge("edge_scan", times=scans)
         if direction == "out":
-            pairs = [
-                RelationPair(vertex, edge, self.graph.vertex(edge.dst))
-                for vertex in vertices
-                for edge in self.graph.out_edges(vertex.id)
-            ]
-        else:
-            pairs = [
-                RelationPair(self.graph.vertex(edge.src), edge, vertex)
-                for vertex in vertices
-                for edge in self.graph.in_edges(vertex.id)
-            ]
-        return [p for p in pairs
-                if p.edge.label not in _STRUCTURAL_LABELS]
+            return self._out_relation_pairs(vertices)
+        return self._in_relation_pairs(vertices)
 
     def _match_possessive(self, term: Term) -> list[Vertex]:
         """"Harry Potter's girlfriend": resolve the owner, follow its
@@ -601,7 +595,7 @@ class QueryGraphExecutor:
                 edge.label
                 for owner in owners
                 for edge in self.graph.out_edges(owner.id)
-                if edge.label not in _STRUCTURAL_LABELS
+                if edge.label not in TAXONOMY_LABELS
             })
             if not out_labels:
                 # an owner with no candidate out-edges has nothing to
@@ -610,16 +604,15 @@ class QueryGraphExecutor:
             best, score, fresh, probes = \
                 self._ann.best(term.head, out_labels)
             self._charge_retrieval("possessive", fresh, probes)
-            targets: dict[int, Vertex] = {}
+            targets: dict[int, None] = {}
             if best is not None and \
                     score >= self.config.predicate_threshold:
                 for owner in owners:
                     for edge in self.graph.out_edges(owner.id):
                         if edge.label == best:
-                            vertex = self.graph.vertex(edge.dst)
-                            targets.setdefault(vertex.id, vertex)
-            expanded = self._expand_to_instances(list(targets.values()))
-            return [v.id for v in expanded], examined, pruned
+                            targets.setdefault(edge.dst)
+            return self._expand_to_instances(list(targets)), examined, \
+                pruned
 
         base_candidates = self._slot_candidates
         base_pruned = self._slot_pruned
@@ -641,34 +634,35 @@ class QueryGraphExecutor:
             self.stats.record_scope(hit)
         if hit and self.clock is not None:
             self.clock.charge("cache_hit")
-        return [self.graph.vertex(i) for i in ids]
+        return self.graph.vertices_by_id(ids)
 
-    def _expand_to_instances(self, vertices: list[Vertex]) -> list[Vertex]:
+    def _expand_to_instances(self, vertex_ids: list[int]) -> list[int]:
         """Close the match set downward: concepts -> hyponym concepts
         (reverse ``is a``, up to ``expansion_hops`` levels) -> instances
-        (one final reverse ``instance of`` sweep)."""
-        result: dict[int, Vertex] = {v.id: v for v in vertices}
-        frontier = list(vertices)
+        (one final reverse ``instance of`` sweep).  Both walks visit
+        only the vertices the graph's taxonomy adjacency lists as
+        having a taxonomy in-edge."""
+        taxonomy_in_edges = self.graph.taxonomy_in_edges
+        targets = self.graph.taxonomy_targets()
+        result = dict.fromkeys(vertex_ids)
+        frontier = vertex_ids
         for _ in range(self.config.expansion_hops):
-            next_frontier: list[Vertex] = []
-            for vertex in frontier:
-                for edge in self.graph.in_edges(vertex.id):
-                    if edge.label != IS_A:
-                        continue
-                    child = self.graph.vertex(edge.src)
-                    if child.id not in result:
-                        result[child.id] = child
-                        next_frontier.append(child)
+            next_frontier: list[int] = []
+            for vertex_id in frontier:
+                if vertex_id not in targets:
+                    continue
+                for edge in taxonomy_in_edges(vertex_id):
+                    if edge.label == IS_A and edge.src not in result:
+                        result[edge.src] = None
+                        next_frontier.append(edge.src)
             if not next_frontier:
                 break
             frontier = next_frontier
-        for vertex in list(result.values()):
-            for edge in self.graph.in_edges(vertex.id):
-                if edge.label != INSTANCE_OF:
-                    continue
-                child = self.graph.vertex(edge.src)
-                result.setdefault(child.id, child)
-        return list(result.values())
+        for vertex_id in [v for v in result if v in targets]:
+            for edge in taxonomy_in_edges(vertex_id):
+                if edge.label == INSTANCE_OF:
+                    result[edge.src] = None
+        return list(result)
 
     # ------------------------------------------------------------------
     # getRelationpairs + filter
@@ -712,31 +706,19 @@ class QueryGraphExecutor:
                 # (charging subject out-degrees there billed zero work
                 # while the scan still happened)
                 if subjects:
-                    scans = sum(self.graph.out_degree(v.id)
-                                for v in subjects)
+                    scans = self.graph.out_degree_sum(
+                        [v.id for v in subjects])
                 else:
-                    scans = sum(self.graph.in_degree(v.id)
-                                for v in objects)
+                    scans = self.graph.in_degree_sum(
+                        [v.id for v in objects])
                 self.clock.charge("edge_scan", times=scans)
             if subjects and objects:
-                pairs = relations_between(self.graph, subjects, objects)
-            elif subjects:
-                pairs = [
-                    RelationPair(subject, edge,
-                                 self.graph.vertex(edge.dst))
-                    for subject in subjects
-                    for edge in self.graph.out_edges(subject.id)
-                ]
-            elif objects:
-                pairs = [
-                    RelationPair(self.graph.vertex(edge.src), edge, obj)
-                    for obj in objects
-                    for edge in self.graph.in_edges(obj.id)
-                ]
-            else:
-                pairs = []
-            return [p for p in pairs
-                    if p.edge.label not in _STRUCTURAL_LABELS]
+                return [p for p in relations_between(
+                            self.graph, subjects, objects)
+                        if p.edge.label not in TAXONOMY_LABELS]
+            if subjects:
+                return self._out_relation_pairs(subjects)
+            return self._in_relation_pairs(objects)
 
         with maybe_span(self.tracer, "cache.path",
                         key=str(key)) as span:
@@ -751,6 +733,30 @@ class QueryGraphExecutor:
         # handed to callers, or a later in-place mutation would
         # corrupt the cache entry for every subsequent hit
         return list(pairs)
+
+    def _out_relation_pairs(
+        self, vertices: list[Vertex]
+    ) -> list[RelationPair]:
+        """Every non-taxonomy out-edge of ``vertices`` as a pair."""
+        vertex = self.graph.vertex
+        return [
+            RelationPair(subject, edge, vertex(edge.dst))
+            for subject in vertices
+            for edge in self.graph.out_edges(subject.id)
+            if edge.label not in TAXONOMY_LABELS
+        ]
+
+    def _in_relation_pairs(
+        self, vertices: list[Vertex]
+    ) -> list[RelationPair]:
+        """Every non-taxonomy in-edge of ``vertices`` as a pair."""
+        vertex = self.graph.vertex
+        return [
+            RelationPair(vertex(edge.src), edge, obj)
+            for obj in vertices
+            for edge in self.graph.in_edges(obj.id)
+            if edge.label not in TAXONOMY_LABELS
+        ]
 
     def _pairs_from_overlay(
         self,
@@ -890,9 +896,8 @@ class QueryGraphExecutor:
                         ))
                         break
                 continue
-            for edge in self.graph.out_edges(subject.id):
-                if edge.label in _STRUCTURAL_LABELS and \
-                        edge.dst in object_ids:
+            for edge in self.graph.taxonomy_out_edges(subject.id):
+                if edge.dst in object_ids:
                     pairs.append(RelationPair(
                         subject, edge, self.graph.vertex(edge.dst)
                     ))
@@ -942,11 +947,8 @@ class QueryGraphExecutor:
     def _is_kind_of(self, label: str, ancestor: str) -> bool:
         """Whether ``label`` is a kind of ``ancestor`` in the merged
         graph's ``is a`` hierarchy."""
-        start_vertices = [
-            v for v in self.graph.find_vertices(label)
-        ]
         seen: set[int] = set()
-        frontier = [v.id for v in start_vertices]
+        frontier = self.graph.vertex_labels.ids(label)
         target = ancestor.lower()
         hops = 0
         while frontier and hops <= self.config.expansion_hops + 1:
@@ -958,9 +960,9 @@ class QueryGraphExecutor:
                 vertex = self.graph.vertex(vertex_id)
                 if vertex.label.lower() == target:
                     return True
-                for edge in self.graph.out_edges(vertex_id):
-                    if edge.label in _STRUCTURAL_LABELS:
-                        next_frontier.append(edge.dst)
+                next_frontier.extend(
+                    edge.dst
+                    for edge in self.graph.taxonomy_out_edges(vertex_id))
             frontier = next_frontier
             hops += 1
         return False

@@ -474,7 +474,7 @@ def execute_shared(
         direction = str(shared.node.key[2])
         label = str(shared.node.key[3])
         ids, _, _ = scope_for(label)
-        vertices = [executor.graph.vertex(i) for i in ids]
+        vertices = executor.graph.vertices_by_id(ids)
         pairs = executor.plan_neighborhood(direction, vertices)
         overlay.put_neighborhood(shared.node.key, tuple(ids), pairs)
         shared_neighborhoods += 1

@@ -8,8 +8,6 @@ from repro.dataset.groundtruth import (
     categories_for_word,
 )
 from repro.dataset.kg import (
-    INSTANCE_OF,
-    IS_A,
     build_commonsense_kg,
     build_movie_kg,
     character_names,
@@ -34,6 +32,7 @@ from repro.dataset.stats import (
     total_unique_spos,
 )
 from repro.dataset.vqa2 import build_modified_vqa2
+from repro.graph import INSTANCE_OF, IS_A
 
 __all__ = [
     "COMPOSITION",

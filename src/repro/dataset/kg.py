@@ -17,14 +17,9 @@ Vertex props carry ``kind``: ``concept`` for category/hypernym nodes,
 
 from __future__ import annotations
 
-from repro.graph import Graph
+from repro.graph import IS_A, Graph
 from repro.nlp.semlex import HYPERNYMS
 from repro.synth.taxonomy import CATEGORIES
-
-#: edge label linking a scene-graph instance vertex to its KG concept
-INSTANCE_OF = "instance of"
-#: edge label of the hypernym hierarchy
-IS_A = "is a"
 
 
 def build_commonsense_kg() -> Graph:

@@ -9,7 +9,14 @@ from repro.graph.durable import (
     RecoveryResult,
     WriteAheadLog,
 )
-from repro.graph.model import Edge, Graph, Vertex
+from repro.graph.model import (
+    INSTANCE_OF,
+    IS_A,
+    TAXONOMY_LABELS,
+    Edge,
+    Graph,
+    Vertex,
+)
 from repro.graph.query import (
     RelationPair,
     relations_between,
@@ -49,11 +56,14 @@ __all__ = [
     "Edge",
     "Graph",
     "GraphStats",
+    "INSTANCE_OF",
+    "IS_A",
     "LoadedSnapshot",
     "RecoveryReport",
     "RecoveryResult",
     "RelationPair",
     "SubgraphView",
+    "TAXONOMY_LABELS",
     "Vertex",
     "VertexCandidateIndex",
     "WriteAheadLog",

@@ -8,6 +8,9 @@ instances of this model, so we implement it once with:
 * stable integer vertex/edge ids,
 * O(1) vertex lookup and adjacency access,
 * a label index maintained incrementally (see :mod:`repro.graph.index`),
+* a sparse taxonomy adjacency: the ``is a`` / ``instance of`` edges of
+  the few vertices that have any, so the hypernym walks of
+  ``matchVertex`` never scan relation edges,
 * arbitrary per-vertex / per-edge properties (bounding boxes, image ids,
   SPOC payloads, ...).
 """
@@ -15,7 +18,7 @@ instances of this model, so we implement it once with:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator
+from collections.abc import Container, Iterable, Iterator, KeysView
 from typing import Any, TYPE_CHECKING
 
 from repro.errors import (
@@ -43,6 +46,15 @@ if TYPE_CHECKING:
 
         def record(self, op: dict[str, Any]) -> None:
             """One applied mutation, in application order."""
+
+
+#: edge label linking an instance vertex to its concept
+INSTANCE_OF = "instance of"
+#: edge label of the hypernym hierarchy
+IS_A = "is a"
+#: the structural edge labels: the taxonomy adjacency holds exactly
+#: these edges, and relation retrieval never returns them
+TAXONOMY_LABELS = frozenset({IS_A, INSTANCE_OF})
 
 
 @dataclass
@@ -108,6 +120,10 @@ class Graph:
         self._edges: dict[int, Edge] = {}
         self._out: dict[int, list[int]] = {}
         self._in: dict[int, list[int]] = {}
+        # sparse: only vertices with a taxonomy edge on that side have
+        # an entry, and an entry is never an empty list
+        self._taxonomy_out: dict[int, list[int]] = {}
+        self._taxonomy_in: dict[int, list[int]] = {}
         self._next_vertex_id = 0
         self._next_edge_id = 0
         self.vertex_labels = LabelIndex()
@@ -217,6 +233,9 @@ class Graph:
         self._edges[edge.id] = edge
         self._out[src].append(edge.id)
         self._in[dst].append(edge.id)
+        if label in TAXONOMY_LABELS:
+            self._taxonomy_out.setdefault(src, []).append(edge.id)
+            self._taxonomy_in.setdefault(dst, []).append(edge.id)
         self.edge_labels.add(label, edge.id)
         self.ann_index.add_label(label)
         self._epoch += 1
@@ -235,6 +254,9 @@ class Graph:
             raise EdgeNotFoundError(edge_id)
         self._out[edge.src].remove(edge_id)
         self._in[edge.dst].remove(edge_id)
+        if edge.label in TAXONOMY_LABELS:
+            _discard(self._taxonomy_out, edge.src, edge_id)
+            _discard(self._taxonomy_in, edge.dst, edge_id)
         self.edge_labels.remove(edge.label, edge_id)
         self.ann_index.remove_label(edge.label)
         self._epoch += 1
@@ -303,6 +325,13 @@ class Graph:
         except KeyError:
             raise EdgeNotFoundError(edge_id) from None
 
+    def vertices_by_id(self, vertex_ids: Iterable[int]) -> list[Vertex]:
+        """The vertices with the given ids, in the given order."""
+        try:
+            return list(map(self._vertices.__getitem__, vertex_ids))
+        except KeyError as exc:
+            raise VertexNotFoundError(exc.args[0]) from None
+
     def has_vertex(self, vertex_id: int) -> bool:
         """Whether ``vertex_id`` exists in the graph."""
         return vertex_id in self._vertices
@@ -353,6 +382,56 @@ class Graph:
             raise VertexNotFoundError(vertex_id)
         return len(self._in[vertex_id])
 
+    def out_degree_sum(self, vertex_ids: Iterable[int]) -> int:
+        """Total out-degree of ``vertex_ids`` (duplicates count twice)."""
+        return _degree_sum(self._out, vertex_ids)
+
+    def in_degree_sum(self, vertex_ids: Iterable[int]) -> int:
+        """Total in-degree of ``vertex_ids`` (duplicates count twice)."""
+        return _degree_sum(self._in, vertex_ids)
+
+    def out_edges_into(
+        self, sources: Iterable[int], targets: Container[int]
+    ) -> list[Edge]:
+        """Every out-edge of ``sources`` whose ``dst`` is in ``targets``,
+        in source order, then adjacency order: ``out_edges`` of each
+        source filtered by destination, without building the
+        unfiltered per-vertex lists."""
+        edges = self._edges
+        out = self._out
+        try:
+            return [edge for vertex_id in sources
+                    for edge in map(edges.__getitem__, out[vertex_id])
+                    if edge.dst in targets]
+        except KeyError as exc:
+            raise VertexNotFoundError(exc.args[0]) from None
+
+    def taxonomy_out_edges(self, vertex_id: int) -> list[Edge]:
+        """The ``is a`` / ``instance of`` edges leaving ``vertex_id``:
+        ``out_edges`` filtered to :data:`TAXONOMY_LABELS`, same order."""
+        return self._taxonomy_edges(self._taxonomy_out, vertex_id)
+
+    def taxonomy_in_edges(self, vertex_id: int) -> list[Edge]:
+        """The ``is a`` / ``instance of`` edges entering ``vertex_id``:
+        ``in_edges`` filtered to :data:`TAXONOMY_LABELS`, same order."""
+        return self._taxonomy_edges(self._taxonomy_in, vertex_id)
+
+    def taxonomy_targets(self) -> KeysView[int]:
+        """Ids of the vertices with at least one ``is a`` /
+        ``instance of`` in-edge (a live, read-only view): the only
+        vertices a downward taxonomy walk needs to visit."""
+        return self._taxonomy_in.keys()
+
+    def _taxonomy_edges(
+        self, adjacency: dict[int, list[int]], vertex_id: int
+    ) -> list[Edge]:
+        edge_ids = adjacency.get(vertex_id)
+        if edge_ids is None:
+            if vertex_id not in self._vertices:
+                raise VertexNotFoundError(vertex_id)
+            return []
+        return [self._edges[e] for e in edge_ids]
+
     def successors(self, vertex_id: int) -> list[Vertex]:
         """Vertices reachable by one outgoing edge."""
         return [self._vertices[e.dst] for e in self.out_edges(vertex_id)]
@@ -392,3 +471,21 @@ class Graph:
             f"Graph(name={self.name!r}, vertices={self.vertex_count}, "
             f"edges={self.edge_count})"
         )
+
+
+def _discard(adjacency: dict[int, list[int]], vertex_id: int,
+             edge_id: int) -> None:
+    """Remove ``edge_id`` from a sparse adjacency, dropping the entry
+    once it is empty."""
+    edge_ids = adjacency[vertex_id]
+    edge_ids.remove(edge_id)
+    if not edge_ids:
+        del adjacency[vertex_id]
+
+
+def _degree_sum(adjacency: dict[int, list[int]],
+                vertex_ids: Iterable[int]) -> int:
+    try:
+        return sum(map(len, map(adjacency.__getitem__, vertex_ids)))
+    except KeyError as exc:
+        raise VertexNotFoundError(exc.args[0]) from None

@@ -40,26 +40,29 @@ def relations_between(
 ) -> list[RelationPair]:
     """All edges from any subject to any object (``getRelations``).
 
-    Scans the out-edges of the smaller side against a membership set of
-    the other, so cost is O(min-side out-degree mass), not |S| x |O|.
-    With ``include_reverse`` edges running object -> subject are also
-    returned (reversed into subject/object order is NOT applied; the
-    pair keeps the edge's true direction via ``edge.src``).
+    Scans the out-edges of every subject against a membership map of
+    the objects, so cost is O(total subject out-degree) — the mass the
+    executor charges as ``edge_scan`` — not |S| x |O|.  Pairs come in
+    subject order, then adjacency order.  With ``include_reverse``
+    edges running object -> subject are also returned (reversed into
+    subject/object order is NOT applied; the pair keeps the edge's true
+    direction via ``edge.src``).
     """
     object_ids = {v.id: v for v in objects}
     subject_ids = {v.id: v for v in subjects}
-    pairs: list[RelationPair] = []
-    for subject in subjects:
-        for edge in graph.out_edges(subject.id):
-            if edge.dst in object_ids:
-                pairs.append(RelationPair(subject, edge, object_ids[edge.dst]))
+    pairs = [
+        RelationPair(subject_ids[edge.src], edge, object_ids[edge.dst])
+        for edge in graph.out_edges_into(
+            [v.id for v in subjects], object_ids)
+    ]
     if include_reverse:
-        for obj in objects:
-            for edge in graph.out_edges(obj.id):
-                if edge.src in subject_ids:
-                    continue  # already covered above
-                if edge.dst in subject_ids:
-                    pairs.append(RelationPair(obj, edge, subject_ids[edge.dst]))
+        # an object that is also a subject was covered above
+        pairs.extend(
+            RelationPair(object_ids[edge.src], edge, subject_ids[edge.dst])
+            for edge in graph.out_edges_into(
+                [v.id for v in objects if v.id not in subject_ids],
+                subject_ids)
+        )
     return pairs
 
 
@@ -83,14 +86,3 @@ def relations_to(graph: Graph, objects: list[Vertex]) -> list[RelationPair]:
         for edge in graph.in_edges(obj.id):
             pairs.append(RelationPair(graph.vertex(edge.src), edge, obj))
     return pairs
-
-
-def count_edge_scans(
-    subjects: list[Vertex], graph: Graph
-) -> int:
-    """How many edges a ``relations_between`` call would scan.
-
-    Exposed so the executor can charge the simulated clock with the
-    true data-dependent cost.
-    """
-    return sum(graph.out_degree(s.id) for s in subjects)

@@ -12,9 +12,19 @@ must give the same answers:
 * :func:`unplanned_answers` — each question parsed and executed on its
   own by a fresh executor with no cache and no plan overlay, in input
   order.
+
+The executor's taxonomy walks read the graph's sparse ``is a`` /
+``instance of`` adjacency; their oracles are the full in-/out-edge
+scans that adjacency replaced:
+
+* :func:`full_scan_scope_ids` / :func:`full_scan_expand_to_instances`
+  — ``matchVertex``'s candidate match plus downward expansion;
+* :func:`full_scan_is_kind_of` — the answer-side ``kind of`` filter.
 """
 
 from repro.core import Answer, QueryGraphExecutor, SVQA, generate_query_graph
+from repro.core.executor import ExecutorConfig, _is_category
+from repro.graph import INSTANCE_OF, IS_A, TAXONOMY_LABELS, Graph, Vertex
 from repro.nlp.embeddings import max_score, rank_scores
 
 
@@ -43,3 +53,72 @@ def unplanned_answers(system: SVQA, questions: list[str]) -> list[Answer]:
                                       config=system.config.executor)
         answers.append(executor.execute(graph))
     return answers
+
+
+def full_scan_expand_to_instances(
+    graph: Graph, vertices: list[Vertex], hops: int
+) -> list[Vertex]:
+    """Concepts -> hyponym concepts (reverse ``is a``, up to ``hops``
+    levels) -> instances (one final reverse ``instance of`` sweep),
+    reading every in-edge of every vertex it visits."""
+    result: dict[int, Vertex] = {v.id: v for v in vertices}
+    frontier = list(vertices)
+    for _ in range(hops):
+        next_frontier: list[Vertex] = []
+        for vertex in frontier:
+            for edge in graph.in_edges(vertex.id):
+                if edge.label != IS_A:
+                    continue
+                child = graph.vertex(edge.src)
+                if child.id not in result:
+                    result[child.id] = child
+                    next_frontier.append(child)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    for vertex in list(result.values()):
+        for edge in graph.in_edges(vertex.id):
+            if edge.label != INSTANCE_OF:
+                continue
+            child = graph.vertex(edge.src)
+            result.setdefault(child.id, child)
+    return list(result.values())
+
+
+def full_scan_scope_ids(graph: Graph, label: str,
+                        config: ExecutorConfig) -> list[int]:
+    """The ids a scope-store miss on ``label`` resolves to."""
+    match = graph.candidate_index.match(
+        label, config.ld_threshold,
+        include_synonyms=not _is_category(label),
+    )
+    direct: list[Vertex] = []
+    for candidate in match.labels:
+        direct.extend(graph.find_vertices(candidate))
+    expanded = full_scan_expand_to_instances(graph, direct,
+                                             config.expansion_hops)
+    return [v.id for v in expanded]
+
+
+def full_scan_is_kind_of(graph: Graph, label: str, ancestor: str,
+                         config: ExecutorConfig) -> bool:
+    """Whether ``label`` reaches ``ancestor`` over taxonomy out-edges
+    within ``expansion_hops + 1`` levels, reading every out-edge."""
+    seen: set[int] = set()
+    frontier = [v.id for v in graph.find_vertices(label)]
+    target = ancestor.lower()
+    hops = 0
+    while frontier and hops <= config.expansion_hops + 1:
+        next_frontier: list[int] = []
+        for vertex_id in frontier:
+            if vertex_id in seen:
+                continue
+            seen.add(vertex_id)
+            if graph.vertex(vertex_id).label.lower() == target:
+                return True
+            for edge in graph.out_edges(vertex_id):
+                if edge.label in TAXONOMY_LABELS:
+                    next_frontier.append(edge.dst)
+        frontier = next_frontier
+        hops += 1
+    return False

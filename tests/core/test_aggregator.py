@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import AggregatorConfig, DataAggregator
-from repro.dataset.kg import INSTANCE_OF, build_commonsense_kg, build_movie_kg
+from repro.dataset.kg import build_commonsense_kg, build_movie_kg
+from repro.graph import INSTANCE_OF
 from repro.simtime import SimClock
 from repro.synth import SceneGenerator
 from repro.vision import MOTIFNET, RelationPredictor, SGGPipeline, SimulatedDetector

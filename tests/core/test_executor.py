@@ -19,8 +19,8 @@ from repro.core import (
     generate_query_graph,
 )
 from repro.core.aggregator import MergeStats
-from repro.dataset.kg import INSTANCE_OF, build_movie_kg
-from repro.graph import Graph
+from repro.dataset.kg import build_movie_kg
+from repro.graph import INSTANCE_OF, Graph
 from repro.simtime import SimClock
 
 

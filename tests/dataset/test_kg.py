@@ -1,12 +1,12 @@
 """Unit tests for the knowledge-graph builders."""
 
 from repro.dataset.kg import (
-    IS_A,
     build_commonsense_kg,
     build_movie_kg,
     character_names,
     characters_with_occupation,
 )
+from repro.graph import IS_A
 from repro.synth.taxonomy import CATEGORIES
 
 
