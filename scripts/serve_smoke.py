@@ -8,7 +8,11 @@ three endpoints over actual HTTP:
   and carries the full contract (``answer``/``question_type``/
   ``sources``/``meta``), and repeats of it return identical bytes;
 * ``GET /healthz`` reports a ready index and all breakers closed;
-* ``GET /metrics`` parses as Prometheus text and counts the request.
+* ``GET /metrics`` parses as Prometheus text and counts the request;
+* a malformed request line over a raw socket gets 400, and the server
+  still answers the flagship question afterwards;
+* an ``/ask`` sent with ``Expect: 100-continue`` gets the interim
+  ``100 Continue`` and then the answer.
 
 Exits non-zero on any violation; always tears the server down.
 """
@@ -16,8 +20,10 @@ Exits non-zero on any violation; always tears the server down.
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
+import urllib.parse
 import urllib.request
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -145,6 +151,69 @@ def check_metrics(base):
           f"{served:.0f} served /ask requests")
 
 
+def raw_exchange(base, head, body=b""):
+    """One raw-socket request -> (interim 100 head or b"", response).
+
+    With a ``body``, the head is sent first and the body only after the
+    server's interim ``100 Continue``.
+    """
+    url = urllib.parse.urlsplit(base)
+    with socket.create_connection((url.hostname, url.port),
+                                  timeout=60) as sock:
+        sock.sendall(head)
+        interim = b""
+        if body:
+            while not interim.endswith(b"\r\n\r\n"):
+                data = sock.recv(1)
+                if not data:
+                    fail(f"connection closed before 100 Continue: "
+                         f"{interim!r}")
+                interim += data
+            sock.sendall(body)
+        chunks = []
+        while data := sock.recv(65536):
+            chunks.append(data)
+    return interim, b"".join(chunks)
+
+
+def status_and_body(response):
+    head, _, body = response.partition(b"\r\n\r\n")
+    try:
+        return int(head.split(b" ", 2)[1]), body
+    except (IndexError, ValueError):
+        fail(f"unparseable response: {response[:200]!r}")
+
+
+def check_malformed(base):
+    _, response = raw_exchange(base, b"GARBAGE\r\n\r\n")
+    status, body = status_and_body(response)
+    if status != 400:
+        fail(f"malformed request line answered {status}, expected 400")
+    if json.loads(body)["error"]["status"] != 400:
+        fail(f"malformed request line body wrong: {body!r}")
+    status, body = http("POST", base + "/ask",
+                        {"question": FLAGSHIP_QUESTION})
+    if status != 200 or json.loads(body)["answer"] != FLAGSHIP_ANSWER:
+        fail(f"server stopped answering after a malformed request: "
+             f"{status} {body!r}")
+    print("  malformed request line ok: 400, server still answers")
+
+
+def check_expect_continue(base):
+    body = json.dumps({"question": FLAGSHIP_QUESTION}).encode()
+    head = ("POST /ask HTTP/1.1\r\nHost: localhost\r\n"
+            "Content-Type: application/json\r\n"
+            "Expect: 100-continue\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode("ascii")
+    interim, response = raw_exchange(base, head, body)
+    if interim != b"HTTP/1.1 100 Continue\r\n\r\n":
+        fail(f"no interim 100 Continue: {interim!r}")
+    status, answer = status_and_body(response)
+    if status != 200 or json.loads(answer)["answer"] != FLAGSHIP_ANSWER:
+        fail(f"Expect: 100-continue /ask answered {status} {answer!r}")
+    print("  Expect: 100-continue ok: interim 100, then the answer")
+
+
 def main():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
@@ -167,6 +236,8 @@ def main():
         check_deadline(base)
         check_healthz(base)
         check_metrics(base)
+        check_malformed(base)
+        check_expect_continue(base)
     finally:
         server.terminate()
         server.wait(timeout=10)

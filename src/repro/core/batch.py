@@ -35,7 +35,11 @@ from typing import TYPE_CHECKING
 from repro.core.aggregator import MergedGraph
 from repro.core.answer import Answer, fallback_answer
 from repro.core.cache import KeyCentricCache
-from repro.core.executor import ExecutorConfig, QueryGraphExecutor
+from repro.core.executor import (
+    ExecutorConfig,
+    ExecutorMemo,
+    QueryGraphExecutor,
+)
 from repro.core.spoc import QueryGraph, QuestionType
 from repro.core.stats import ExecutorStats
 from repro.errors import ReproError
@@ -101,6 +105,7 @@ class BatchExecutor:
         resilience: ResilienceManager | None = None,
         tracer: Tracer | None = None,
         plan_overlay: PlanOverlay | None = None,
+        memo: ExecutorMemo | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -116,6 +121,9 @@ class BatchExecutor:
         # frozen shared-sub-plan results from the planner's share
         # phase, handed to every per-thread executor
         self.plan_overlay = plan_overlay
+        # the session's executor memo, shared by every lane (a batch
+        # built without one shares a fresh memo across its lanes)
+        self.memo = memo if memo is not None else ExecutorMemo()
 
     def _new_shard(self) -> SimClock:
         if self.costs is not None:
@@ -173,6 +181,7 @@ class BatchExecutor:
                     resilience=self.resilience,
                     tracer=self.tracer,
                     plan_overlay=self.plan_overlay,
+                    memo=self.memo,
                 )
                 local.executor = executor
             trace_id = trace_ids[index] if trace_ids is not None \

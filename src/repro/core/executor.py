@@ -30,19 +30,21 @@ data-dependent cost, which is what the latency experiments measure.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter, deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.analysis.diagnostics import DiagnosticReport
+    from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
     from repro.analysis.query_validator import QueryGraphValidator
     from repro.core.planner import PlanOverlay
     from repro.graph.model import Edge
     from repro.resilience.manager import ResilienceManager
 
 from repro.errors import ExecutionError, QueryValidationError
+from repro.locks import note_write, wrap_lock
 from repro.graph import (
     INSTANCE_OF,
     IS_A,
@@ -94,6 +96,95 @@ class ExecutorConfig:
     validation: str = "warn"          # off | warn | strict
 
 
+#: entries each :class:`ExecutorMemo` table keeps before it drops
+#: its oldest
+EXECUTOR_MEMO_CAPACITY = 4096
+
+
+class ExecutorMemo:
+    """A session's memo of two pure, repeated executor lookups.
+
+    * ``kind of`` answers (:meth:`QueryGraphExecutor._is_kind_of`),
+      keyed by ``(label, ancestor.lower())``.  They hold for one graph
+      at one epoch; the first lookup that sees another graph or epoch
+      drops them all, so no index needs upkeep on a mutation.
+    * validator diagnostics, keyed by the frozen query graph; every
+      lookup hands out a fresh :class:`DiagnosticReport`.
+
+    Both tables are bounded (oldest entry out first) and charge
+    nothing, so clocks, spans and answers are those of a fresh walk.
+    One memo is shared by every executor of a session.
+    """
+
+    def __init__(self, capacity: int = EXECUTOR_MEMO_CAPACITY) -> None:
+        self.capacity = capacity
+        self._lock = wrap_lock(threading.Lock(), "core.executor_memo")
+        # the (graph, epoch) the kind-of answers hold for
+        self._stamp: tuple[Graph, int] | None = None
+        self._kinds: dict[tuple[str, str], bool] = {}
+        self._reports: dict[QueryGraph, tuple[Diagnostic, ...]] = {}
+
+    @property
+    def kind_of_stamp(self) -> tuple[Graph, int] | None:
+        """The graph and epoch the remembered ``kind of`` answers
+        were walked on (``None`` before the first)."""
+        with self._lock:
+            return self._stamp
+
+    def sizes(self) -> tuple[int, int]:
+        """Remembered ``kind of`` answers and diagnostic reports."""
+        with self._lock:
+            return len(self._kinds), len(self._reports)
+
+    def _store(self, table: dict, key: object, value: object) -> None:
+        if len(table) >= self.capacity:
+            del table[next(iter(table))]
+        table[key] = value
+
+    def kind_of(self, graph: Graph, label: str, ancestor: str,
+                walk: Callable[[], bool]) -> bool:
+        """The memoised ``walk()`` for ``label`` under ``ancestor``."""
+        key = (label, ancestor.lower())
+        epoch = graph.epoch
+        with self._lock:
+            note_write("core.executor_memo", key)
+            if self._holds(graph, epoch):
+                known = self._kinds.get(key)
+                if known is not None:
+                    return known
+            else:
+                self._kinds.clear()
+                self._stamp = (graph, epoch)
+        answer = walk()
+        with self._lock:
+            note_write("core.executor_memo", key)
+            if self._holds(graph, epoch):
+                self._store(self._kinds, key, answer)
+        return answer
+
+    def _holds(self, graph: Graph, epoch: int) -> bool:
+        stamp = self._stamp
+        return stamp is not None and stamp[0] is graph \
+            and stamp[1] == epoch
+
+    def diagnostics(
+        self, query_graph: QueryGraph,
+        validate: Callable[[QueryGraph], DiagnosticReport],
+    ) -> DiagnosticReport:
+        """The memoised ``validate(query_graph)``, as a fresh report."""
+        from repro.analysis.diagnostics import DiagnosticReport
+
+        with self._lock:
+            note_write("core.executor_memo", query_graph.question)
+            known = self._reports.get(query_graph)
+        if known is None:
+            known = tuple(validate(query_graph).diagnostics)
+            with self._lock:
+                note_write("core.executor_memo", query_graph.question)
+                self._store(self._reports, query_graph, known)
+        return DiagnosticReport(list(known))
+
+
 @dataclass
 class VertexResult:
     """What executing one query-graph vertex produced."""
@@ -132,9 +223,13 @@ class QueryGraphExecutor:
         resilience: ResilienceManager | None = None,
         tracer: Tracer | None = None,
         plan_overlay: PlanOverlay | None = None,
+        memo: ExecutorMemo | None = None,
     ) -> None:
         self.merged = merged
         self.graph: Graph = merged.graph
+        # shared by a session's executors; a standalone executor
+        # remembers only its own lookups
+        self.memo = memo if memo is not None else ExecutorMemo()
         # the three embedding lookups go through the graph's exact
         # score memo: a repeat (query, label) pair charges ann_probe
         self._ann = self.graph.ann_index
@@ -155,7 +250,7 @@ class QueryGraphExecutor:
         # per-execute fault provenance (executors are single-threaded:
         # the batch engine gives every worker its own instance)
         self._events: list[FaultEvent] | None = None
-        # built lazily on first validated query (import cycle: the
+        # built lazily on the first memo miss (import cycle: the
         # analysis package depends on the core SPOC model)
         self._validator: QueryGraphValidator | None = None
         self._relation_labels = [
@@ -181,13 +276,7 @@ class QueryGraphExecutor:
         :class:`~repro.errors.QueryValidationError` in ``"strict"``
         mode when the graph carries ERROR diagnostics.
         """
-        if self._validator is None:
-            # imported lazily: repro.analysis depends on repro.core's
-            # SPOC model, so a module-level import would be circular
-            from repro.analysis.query_validator import QueryGraphValidator
-
-            self._validator = QueryGraphValidator()
-        report = self._validator.validate(query_graph)
+        report = self.memo.diagnostics(query_graph, self._run_validator)
         if self.stats is not None:
             self.stats.record_validation(
                 len(report.errors), len(report.warnings)
@@ -199,6 +288,15 @@ class QueryGraphExecutor:
                 diagnostics=report,
             )
         return report
+
+    def _run_validator(self, query_graph: QueryGraph) -> DiagnosticReport:
+        if self._validator is None:
+            # imported lazily: repro.analysis depends on repro.core's
+            # SPOC model, so a module-level import would be circular
+            from repro.analysis.query_validator import QueryGraphValidator
+
+            self._validator = QueryGraphValidator()
+        return self._validator.validate(query_graph)
 
     def execute(
         self, query_graph: QueryGraph,
@@ -946,7 +1044,12 @@ class QueryGraphExecutor:
     # ------------------------------------------------------------------
     def _is_kind_of(self, label: str, ancestor: str) -> bool:
         """Whether ``label`` is a kind of ``ancestor`` in the merged
-        graph's ``is a`` hierarchy."""
+        graph's ``is a`` hierarchy (remembered per graph epoch)."""
+        return self.memo.kind_of(
+            self.graph, label, ancestor,
+            lambda: self._walk_kind_of(label, ancestor))
+
+    def _walk_kind_of(self, label: str, ancestor: str) -> bool:
         seen: set[int] = set()
         frontier = self.graph.vertex_labels.ids(label)
         target = ancestor.lower()

@@ -42,7 +42,11 @@ from repro.core.aggregator import AggregatorConfig, DataAggregator, MergedGraph
 from repro.core.answer import Answer, fallback_answer
 from repro.core.batch import BatchExecutor, BatchResult
 from repro.core.cache import CacheReport, KeyCentricCache
-from repro.core.executor import ExecutorConfig, QueryGraphExecutor
+from repro.core.executor import (
+    ExecutorConfig,
+    ExecutorMemo,
+    QueryGraphExecutor,
+)
 from repro.core.planner import (
     PlannedBatch,
     PlanOverlay,
@@ -135,6 +139,7 @@ class SVQA:
         # session-owned: a memoised parse never outlives (or leaks
         # into another) SVQA instance
         self._query_graphs = QueryGraphMemo()
+        self._executor_memo = ExecutorMemo()
         self._executor: QueryGraphExecutor | None = None
         self._stats = ExecutorStats()
         self._last_batch: BatchResult | None = None
@@ -232,6 +237,7 @@ class SVQA:
             self.merged, cache=self._cache, clock=self.clock,
             config=self.config.executor, stats=self._stats,
             resilience=self.resilience, tracer=self.tracer,
+            memo=self._executor_memo,
         )
         return self.merged
 
@@ -251,6 +257,7 @@ class SVQA:
             merged, cache=self._cache, clock=self.clock,
             config=self.config.executor, stats=self._stats,
             resilience=self.resilience, tracer=self.tracer,
+            memo=self._executor_memo,
         )
         return merged
 
@@ -475,7 +482,7 @@ class SVQA:
             config=self.config.executor, workers=workers,
             costs=self.clock.costs, stats=self._stats,
             resilience=self.resilience, tracer=self.tracer,
-            plan_overlay=overlay,
+            plan_overlay=overlay, memo=self._executor_memo,
         )
         result = batch.run(graphs, order=order, trace_ids=trace_ids,
                            deadlines=deadlines)
@@ -525,6 +532,7 @@ class SVQA:
             self.merged, cache=self._cache, clock=self.clock,
             config=config.executor, stats=self._stats,
             resilience=self.resilience, tracer=self.tracer,
+            memo=self._executor_memo,
         )
         trace_id = f"plan{self._plan_seq:04d}"
         self._plan_seq += 1

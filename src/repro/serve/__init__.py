@@ -2,8 +2,10 @@
 
 Built once at startup, then stateless per request (DESIGN.md §5g):
 
-* :mod:`repro.serve.app` — the WSGI application, scenario builders,
-  and the threaded reference server behind ``repro serve``;
+* :mod:`repro.serve.app` — the WSGI application and scenario
+  builders;
+* :mod:`repro.serve.frontend` — the threaded HTTP front end behind
+  ``repro serve`` (one request per connection);
 * :mod:`repro.serve.admission` — deterministic token-bucket rate
   limiting and queue-depth load shedding;
 * :mod:`repro.serve.batching` — the micro-batching bridge from
@@ -12,7 +14,7 @@ Built once at startup, then stateless per request (DESIGN.md §5g):
 * :mod:`repro.serve.contract` — every wire shape the service emits,
   with deterministic JSON encoding.
 
-Stdlib only: ``wsgiref`` + ``socketserver``; no new dependencies.
+Stdlib only: ``socketserver`` sockets; no new dependencies.
 """
 
 from repro.serve.admission import (

@@ -1,4 +1,4 @@
-"""The QA service: a stdlib-only WSGI app plus its reference server.
+"""The QA service: a stdlib-only WSGI app plus its HTTP server.
 
 The heavy lifting — scene-graph generation, KG merge, executor and
 cache construction — happens **once**, in :func:`build_service`,
@@ -17,8 +17,9 @@ GET       /metrics    Prometheus text (``MetricsRegistry.to_prometheus``)
 ========  ==========  ==================================================
 
 The app is a plain WSGI callable, so tests drive it in-process with
-no sockets; ``serve_forever`` wraps it in ``wsgiref`` +
-``ThreadingMixIn`` for real deployments and the CI smoke job.
+no sockets; :func:`make_qa_server` puts it behind the threaded
+front end of :mod:`repro.serve.frontend` for ``repro serve`` and the
+CI smoke job.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
-
-from socketserver import ThreadingMixIn
 
 from repro.core.pipeline import SVQA, SVQAConfig
 from repro.graph import Graph
@@ -47,6 +45,7 @@ from repro.serve.contract import (
     healthz_payload,
     parse_deadline_ms,
 )
+from repro.serve.frontend import QAHTTPServer
 from repro.synth.scene import SyntheticScene
 
 _MAX_BODY_BYTES = 64 * 1024
@@ -449,26 +448,11 @@ def build_service(config: ServeConfig | None = None) -> QAService:
     return QAService(svqa, config, store_report=report)
 
 
-class _ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
-    """One thread per connection; daemonic so shutdown never hangs."""
-
-    daemon_threads = True
-
-
-class _QuietHandler(WSGIRequestHandler):
-    """Suppress per-request stderr lines (metrics cover visibility)."""
-
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        """Drop the default per-request access-log line."""
-
-
 def make_qa_server(
     service: QAService, host: str = "127.0.0.1", port: int = 0
-):
-    """Bind the reference server (port 0 = ephemeral, for tests/CI)."""
-    return make_server(host, port, service,
-                       server_class=_ThreadingWSGIServer,
-                       handler_class=_QuietHandler)
+) -> QAHTTPServer:
+    """Bind the HTTP server (port 0 = ephemeral, for tests/CI)."""
+    return QAHTTPServer((host, port), service)
 
 
 __all__ = [

@@ -15,6 +15,8 @@ from repro.core import (
     QuestionType,
     generate_query_graph,
 )
+from repro.analysis.query_validator import validate_query_graph
+from repro.core.executor import ExecutorMemo
 from repro.core.spoc import DependencyKind, QueryGraph, SPOC, Term
 from repro.errors import QueryValidationError
 
@@ -95,3 +97,40 @@ class TestValidationModes:
         graph = generate_query_graph("Is there a dog near the fence?")
         executor.execute(graph)
         assert stats.snapshot().graphs_validated == 0
+
+
+class TestMemoisedValidation:
+    """Executors sharing one ``ExecutorMemo`` validate each distinct
+    graph once, yet count, report and (in strict mode) raise on every
+    ask."""
+
+    def test_every_ask_is_counted_with_the_same_numbers(self):
+        stats = ExecutorStats()
+        memo = ExecutorMemo()
+        first, second = (QueryGraphExecutor(make_merged(), stats=stats,
+                                            memo=memo)
+                         for _ in range(2))
+        reports = [executor.validate(broken_graph())
+                   for executor in (first, second, first)]
+        assert memo.sizes()[1] == 1
+        assert len({len(r.errors) for r in reports}) == 1
+        snapshot = stats.snapshot()
+        assert snapshot.graphs_validated == 3
+        assert snapshot.validation_errors == 3 * len(reports[0].errors)
+
+    def test_a_caller_cannot_change_the_next_report(self):
+        executor = QueryGraphExecutor(make_merged())
+        report = executor.validate(broken_graph())
+        fresh = validate_query_graph(broken_graph())
+        assert report.diagnostics == fresh.diagnostics
+        assert fresh.diagnostics
+        report.diagnostics.clear()
+        assert executor.validate(broken_graph()).diagnostics == \
+            fresh.diagnostics
+
+    def test_strict_mode_raises_on_every_ask(self):
+        executor = QueryGraphExecutor(
+            make_merged(), config=ExecutorConfig(validation="strict"))
+        for _ in range(3):
+            with pytest.raises(QueryValidationError):
+                executor.execute(broken_graph())

@@ -11,15 +11,25 @@ every label the MVQA questions resolve.
 
 ``make scope-fuzz`` runs the same check over more seeds and longer
 mutation runs (``tests/core/scope_fuzz.py``).
+
+``TestSessionKindOfMemo`` asks the same answers through one long-lived
+session, whose executors share an epoch-keyed ``ExecutorMemo``, while
+mutator bursts move the epoch between asks; the workers=4 batch runs
+under the runtime sanitizer with the memo's lock role seen.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
+from repro import locks
+from repro.analysis.concurrency.sanitizer import SanitizerConfig
 from repro.core import SVQA, ExecutorConfig, QueryGraphExecutor, SVQAConfig
 from repro.core import generate_query_graph
 from repro.core.aggregator import MergedGraph, MergeStats
+from repro.core.executor import EXECUTOR_MEMO_CAPACITY, ExecutorMemo
 from repro.dataset.mvqa import build_mvqa
 from repro.errors import QueryParseError
 from repro.graph import INSTANCE_OF, IS_A, Graph
@@ -104,20 +114,30 @@ class TaxonomyMutations:
                                      rng.choice(self.vertex_labels))
 
 
+def kind_of_sample(label: str, ancestors: list[str],
+                   rng: random.Random) -> list[str]:
+    """A seeded sample of ancestors, plus the label's own hypernym
+    chain so that positive answers are checked too."""
+    checked = rng.sample(ancestors, KIND_OF_SAMPLE)
+    parent = HYPERNYMS.get(label)
+    while parent is not None and parent not in checked:
+        checked.append(parent)
+        parent = HYPERNYMS.get(parent)
+    return checked
+
+
+def merged_of(graph: Graph) -> MergedGraph:
+    return MergedGraph(graph=graph,
+                       stats=MergeStats({}, [], 0.0, 0.0, 0, 0, 0))
+
+
 def assert_matches_oracle(executor: QueryGraphExecutor, labels: list[str],
                           ancestors: list[str], rng: random.Random) -> None:
     graph, config = executor.graph, executor.config
     for label in labels:
         got = [v.id for v in executor.match_vertex_label(label)]
         assert got == full_scan_scope_ids(graph, label, config), label
-        # a seeded sample, plus the label's own hypernym chain so that
-        # positive answers are checked too
-        checked = rng.sample(ancestors, KIND_OF_SAMPLE)
-        parent = HYPERNYMS.get(label)
-        while parent is not None and parent not in checked:
-            checked.append(parent)
-            parent = HYPERNYMS.get(parent)
-        for ancestor in checked:
+        for ancestor in kind_of_sample(label, ancestors, rng):
             assert executor._is_kind_of(label, ancestor) == \
                 full_scan_is_kind_of(graph, label, ancestor, config), \
                 (label, ancestor)
@@ -128,10 +148,7 @@ def run_scope_fuzz(base: Graph, labels: list[str], seed: int, runs: int,
     """Mutate a copy of ``base`` in ``runs`` seeded runs of ``ops``
     mutations, checking every label before the first and after each."""
     graph = clone(base)
-    executor = QueryGraphExecutor(
-        MergedGraph(graph=graph, stats=MergeStats({}, [], 0.0, 0.0, 0, 0, 0)),
-        config=ExecutorConfig(),
-    )
+    executor = QueryGraphExecutor(merged_of(graph), config=ExecutorConfig())
     ancestors = sorted(set(labels) | set(HYPERNYMS.values()))
     mutations = TaxonomyMutations(graph, seed)
     check_rng = random.Random(f"kind-of:{seed}")
@@ -142,8 +159,13 @@ def run_scope_fuzz(base: Graph, labels: list[str], seed: int, runs: int,
 
 
 @pytest.fixture(scope="module")
-def mvqa_base():
-    dataset = build_mvqa(seed=5, pool_size=1_200, image_count=400)
+def mvqa_dataset():
+    return build_mvqa(seed=5, pool_size=1_200, image_count=400)
+
+
+@pytest.fixture(scope="module")
+def mvqa_base(mvqa_dataset):
+    dataset = mvqa_dataset
     system = SVQA(dataset.scenes, dataset.kg, SVQAConfig(workers=1))
     system.build()
     return system.merged.graph, question_vocabulary(dataset.questions)
@@ -161,3 +183,135 @@ def test_vocabulary_is_taxonomy_heavy(mvqa_base):
 def test_scope_and_kind_of_match_full_scans(mvqa_base, seed):
     graph, labels = mvqa_base
     run_scope_fuzz(graph, labels, seed, runs=3, ops=40)
+
+
+class TestSessionKindOfMemo:
+    @pytest.mark.parametrize("capacity", [EXECUTOR_MEMO_CAPACITY, 40])
+    def test_answers_match_full_walks_across_epochs(self, mvqa_base,
+                                                    capacity):
+        graph, labels = mvqa_base
+        session = SVQA(config=SVQAConfig(workers=1))
+        mutated = clone(graph)
+        session.adopt_merged(merged_of(mutated))
+        memo = session._executor_memo
+        memo.capacity = capacity
+        executor = session._require_built()
+        assert executor.memo is memo
+        ancestors = sorted(set(labels) | set(HYPERNYMS.values()))
+        mutations = TaxonomyMutations(mutated, seed=3)
+        rng = random.Random(f"session-memo:{capacity}")
+        for burst in range(4):
+            if burst:
+                epoch = mutated.epoch
+                mutations.run(25)
+                assert mutated.epoch > epoch
+            for label in labels:
+                for ancestor in kind_of_sample(label, ancestors, rng):
+                    want = full_scan_is_kind_of(mutated, label, ancestor,
+                                                executor.config)
+                    # the first ask may walk, the second is a hit
+                    assert executor._is_kind_of(label, ancestor) == want
+                    assert executor._is_kind_of(label, ancestor) == want
+                    held, epoch = memo.kind_of_stamp
+                    assert held is mutated and epoch == mutated.epoch
+                    assert 0 < memo.sizes()[0] <= capacity
+
+    def test_a_new_graph_at_the_same_epoch_drops_the_answers(
+            self, mvqa_base):
+        graph, labels = mvqa_base
+        session = SVQA(config=SVQAConfig(workers=1))
+        session.adopt_merged(merged_of(clone(graph)))
+        label, parent = next(
+            (label, HYPERNYMS[label]) for label in labels
+            if label in HYPERNYMS and full_scan_is_kind_of(
+                graph, label, HYPERNYMS[label], ExecutorConfig()))
+        assert session._require_built()._is_kind_of(label, parent)
+        # same epoch, different graph: the remembered True must not
+        # answer for a graph without the taxonomy
+        bare = Graph(name=graph.name)
+        for vertex in graph.vertices():
+            bare.add_vertex(vertex.label, vertex.props, vertex_id=vertex.id)
+        while bare.epoch < graph.epoch:
+            bare.add_vertex("filler", {})
+        assert bare.epoch == graph.epoch
+        session.adopt_merged(merged_of(bare))
+        executor = session._require_built()
+        assert executor._is_kind_of(label, parent) is False
+        assert full_scan_is_kind_of(bare, label, parent,
+                                    executor.config) is False
+
+    def test_threads_never_read_an_answer_of_another_epoch(self):
+        """Eight threads over a 16-entry memo while a ninth moves the
+        epoch: a call that saw no epoch move must return that epoch's
+        answer, and the table never outgrows its bound."""
+
+        class Moving:
+            epoch = 0
+
+        graph, memo = Moving(), ExecutorMemo(capacity=16)
+        stop = threading.Event()
+        failures = []
+
+        def answer(label, epoch):
+            return (hash(label) + epoch) % 2 == 0
+
+        def asker(seed):
+            rng = random.Random(seed)
+            for _ in range(3_000):
+                label = f"label-{rng.randrange(40)}"
+                before = graph.epoch
+                got = memo.kind_of(
+                    graph, label, "Thing",
+                    lambda label=label: answer(label, graph.epoch))
+                if graph.epoch == before and got != answer(label, before):
+                    failures.append((label, before))
+                if memo.sizes()[0] > memo.capacity:
+                    failures.append("over capacity")
+
+        def mover():
+            while not stop.is_set():
+                graph.epoch += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            askers = [threading.Thread(target=asker, args=(i,))
+                      for i in range(8)]
+            moving = threading.Thread(target=mover)
+            moving.start()
+            for thread in askers:
+                thread.start()
+            for thread in askers:
+                thread.join(timeout=60)
+            stop.set()
+            moving.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*askers, moving])
+        assert failures == []
+
+    def test_workers_4_batch_under_sanitizer(self, mvqa_dataset,
+                                             mvqa_base):
+        graph, _ = mvqa_base
+        questions = [q.text for q in mvqa_dataset.questions]
+        previous = locks.current()
+        if previous is not None:
+            locks.uninstall(previous)
+        system = SVQA(config=SVQAConfig(
+            workers=4, sanitizer=SanitizerConfig(seed=11)))
+        try:
+            system.adopt_merged(merged_of(clone(graph)))
+            first = system.answer_many(questions)
+            second = system.answer_many(questions)
+            assert system.sanitizer is not None
+            report = system.sanitizer.report()
+        finally:
+            system.release_sanitizer()
+            if previous is not None:
+                locks.install(previous)
+        assert report.clean, report.render()
+        assert "core.executor_memo" in report.lock_roles
+        assert "core.executor_memo" in report.structures
+        kinds, reports = system._executor_memo.sizes()
+        assert kinds > 0 and reports > 0
+        assert [a.value for a in second] == [a.value for a in first]

@@ -5,18 +5,29 @@ module serves it over a socket from a background thread and checks,
 over real HTTP, the ``/ask`` contract, the error statuses the app
 maps request faults to (400, 413, 404, 405), ``/healthz``, and that
 shutdown stops the server thread and closes the port.
+
+``TestConformance`` speaks raw bytes to the front end
+(:mod:`repro.serve.frontend`): its own refusals (400, 414, 431, 505),
+``Expect: 100-continue``, ``Connection: close``, bodies split over
+TCP writes, query strings and concurrent connections, each case
+followed by a check that the server still answers.
+``test_http_bodies_equal_in_process_bodies`` diffs the 100 fast-MVQA
+``/ask`` bodies served over HTTP against a fresh in-process session.
 """
 
 import http.client
 import json
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.dataset.movie import FLAGSHIP_ANSWER, FLAGSHIP_QUESTION
+from repro.dataset.mvqa import build_mvqa
 from repro.serve import QAService, ServeConfig, build_svqa
 from repro.serve.app import make_qa_server
+from tests.serve.test_app import ask
 
 
 class Served:
@@ -115,3 +126,164 @@ def test_shutdown_stops_thread_and_closes_port(svqa):
     assert not served.thread.is_alive()
     with pytest.raises(OSError):
         socket.create_connection(("127.0.0.1", served.port), timeout=5)
+
+
+def exchange(port, *parts, pause=0.0):
+    """Send ``parts`` on one raw connection (``pause`` seconds apart)
+    and read until the server closes it -> every byte received."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        for i, part in enumerate(parts):
+            if i and pause:
+                time.sleep(pause)
+            sock.sendall(part)
+        chunks = []
+        while data := sock.recv(65536):
+            chunks.append(data)
+    return b"".join(chunks)
+
+
+def split_response(raw):
+    """Raw response bytes -> (status, {header: value}, body)."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("iso-8859-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, body
+
+
+def ask_request(question, version="HTTP/1.0", extra=""):
+    body = ask_body(question)
+    head = (f"POST /ask {version}\r\nHost: 127.0.0.1\r\n"
+            f"Content-Type: application/json\r\n{extra}"
+            f"Content-Length: {len(body)}\r\n\r\n").encode("ascii")
+    return head, body
+
+
+class TestConformance:
+    @pytest.fixture(autouse=True)
+    def still_serving(self, served):
+        yield
+        status, _, payload = served.request("GET", "/healthz")
+        assert status == 200 and payload["status"] == "ok"
+
+    def refusal(self, served, raw_request):
+        status, headers, body = split_response(
+            exchange(served.port, raw_request))
+        assert headers["Connection"] == "close"
+        assert int(headers["Content-Length"]) == len(body)
+        assert json.loads(body)["error"]["status"] == status
+        return status
+
+    def test_malformed_request_line_is_400(self, served):
+        assert self.refusal(served, b"GARBAGE\r\n\r\n") == 400
+        assert self.refusal(served, b"GET /healthz HTTP/x.y\r\n\r\n") \
+            == 400
+        assert self.refusal(
+            served, b"POST /ask extra HTTP/1.0\r\n\r\n") == 400
+
+    def test_request_line_over_64_kib_is_414(self, served):
+        line = b"GET /" + b"a" * (64 * 1024) + b" HTTP/1.0\r\n\r\n"
+        assert self.refusal(served, line) == 414
+
+    def test_header_line_over_64_kib_is_431(self, served):
+        raw = (b"GET /healthz HTTP/1.0\r\nX-Big: "
+               + b"a" * (64 * 1024) + b"\r\n\r\n")
+        assert self.refusal(served, raw) == 431
+
+    def test_more_than_100_headers_is_431(self, served):
+        headers = b"".join(b"X-H%d: 1\r\n" % i for i in range(101))
+        raw = b"GET /healthz HTTP/1.0\r\n" + headers + b"\r\n"
+        assert self.refusal(served, raw) == 431
+
+    def test_http_2_is_505(self, served):
+        assert self.refusal(served, b"GET /healthz HTTP/2.0\r\n\r\n") \
+            == 505
+
+    def test_expect_100_continue(self, served):
+        head, body = ask_request(FLAGSHIP_QUESTION, "HTTP/1.1",
+                                 "Expect: 100-continue\r\n")
+        with socket.create_connection(("127.0.0.1", served.port),
+                                      timeout=30) as sock:
+            sock.sendall(head)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            chunks = []
+            while data := sock.recv(65536):
+                chunks.append(data)
+        status, _, answer = split_response(b"".join(chunks))
+        assert status == 200
+        assert json.loads(answer)["answer"] == FLAGSHIP_ANSWER
+
+    def test_http_1_1_gets_connection_close_and_a_closed_socket(
+            self, served):
+        raw = exchange(served.port, b"GET /healthz HTTP/1.1\r\n"
+                       b"Host: 127.0.0.1\r\n\r\n")
+        status, headers, body = split_response(raw)
+        assert status == 200
+        assert headers["Connection"] == "close"
+        # exchange() returned, so the server closed the socket after
+        # exactly one answer
+        assert int(headers["Content-Length"]) == len(body)
+        assert json.loads(body)["status"] == "ok"
+
+    def test_body_split_over_two_writes_is_read_whole(self, served):
+        head, body = ask_request(FLAGSHIP_QUESTION)
+        raw = exchange(served.port, head + body[:7], body[7:], pause=0.2)
+        status, _, answer = split_response(raw)
+        assert status == 200
+        assert json.loads(answer)["answer"] == FLAGSHIP_ANSWER
+
+    def test_query_string_is_split_off(self, served):
+        raw = exchange(served.port, b"GET /healthz?x=1 HTTP/1.0\r\n\r\n")
+        assert split_response(raw)[0] == 200
+
+    def test_eight_concurrent_connections_are_all_answered(self, served):
+        head, body = ask_request(FLAGSHIP_QUESTION)
+        results = [None] * 8
+
+        def one(i):
+            results[i] = split_response(
+                exchange(served.port, head, body, pause=0.05))
+
+        threads = [threading.Thread(target=one, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert [r[0] for r in results] == [200] * 8
+        assert {json.loads(r[2])["answer"] for r in results} == \
+            {FLAGSHIP_ANSWER}
+
+
+def test_http_bodies_equal_in_process_bodies():
+    """The fast-MVQA ``/ask`` bodies served over HTTP equal, byte for
+    byte, those of a fresh session driven in process in the same
+    order."""
+    questions = [q.text for q in build_mvqa(
+        seed=5, pool_size=1_200, image_count=400).questions]
+    assert len(questions) == 100
+    config = ServeConfig(scenario="mvqa")
+    served = Served(QAService(build_svqa(config), config))
+    try:
+        over_http = []
+        for i, question in enumerate(questions):
+            head, body = ask_request(
+                question, extra=f"X-Client-Id: user-{i}\r\n")
+            status, _, answer = split_response(
+                exchange(served.port, head + body))
+            over_http.append((status, answer))
+    finally:
+        served.shutdown()
+    service = QAService(build_svqa(config), config)
+    try:
+        in_process = [
+            ask(service, question, headers={"X-Client-Id": f"user-{i}"})
+            for i, question in enumerate(questions)]
+    finally:
+        service.close()
+    assert [status for status, _ in over_http] == [200] * 100
+    assert over_http == [(status, body)
+                         for status, _, body in in_process]
