@@ -12,7 +12,10 @@ three endpoints over actual HTTP:
 * a malformed request line over a raw socket gets 400, and the server
   still answers the flagship question afterwards;
 * an ``/ask`` sent with ``Expect: 100-continue`` gets the interim
-  ``100 Continue`` and then the answer.
+  ``100 Continue`` and then the answer;
+* a chunked ``POST /ask`` over a raw socket gets 411
+  ``length-required``, and the server still answers the flagship
+  question afterwards.
 
 Exits non-zero on any violation; always tears the server down.
 """
@@ -184,19 +187,35 @@ def status_and_body(response):
         fail(f"unparseable response: {response[:200]!r}")
 
 
-def check_malformed(base):
-    _, response = raw_exchange(base, b"GARBAGE\r\n\r\n")
+def check_refused(base, name, raw, expected):
+    """A raw request the front end refuses with ``expected``; the
+    flagship question must still be answered afterwards."""
+    _, response = raw_exchange(base, raw)
     status, body = status_and_body(response)
-    if status != 400:
-        fail(f"malformed request line answered {status}, expected 400")
-    if json.loads(body)["error"]["status"] != 400:
-        fail(f"malformed request line body wrong: {body!r}")
+    if status != expected:
+        fail(f"{name} answered {status}, expected {expected}")
+    if json.loads(body)["error"]["status"] != expected:
+        fail(f"{name} body wrong: {body!r}")
     status, body = http("POST", base + "/ask",
                         {"question": FLAGSHIP_QUESTION})
     if status != 200 or json.loads(body)["answer"] != FLAGSHIP_ANSWER:
-        fail(f"server stopped answering after a malformed request: "
+        fail(f"server stopped answering after a {name}: "
              f"{status} {body!r}")
-    print("  malformed request line ok: 400, server still answers")
+    print(f"  {name} ok: {expected}, server still answers")
+
+
+def check_malformed(base):
+    check_refused(base, "malformed request line", b"GARBAGE\r\n\r\n",
+                  400)
+
+
+def check_chunked(base):
+    body = json.dumps({"question": FLAGSHIP_QUESTION}).encode()
+    raw = (b"POST /ask HTTP/1.1\r\nHost: localhost\r\n"
+           b"Content-Type: application/json\r\n"
+           b"Transfer-Encoding: chunked\r\n\r\n"
+           + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n")
+    check_refused(base, "chunked POST /ask", raw, 411)
 
 
 def check_expect_continue(base):
@@ -238,6 +257,7 @@ def main():
         check_metrics(base)
         check_malformed(base)
         check_expect_continue(base)
+        check_chunked(base)
     finally:
         server.terminate()
         server.wait(timeout=10)

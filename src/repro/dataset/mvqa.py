@@ -2,7 +2,10 @@
 
 Reproduces the paper's construction pipeline:
 
-1. generate the candidate image pool (13,808 scenes — the COCO pool);
+1. generate the candidate image pool (at most 13,808 scenes — the
+   COCO pool) up to its 4,233rd survivor of step 2: scenes are drawn
+   in order from one seeded RNG, so no later scene can change a kept
+   image, and the kept images are those of the whole pool;
 2. filter to scenes containing at least one object from the four MVQA
    groups (humans / animals / vehicles / buildings) and more than one
    object overall (single-object scenes cannot carry relations);
@@ -11,14 +14,17 @@ Reproduces the paper's construction pipeline:
    16 counting / 44 reasoning — with the clause-count mix that yields
    Table II's 94/35/90 clauses, each answer verified against the
    ground-truth index and each question checked to require multiple
-   images.
+   images.  Step 4 runs on the first read of
+   :attr:`MVQADataset.questions`; a caller that needs only the images
+   and the KG (``repro serve``) never runs it.
 
 The whole build is deterministic in the seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
@@ -47,14 +53,33 @@ COMPOSITION: dict[QuestionType, tuple[int, int, int]] = {
 CONSTRAINT_TARGET = 40
 
 
-@dataclass
 class MVQADataset:
-    """The built dataset: images + questions + the external KG."""
+    """The built dataset: images + questions + the external KG.
 
-    scenes: list[SyntheticScene]
-    questions: list[MVQAQuestion]
-    kg: Graph
-    pool_size: int = POOL_SIZE
+    ``questions`` is the question list, or a zero-argument callable
+    that builds it on the first read of :attr:`questions`, which then
+    keeps the list (and raises the builder's :class:`DatasetError`, if
+    any).  The first read is expected on one thread.
+    """
+
+    def __init__(
+        self,
+        scenes: list[SyntheticScene],
+        questions: list[MVQAQuestion]
+        | Callable[[], list[MVQAQuestion]],
+        kg: Graph,
+        pool_size: int = POOL_SIZE,
+    ) -> None:
+        self.scenes = scenes
+        self.kg = kg
+        self.pool_size = pool_size
+        self._questions = questions
+
+    @property
+    def questions(self) -> list[MVQAQuestion]:
+        if callable(self._questions):
+            self._questions = self._questions()
+        return self._questions
 
     @property
     def image_count(self) -> int:
@@ -83,31 +108,50 @@ def build_mvqa(
     """Build MVQA deterministically from a seed.
 
     ``pool_size`` / ``image_count`` can be lowered for fast tests; the
-    defaults reproduce the paper's 13,808 -> 4,233 pipeline.
+    defaults reproduce the paper's 13,808 -> 4,233 pipeline.  The pool
+    is generated only up to its ``image_count``-th survivor, and the
+    questions on the first read of ``questions``.
     """
     composition = composition or COMPOSITION
-    scenes = SceneGenerator(seed=seed).generate_pool(pool_size)
-    selected = [scene for scene in scenes if mvqa_image_filter(scene)]
+    generator = SceneGenerator(seed=seed)
+    first = min(image_count, pool_size)
+    selected = [scene for scene in generator.generate_pool(first)
+                if mvqa_image_filter(scene)]
+    # top up one scene at a time only while the filter has rejected some
+    for image_id in range(first, pool_size):
+        if len(selected) == image_count:
+            break
+        scene = generator.generate(image_id)
+        if mvqa_image_filter(scene):
+            selected.append(scene)
     if len(selected) < image_count:
         raise DatasetError(
             f"only {len(selected)} of {pool_size} pool scenes pass the "
             f"MVQA filter; need {image_count}"
         )
-    images = selected[:image_count]
     # re-number image ids densely so downstream indexes are compact
     images = [
         SyntheticScene(new_id, scene.objects, scene.relations,
                        scene.caption)
-        for new_id, scene in enumerate(images)
+        for new_id, scene in enumerate(selected)
     ]
+    return MVQADataset(
+        scenes=images,
+        questions=partial(_build_questions, images, seed, composition),
+        kg=build_commonsense_kg(), pool_size=pool_size)
 
-    gt = GroundTruthIndex(images)
+
+def _build_questions(
+    images: list[SyntheticScene],
+    seed: int,
+    composition: dict[QuestionType, tuple[int, int, int]],
+) -> list[MVQAQuestion]:
+    """Step 4: the question set over the kept images, on its own RNG."""
     rng = np.random.default_rng(seed + 1)
-    generator = QuestionGenerator(gt, rng)
+    generator = QuestionGenerator(GroundTruthIndex(images), rng)
     questions = _generate_questions(generator, composition)
     _inject_exotic_words(questions, rng)
-    return MVQADataset(scenes=images, questions=questions,
-                       kg=build_commonsense_kg(), pool_size=pool_size)
+    return questions
 
 
 def _generate_questions(

@@ -54,6 +54,7 @@ _STATUS_LINES = {
     400: "400 Bad Request",
     404: "404 Not Found",
     405: "405 Method Not Allowed",
+    408: "408 Request Timeout",
     413: "413 Payload Too Large",
     429: "429 Too Many Requests",
     500: "500 Internal Server Error",
@@ -356,6 +357,9 @@ class QAService:
                 413, "payload-too-large",
                 f"body of {exc.length} bytes exceeds "
                 f"{_MAX_BODY_BYTES}"))
+        except TimeoutError:
+            return self._json(408, error_body(
+                408, "request-timeout", "request body stalled"))
         try:
             payload = _json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, _json.JSONDecodeError) as exc:

@@ -22,11 +22,20 @@ it replaces:
 * a two-word ``GET`` request line is HTTP/0.9: the answer is the bare
   body.
 
+It adds two refusals of its own:
+
+* 408 when a connection sends no byte of its request head for
+  :data:`READ_TIMEOUT_S` seconds (a client that connects and sends
+  nothing, or stops mid-headers, would otherwise hold its thread);
+* 411 for a request with a ``Transfer-Encoding`` header: request
+  bodies are read by ``Content-Length`` only, and a chunked body is
+  not decoded.
+
 The front end answers those refusals itself, in the service's JSON
 error shape (:func:`repro.serve.contract.error_body`); the app never
-sees them, so ``svqa_http_requests_total`` does not count them.
-Request bodies are read by ``Content-Length`` only, as before: a
-chunked request body is not decoded.
+sees them, so ``svqa_http_requests_total`` does not count them.  The
+same read timeout holds while the app reads the body; the app answers
+a stalled body with 408.
 """
 
 from __future__ import annotations
@@ -45,12 +54,17 @@ MAX_LINE = 65536
 #: header lines, the terminating blank line included, beyond which the
 #: request is refused with 431 (``http.client``'s count)
 MAX_HEADERS = 100
+#: seconds a connection may go without sending a byte of its request
+#: before the server answers 408 and closes it
+READ_TIMEOUT_S = 10.0
 
 WSGIApp = Callable[[dict[str, object], Callable[..., object]],
                    Iterable[bytes]]
 
 _REFUSALS = {
     400: "400 Bad Request",
+    408: "408 Request Timeout",
+    411: "411 Length Required",
     414: "414 URI Too Long",
     431: "431 Request Header Fields Too Large",
     505: "505 HTTP Version Not Supported",
@@ -68,6 +82,13 @@ class _Refused(Exception):
         super().__init__(detail)
         self.status = status
         self.body = encode_json(error_body(status, reason, detail))
+
+    def response(self) -> bytes:
+        """The refusal framed for the wire."""
+        return _response(_REFUSALS[self.status],
+                         [("Content-Type", "application/json"),
+                          ("Content-Length", str(len(self.body)))],
+                         self.body)
 
 
 def _http_date() -> str:
@@ -165,6 +186,10 @@ def _read_request(
         elif key.startswith("HTTP_"):
             environ[key] = f"{environ[key]},{value}"
         last = key
+    if "HTTP_TRANSFER_ENCODING" in environ:
+        raise _Refused(411, "length-required",
+                       "send the request body with Content-Length; "
+                       "Transfer-Encoding is not supported")
     return environ, version
 
 
@@ -195,16 +220,18 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         """Read the request, answer it, and let the server close."""
         sock = cast(socket.socket, self.request)
+        sock.settimeout(READ_TIMEOUT_S)
         rfile = sock.makefile("rb")
         try:
             try:
                 request = _read_request(rfile)
             except _Refused as refusal:
-                sock.sendall(_response(
-                    _REFUSALS[refusal.status],
-                    [("Content-Type", "application/json"),
-                     ("Content-Length", str(len(refusal.body)))],
-                    refusal.body))
+                sock.sendall(refusal.response())
+                return
+            except TimeoutError:
+                sock.sendall(_Refused(
+                    408, "request-timeout",
+                    f"no request byte in {READ_TIMEOUT_S} s").response())
                 return
             if request is None:
                 return
@@ -231,4 +258,5 @@ class QAHTTPServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
         super().__init__(address, _Handler)
 
 
-__all__ = ["MAX_HEADERS", "MAX_LINE", "QAHTTPServer", "WSGIApp"]
+__all__ = ["MAX_HEADERS", "MAX_LINE", "QAHTTPServer", "READ_TIMEOUT_S",
+           "WSGIApp"]

@@ -7,10 +7,11 @@ maps request faults to (400, 413, 404, 405), ``/healthz``, and that
 shutdown stops the server thread and closes the port.
 
 ``TestConformance`` speaks raw bytes to the front end
-(:mod:`repro.serve.frontend`): its own refusals (400, 414, 431, 505),
-``Expect: 100-continue``, ``Connection: close``, bodies split over
-TCP writes, query strings and concurrent connections, each case
-followed by a check that the server still answers.
+(:mod:`repro.serve.frontend`): its own refusals (400, 408, 411, 414,
+431, 505), a stalled body (408), ``Expect: 100-continue``,
+``Connection: close``, bodies split over TCP writes, query strings and
+concurrent connections, each case followed by a check that the server
+still answers.
 ``test_http_bodies_equal_in_process_bodies`` diffs the 100 fast-MVQA
 ``/ask`` bodies served over HTTP against a fresh in-process session.
 """
@@ -25,7 +26,7 @@ import pytest
 
 from repro.dataset.movie import FLAGSHIP_ANSWER, FLAGSHIP_QUESTION
 from repro.dataset.mvqa import build_mvqa
-from repro.serve import QAService, ServeConfig, build_svqa
+from repro.serve import QAService, ServeConfig, build_svqa, frontend
 from repro.serve.app import make_qa_server
 from tests.serve.test_app import ask
 
@@ -238,6 +239,30 @@ class TestConformance:
     def test_query_string_is_split_off(self, served):
         raw = exchange(served.port, b"GET /healthz?x=1 HTTP/1.0\r\n\r\n")
         assert split_response(raw)[0] == 200
+
+    def test_chunked_body_is_411(self, served):
+        body = ask_body(FLAGSHIP_QUESTION)
+        raw = (b"POST /ask HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+               b"Content-Type: application/json\r\n"
+               b"Transfer-Encoding: chunked\r\n\r\n"
+               + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n")
+        assert self.refusal(served, raw) == 411
+        answer = split_response(exchange(served.port, raw))[2]
+        assert json.loads(answer)["error"]["reason"] == "length-required"
+
+    @pytest.mark.parametrize("sent", [
+        b"",  # connect and send nothing: the front end times out
+        b"POST /ask HTTP/1.0\r\nContent-Length: 50\r\n\r\n{\"q",  # the app
+    ], ids=["idle", "stalled-body"])
+    def test_read_timeout_is_408_and_closes(self, served, monkeypatch,
+                                            sent):
+        monkeypatch.setattr(frontend, "READ_TIMEOUT_S", 0.3)
+        started = time.monotonic()
+        raw = exchange(served.port, sent)
+        assert time.monotonic() - started < 5
+        status, _, body = split_response(raw)
+        assert status == 408
+        assert json.loads(body)["error"]["reason"] == "request-timeout"
 
     def test_eight_concurrent_connections_are_all_answered(self, served):
         head, body = ask_request(FLAGSHIP_QUESTION)
