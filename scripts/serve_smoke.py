@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """End-to-end smoke test for ``repro serve`` (make serve-smoke / CI).
 
-Boots the real threaded server on an ephemeral port, then checks the
+Boots the real server on an ephemeral port, then checks the
 three endpoints over actual HTTP:
 
 * ``POST /ask`` with the seeded flagship question answers correctly
@@ -15,7 +15,10 @@ three endpoints over actual HTTP:
   ``100 Continue`` and then the answer;
 * a chunked ``POST /ask`` over a raw socket gets 411
   ``length-required``, and the server still answers the flagship
-  question afterwards.
+  question afterwards;
+* with four idle connections held open, the flagship question is
+  still answered within 2 s (an idle connection holds a socket, not
+  the server).
 
 Exits non-zero on any violation; always tears the server down.
 """
@@ -26,6 +29,7 @@ import re
 import socket
 import subprocess
 import sys
+import time
 import urllib.parse
 import urllib.request
 
@@ -233,6 +237,25 @@ def check_expect_continue(base):
     print("  Expect: 100-continue ok: interim 100, then the answer")
 
 
+def check_idle_connections(base):
+    url = urllib.parse.urlsplit(base)
+    idle = [socket.create_connection((url.hostname, url.port), timeout=60)
+            for _ in range(4)]
+    try:
+        started = time.monotonic()
+        status, body = http("POST", base + "/ask",
+                            {"question": FLAGSHIP_QUESTION})
+        elapsed = time.monotonic() - started
+    finally:
+        for sock in idle:
+            sock.close()
+    if status != 200 or json.loads(body)["answer"] != FLAGSHIP_ANSWER:
+        fail(f"/ask beside idle connections answered {status} {body!r}")
+    if elapsed > 2.0:
+        fail(f"/ask beside 4 idle connections took {elapsed:.2f} s")
+    print(f"  4 idle connections ok: /ask answered in {elapsed:.3f} s")
+
+
 def main():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
@@ -258,6 +281,7 @@ def main():
         check_malformed(base)
         check_expect_continue(base)
         check_chunked(base)
+        check_idle_connections(base)
     finally:
         server.terminate()
         server.wait(timeout=10)

@@ -2,7 +2,7 @@
 """Warm-start smoke test for ``repro serve --snapshot`` (make snapshot-smoke).
 
 Writes a durable snapshot with ``repro snapshot``, then boots the real
-threaded server twice on ephemeral ports — once cold (full vision
+server twice on ephemeral ports — once cold (full vision
 pipeline rebuild) and once warm (recovered from the snapshot) — and
 drives both through an identical request sequence:
 

@@ -71,8 +71,10 @@ def default_bindings() -> tuple[RuleBinding, ...]:
     """The repo's invariant configuration.
 
     * RP001 everywhere, except :mod:`repro.simtime` (the cost model
-      itself) and ``core/batch.py`` (the measured wall-clock of a
-      batch run is the metric being reported);
+      itself), ``core/batch.py`` (the measured wall-clock of a batch
+      run is the metric being reported) and ``serve/frontend.py``
+      (a socket's read deadline is network time; it feeds no answer,
+      charge or byte-diffed artifact);
     * RP002 and RP005 everywhere;
     * RP003 in the lock-disciplined shared-state modules;
     * RP004 in the hot paths whose iteration order feeds ordered
@@ -89,7 +91,8 @@ def default_bindings() -> tuple[RuleBinding, ...]:
     return (
         RuleBinding(
             WallClockRule(),
-            allow=("repro/simtime.py", "repro/core/batch.py"),
+            allow=("repro/simtime.py", "repro/core/batch.py",
+                   "repro/serve/frontend.py"),
         ),
         RuleBinding(SeededRngRule()),
         RuleBinding(

@@ -9,9 +9,11 @@ rule id   severity   invariant
 RP001     ERROR      no wall-clock reads (``time.time``,
                      ``perf_counter``, ``datetime.now``, ...) — all
                      timing goes through :mod:`repro.simtime`
-                     (allowlisted: ``simtime.py`` itself and
+                     (allowlisted: ``simtime.py`` itself,
                      ``core/batch.py``, whose measured wall-clock of a
-                     batch run is the point of the metric)
+                     batch run is the point of the metric, and
+                     ``serve/frontend.py``, whose socket deadlines are
+                     network time)
 RP002     ERROR      no unseeded RNGs: ``np.random.default_rng()``
                      without a seed, the legacy ``np.random.*`` global
                      functions, and the ``random`` module's global

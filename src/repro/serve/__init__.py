@@ -4,17 +4,18 @@ Built once at startup, then stateless per request (DESIGN.md §5g):
 
 * :mod:`repro.serve.app` — the WSGI application and scenario
   builders;
-* :mod:`repro.serve.frontend` — the threaded HTTP front end behind
-  ``repro serve`` (one request per connection);
+* :mod:`repro.serve.frontend` — the HTTP front end behind
+  ``repro serve``: one ``selectors`` event loop, no thread per
+  connection, one request per connection;
 * :mod:`repro.serve.admission` — deterministic token-bucket rate
   limiting and queue-depth load shedding;
 * :mod:`repro.serve.batching` — the micro-batching bridge from
-  request threads into the shared
+  the app's callers into the shared
   :class:`~repro.core.batch.BatchExecutor`;
 * :mod:`repro.serve.contract` — every wire shape the service emits,
   with deterministic JSON encoding.
 
-Stdlib only: ``socketserver`` sockets; no new dependencies.
+Stdlib only: ``socket`` and ``selectors``; no new dependencies.
 """
 
 from repro.serve.admission import (

@@ -17,7 +17,7 @@ GET       /metrics    Prometheus text (``MetricsRegistry.to_prometheus``)
 ========  ==========  ==================================================
 
 The app is a plain WSGI callable, so tests drive it in-process with
-no sockets; :func:`make_qa_server` puts it behind the threaded
+no sockets; :func:`make_qa_server` puts it behind the event-loop
 front end of :mod:`repro.serve.frontend` for ``repro serve`` and the
 CI smoke job.
 """
@@ -45,10 +45,9 @@ from repro.serve.contract import (
     healthz_payload,
     parse_deadline_ms,
 )
-from repro.serve.frontend import QAHTTPServer
+from repro.serve.frontend import MAX_BODY, QAHTTPServer
 from repro.synth.scene import SyntheticScene
 
-_MAX_BODY_BYTES = 64 * 1024
 _STATUS_LINES = {
     200: "200 OK",
     400: "400 Bad Request",
@@ -338,7 +337,7 @@ class QAService:
             length = 0
         if length <= 0:
             return b""
-        if length > _MAX_BODY_BYTES:
+        if length > MAX_BODY:
             raise _RequestTooLarge(length)
         stream = environ.get("wsgi.input")
         if stream is None:
@@ -356,7 +355,7 @@ class QAService:
             return self._json(413, error_body(
                 413, "payload-too-large",
                 f"body of {exc.length} bytes exceeds "
-                f"{_MAX_BODY_BYTES}"))
+                f"{MAX_BODY}"))
         except TimeoutError:
             return self._json(408, error_body(
                 408, "request-timeout", "request body stalled"))
@@ -455,8 +454,14 @@ def build_service(config: ServeConfig | None = None) -> QAService:
 def make_qa_server(
     service: QAService, host: str = "127.0.0.1", port: int = 0
 ) -> QAHTTPServer:
-    """Bind the HTTP server (port 0 = ephemeral, for tests/CI)."""
-    return QAHTTPServer((host, port), service)
+    """Bind the HTTP server (port 0 = ephemeral, for tests/CI).
+
+    An inline bridge answers on the loop thread; a coalescing one
+    (``batch_wait`` > 0) gets ``max_batch`` app threads, so that many
+    requests can wait in one batch.
+    """
+    threads = 0 if service.bridge.inline else service.config.max_batch
+    return QAHTTPServer((host, port), service, app_threads=threads)
 
 
 __all__ = [

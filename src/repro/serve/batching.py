@@ -1,6 +1,7 @@
 """Micro-batching bridge from request threads to the BatchExecutor.
 
-HTTP requests arrive one at a time on independent handler threads;
+With a coalescing window, the HTTP front end runs each request on one
+of a fixed pool of app threads (``max_batch`` of them);
 the SVQA pipeline is at its best answering *batches* (shared worker
 pool, per-worker clock shards, slot-aligned results).  The bridge sits
 between the two: request threads :meth:`BatchingBridge.submit` their

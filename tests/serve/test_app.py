@@ -1,7 +1,7 @@
 """The WSGI QA service: contract, admission, health, determinism.
 
 Everything here drives the app in-process (plain WSGI environ dicts,
-no sockets); the CI smoke job covers the real threaded server.
+no sockets); the CI smoke job covers the real server.
 """
 
 import io

@@ -1,23 +1,29 @@
-"""The real threaded server: ``make_qa_server`` on an ephemeral port.
+"""The real server: ``make_qa_server`` on an ephemeral port.
 
 ``tests/serve/test_app.py`` drives the WSGI app in process.  This
-module serves it over a socket from a background thread and checks,
-over real HTTP, the ``/ask`` contract, the error statuses the app
-maps request faults to (400, 413, 404, 405), ``/healthz``, and that
-shutdown stops the server thread and closes the port.
+module serves it over a socket from a background thread (the front
+end's event loop) and checks, over real HTTP, the ``/ask`` contract,
+the error statuses the app maps request faults to (400, 413, 404,
+405), ``/healthz``, and that shutdown stops the server thread and
+closes the port.
 
 ``TestConformance`` speaks raw bytes to the front end
 (:mod:`repro.serve.frontend`): its own refusals (400, 408, 411, 414,
-431, 505), a stalled body (408), ``Expect: 100-continue``,
-``Connection: close``, bodies split over TCP writes, query strings and
-concurrent connections, each case followed by a check that the server
-still answers.
+431, 505), a stalled body (408), a head dripped past the per-request
+deadline (408), ``Expect: 100-continue``, ``Connection: close``,
+bodies split over TCP writes, query strings and concurrent
+connections, each case followed by a check that the server still
+answers.  Further tests cover the connection cap (503), that idle
+connections hold no thread and are closed at shutdown, and that
+``batch_wait`` still coalesces requests that arrive over HTTP.
 ``test_http_bodies_equal_in_process_bodies`` diffs the 100 fast-MVQA
 ``/ask`` bodies served over HTTP against a fresh in-process session.
 """
 
+import contextlib
 import http.client
 import json
+import select
 import socket
 import threading
 import time
@@ -26,6 +32,7 @@ import pytest
 
 from repro.dataset.movie import FLAGSHIP_ANSWER, FLAGSHIP_QUESTION
 from repro.dataset.mvqa import build_mvqa
+from repro.observability import parse_prometheus
 from repro.serve import QAService, ServeConfig, build_svqa, frontend
 from repro.serve.app import make_qa_server
 from tests.serve.test_app import ask
@@ -264,6 +271,30 @@ class TestConformance:
         assert status == 408
         assert json.loads(body)["error"]["reason"] == "request-timeout"
 
+    def test_head_dripped_past_the_deadline_is_408(self, served,
+                                                   monkeypatch):
+        """The deadline counts from accept for the whole request, not
+        per read: a byte every 0.1 s does not keep a 0.3 s deadline."""
+        monkeypatch.setattr(frontend, "READ_TIMEOUT_S", 0.3)
+        raw = b"GET /healthz HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n"
+        started = time.monotonic()
+        with socket.create_connection(("127.0.0.1", served.port),
+                                      timeout=30) as sock:
+            for byte in raw:
+                try:
+                    sock.sendall(bytes([byte]))
+                except OSError:
+                    break  # the server answered and closed
+                if select.select([sock], [], [], 0.1)[0]:
+                    break  # the answer is in
+            chunks = []
+            while data := sock.recv(65536):
+                chunks.append(data)
+        assert time.monotonic() - started < 5
+        status, _, body = split_response(b"".join(chunks))
+        assert status == 408
+        assert json.loads(body)["error"]["reason"] == "request-timeout"
+
     def test_eight_concurrent_connections_are_all_answered(self, served):
         head, body = ask_request(FLAGSHIP_QUESTION)
         results = [None] * 8
@@ -312,3 +343,108 @@ def test_http_bodies_equal_in_process_bodies():
     assert [status for status, _ in over_http] == [200] * 100
     assert over_http == [(status, body)
                          for status, _, body in in_process]
+
+
+def flagship_exchange(port, client="user-0"):
+    """The flagship ``/ask`` on a fresh raw connection -> (status,
+    parsed body)."""
+    head, body = ask_request(FLAGSHIP_QUESTION,
+                             extra=f"X-Client-Id: {client}\r\n")
+    status, _, answer = split_response(exchange(port, head + body))
+    return status, json.loads(answer)
+
+
+def test_connections_over_the_cap_get_503(svqa, monkeypatch):
+    monkeypatch.setattr(frontend, "MAX_CONNECTIONS", 3)
+    served = Served(QAService(svqa, ServeConfig()))
+    idle = [socket.create_connection(("127.0.0.1", served.port),
+                                     timeout=5) for _ in range(3)]
+    try:
+        # a request sent before reading still gets the 503 and a clean
+        # end of stream (exchange raises on a reset)
+        head, body = ask_request(FLAGSHIP_QUESTION)
+        status, headers, body = split_response(
+            exchange(served.port, head + body))
+        assert status == 503
+        assert headers["Connection"] == "close"
+        assert json.loads(body)["error"] == {
+            "status": 503, "reason": "too-many-connections",
+            "detail": "3 connections already open", "retry_after_s": None}
+    finally:
+        for sock in idle:
+            sock.close()
+    try:
+        # the closed connections free the cap for the next client
+        deadline = time.monotonic() + 5
+        while (answer := flagship_exchange(served.port))[0] == 503 \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert answer[0] == 200
+        assert answer[1]["answer"] == FLAGSHIP_ANSWER
+    finally:
+        served.shutdown()
+
+
+def test_idle_connections_hold_no_thread_and_close_at_shutdown(svqa):
+    served = Served(QAService(svqa, ServeConfig()))
+    threads = threading.active_count()
+    with contextlib.ExitStack() as stack:
+        idle = [stack.enter_context(socket.create_connection(
+            ("127.0.0.1", served.port), timeout=5)) for _ in range(5)]
+        try:
+            assert served.request("GET", "/healthz")[0] == 200
+            status, answer = flagship_exchange(served.port)
+            assert status == 200 and answer["answer"] == FLAGSHIP_ANSWER
+            assert threading.active_count() <= threads
+        finally:
+            served.shutdown()
+        assert not served.thread.is_alive()
+        # shutdown closed them: each client reads the end of the stream
+        assert [sock.recv(1) for sock in idle] == [b""] * 5
+
+
+def batch_sizes(served):
+    """(sum, count) of the ``svqa_serve_batch_size`` histogram."""
+    status, _, _ = served.request("GET", "/healthz")
+    assert status == 200
+    connection = http.client.HTTPConnection("127.0.0.1", served.port,
+                                            timeout=60)
+    try:
+        connection.request("GET", "/metrics")
+        text = connection.getresponse().read().decode("utf-8")
+    finally:
+        connection.close()
+    samples = parse_prometheus(text)["svqa_serve_batch_size"]["samples"]
+    values = {name: value for name, _, value in samples}
+    return (values["svqa_serve_batch_size_sum"],
+            values["svqa_serve_batch_size_count"])
+
+
+def test_batch_wait_coalesces_requests_over_http(svqa):
+    """With a coalescing window, four concurrent clients ride fewer
+    than four batches, and each gets the flagship answer."""
+    config = ServeConfig(batch_wait=0.5, max_batch=4)
+    served = Served(QAService(svqa, config))
+    try:
+        before = batch_sizes(served)
+        results = [None] * 4
+
+        def one(i):
+            results[i] = flagship_exchange(served.port, f"user-{i}")
+
+        clients = [threading.Thread(target=one, args=(i,))
+                   for i in range(4)]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(timeout=60)
+        assert not any(client.is_alive() for client in clients)
+        assert [status for status, _ in results] == [200] * 4
+        assert {answer["answer"] for _, answer in results} == \
+            {FLAGSHIP_ANSWER}
+        total, batches = (after - was for after, was in
+                          zip(batch_sizes(served), before))
+        assert total == 4
+        assert batches < 4  # some batch carried more than one request
+    finally:
+        served.shutdown()
