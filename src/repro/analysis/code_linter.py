@@ -85,8 +85,9 @@ def default_bindings() -> tuple[RuleBinding, ...]:
     * RP007 everywhere, except the two modules that legitimately
       touch the candidate index (``graph/model.py``, whose mutation
       API is the one sanctioned writer, and ``graph/candidates.py``,
-      the index itself): no out-of-band index mutation, and
-      scope/path cache keys must embed the graph epoch.
+      the index itself): no out-of-band index mutation, scope/path
+      cache keys name no epoch, and the scope/path stores are written
+      only through the retiring cache API.
     """
     return (
         RuleBinding(
@@ -149,7 +150,8 @@ def default_project_bindings() -> tuple[RuleBinding, ...]:
 
     * ``core/cache.py`` (RP010) — ``drop_where`` runs its predicate
       under the store lock by documented contract: predicates are
-      pure key tests (epoch retirement), and evaluating them outside
+      pure key tests (emptying the stores on a rebind, retiring
+      the keys a write touched), and evaluating them outside
       the lock would race concurrent inserts into the same scan.
     * ``serve/batching.py`` (RP010) — ``BatchingBridge.submit``'s
       inline fallback calls ``answer_many`` while holding the bridge

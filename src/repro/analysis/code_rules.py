@@ -40,10 +40,15 @@ RP007     ERROR      candidate-index discipline: the
                      ``VertexCandidateIndex`` is mutated
                      (``add_label``/``remove_label``) only through the
                      ``Graph`` mutation API (allowlisted:
-                     ``graph/model.py`` and ``graph/candidates.py``),
-                     and executor cache-key tuples tagged ``"scope"``,
-                     ``"scope-poss"`` or ``"path"`` must carry the
-                     graph epoch as their second element
+                     ``graph/model.py`` and ``graph/candidates.py``);
+                     executor cache-key tuples tagged ``"scope"``,
+                     ``"scope-poss"`` or ``"path"`` carry no epoch
+                     (except the planner's plan-node keys, which name
+                     the overlay's plan-time epoch), and the scope /
+                     path stores are written only through the
+                     retiring ``KeyCentricCache`` API (outside
+                     ``core/cache.py`` no ``*.scope.put`` /
+                     ``*.path.put``)
 ========  =========  ====================================================
 
 Every rule is an :class:`ast.NodeVisitor`-based :class:`CodeRule`
@@ -578,9 +583,10 @@ class FaultSiteDisciplineRule(CodeRule):
 
 
 class CandidateIndexDisciplineRule(CodeRule):
-    """RP007: candidate-index mutation and epoch-tagged cache keys.
+    """RP007: candidate-index mutation and write-retired cache keys.
 
-    Two checks guarding the sublinear vertex-matching layer:
+    Three checks guarding the sublinear vertex-matching layer and the
+    key-centric cache that follows the graph's writes:
 
     * :class:`~repro.graph.candidates.VertexCandidateIndex` may be
       mutated (``add_label``/``remove_label``) only through the
@@ -590,15 +596,21 @@ class CandidateIndexDisciplineRule(CodeRule):
       ``repro/graph/model.py`` and ``repro/graph/candidates.py``);
     * executor cache-key tuples — literals whose first element is one
       of the kind tags ``"scope"``, ``"scope-poss"``, ``"path"`` —
-      must carry the graph epoch as their second element, so a merged
-      graph mutated between queries can never replay a stale cached
-      scope or relation-pair set (PR 5's headline staleness bug).
+      carry no epoch: an entry is retired by the writes that touch
+      what it read, so a key that also names an epoch would be
+      orphaned by every write instead (the planner's plan-node keys,
+      which name the per-batch overlay's plan-time epoch, are the
+      exception);
+    * the scope and path stores are written only through the retiring
+      ``KeyCentricCache`` API, which indexes what each entry read: a
+      raw ``<x>.scope.put(...)`` / ``<x>.path.put(...)`` outside
+      ``repro/core/cache.py`` stores an entry no write can retire.
     """
 
     rule_id = "RP007"
     description = ("VertexCandidateIndex mutated only via the Graph "
-                   "mutation API; scope/path cache keys must embed "
-                   "the graph epoch as their second element")
+                   "mutation API; scope/path cache keys carry no epoch "
+                   "and are stored only through the retiring cache API")
 
     #: methods that mutate a VertexCandidateIndex
     INDEX_MUTATORS: frozenset[str] = frozenset({
@@ -606,13 +618,24 @@ class CandidateIndexDisciplineRule(CodeRule):
     })
     #: first-element tags identifying executor cache-key tuples
     KEY_KINDS: frozenset[str] = frozenset({"scope", "scope-poss", "path"})
+    #: the raw evicting stores of a KeyCentricCache
+    STORES: frozenset[str] = frozenset({"scope", "path"})
+    #: the module whose plan-node keys carry the plan-time epoch
+    PLANNER = "repro/core/planner.py"
+    #: the module that owns the stores
+    CACHE = "repro/core/cache.py"
 
     def check(self, tree: ast.Module, path: str) -> list[Diagnostic]:
+        normalized = path.replace("\\", "/")
+        keys_may_carry_epoch = normalized.endswith(self.PLANNER)
+        owns_stores = normalized.endswith(self.CACHE)
         found: list[Diagnostic] = []
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 found.extend(self._check_index_mutation(node, path))
-            elif isinstance(node, ast.Tuple):
+                if not owns_stores:
+                    found.extend(self._check_store_write(node, path))
+            elif isinstance(node, ast.Tuple) and not keys_may_carry_epoch:
                 found.extend(self._check_cache_key(node, path))
         return found
 
@@ -636,6 +659,26 @@ class CandidateIndexDisciplineRule(CodeRule):
                  "and the epoch counter in lockstep",
         )]
 
+    def _check_store_write(
+        self, node: ast.Call, path: str
+    ) -> list[Diagnostic]:
+        func = node.func
+        if not isinstance(func, ast.Attribute) or func.attr != "put":
+            return []
+        store = func.value
+        if not isinstance(store, ast.Attribute) \
+                or store.attr not in self.STORES:
+            return []
+        return [self.diagnostic(
+            path, node,
+            f"raw write to the {store.attr} store bypasses the "
+            "retiring cache API — no graph write could retire the "
+            "entry",
+            hint=f"store through KeyCentricCache.put_{store.attr}"
+                 f"(key, value, deps, stamp) or "
+                 f"{store.attr}_get_or_compute",
+        )]
+
     def _check_cache_key(
         self, node: ast.Tuple, path: str
     ) -> list[Diagnostic]:
@@ -645,25 +688,17 @@ class CandidateIndexDisciplineRule(CodeRule):
         if not isinstance(head, ast.Constant) \
                 or head.value not in self.KEY_KINDS:
             return []
-        if len(node.elts) < 2:
-            return [self.diagnostic(
-                path, node,
-                f"cache key tagged {head.value!r} has no epoch "
-                "element",
-                hint="make the graph epoch the key's second element: "
-                     f"({head.value!r}, epoch, ...)",
-            )]
-        second = node.elts[1]
-        if not isinstance(second, ast.Constant) \
-                and "epoch" in ast.unparse(second).lower():
+        if not any("epoch" in ast.unparse(element).lower()
+                   for element in node.elts[1:]):
             return []
         return [self.diagnostic(
             path, node,
-            f"cache key tagged {head.value!r} does not carry the "
-            "graph epoch as its second element — a mutated merged "
-            "graph would replay stale cached results",
-            hint="key on the observed epoch, e.g. "
-                 f"({head.value!r}, self._observe_epoch(), ...)",
+            f"cache key tagged {head.value!r} carries a graph epoch — "
+            "entries are retired by the writes that touch them, and "
+            "an epoch in the key would orphan every entry at each "
+            "write",
+            hint=f"key on what was asked only, e.g. "
+                 f"({head.value!r}, label.lower())",
         )]
 
 

@@ -122,8 +122,8 @@ class BatchExecutor:
         # phase, handed to every per-thread executor
         self.plan_overlay = plan_overlay
         # the session's executor memo, shared by every lane (a batch
-        # built without one shares a fresh memo across its lanes)
-        self.memo = memo if memo is not None else ExecutorMemo()
+        # built without one leaves each lane its own unbound memo)
+        self.memo = memo
 
     def _new_shard(self) -> SimClock:
         if self.costs is not None:

@@ -30,9 +30,17 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from collections.abc import Callable, Hashable
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro.graph.observe import ReadIndex, Reads
 from repro.locks import note_read, note_write, wrap_lock
+
+if TYPE_CHECKING:
+    from repro.core.stats import ExecutorStats
+    from repro.graph.model import Graph
+
+#: a cache-miss computation: the value and the reads it depends on
+Computation = Callable[[], tuple[Any, tuple[Reads, ...]]]
 
 
 class EvictingCache:
@@ -54,12 +62,15 @@ class EvictingCache:
         self.misses = 0
         self._lock = wrap_lock(threading.RLock(), f"cache.{name}")
 
-    def get(self, key: Hashable) -> Any | None:
-        """Return the cached value, or ``None`` on a miss."""
+    def get(self, key: Hashable,
+            accept: Callable[[Any], bool] | None = None) -> Any | None:
+        """Return the cached value, or ``None`` on a miss; a value
+        ``accept`` rejects counts as a miss (and stays stored)."""
         raise NotImplementedError
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert ``value``, evicting per the policy when full."""
+    def put(self, key: Hashable, value: Any) -> Hashable | None:
+        """Insert ``value``, evicting per the policy when full; returns
+        the evicted key (``None`` when nothing was evicted)."""
         raise NotImplementedError
 
     def drop_where(self, predicate: Callable[[Hashable], bool]) -> int:
@@ -96,35 +107,39 @@ class LFUCache(EvictingCache):
         self._clock = 0
         self._last_used: dict[Hashable, int] = {}
 
-    def get(self, key: Hashable) -> Any | None:
+    def get(self, key: Hashable,
+            accept: Callable[[Any], bool] | None = None) -> Any | None:
         """Look up ``key``, bumping its frequency on a hit."""
         with self._lock:
             note_read(f"cache.{self.name}", key)
-            if key not in self._values:
+            if key not in self._values or \
+                    (accept is not None and not accept(self._values[key])):
                 self.misses += 1
                 return None
             self.hits += 1
             self._touch(key)
             return self._values[key]
 
-    def put(self, key: Hashable, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> Hashable | None:
         """Insert ``value``, evicting the least-frequent entry."""
         if self.capacity == 0:
-            return
+            return None
         with self._lock:
             note_write(f"cache.{self.name}", key)
+            victim = None
             if key not in self._values and \
                     len(self._values) >= self.capacity:
-                self._evict()
+                victim = self._evict()
             self._values[key] = value
             self._touch(key)
+            return victim
 
     def _touch(self, key: Hashable) -> None:
         self._clock += 1
         self._frequency[key] = self._frequency.get(key, 0) + 1
         self._last_used[key] = self._clock
 
-    def _evict(self) -> None:
+    def _evict(self) -> Hashable:
         victim = min(
             self._values,
             key=lambda k: (self._frequency[k], self._last_used[k]),
@@ -132,6 +147,7 @@ class LFUCache(EvictingCache):
         del self._values[victim]
         del self._frequency[victim]
         del self._last_used[victim]
+        return victim
 
     def drop_where(self, predicate: Callable[[Hashable], bool]) -> int:
         """Remove every entry whose key satisfies ``predicate``."""
@@ -157,28 +173,32 @@ class LRUCache(EvictingCache):
         super().__init__(capacity, name=name)
         self._values: OrderedDict[Hashable, Any] = OrderedDict()
 
-    def get(self, key: Hashable) -> Any | None:
+    def get(self, key: Hashable,
+            accept: Callable[[Any], bool] | None = None) -> Any | None:
         """Look up ``key``, marking it most recently used on a hit."""
         with self._lock:
             note_read(f"cache.{self.name}", key)
-            if key not in self._values:
+            if key not in self._values or \
+                    (accept is not None and not accept(self._values[key])):
                 self.misses += 1
                 return None
             self.hits += 1
             self._values.move_to_end(key)
             return self._values[key]
 
-    def put(self, key: Hashable, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> Hashable | None:
         """Insert ``value``, evicting the least-recent entry."""
         if self.capacity == 0:
-            return
+            return None
         with self._lock:
             note_write(f"cache.{self.name}", key)
+            victim = None
             if key in self._values:
                 self._values.move_to_end(key)
             elif len(self._values) >= self.capacity:
-                self._values.popitem(last=False)
+                victim = self._values.popitem(last=False)[0]
             self._values[key] = value
+            return victim
 
     def drop_where(self, predicate: Callable[[Hashable], bool]) -> int:
         """Remove every entry whose key satisfies ``predicate``."""
@@ -228,6 +248,15 @@ class KeyCentricCache:
     and runs the computation; threads that miss the same key while the
     leader is working wait for its result instead of recomputing, and
     observe it as a hit (the expensive work happened exactly once).
+
+    Keys name what was asked (a label, a pair of slot keys), never an
+    epoch.  Each entry is stored with the :class:`~repro.graph.observe.
+    Reads` its computation made, and the cache, bound to one graph
+    (:meth:`bind`), observes that graph's writes: an op retires exactly
+    the entries whose reads it touches (:mod:`repro.graph.observe`).
+    A value is stored only under a :meth:`stamp` taken before it was
+    computed and still current afterwards, so a value a write raced
+    with is handed out but never kept.
     """
 
     scope: EvictingCache
@@ -242,13 +271,17 @@ class KeyCentricCache:
                                           "cache.inflight"),
         init=False, repr=False,
     )
-    # the graph epoch the stores were last retired to; shared by every
-    # executor over this cache (the serving path builds one per batch)
-    _retired_epoch: int | None = field(default=None, init=False,
-                                       repr=False)
-    _epoch_lock: Any = field(
+    # the observed graph, the epoch of its last op retired here, and
+    # every stored entry by what it read; all under _lock
+    _graph: Graph | None = field(default=None, init=False, repr=False)
+    _observed: int = field(default=0, init=False, repr=False)
+    _stats: ExecutorStats | None = field(default=None, init=False,
+                                         repr=False)
+    _index: ReadIndex = field(default_factory=ReadIndex, init=False,
+                              repr=False)
+    _lock: Any = field(
         default_factory=lambda: wrap_lock(threading.Lock(),
-                                          "cache.epoch"),
+                                          "cache.retire"),
         init=False, repr=False,
     )
 
@@ -274,57 +307,162 @@ class KeyCentricCache:
         return cls.create(pool_size=0, enabled_scope=False,
                           enabled_path=False)
 
+    # the write stream ------------------------------------------------------
+    def bind(self, graph: Graph,
+             stats: ExecutorStats | None = None) -> None:
+        """Hold entries for ``graph`` and observe its writes.
+
+        Rebinding to another graph empties both stores.  ``stats``
+        (when given) counts retired entries.  A cache with both stores
+        disabled holds nothing and observes nothing.
+        """
+        if not (self.enabled_scope or self.enabled_path):
+            return
+        with self._lock:
+            note_write("cache.retire")
+            if stats is not None:
+                self._stats = stats
+            previous = self._graph
+            if previous is graph:
+                return
+            self._graph = graph
+            self._observed = graph.epoch
+            self._index = ReadIndex()
+            self.scope.drop_where(_always)
+            self.path.drop_where(_always)
+        if previous is not None:
+            previous.remove_observer(self)
+        graph.add_observer(self)
+
+    def stamp(self) -> int | None:
+        """The bound graph's epoch when every write up to it has been
+        retired here, else ``None`` (a retirement is in flight, or the
+        cache is unbound): pass it to a lookup made before computing
+        the value it may store."""
+        graph = self._graph
+        if graph is None:
+            return None
+        epoch = graph.epoch
+        return epoch if self._observed == epoch else None
+
+    def record(self, op: dict[str, Any]) -> None:
+        """Observer hook: retire the entries ``op`` can change."""
+        with self._lock:
+            note_write("cache.retire")
+            keys = self._index.affected(op, self._label_is_new)
+            dropped = 0
+            if keys:
+                for key in keys:
+                    self._index.discard(key)
+                dropped = self.scope.drop_where(keys.__contains__) \
+                    + self.path.drop_where(keys.__contains__)
+            self._observed = op["epoch"]
+            stats = self._stats
+        if dropped and stats is not None:
+            stats.record_stale_scope_drops(dropped)
+
+    def _label_is_new(self, label: str) -> bool:
+        graph = self._graph
+        return graph is not None and graph.candidate_index.count(label) <= 1
+
+    def _store(self, store: EvictingCache, key: Hashable, value: Any,
+               deps: tuple[Reads, ...], stamp: int | None) -> None:
+        if store.capacity == 0:
+            return
+        with self._lock:
+            note_write("cache.retire", key)
+            graph = self._graph
+            if graph is not None and \
+                    (stamp is None or graph.epoch != stamp):
+                return
+            evicted = store.put(key, (value, deps))
+            self._index.add(key, deps)
+            if evicted is not None:
+                self._index.discard(evicted)
+
     # scope ---------------------------------------------------------------
     def get_scope(self, key: Hashable) -> Any | None:
         """Scope-store lookup (``None`` when disabled or missing)."""
         if not self.enabled_scope:
             return None
-        return self.scope.get(key)
+        found = self.scope.get(key)
+        return None if found is None else found[0]
 
-    def put_scope(self, key: Hashable, value: Any) -> None:
-        """Store a matchVertex scope result (no-op when disabled)."""
+    def put_scope(self, key: Hashable, value: Any,
+                  deps: tuple[Reads, ...] = (),
+                  stamp: int | None = None) -> None:
+        """Store a matchVertex scope result computed under ``stamp``
+        (no-op when disabled)."""
         if self.enabled_scope:
-            self.scope.put(key, value)
+            self._store(self.scope, key, value, deps, stamp)
 
     # path ----------------------------------------------------------------
     def get_path(self, key: Hashable) -> Any | None:
         """Path-store lookup (``None`` when disabled or missing)."""
         if not self.enabled_path:
             return None
-        return self.path.get(key)
+        found = self.path.get(key)
+        return None if found is None else found[0]
 
-    def put_path(self, key: Hashable, value: Any) -> None:
-        """Store a getRelationpairs result (no-op when disabled)."""
+    def put_path(self, key: Hashable, value: Any,
+                 deps: tuple[Reads, ...] = (),
+                 stamp: int | None = None) -> None:
+        """Store a getRelationpairs result computed under ``stamp``
+        (no-op when disabled)."""
         if self.enabled_path:
-            self.path.put(key, value)
+            self._store(self.path, key, value, deps, stamp)
 
     # atomic get-or-compute ------------------------------------------------
     def scope_get_or_compute(
-        self, key: Hashable, compute: Callable[[], Any]
-    ) -> tuple[Any, bool]:
-        """``(value, hit)`` for a scope key; computes at most once."""
+        self, key: Hashable, compute: Computation,
+        stamp: int | None = None,
+        accept: Callable[[Any], bool] | None = None,
+    ) -> tuple[Any, tuple[Reads, ...], bool]:
+        """``(value, deps, hit)`` for a scope key; computes at most
+        once.  ``compute()`` returns ``(value, deps)``; a stored value
+        ``accept`` rejects is recomputed."""
         return self._get_or_compute(self.scope, self.enabled_scope,
-                                    key, compute)
+                                    key, compute, stamp, accept)
 
     def path_get_or_compute(
-        self, key: Hashable, compute: Callable[[], Any]
-    ) -> tuple[Any, bool]:
-        """``(value, hit)`` for a path key; computes at most once."""
+        self, key: Hashable, compute: Computation,
+        stamp: int | None = None,
+        accept: Callable[[Any], bool] | None = None,
+    ) -> tuple[Any, tuple[Reads, ...], bool]:
+        """``(value, deps, hit)`` for a path key, as
+        :meth:`scope_get_or_compute`."""
         return self._get_or_compute(self.path, self.enabled_path,
-                                    key, compute)
+                                    key, compute, stamp, accept)
 
     def _get_or_compute(
         self,
         store: EvictingCache,
         enabled: bool,
         key: Hashable,
-        compute: Callable[[], Any],
-    ) -> tuple[Any, bool]:
-        if not enabled:
-            return compute(), False
-        value = store.get(key)
-        if value is not None:
-            return value, True
+        compute: Computation,
+        stamp: int | None,
+        accept: Callable[[Any], bool] | None = None,
+    ) -> tuple[Any, tuple[Reads, ...], bool]:
+        if not enabled or (stamp is None and self._graph is not None):
+            # disabled, or a write is being retired: serve nothing
+            # that write may have changed, and keep nothing
+            value, deps = compute()
+            return value, deps, False
+        rejected: list[Hashable] = []
+
+        def check(kept: tuple[Any, tuple[Reads, ...]]) -> bool:
+            if accept is None or accept(kept[0]):
+                return True
+            rejected.append(key)
+            return False
+
+        found = store.get(key, check)
+        if found is not None:
+            return found[0], found[1], True
+        stats = self._stats
+        if rejected and stats is not None:
+            # a write made it stale; it is found out on this read
+            stats.record_stale_scope_drops(1)
         # single-flight: scope and path keys share the in-flight table
         # without colliding because every key is prefix-tagged
         with self._inflight_lock:
@@ -336,9 +474,9 @@ class KeyCentricCache:
                 self._inflight[key] = entry
         if leader:
             try:
-                value = compute()
-                entry.value = value
-                store.put(key, value)
+                value, deps = compute()
+                entry.value = (value, deps)
+                self._store(store, key, value, deps, stamp)
             except BaseException as exc:
                 entry.error = exc
                 raise
@@ -347,56 +485,23 @@ class KeyCentricCache:
                 with self._inflight_lock:
                     note_write("cache.inflight", key)
                     self._inflight.pop(key, None)
-            return value, False
+            return value, deps, False
         entry.done.wait()
         if entry.error is not None:
             # the leader failed; fall back to computing independently
-            return compute(), False
-        return entry.value, True
-
-    def retire_stale(self, epoch: int) -> int:
-        """Drop every scope/path entry tagged with a graph epoch other
-        than ``epoch``; returns how many entries were retired.
-
-        Executor cache keys follow the ``(kind, epoch, ...)``
-        convention (lint rule RP007), so staleness is decidable from
-        the key alone — entries written under an older epoch describe a
-        merged graph that no longer exists and must never be served.
-        """
-        def stale(key: Hashable) -> bool:
-            return (
-                isinstance(key, tuple)
-                and len(key) >= 2
-                and isinstance(key[1], int)
-                and key[1] != epoch
-            )
-
-        dropped = 0
-        if self.enabled_scope:
-            dropped += self.scope.drop_where(stale)
-        if self.enabled_path:
-            dropped += self.path.drop_where(stale)
-        return dropped
-
-    def observe_epoch(self, epoch: int) -> int:
-        """Retire stale entries on the first observation of ``epoch``.
-
-        Returns how many entries were retired; 0 when the stores are
-        already current.  The last-retired epoch lives on the cache,
-        not on an executor, so retirement happens once per graph
-        mutation however many executors share the cache.
-        """
-        with self._epoch_lock:
-            note_write("cache.epoch")
-            if epoch == self._retired_epoch:
-                return 0
-            self._retired_epoch = epoch
-            return self.retire_stale(epoch)
+            value, deps = compute()
+            return value, deps, False
+        value, deps = entry.value
+        return value, deps, True
 
     @property
     def item_count(self) -> int:
         """Entries held across both stores."""
         return len(self.scope) + len(self.path)
+
+
+def _always(_key: Hashable) -> bool:
+    return True
 
 
 @dataclass

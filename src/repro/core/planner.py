@@ -40,10 +40,12 @@ whole-plan sharing:
   against the measured makespan by ``repro bench`` / ``repro plan``.
 
 Epoch interaction: every canonical key carries the *plan-time* graph
-epoch at index 1 (the RP007 key convention).  A mid-batch mutation
-bumps the epoch, so executors build keys under the new epoch and every
-overlay entry becomes unreachable — a shared sub-plan result can never
-leak across epochs.  Degraded slot resolution (resilience fallbacks)
+epoch at index 1, and the overlay is stamped with it (the executor's
+cache keys name no epoch: its entries are retired by the writes that
+touch them).  A mid-batch mutation bumps the epoch, and executors
+consult the overlay only at its own epoch, so every overlay entry
+becomes unreachable — a shared sub-plan result can never leak across
+epochs.  Degraded slot resolution (resilience fallbacks)
 is guarded the same way: a neighborhood entry records the vertex ids
 it was computed from, and derivation only applies when the runtime
 endpoint set matches exactly.
@@ -59,9 +61,10 @@ from repro.core.scheduler import schedule_queries
 from repro.core.spoc import QueryGraph, SPOC, Term
 
 if TYPE_CHECKING:
-    from repro.core.executor import QueryGraphExecutor
+    from repro.core.executor import QueryGraphExecutor, ScopeEntry
     from repro.core.stats import ExecutorStats
     from repro.graph import RelationPair
+    from repro.graph.observe import Reads
 
 
 #: how many uses a canonical node needs across the batch before the
@@ -369,16 +372,16 @@ class PlanOverlay:
     Written only by the share phase (single-threaded, before the batch
     starts) and frozen before any worker runs, so executors read it
     without locks; the thread-pool fork provides the happens-before
-    edge.  Every key carries the plan-time graph epoch at index 1, so
-    after a mid-batch epoch bump the executor's freshly-built keys can
-    never match an overlay entry — stale shared results are
-    unreachable, not merely retired.
+    edge.  The overlay is stamped with the plan-time graph epoch, and
+    every key carries it at index 1; executors consult the overlay
+    only while the graph is still at that epoch, so after a mid-batch
+    write stale shared results are unreachable, not merely retired.
     """
 
     def __init__(self, epoch: int) -> None:
         self.epoch = epoch
         self._scope: dict[tuple[Any, ...],
-                          tuple[list[int], int, int]] = {}
+                          tuple[ScopeEntry, tuple[Reads, ...]]] = {}
         self._nbr: dict[tuple[Any, ...],
                         tuple[tuple[int, ...], list[RelationPair]]] = {}
         self._frozen = False
@@ -387,11 +390,12 @@ class PlanOverlay:
         if self._frozen:
             raise RuntimeError("PlanOverlay is frozen")
 
-    def put_scope(self, key: tuple[Any, ...],
-                  value: tuple[list[int], int, int]) -> None:
-        """Record one shared scope result (share phase only)."""
+    def put_scope(self, key: tuple[Any, ...], value: ScopeEntry,
+                  deps: tuple[Reads, ...] = ()) -> None:
+        """Record one shared scope result and the reads behind it
+        (share phase only)."""
         self._check_writable()
-        self._scope[key] = value
+        self._scope[key] = (value, deps)
 
     def put_neighborhood(
         self, key: tuple[Any, ...], source_ids: tuple[int, ...],
@@ -406,10 +410,12 @@ class PlanOverlay:
         self._frozen = True
 
     def scope(
-        self, key: tuple[Any, ...]
-    ) -> tuple[list[int], int, int] | None:
-        """The shared scope entry for ``key``, if any."""
-        return self._scope.get(key)
+        self, cache_key: tuple[Any, ...]
+    ) -> tuple[ScopeEntry, tuple[Reads, ...]] | None:
+        """The shared ``(value, deps)`` scope entry for a scope-store
+        key (which names no epoch), if any."""
+        return self._scope.get(
+            (cache_key[0], self.epoch, *cache_key[1:]))
 
     def neighborhood(
         self, key: tuple[Any, ...]
@@ -452,19 +458,22 @@ def execute_shared(
     """
     start = executor.clock.snapshot() if executor.clock is not None \
         else None
-    scope_values: dict[str, tuple[list[int], int, int]] = {}
+    # the share phase stores into the scope store only if no write
+    # lands while it runs
+    stamp = executor.cache.stamp()
+    scope_values: dict[str, tuple[ScopeEntry, tuple[Reads, ...]]] = {}
 
-    def scope_for(label: str) -> tuple[list[int], int, int]:
+    def scope_for(label: str) -> tuple[ScopeEntry, tuple[Reads, ...]]:
         if label not in scope_values:
-            key, value = executor.plan_scope_entry(label)
-            scope_values[label] = value
-            executor.cache.put_scope(key, value)
+            key, value, deps = executor.plan_scope_entry(label)
+            scope_values[label] = (value, deps)
+            executor.cache.put_scope(key, value, deps, stamp)
         return scope_values[label]
 
     shared_scopes = 0
     for shared in forest.shared_by_kind("scope"):
         label = str(shared.node.key[2])
-        overlay.put_scope(shared.node.key, scope_for(label))
+        overlay.put_scope(shared.node.key, *scope_for(label))
         shared_scopes += 1
         if stats is not None:
             stats.record_plan_shared("scope")
@@ -473,7 +482,7 @@ def execute_shared(
     for shared in forest.shared_by_kind("neighborhood"):
         direction = str(shared.node.key[2])
         label = str(shared.node.key[3])
-        ids, _, _ = scope_for(label)
+        ids = scope_for(label)[0].ids
         vertices = executor.graph.vertices_by_id(ids)
         pairs = executor.plan_neighborhood(direction, vertices)
         overlay.put_neighborhood(shared.node.key, tuple(ids), pairs)

@@ -92,7 +92,8 @@ class ExecutorStatsReport:
     deadline_cutoffs: int = 0
     #: answers salvaged by the degradation ladder
     degraded_answers: int = 0
-    #: scope/path cache entries retired by graph-epoch invalidation
+    #: scope/path cache entries a graph write made stale (retired when
+    #: it landed, or found stale at their next read)
     stale_scope_drops: int = 0
     #: warm starts that degraded to a full vision-pipeline rebuild
     store_rebuilds: int = 0
@@ -325,8 +326,8 @@ class ExecutorStats:
         self._degraded.inc()
 
     def record_stale_scope_drops(self, count: int) -> None:
-        """``count`` stale cache entries were retired after the merged
-        graph moved to a new epoch."""
+        """Writes to the merged graph made ``count`` scope/path cache
+        entries stale."""
         if count > 0:
             self._stale_drops.inc(count)
 

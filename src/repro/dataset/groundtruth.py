@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.nlp.semlex import hypernym_chain
@@ -67,6 +68,9 @@ class GroundTruthIndex:
         self.triples: list[GTTriple] = []
         self.by_predicate: dict[str, list[GTTriple]] = {}
         self.category_images: dict[str, set[int]] = {}
+        # find() and counting results by their arguments: the question
+        # generator's searches repeat the same patterns many times
+        self._known: dict[tuple, tuple[int, tuple[GTTriple, ...]]] = {}
         for scene in scenes:
             for obj in scene.objects:
                 self.category_images.setdefault(
@@ -95,17 +99,29 @@ class GroundTruthIndex:
         dst_categories: set[str] | None,
     ) -> list[GTTriple]:
         """Triples matching the (category-set, predicate, category-set)
-        pattern; None means "any"."""
-        result = []
-        for triple in self.by_predicate.get(predicate, ()):
-            if src_categories is not None and \
-                    triple.src_category not in src_categories:
-                continue
-            if dst_categories is not None and \
-                    triple.dst_category not in dst_categories:
-                continue
-            result.append(triple)
-        return result
+        pattern; None means "any".  Each distinct pattern is scanned
+        once; every call gets a fresh list."""
+        key = ("find", None if src_categories is None
+               else frozenset(src_categories), predicate,
+               None if dst_categories is None
+               else frozenset(dst_categories))
+        return self._remember(key, lambda: (0, [
+            triple for triple in self.by_predicate.get(predicate, ())
+            if (src_categories is None
+                or triple.src_category in src_categories)
+            and (dst_categories is None
+                 or triple.dst_category in dst_categories)]))[1]
+
+    def _remember(
+        self, key: tuple,
+        compute: Callable[[], tuple[int, list[GTTriple]]],
+    ) -> tuple[int, list[GTTriple]]:
+        """``compute()`` once per ``key``; a fresh list every call."""
+        known = self._known.get(key)
+        if known is None:
+            count, triples = compute()
+            known = self._known[key] = (count, tuple(triples))
+        return known[0], list(known[1])
 
     def subject_labels(self, triples: list[GTTriple]) -> set[str]:
         """Distinct subject categories (a clause's label output)."""
@@ -198,13 +214,18 @@ class GroundTruthIndex:
         object_labels: set[str],
     ) -> tuple[int, list[GTTriple]]:
         """Distinct counted-subject instances related to bound objects."""
-        triples = self.find(
-            categories_for_word(counted_word) or None,
-            predicate,
-            object_labels,
-        )
-        instances = {(t.image_id, t.src_index) for t in triples}
-        return len(instances), triples
+        def count() -> tuple[int, list[GTTriple]]:
+            triples = self.find(
+                categories_for_word(counted_word) or None,
+                predicate,
+                object_labels,
+            )
+            instances = {(t.image_id, t.src_index) for t in triples}
+            return len(instances), triples
+
+        return self._remember(
+            ("count", counted_word, predicate, frozenset(object_labels)),
+            count)
 
     def counting_kinds_answer(
         self,
@@ -223,6 +244,17 @@ class GroundTruthIndex:
         reported as -1: such borderline kinds could flip either way
         under noise, so the question generator rejects the combination.
         """
+        return self._remember(
+            ("kinds", counted_word, predicate, frozenset(object_labels),
+             min_images, ambiguous_band),
+            lambda: self._count_kinds(counted_word, predicate,
+                                      object_labels, min_images,
+                                      ambiguous_band))
+
+    def _count_kinds(
+        self, counted_word: str, predicate: str, object_labels: set[str],
+        min_images: int, ambiguous_band: tuple[int, int],
+    ) -> tuple[int, list[GTTriple]]:
         triples = self.find(
             categories_for_word(counted_word) or None,
             predicate,

@@ -109,6 +109,24 @@ def occurrence_keys(word: str) -> list[tuple[str, int]]:
     return keys
 
 
+def label_accepts(query: str, label: str, ld_threshold: float,
+                  include_synonyms: bool = True) -> bool:
+    """Whether :meth:`VertexCandidateIndex.match` of ``query`` returns
+    ``label`` once ``label`` is indexed: the predicate the buckets
+    select for, tested on one label."""
+    q = query.lower()
+    c = label.lower()
+    if q == c or noun_singular(q) == noun_singular(c):
+        return True
+    if include_synonyms:
+        cluster, other = cluster_of(q), cluster_of(c)
+        if cluster is not None and other is not None \
+                and cluster[0] == other[0]:
+            return True
+    return min(len(q), len(c)) >= MIN_LD_LENGTH \
+        and within_distance(q, c, ld_threshold)
+
+
 class _LengthBucket:
     """All indexed labels of one (lowercased) length, with bigram and
     character-occurrence postings for candidate selection inside the

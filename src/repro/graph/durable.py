@@ -196,9 +196,9 @@ class RecoveryResult:
 class DurableStore:
     """One graph's durable home: snapshot + WAL + recovery.
 
-    The store also implements the graph's ``MutationSink`` protocol:
-    after :meth:`attach`, every structural mutation is appended to the
-    WAL, so streaming ingestion persists incrementally between
+    The store is also the graph's first mutation observer (its
+    mutation sink): after :meth:`attach`, every structural mutation is
+    appended to the WAL, so streaming ingestion persists incrementally between
     snapshots.  Durability never blocks answering: a WAL append whose
     retry budget is exhausted degrades the store to memory-only for
     the rest of the process (counted, never silent) instead of
@@ -297,7 +297,7 @@ class DurableStore:
         return write()
 
     # ------------------------------------------------------------------
-    # the WAL side: MutationSink protocol
+    # the WAL side: the graph's first observer
     # ------------------------------------------------------------------
     def attach(self, graph: Graph) -> None:
         """Start appending ``graph``'s mutations to the WAL."""
@@ -315,7 +315,7 @@ class DurableStore:
         self._wal.close()
 
     def record(self, op: dict[str, Any]) -> None:
-        """``MutationSink`` hook: durably append one mutation.
+        """Observer hook: durably append one mutation.
 
         Guarded at ``store.wal_append`` with the op's epoch as the
         fault key.  Exhaustion (or a real write error) degrades the

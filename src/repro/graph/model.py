@@ -12,7 +12,10 @@ instances of this model, so we implement it once with:
   the few vertices that have any, so the hypernym walks of
   ``matchVertex`` never scan relation edges,
 * arbitrary per-vertex / per-edge properties (bounding boxes, image ids,
-  SPOC payloads, ...).
+  SPOC payloads, ...),
+* an ordered list of mutation observers (the WAL first, then derived
+  views such as the executor's caches), each handed every applied
+  op (see :mod:`repro.graph.observe`).
 """
 
 from __future__ import annotations
@@ -32,20 +35,7 @@ from repro.graph.index import LabelIndex
 from repro.nlp.ann import EmbeddingANNIndex
 
 if TYPE_CHECKING:
-    from typing import Protocol
-
-    class MutationSink(Protocol):
-        """Observer of structural graph mutations (the WAL seam).
-
-        The durable store's write-ahead log implements this; the graph
-        calls :meth:`record` once per applied mutation with a
-        JSON-ready op dict (``op``, ``epoch``, and the op's payload).
-        With no sink attached the hook is a single ``is None`` check,
-        so persistence is strictly zero-cost when off.
-        """
-
-        def record(self, op: dict[str, Any]) -> None:
-            """One applied mutation, in application order."""
+    from repro.graph.observe import GraphObserver
 
 
 #: edge label linking an instance vertex to its concept
@@ -131,21 +121,44 @@ class Graph:
         self.candidate_index = VertexCandidateIndex()
         self.ann_index = EmbeddingANNIndex()
         self._epoch = 0
-        self._mutation_sink: MutationSink | None = None
+        # every follower of the write stream, in notification order;
+        # replaced, never mutated in place, so a mutator iterates a
+        # stable list
+        self._observers: list[GraphObserver] = []
+        self._sink: GraphObserver | None = None
 
-    def attach_mutation_sink(self, sink: MutationSink) -> None:
-        """Attach a mutation observer (the durable store's WAL).
+    def attach_mutation_sink(self, sink: GraphObserver) -> None:
+        """Make ``sink`` (the durable store's WAL) the first observer.
 
-        Every subsequent structural mutation is reported to
-        ``sink.record`` *after* it is applied and the epoch has been
-        bumped, in application order.  One sink at a time: attaching
-        replaces any previous sink.
+        Every subsequent structural mutation is reported to each
+        observer's ``record`` *after* it is applied and the epoch has
+        been bumped, in application order, the sink first.  One sink
+        at a time: attaching replaces any previous sink.
         """
-        self._mutation_sink = sink
+        self.detach_mutation_sink()
+        self._sink = sink
+        self._observers = [sink, *self._observers]
 
     def detach_mutation_sink(self) -> None:
-        """Stop reporting mutations (idempotent)."""
-        self._mutation_sink = None
+        """Stop reporting mutations to the sink (idempotent)."""
+        if self._sink is not None:
+            self.remove_observer(self._sink)
+            self._sink = None
+
+    def add_observer(self, observer: GraphObserver) -> None:
+        """Report every subsequent mutation to ``observer`` too, after
+        the sink and the observers added before it (idempotent)."""
+        if all(o is not observer for o in self._observers):
+            self._observers = [*self._observers, observer]
+
+    def remove_observer(self, observer: GraphObserver) -> None:
+        """Stop reporting mutations to ``observer`` (idempotent)."""
+        self._observers = [o for o in self._observers
+                           if o is not observer]
+
+    def _notify(self, op: dict[str, Any]) -> None:
+        for observer in self._observers:
+            observer.record(op)
 
     def _restore_bookkeeping(
         self, epoch: int, next_vertex_id: int, next_edge_id: int
@@ -166,10 +179,10 @@ class Graph:
     @property
     def epoch(self) -> int:
         """Monotone mutation counter: bumped by every structural
-        mutation (vertex or edge), so anything derived from the graph
-        — executor scope/path cache entries in particular — can be
-        tagged with the epoch it was computed under and retired when
-        the graph moves on.
+        mutation (vertex or edge).  The WAL checks its continuity;
+        derived views compare it before and after a computation, so a
+        value computed while a write landed is not kept, and a
+        per-batch plan overlay is stamped with it.
         """
         return self._epoch
 
@@ -199,8 +212,8 @@ class Graph:
         self.vertex_labels.add(label, vertex_id)
         self.candidate_index.add_label(label)
         self._epoch += 1
-        if self._mutation_sink is not None:
-            self._mutation_sink.record({
+        if self._observers:
+            self._notify({
                 "op": "add_vertex", "epoch": self._epoch,
                 "id": vertex_id, "label": label, "props": vertex.props,
             })
@@ -239,8 +252,8 @@ class Graph:
         self.edge_labels.add(label, edge.id)
         self.ann_index.add_label(label)
         self._epoch += 1
-        if self._mutation_sink is not None:
-            self._mutation_sink.record({
+        if self._observers:
+            self._notify({
                 "op": "add_edge", "epoch": self._epoch, "id": edge.id,
                 "src": src, "dst": dst, "label": label,
                 "props": edge.props,
@@ -260,8 +273,8 @@ class Graph:
         self.edge_labels.remove(edge.label, edge_id)
         self.ann_index.remove_label(edge.label)
         self._epoch += 1
-        if self._mutation_sink is not None:
-            self._mutation_sink.record({
+        if self._observers:
+            self._notify({
                 "op": "remove_edge", "epoch": self._epoch, "id": edge_id,
             })
 
@@ -269,7 +282,7 @@ class Graph:
         """Remove a vertex and every edge incident to it.
 
         Incident edges are removed through :meth:`remove_edge` *while
-        the vertex is still present*, so a mutation sink sees one
+        the vertex is still present*, so every observer sees one
         ``remove_edge`` record per cascaded edge before the
         ``remove_vertex`` record and — crucially for WAL replay —
         every intermediate in-memory state equals the state reached by
@@ -287,8 +300,8 @@ class Graph:
         self.vertex_labels.remove(vertex.label, vertex_id)
         self.candidate_index.remove_label(vertex.label)
         self._epoch += 1
-        if self._mutation_sink is not None:
-            self._mutation_sink.record({
+        if self._observers:
+            self._notify({
                 "op": "remove_vertex", "epoch": self._epoch,
                 "id": vertex_id,
             })
@@ -302,8 +315,8 @@ class Graph:
         self.vertex_labels.add(label, vertex_id)
         self.candidate_index.add_label(label)
         self._epoch += 1
-        if self._mutation_sink is not None:
-            self._mutation_sink.record({
+        if self._observers:
+            self._notify({
                 "op": "relabel_vertex", "epoch": self._epoch,
                 "id": vertex_id, "label": label,
             })

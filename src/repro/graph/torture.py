@@ -45,7 +45,7 @@ _GNARLY_PROPS: list[dict[str, Any]] = [
 
 
 class _DigestTee:
-    """MutationSink that forwards to the store and records the
+    """Mutation sink that forwards to the store and records the
     extensional digest of the graph after every single epoch bump
     (cascaded removals included)."""
 

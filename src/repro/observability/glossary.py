@@ -38,7 +38,8 @@ METRIC_GLOSSARY: dict[str, str] = {
     "svqa_validation_diagnostics_total":
         "Validator diagnostics, labeled by severity (error/warning).",
     "svqa_stale_scope_drops_total":
-        "Scope/path cache entries retired by graph-epoch invalidation.",
+        "Scope/path cache entries a graph write made stale, retired when "
+        "it lands or found stale at their next read.",
     # --- multi-query planner ---
     "svqa_plan_batches_total":
         "Batches routed through the cost-based multi-query planner.",
@@ -144,7 +145,7 @@ BENCH_GLOSSARY: dict[str, str] = {
         "ERROR diagnostics across validated graphs "
         "(svqa_validation_diagnostics_total, severity=error).",
     "stale scope drops":
-        "Cache entries retired by graph-epoch invalidation "
+        "Cache entries a write made stale "
         "(svqa_stale_scope_drops_total).",
     "plan batches":
         "Batches routed through the multi-query planner "

@@ -124,10 +124,12 @@ class RelationPredictor:
     def _pair_rng(
         self, subject: Detection, obj: Detection, image_id: int
     ) -> np.random.Generator:
-        """Deterministic per-(model, image, pair) random stream."""
+        """Deterministic per-(model, image, pair) random stream: the
+        stream of ``np.random.default_rng(key)``, built without its
+        argument dispatch (one per detection pair of every image)."""
         key = stable_hash(self.spec.name, self._seed, image_id,
                           subject.index, obj.index)
-        return np.random.default_rng(key)
+        return np.random.Generator(np.random.PCG64(key))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

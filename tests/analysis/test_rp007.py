@@ -1,4 +1,5 @@
-"""Tests for RP007: candidate-index discipline and epoch-tagged keys."""
+"""Tests for RP007: candidate-index discipline, epoch-free cache keys
+and writes through the retiring cache API."""
 
 import textwrap
 
@@ -63,30 +64,32 @@ class TestIndexMutation:
 
 
 class TestEpochTaggedKeys:
-    def test_label_only_scope_key_fires(self):
+    """Executor cache keys name what was asked, never an epoch: the
+    cache retires an entry by the writes that touch what it read."""
+
+    def test_label_only_scope_key_is_fine(self):
         report = lint(
             """
             def key_for(label):
                 return ("scope", label.lower())
             """
         )
-        assert [d.rule_id for d in report] == ["RP007"]
-        assert "epoch" in next(iter(report)).message
+        assert len(report) == 0
 
-    def test_constant_second_element_fires(self):
+    def test_constant_second_element_is_fine(self):
         report = lint(
             """
             def key_for(owner, head):
                 return ("scope-poss", 7, owner, head)
             """
         )
-        assert [d.rule_id for d in report] == ["RP007"]
+        assert len(report) == 0
 
-    def test_bare_kind_tag_fires(self):
+    def test_bare_kind_tag_is_fine(self):
         report = lint('key = ("path",)\n')
-        assert [d.rule_id for d in report] == ["RP007"]
+        assert len(report) == 0
 
-    def test_epoch_name_is_fine(self):
+    def test_epoch_name_fires(self):
         report = lint(
             """
             def key_for(self, label):
@@ -94,14 +97,25 @@ class TestEpochTaggedKeys:
                 return ("scope", epoch, label.lower())
             """
         )
-        assert len(report) == 0
+        assert [d.rule_id for d in report] == ["RP007"]
+        assert "epoch" in next(iter(report)).message
 
-    def test_epoch_call_is_fine(self):
+    def test_epoch_call_fires(self):
         report = lint(
             """
             def key_for(self, a, b):
-                return ("path", self._observe_epoch(), a, b)
+                return ("path", a, b, self._observe_epoch())
             """
+        )
+        assert [d.rule_id for d in report] == ["RP007"]
+
+    def test_planner_node_keys_may_carry_the_plan_epoch(self):
+        report = lint(
+            """
+            def node_key(term, epoch):
+                return ("scope", epoch, term.head.lower())
+            """,
+            path="src/repro/core/planner.py",
         )
         assert len(report) == 0
 
@@ -110,8 +124,40 @@ class TestEpochTaggedKeys:
             """
             POINT = ("x", "y")
             ROW = ("scoped", 1)
+            NBR = ("nbr", epoch, "out", "dog")
             """
         )
+        assert len(report) == 0
+
+
+class TestRetiringStoreWrites:
+    def test_raw_scope_store_put_fires(self):
+        report = lint(
+            """
+            def sneak(self, key, value):
+                self.cache.scope.put(key, value)
+            """
+        )
+        assert [d.rule_id for d in report] == ["RP007"]
+        assert "retiring cache API" in next(iter(report)).message
+
+    def test_raw_path_store_put_fires(self):
+        report = lint("cache.path.put(key, pairs)\n")
+        assert [d.rule_id for d in report] == ["RP007"]
+
+    def test_cache_api_is_fine(self):
+        report = lint(
+            """
+            def store(self, key, value, deps, stamp):
+                self.cache.put_scope(key, value, deps, stamp)
+                self.cache.put_path(key, value, deps, stamp)
+            """
+        )
+        assert len(report) == 0
+
+    def test_the_cache_module_owns_its_stores(self):
+        report = lint("self.scope.put(key, (value, deps))\n",
+                      path="src/repro/core/cache.py")
         assert len(report) == 0
 
 

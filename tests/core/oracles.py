@@ -19,7 +19,9 @@ scans that adjacency replaced:
 
 * :func:`full_scan_scope_ids` / :func:`full_scan_expand_to_instances`
   — ``matchVertex``'s candidate match plus downward expansion;
-* :func:`full_scan_is_kind_of` — the answer-side ``kind of`` filter.
+* :func:`full_scan_is_kind_of` — the answer-side ``kind of`` filter;
+* :func:`full_scan_path_pairs` — ``getRelationpairs`` over two
+  endpoint lists, read from every out- or in-edge.
 """
 
 from repro.core import Answer, QueryGraphExecutor, SVQA, generate_query_graph
@@ -122,3 +124,22 @@ def full_scan_is_kind_of(graph: Graph, label: str, ancestor: str,
         frontier = next_frontier
         hops += 1
     return False
+
+
+def full_scan_path_pairs(graph: Graph, subjects: list[Vertex],
+                         objects: list[Vertex]) -> list[tuple[int, int, int]]:
+    """The ``(subject id, edge id, object id)`` triples a path-store
+    miss over these endpoints retrieves: every non-taxonomy out-edge
+    of the subjects (into the objects, when there are any), or, with
+    no subjects, every non-taxonomy in-edge of the objects."""
+    if subjects:
+        object_ids = {v.id for v in objects}
+        return [(subject.id, edge.id, edge.dst)
+                for subject in subjects
+                for edge in graph.out_edges(subject.id)
+                if edge.label not in TAXONOMY_LABELS
+                and (not objects or edge.dst in object_ids)]
+    return [(edge.src, edge.id, obj.id)
+            for obj in objects
+            for edge in graph.in_edges(obj.id)
+            if edge.label not in TAXONOMY_LABELS]

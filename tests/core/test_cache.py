@@ -14,6 +14,9 @@ from repro.core.cache import (
     LRUCache,
     make_cache,
 )
+from repro.core.stats import ExecutorStats
+from repro.graph import INSTANCE_OF, Graph
+from repro.graph.observe import Reads
 
 
 class TestLFU:
@@ -204,21 +207,26 @@ class TestKeyCentric:
 
 
 class TestGetOrCompute:
+    """A computation returns ``(value, deps)``; a lookup returns
+    ``(value, deps, hit)``."""
+
     def test_miss_computes_and_fills(self):
         cache = KeyCentricCache.create(pool_size=4)
-        value, hit = cache.scope_get_or_compute("k", lambda: [1, 2])
-        assert (value, hit) == ([1, 2], False)
-        value, hit = cache.scope_get_or_compute(
+        deps = (Reads(labels=("dog",)),)
+        value, got, hit = cache.scope_get_or_compute(
+            "k", lambda: ([1, 2], deps))
+        assert (value, got, hit) == ([1, 2], deps, False)
+        value, got, hit = cache.scope_get_or_compute(
             "k", lambda: pytest.fail("must not recompute")
         )
-        assert (value, hit) == ([1, 2], True)
+        assert (value, got, hit) == ([1, 2], deps, True)
 
     def test_disabled_always_computes(self):
         cache = KeyCentricCache.disabled()
         calls = []
         for _ in range(3):
-            value, hit = cache.path_get_or_compute(
-                "k", lambda: calls.append(1) or [9]
+            value, _, hit = cache.path_get_or_compute(
+                "k", lambda: (calls.append(1) or [9], ())
             )
             assert (value, hit) == ([9], False)
         assert len(calls) == 3
@@ -230,7 +238,7 @@ class TestGetOrCompute:
                 "k", lambda: (_ for _ in ()).throw(RuntimeError("boom"))
             )
         # the failed computation left nothing behind
-        value, hit = cache.scope_get_or_compute("k", lambda: [7])
+        value, _, hit = cache.scope_get_or_compute("k", lambda: ([7], ()))
         assert (value, hit) == ([7], False)
 
 
@@ -281,13 +289,13 @@ class TestThreadSafety:
         def worker(thread_index):
             for i in range(200):
                 key = ("scope", i % 50)
-                value, _ = cache.scope_get_or_compute(
-                    key, lambda k=key: [k[1], k[1] + 1]
+                value, _, _ = cache.scope_get_or_compute(
+                    key, lambda k=key: ([k[1], k[1] + 1], ())
                 )
                 assert value == [key[1], key[1] + 1]
                 pkey = ("path", i % 30)
-                value, _ = cache.path_get_or_compute(
-                    pkey, lambda k=pkey: [k[1] * 2]
+                value, _, _ = cache.path_get_or_compute(
+                    pkey, lambda k=pkey: ([k[1] * 2], ())
                 )
                 assert value == [pkey[1] * 2]
 
@@ -302,13 +310,14 @@ class TestThreadSafety:
         def compute():
             computes.append(1)
             release.wait(timeout=5)
-            return [42]
+            return [42], ()
 
         results = []
 
         def worker(_):
             entered.release()
-            results.append(cache.scope_get_or_compute("k", compute))
+            value, _, hit = cache.scope_get_or_compute("k", compute)
+            results.append((value, hit))
 
         pool = [threading.Thread(target=worker, args=(i,))
                 for i in range(6)]
@@ -358,159 +367,255 @@ class TestDropWhere:
         assert len(cache) == 2
 
 
-class TestRetireStale:
-    def test_retires_only_older_epochs(self):
-        cache = KeyCentricCache.create(pool_size=16)
-        cache.put_scope(("scope", 1, "dog"), [1])
-        cache.put_scope(("scope", 2, "dog"), [2])
-        cache.put_path(("path", 1, "a", "b"), [(1, 2)])
-        dropped = cache.retire_stale(2)
-        assert dropped == 2
-        assert cache.get_scope(("scope", 2, "dog")) == [2]
-        assert cache.get_scope(("scope", 1, "dog")) is None
-        assert cache.get_path(("path", 1, "a", "b")) is None
+def bound_cache(pool_size=16, **flags):
+    """A cache bound to a small graph: ``dog`` instances of a ``dog``
+    concept, a ``fence`` and a ``grass``."""
+    graph = Graph(name="merged")
+    concept = graph.add_vertex("dog", {"kind": "concept"})
+    dog = graph.add_vertex("dog", {"kind": "instance"})
+    graph.add_edge(dog.id, concept.id, INSTANCE_OF)
+    graph.add_vertex("fence")
+    graph.add_vertex("grass")
+    cache = KeyCentricCache.create(pool_size=pool_size, **flags)
+    cache.bind(graph)
+    return cache, graph
 
-    def test_ignores_keys_without_epoch_shape(self):
-        cache = KeyCentricCache.create(pool_size=8)
-        cache.put_scope("plain", [1])
-        cache.put_scope(("scope", "no-epoch"), [2])
-        assert cache.retire_stale(5) == 0
-        assert cache.get_scope("plain") == [1]
+
+def scope_keys(cache):
+    return sorted(cache.scope._values)
+
+
+class TestRetireStale:
+    """A write retires exactly the entries whose reads it touches."""
+
+    def test_retires_only_touched_entries(self):
+        cache, graph = bound_cache()
+        cache.put_scope("dog", [0, 1], (Reads(labels=("dog",)),),
+                        cache.stamp())
+        cache.put_scope("cat", [], (Reads(labels=("cat",)),),
+                        cache.stamp())
+        cache.put_path("near", [], (Reads(out_of={2}),), cache.stamp())
+        graph.add_vertex("dog")
+        assert scope_keys(cache) == ["cat"]
+        assert cache.get_path("near") == []
+        graph.add_edge(2, 3, "near")
+        assert cache.get_path("near") is None
+        # a taxonomy edge at 2 is not an "other" out-edge of 2
+        cache.put_path("near", [], (Reads(out_of={2}),), cache.stamp())
+        graph.add_edge(2, 3, "is a")
+        assert cache.get_path("near") == []
+
+    def test_entries_that_read_nothing_touched_survive(self):
+        cache, graph = bound_cache()
+        cache.put_scope("dog", [0, 1], (Reads(),), cache.stamp())
+        graph.add_vertex("dog")
+        graph.relabel_vertex(3, "zeppelin")
+        graph.add_edge(2, 3, "near")
+        graph.remove_vertex(2)
+        assert cache.get_scope("dog") == [0, 1]
 
     def test_disabled_cache_is_a_noop(self):
         cache = KeyCentricCache.disabled()
-        assert cache.retire_stale(3) == 0
-
-
-class TestObserveEpoch:
-    """The last-retired epoch lives on the shared cache, so executors
-    built after a mutation (one per ``answer_many`` batch) still
-    retire what the previous ones cached."""
-
-    def test_first_observation_of_an_epoch_retires_once(self):
-        cache = KeyCentricCache.create(pool_size=16)
-        assert cache.observe_epoch(1) == 0
-        cache.put_scope(("scope", 1, "dog"), [1])
-        cache.put_path(("path", 1, "a", "b"), [(1, 2)])
-        assert cache.observe_epoch(1) == 0
-        assert cache.get_scope(("scope", 1, "dog")) == [1]
-        assert cache.observe_epoch(2) == 2
-        assert cache.observe_epoch(2) == 0
+        graph = Graph()
+        cache.bind(graph)
+        assert graph._observers == []
+        graph.add_vertex("dog")
         assert cache.item_count == 0
 
-    def test_concurrent_observers_retire_each_epoch_once(self):
-        # every worker executor of a batch observes the same new epoch
-        # at once; the check-then-retire must let exactly one through
-        threads, epochs = 8, 60
-        cache = KeyCentricCache.create(pool_size=64)
-        retirements: list[int] = []
-        retire = cache.retire_stale
+    def test_each_write_retires_once(self):
+        stats = ExecutorStats()
+        cache, graph = bound_cache()
+        cache.bind(graph, stats)
+        held = frozenset({1})
+        cache.put_scope("dog", [1], (Reads(held=held, tax_in=held),),
+                        cache.stamp())
+        cache.put_path("p", [], (Reads(held=held),), cache.stamp())
+        graph.relabel_vertex(1, "cat")
+        assert cache.item_count == 0
+        assert stats.snapshot().stale_scope_drops == 2
+        graph.relabel_vertex(1, "dog")
+        assert stats.snapshot().stale_scope_drops == 2
 
-        def counting_retire(epoch):
-            retirements.append(epoch)
-            return retire(epoch)
+    def test_new_label_is_tested_with_the_candidate_predicate(self):
+        cache, graph = bound_cache()
+        for query in ("puppies", "horse"):
+            cache.put_scope(query, [], (Reads(probes=((query, 0.34,
+                                                       True),)),),
+                            cache.stamp())
+        # "puppy" is new to the graph and number-normalizes to
+        # "puppies"; "zeppelin" matches neither lookup
+        graph.add_vertex("zeppelin")
+        assert scope_keys(cache) == ["horse", "puppies"]
+        graph.add_vertex("puppy")
+        assert scope_keys(cache) == ["horse"]
 
-        cache.retire_stale = counting_retire
-        barrier = threading.Barrier(threads, timeout=30)
-        dropped = [0] * threads
+    def test_edge_removal_retires_by_edge_id(self):
+        cache, graph = bound_cache()
+        edge = graph.add_edge(2, 3, "near")
+        cache.put_path("p", [edge.id], (Reads(edges={edge.id}),),
+                       cache.stamp())
+        cache.put_path("q", [], (Reads(edges={0}),), cache.stamp())
+        graph.remove_edge(edge.id)
+        assert cache.get_path("p") is None
+        assert cache.get_path("q") == []
 
-        def observer(index):
-            for epoch in range(1, epochs + 1):
-                barrier.wait()
-                if index == 0:
-                    cache.put_scope(("scope", epoch - 1, "dog"), [epoch])
-                barrier.wait()
-                dropped[index] += cache.observe_epoch(epoch)
+    def test_dependent_entries_outlive_an_evicted_entry(self):
+        # an entry may depend on the reads of another (a possessive
+        # scope on its owner's lookup); evicting the other must not
+        # detach the dependent entry from them
+        cache, graph = bound_cache(pool_size=1)
+        owner_reads = Reads(labels=("dog",))
+        cache.put_scope("dog", [0, 1], (owner_reads,), cache.stamp())
+        cache.put_path("p", [], (Reads(), owner_reads), cache.stamp())
+        cat_reads = Reads(labels=("cat",))
+        cache.put_scope("cat", [], (cat_reads,), cache.stamp())
+        assert scope_keys(cache) == ["cat"]
+        graph.add_vertex("dog")
+        assert cache.get_path("p") is None
+        assert list(cache._index._reads["labels"]) == [cat_reads]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=observer, args=(i,))
-                       for i in range(threads)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert sorted(retirements) == list(range(1, epochs + 1))
-        assert sum(dropped) == epochs
+    def test_value_computed_across_a_write_is_not_kept(self):
+        cache, graph = bound_cache()
+        stamp = cache.stamp()
+        graph.add_vertex("fence")
+        cache.put_scope("fence", [3], (Reads(labels=("fence",)),), stamp)
+        value, _, hit = cache.scope_get_or_compute(
+            "grass", lambda: (graph.add_vertex("hay") and [4], ()),
+            cache.stamp())
+        assert (value, hit) == ([4], False)
+        assert cache.item_count == 0
+
+    def test_rebinding_empties_the_stores(self):
+        cache, graph = bound_cache()
+        cache.put_scope("dog", [0, 1], (), cache.stamp())
+        other = Graph()
+        cache.bind(other)
+        assert cache.item_count == 0
+        assert all(o is not cache for o in graph._observers)
+        assert any(o is cache for o in other._observers)
 
 
 class TestRetireStaleUnderContention:
-    """Satellite: retire_stale racing mixed-epoch concurrent writers."""
+    """Retirement racing concurrent lookups and stores."""
 
     THREADS = 8
 
-    def test_interleaved_mixed_epoch_writes(self):
-        cache = KeyCentricCache.create(pool_size=64)
-        stop = threading.Event()
+    def test_interleaved_lookups_and_retirements(self):
+        cache, graph = bound_cache(pool_size=64)
         errors = []
 
-        def writer(thread_index):
+        def reader(thread_index):
             try:
-                for epoch in range(1, 200):
-                    for slot in range(4):
-                        key = ("scope", epoch % 3,
-                               f"w{thread_index}-{slot}")
-                        value, _ = cache.scope_get_or_compute(
-                            key, lambda k=key: [k])
-                        # a hit must return the value computed for
-                        # exactly this key, never a retired ghost
-                        assert value == [key]
+                for i in range(200):
+                    key = ("scope", f"w{thread_index}-{i % 4}")
+                    value, _, _ = cache.scope_get_or_compute(
+                        key, lambda k=key: ([k],
+                                            (Reads(labels=("dog",)),)),
+                        cache.stamp())
+                    # a hit must return the value computed for
+                    # exactly this key, never a retired ghost
+                    assert value == [key]
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        def retirer():
+        def writer():
             try:
-                while not stop.is_set():
-                    for epoch in (1, 2, 3):
-                        cache.retire_stale(epoch)
+                for _ in range(100):
+                    graph.relabel_vertex(1, "dog")
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        writers = [threading.Thread(target=writer, args=(i,))
-                   for i in range(self.THREADS - 2)]
-        retirers = [threading.Thread(target=retirer) for _ in range(2)]
-        for thread in writers + retirers:
-            thread.start()
-        for thread in writers:
-            thread.join()
-        stop.set()
-        for thread in retirers:
-            thread.join()
+        threads = [threading.Thread(target=reader, args=(i,))
+                   for i in range(self.THREADS - 1)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
+        assert len(cache._index) == len(cache.scope)
 
     def test_retire_concurrent_with_writes_drops_only_stale(self):
-        cache = KeyCentricCache.create(pool_size=64)
+        cache, graph = bound_cache(pool_size=400)
         barrier = threading.Barrier(2)
 
         def write_fresh():
             barrier.wait()
             for i in range(200):
-                cache.put_scope(("scope", 5, f"fresh-{i}"), [i])
+                cache.put_scope(("scope", f"fresh-{i}"), [i],
+                                (Reads(labels=("cat",)),), cache.stamp())
 
         def retire_old():
             barrier.wait()
             for _ in range(50):
-                cache.retire_stale(5)
+                graph.add_vertex("dog")
 
+        for key in range(30):
+            cache.put_scope(("scope", f"old-{key}"), [key],
+                            (Reads(labels=("dog",)),), cache.stamp())
         writers = threading.Thread(target=write_fresh)
         retirers = threading.Thread(target=retire_old)
-        for key in range(30):
-            cache.put_scope(("scope", 4, f"old-{key}"), [key])
         writers.start()
         retirers.start()
         writers.join()
         retirers.join()
-        cache.retire_stale(5)  # settle: everything stale must be gone
         for key in range(30):
-            assert cache.get_scope(("scope", 4, f"old-{key}")) is None
+            assert cache.get_scope(("scope", f"old-{key}")) is None
         survivors = sum(
             1 for i in range(200)
-            if cache.get_scope(("scope", 5, f"fresh-{i}")) is not None
+            if cache.get_scope(("scope", f"fresh-{i}")) is not None
         )
-        # epoch-5 writes are never collateral damage of retiring < 5
-        # (pool eviction may drop some, but retire_stale must not)
+        # entries that read "cat" are never collateral damage of
+        # writes of "dog" (a store racing a write may be refused, but
+        # retirement must not drop it)
         assert survivors > 0
+        graph.add_vertex("cat")
+        assert cache.item_count == 0
+
+    def test_racing_writer_leaves_no_stale_value(self):
+        """Eight threads fill entries derived from a vertex's label
+        while a ninth relabels it: at quiescence every kept entry holds
+        the current label."""
+        cache, graph = bound_cache(pool_size=64)
+        vertex = graph.vertex(1)
+        stop = threading.Event()
+
+        def reader(seed):
+            for i in range(2_000):
+                key = ("scope", f"{seed}-{i % 8}")
+                cache.scope_get_or_compute(
+                    key, lambda: ([vertex.label],
+                                  (Reads(held=frozenset({1})),)),
+                    cache.stamp())
+
+        def writer():
+            labels = ["dog", "cat", "puppy"]
+            i = 0
+            while not stop.is_set():
+                graph.relabel_vertex(1, labels[i % 3])
+                i += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=reader, args=(i,))
+                       for i in range(8)]
+            moving = threading.Thread(target=writer)
+            moving.start()
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=60)
+            stop.set()
+            moving.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*readers, moving])
+        for key, (value, _) in list(cache.scope._values.items()):
+            assert value == [vertex.label], key

@@ -21,6 +21,7 @@ from repro.core import (
     plan_order,
     predict_makespan,
 )
+from repro.core.executor import ScopeEntry
 from repro.dataset.kg import build_commonsense_kg
 from repro.synth import SceneGenerator
 from tests.core.oracles import unplanned_answers
@@ -238,8 +239,9 @@ class TestEpochSafety:
         # these entries no relation pair survives and the judgment
         # flips to "no", so a leak is a visibly wrong answer
         overlay = PlanOverlay(epoch=epoch)
-        overlay.put_scope(("scope", epoch, "fence"), ([], 0, 0))
-        overlay.put_scope(("scope", epoch, "grass"), ([], 0, 0))
+        for label in ("fence", "grass"):
+            overlay.put_scope(("scope", epoch, label),
+                              ScopeEntry([], 0, 0, (), 0, epoch))
         overlay.freeze()
         return overlay
 
@@ -265,4 +267,5 @@ class TestEpochSafety:
         overlay = PlanOverlay(epoch=0)
         overlay.freeze()
         with pytest.raises(RuntimeError):
-            overlay.put_scope(("scope", 0, "fence"), ([], 0, 0))
+            overlay.put_scope(("scope", 0, "fence"),
+                              ScopeEntry([], 0, 0, (), 0, 0))

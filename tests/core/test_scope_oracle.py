@@ -13,8 +13,8 @@ every label the MVQA questions resolve.
 mutation runs (``tests/core/scope_fuzz.py``).
 
 ``TestSessionKindOfMemo`` asks the same answers through one long-lived
-session, whose executors share an epoch-keyed ``ExecutorMemo``, while
-mutator bursts move the epoch between asks; the workers=4 batch runs
+session, whose executors share an ``ExecutorMemo`` that observes the
+graph's writes, while mutator bursts move the epoch between asks; the workers=4 batch runs
 under the runtime sanitizer with the memo's lock role seen.
 """
 
@@ -33,6 +33,7 @@ from repro.core.executor import EXECUTOR_MEMO_CAPACITY, ExecutorMemo
 from repro.dataset.mvqa import build_mvqa
 from repro.errors import QueryParseError
 from repro.graph import INSTANCE_OF, IS_A, Graph
+from repro.graph.observe import Reads
 from repro.nlp.semlex import HYPERNYMS
 from tests.core.oracles import full_scan_is_kind_of, full_scan_scope_ids
 
@@ -212,8 +213,7 @@ class TestSessionKindOfMemo:
                     # the first ask may walk, the second is a hit
                     assert executor._is_kind_of(label, ancestor) == want
                     assert executor._is_kind_of(label, ancestor) == want
-                    held, epoch = memo.kind_of_stamp
-                    assert held is mutated and epoch == mutated.epoch
+                    assert memo.graph is mutated
                     assert 0 < memo.sizes()[0] <= capacity
 
     def test_a_new_graph_at_the_same_epoch_drops_the_answers(
@@ -242,27 +242,43 @@ class TestSessionKindOfMemo:
 
     def test_threads_never_read_an_answer_of_another_epoch(self):
         """Eight threads over a 16-entry memo while a ninth moves the
-        epoch: a call that saw no epoch move must return that epoch's
-        answer, and the table never outgrows its bound."""
+        epoch with writes every answer read: a call that saw no epoch
+        move must return that epoch's answer, and the table never
+        outgrows its bound."""
 
         class Moving:
+            """A graph stand-in whose every write touches vertex 0."""
+
             epoch = 0
+            observers = []
+
+            def add_observer(self, observer):
+                self.observers.append(observer)
+
+            def write(self):
+                self.epoch += 1
+                for observer in self.observers:
+                    observer.record({"op": "remove_vertex",
+                                     "epoch": self.epoch, "id": 0})
 
         graph, memo = Moving(), ExecutorMemo(capacity=16)
+        memo.bind(graph)
         stop = threading.Event()
         failures = []
 
         def answer(label, epoch):
             return (hash(label) + epoch) % 2 == 0
 
+        def walk(label):
+            return answer(label, graph.epoch), Reads(held={0})
+
         def asker(seed):
             rng = random.Random(seed)
             for _ in range(3_000):
                 label = f"label-{rng.randrange(40)}"
                 before = graph.epoch
-                got = memo.kind_of(
-                    graph, label, "Thing",
-                    lambda label=label: answer(label, graph.epoch))
+                got = memo.kind_of(graph, label, "Thing",
+                                   lambda label=label: walk(label))
                 if graph.epoch == before and got != answer(label, before):
                     failures.append((label, before))
                 if memo.sizes()[0] > memo.capacity:
@@ -270,7 +286,7 @@ class TestSessionKindOfMemo:
 
         def mover():
             while not stop.is_set():
-                graph.epoch += 1
+                graph.write()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

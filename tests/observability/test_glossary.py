@@ -68,6 +68,21 @@ class TestMetricGlossary:
             f"{sorted(stale)}"
         )
 
+    def test_stale_scope_drops_mean_write_retirement(self):
+        """The family keeps its name, but counts entries retired by a
+        write that could change them, not an epoch-wide flush: the
+        glossary, the bench row behind ``--explain`` and the runbook
+        row say the same."""
+        name = "svqa_stale_scope_drops_total"
+        definition = METRIC_GLOSSARY[name]
+        row = next(line for line in
+                   OPERATIONS.read_text(encoding="utf-8").splitlines()
+                   if line.startswith(f"| `{name}`"))
+        assert row.rstrip(" |").endswith(definition)
+        for text in (definition, BENCH_GLOSSARY["stale scope drops"],
+                     row):
+            assert "write" in text and "epoch" not in text, text
+
     def test_definitions_are_one_line_and_nonempty(self):
         for name, definition in {**METRIC_GLOSSARY,
                                  **BENCH_GLOSSARY}.items():
