@@ -101,7 +101,7 @@ def default_bindings() -> tuple[RuleBinding, ...]:
             paths=("repro/core/cache.py", "repro/core/stats.py",
                    "repro/core/batch.py",
                    "repro/nlp/embeddings.py",
-                   "repro/nlp/ann.py",
+                   "repro/nlp/score_memo.py",
                    "repro/observability/metrics.py",
                    "repro/observability/spans.py",
                    "repro/resilience/breaker.py",
@@ -133,7 +133,7 @@ LOCK_MODULES: tuple[str, ...] = (
     "repro/resilience/breaker.py",
     "repro/graph/durable.py",
     "repro/nlp/embeddings.py",
-    "repro/nlp/ann.py",
+    "repro/nlp/score_memo.py",
     "repro/observability/spans.py",
     "repro/observability/metrics.py",
     "repro/analysis/code_rules.py",

@@ -27,7 +27,7 @@ byte-identical reports even under real thread interleavings (role
 sets and nesting edges are properties of the code paths executed, not
 of the schedule).  With no sanitizer installed the hook seam returns
 raw locks and the whole module never loads: answers are bit-identical
-off, matching the resilience/observability zero-cost pattern.
+with the sanitizer off.
 """
 
 from __future__ import annotations

@@ -74,11 +74,7 @@ def _cmd_ask(args: argparse.Namespace) -> int:
                 annotations=movie.annotations)
     svqa.build()
     question = args.question or movie.flagship_question
-    try:
-        answer = svqa.answer(question)
-    except QueryError as exc:
-        print(f"cannot answer: {exc}", file=sys.stderr)
-        return 1
+    answer = svqa.answer(question)
     if args.json:
         # the same stable Answer.to_dict() shape the serving layer's
         # POST /ask emits — one wire contract across all surfaces
@@ -196,16 +192,14 @@ def _build_mvqa_svqa(args: argparse.Namespace) -> tuple[object, SVQA]:
         dataset = build_mvqa(seed=5, pool_size=1_200, image_count=400)
     else:
         dataset = build_mvqa()
-    workers = getattr(args, "workers", 1)
-    resilience = None
+    config = SVQAConfig(workers=getattr(args, "workers", 1))
     chaos_rate = getattr(args, "chaos", None)
     if chaos_rate is not None:
         from repro.resilience import ResilienceConfig
 
-        resilience = ResilienceConfig.chaos(
+        config.resilience = ResilienceConfig.chaos(
             chaos_rate, seed=getattr(args, "seed", 0))
-    svqa = SVQA(dataset.scenes, dataset.kg,
-                SVQAConfig(workers=workers, resilience=resilience))
+    svqa = SVQA(dataset.scenes, dataset.kg, config)
     svqa.build()
     return dataset, svqa
 
@@ -283,19 +277,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ["plan overlay fills", str(stats.plan_overlay_fills)],
         ["ann fresh scores", str(stats.retrieval_ann_fresh)],
         ["ann memo probes", str(stats.retrieval_ann_probes)],
+        ["faults injected", str(stats.faults_injected)],
+        ["retry attempts", str(stats.retry_attempts)],
+        ["retry recoveries", str(stats.retry_recoveries)],
+        ["retries exhausted", str(stats.retries_exhausted)],
+        ["breaker trips", str(stats.breaker_trips)],
+        ["breaker short-circuits", str(stats.breaker_short_circuits)],
+        ["deadline cutoffs", str(stats.deadline_cutoffs)],
+        ["degraded answers", str(stats.degraded_answers)],
     ]
-    if svqa.resilience is not None:
-        rows += [
-            ["faults injected", str(stats.faults_injected)],
-            ["retry attempts", str(stats.retry_attempts)],
-            ["retry recoveries", str(stats.retry_recoveries)],
-            ["retries exhausted", str(stats.retries_exhausted)],
-            ["breaker trips", str(stats.breaker_trips)],
-            ["breaker short-circuits",
-             str(stats.breaker_short_circuits)],
-            ["deadline cutoffs", str(stats.deadline_cutoffs)],
-            ["degraded answers", str(stats.degraded_answers)],
-        ]
     print()
     print(format_table(["Metric", "Value"], rows,
                        title="Executor statistics"))
@@ -483,11 +473,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 annotations=movie.annotations)
     svqa.build()
     question = args.question or movie.flagship_question
-    try:
-        answer = svqa.answer(question)
-    except QueryError as exc:
-        print(f"cannot answer: {exc}", file=sys.stderr)
-        return 1
+    answer = svqa.answer(question)
     print(render_answer(answer, question))
     print()
     spans = svqa.finished_spans()
@@ -914,8 +900,7 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument("--chaos", type=_unit_rate, default=None,
                        metavar="RATE",
                        help="run the batch under fault injection at "
-                            "this per-site rate (adds the resilience "
-                            "counters to the stats table)")
+                            "this per-site rate")
     bench.add_argument("--seed", type=int, default=0,
                        help="fault-injection seed for --chaos")
     bench.add_argument("--baseline", default="BENCH_baseline.json",

@@ -23,15 +23,12 @@ entity vertices — the movie scenario of Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.graph import INSTANCE_OF, Graph, SubgraphView, k_hop_subgraph
 from repro.observability.spans import Tracer, maybe_span
+from repro.resilience.manager import ResilienceManager
 from repro.simtime import SimClock
 from repro.vision.scene_graph import SceneGraphResult
-
-if TYPE_CHECKING:
-    from repro.resilience.manager import ResilienceManager
 
 
 @dataclass
@@ -159,7 +156,7 @@ class DataAggregator:
         self.kg = kg
         self.config = config or AggregatorConfig()
         self.clock = clock
-        self.resilience = resilience
+        self.resilience = resilience or ResilienceManager()
         self.tracer = tracer
 
     def merge(
@@ -212,13 +209,6 @@ class DataAggregator:
         for scene_graph in scene_graphs:
             with maybe_span(self.tracer, "aggregate.merge",
                             image=scene_graph.image_id):
-                if self.resilience is None:
-                    self._attach_scene_graph(
-                        graph, scene_graph, annotations, cache,
-                        cached_vertex_labels, concept_by_label,
-                        instance_ids, tallies,
-                    )
-                    continue
                 # fault checks happen before the attach closure runs,
                 # so a skipped image never leaves half-merged vertices
                 # behind

@@ -46,11 +46,11 @@ from repro.errors import ReproError
 from repro.locks import note_fork, note_join, note_write, wrap_lock
 from repro.observability.spans import Tracer, maybe_trace
 from repro.resilience.events import FaultEvent
+from repro.resilience.manager import ResilienceManager
 from repro.simtime import SimClock
 
 if TYPE_CHECKING:
     from repro.core.planner import PlanOverlay
-    from repro.resilience.manager import ResilienceManager
 
 
 @dataclass
@@ -116,7 +116,9 @@ class BatchExecutor:
         self.workers = workers
         self.costs = costs
         self.stats = stats if stats is not None else ExecutorStats()
-        self.resilience = resilience
+        # every lane guards through one manager, so breakers are
+        # per-site across the whole batch
+        self.resilience = resilience or ResilienceManager()
         self.tracer = tracer
         # frozen shared-sub-plan results from the planner's share
         # phase, handed to every per-thread executor

@@ -14,7 +14,7 @@ vertices toward the main clause.  For every vertex it
    (``getRelationpairs``);
 3. **filters** pairs by the predicate's most similar edge label
    (``maxScore`` over embeddings, through the graph's exact score
-   memo :class:`~repro.nlp.ann.EmbeddingANNIndex`) and applies the
+   memo :class:`~repro.nlp.score_memo.ScoreMemo`) and applies the
    constraint ("most frequently" keeps the subject group supported by
    the most images);
 4. **propagates** the surviving labels along S2S/S2O/O2S/O2O edges to
@@ -45,7 +45,6 @@ if TYPE_CHECKING:
     from repro.analysis.query_validator import QueryGraphValidator
     from repro.core.planner import PlanOverlay
     from repro.graph.model import Edge
-    from repro.resilience.manager import ResilienceManager
 
 from repro.errors import ExecutionError, QueryValidationError
 from repro.graph.observe import ReadIndex, Reads
@@ -62,6 +61,7 @@ from repro.graph import (
 from repro.nlp.morphology import noun_singular
 from repro.observability.spans import Tracer, maybe_span
 from repro.resilience.events import FaultEvent
+from repro.resilience.manager import ResilienceManager
 from repro.resilience.retry import DeadlineBudget
 from repro.simtime import SimClock
 from repro.core.aggregator import MergedGraph
@@ -405,7 +405,7 @@ class QueryGraphExecutor:
             memo.bind(self.graph)
         # the three embedding lookups go through the graph's exact
         # score memo: a repeat (query, label) pair charges ann_probe
-        self._ann = self.graph.ann_index
+        self._score_memo = self.graph.score_memo
         self.cache = cache if cache is not None else KeyCentricCache.disabled()
         self.cache.bind(self.graph, stats)
         self.clock = clock
@@ -419,7 +419,9 @@ class QueryGraphExecutor:
                 f"(expected one of {sorted(VALIDATION_MODES)})"
             )
         self.stats = stats
-        self.resilience = resilience
+        # a session shares one manager; a standalone executor guards
+        # with a private one
+        self.resilience = resilience or ResilienceManager()
         self.tracer = tracer
         # per-execute fault provenance (executors are single-threaded:
         # the batch engine gives every worker its own instance)
@@ -483,11 +485,10 @@ class QueryGraphExecutor:
         wiring is reported (or, in strict mode, rejected) before
         Algorithm 3 touches the merged graph.
 
-        With a resilience manager attached, matchVertex / cache
-        operations run under retry + circuit-breaker guards, a
-        per-query deadline budget can cut execution off with the best
-        partial answer, and every incident lands on the answer's
-        ``fault_events``.
+        matchVertex / cache operations run under the resilience
+        manager's retry + circuit-breaker guards, a per-query deadline
+        budget can cut execution off with the best partial answer,
+        and every incident lands on the answer's ``fault_events``.
 
         ``deadline_limit`` is a per-query budget override in simulated
         seconds (the serving layer derives it from the ``Deadline-Ms``
@@ -509,12 +510,6 @@ class QueryGraphExecutor:
     ) -> Answer:
         if self.config.validation != "off":
             self.validate(query_graph)
-        if self.resilience is None:
-            deadline = None
-            if deadline_limit is not None and self.clock is not None:
-                deadline = DeadlineBudget.start(self.clock,
-                                                deadline_limit)
-            return self._run_graph(query_graph, deadline=deadline)
         events: list[FaultEvent] = []
         self._events = events
         try:
@@ -663,8 +658,7 @@ class QueryGraphExecutor:
         with maybe_span(self.tracer, "executor.match", key=key) as span:
             self._slot_candidates = 0
             self._slot_pruned = 0
-            if self.resilience is None or \
-                    (term is None and bound_labels is None):
+            if term is None and bound_labels is None:
                 result = self._resolve_slot(term, bound_labels)
             else:
                 result = self.resilience.call(
@@ -690,9 +684,6 @@ class QueryGraphExecutor:
         def holds(entry: ScopeEntry) -> bool:
             return entry.resolve(self.graph, stamp) is not None
 
-        if self.resilience is None:
-            return self.cache.scope_get_or_compute(key, compute, stamp,
-                                                   holds)
         return self.resilience.call(
             "cache.scope",
             key=self._fault_key(key),
@@ -715,9 +706,6 @@ class QueryGraphExecutor:
         holds: Callable[[PathEntry], bool],
     ) -> tuple[PathEntry, tuple[Reads, ...], bool]:
         """Path-store access under the ``cache.path`` fault site."""
-        if self.resilience is None:
-            return self.cache.path_get_or_compute(key, compute, stamp,
-                                                  holds)
         return self.resilience.call(
             "cache.path",
             key=self._fault_key(key),
@@ -904,7 +892,7 @@ class QueryGraphExecutor:
             walked: list[int] = []
             if out_labels:
                 best, score, fresh, probes = \
-                    self._ann.best(term.head, out_labels)
+                    self._score_memo.best(term.head, out_labels)
                 self._charge_retrieval("possessive", fresh, probes)
                 targets: dict[int, None] = {}
                 if best is not None and \
@@ -1192,7 +1180,7 @@ class QueryGraphExecutor:
         if not pairs:
             return None, []
         labels = sorted({pair.edge.label for pair in pairs})
-        ranked, fresh, probes = self._ann.rank(predicate, labels)
+        ranked, fresh, probes = self._score_memo.rank(predicate, labels)
         self._charge_retrieval("predicate", fresh, probes)
         best, best_score = ranked[0]
         if best_score < self.config.predicate_threshold:
@@ -1247,7 +1235,7 @@ class QueryGraphExecutor:
     ) -> list[RelationPair]:
         if spoc.constraint is None or not pairs:
             return pairs
-        constraint, score, fresh, probes = self._ann.best(
+        constraint, score, fresh, probes = self._score_memo.best(
             spoc.constraint, list(CONSTRAINT_WORDS)
         )
         self._charge_retrieval("constraint", fresh, probes)

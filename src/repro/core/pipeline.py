@@ -83,8 +83,9 @@ class SVQAConfig:
     enable_scheduler: bool = True
     workers: int = 1  # worker threads for answer_many (1 = serial)
     #: resilience layer (fault injection / retry / deadline / breaker);
-    #: ``None`` keeps the whole layer strictly zero-cost
-    resilience: ResilienceConfig | None = None
+    #: always on — the default injects no faults, so it only degrades
+    #: what really fails (a question the grammar rejects, a crash)
+    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: observability layer (span tracing); ``None`` keeps the off path
     #: bit-identical — no tracer is even constructed
     observability: ObservabilityConfig | None = None
@@ -152,11 +153,9 @@ class SVQA:
             self.tracer = Tracer(
                 max_spans_per_trace=obs.max_spans_per_trace
             )
-        self.resilience: ResilienceManager | None = None
-        if self.config.resilience is not None:
-            self.resilience = ResilienceManager(self.config.resilience,
-                                                stats=self._stats,
-                                                tracer=self.tracer)
+        self.resilience = ResilienceManager(self.config.resilience,
+                                            stats=self._stats,
+                                            tracer=self.tracer)
 
     def release_sanitizer(self) -> None:
         """Deactivate this instance's sanitizer (idempotent).
@@ -307,7 +306,6 @@ class SVQA:
         answers ``"unknown"``.
         """
         manager = self.resilience
-        assert manager is not None
         try:
             graph = manager.call(
                 "parse.question", question,
@@ -344,9 +342,10 @@ class SVQA:
     ) -> Answer:
         """Answer one complex question.
 
-        With :attr:`SVQAConfig.resilience` configured this walks the
-        degradation ladder instead of raising: parse failures fall back
-        to a keyword-match query, executor crashes become attributed
+        Walks the degradation ladder instead of raising, exactly as
+        :meth:`answer_many` and the serving layer do: parse failures
+        fall back to a keyword-match query (or an attributed
+        ``"unknown"``), executor crashes become attributed
         ``"unknown"`` answers, and every salvaged answer carries its
         :class:`~repro.resilience.events.FaultEvent` provenance.
 
@@ -373,10 +372,6 @@ class SVQA:
         self, question: str, executor: QueryGraphExecutor,
         deadline: float | None = None,
     ) -> Answer:
-        if self.resilience is None:
-            query_graph = self.parse_question(question)
-            return executor.execute(query_graph, deadline_limit=deadline)
-
         from repro.resilience.degrade import classify_question_text
 
         events: list[FaultEvent] = []
@@ -460,19 +455,8 @@ class SVQA:
             with maybe_trace(self.tracer, trace_ids[i], self.clock), \
                     maybe_span(self.tracer, "question",
                                question=question):
-                if self.resilience is None:
-                    try:
-                        graphs.append(self.parse_question(question))
-                    except ReproError:
-                        # any pipeline error (parse, tokenization, ...)
-                        # must cost the batch one slot, never the whole
-                        # batch
-                        graphs.append(None)
-                    cap = None
-                else:
-                    graph, cap = self._parse_resilient(question,
-                                                       events)
-                    graphs.append(graph)
+                graph, cap = self._parse_resilient(question, events)
+                graphs.append(graph)
             pre_events.append(events)
             parse_caps.append(cap)
 
@@ -488,10 +472,9 @@ class SVQA:
                            deadlines=deadlines)
         result.merge_into(self.clock)
         self._last_batch = result
-        if self.resilience is not None:
-            self._attach_batch_provenance(
-                result, questions, graphs, pre_events, parse_caps
-            )
+        self._attach_batch_provenance(
+            result, questions, graphs, pre_events, parse_caps
+        )
         return result.answers
 
     def _plan_batch(

@@ -199,8 +199,8 @@ class ExecutorStats:
             "Answers salvaged by the degradation ladder.")
         self._stale_drops = r.counter(
             "svqa_stale_scope_drops_total",
-            "Scope/path cache entries retired by graph-epoch "
-            "invalidation.")
+            "Scope/path cache entries retired by a graph write that "
+            "touched what they read.")
         self._store_rebuilds = r.counter(
             "svqa_store_rebuilds_total",
             "Warm starts that degraded to a full vision-pipeline "
@@ -233,8 +233,8 @@ class ExecutorStats:
             labels=("store",))
         self._ann_lookups = r.counter(
             "svqa_retrieval_ann_lookups_total",
-            "ANN-tier scores by executor site and outcome "
-            "(fresh=computed, probe=memo hit).",
+            "Embedding scores through the score memo by executor site "
+            "and outcome (fresh=computed, probe=memo hit).",
             labels=("site", "outcome"))
 
     def record_retrieval(self, site: str, fresh: int,

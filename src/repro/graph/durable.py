@@ -43,7 +43,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import FaultToleranceError, GraphError, StoreError
 from repro.graph.model import Graph
@@ -57,10 +57,8 @@ from repro.graph.store import (
 from repro.locks import wrap_lock
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.spans import Tracer, maybe_span
+from repro.resilience.manager import ResilienceManager
 from repro.simtime import SimClock
-
-if TYPE_CHECKING:
-    from repro.resilience.manager import ResilienceManager
 
 
 class WriteAheadLog:
@@ -226,7 +224,7 @@ class DurableStore:
         self.snapshot_path = self.root / self.SNAPSHOT_NAME
         self.wal_path = self.root / self.WAL_NAME
         self.quarantine_dir = self.root / self.QUARANTINE_DIR
-        self.resilience = resilience
+        self.resilience = resilience or ResilienceManager()
         self.clock = clock
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -289,12 +287,10 @@ class DurableStore:
             self._snapshots.inc()
             return manifest
 
-        if self.resilience is not None:
-            result = self.resilience.call(
-                "store.snapshot", graph.epoch, write, clock=self.clock)
-            assert isinstance(result, dict)
-            return result
-        return write()
+        result = self.resilience.call(
+            "store.snapshot", graph.epoch, write, clock=self.clock)
+        assert isinstance(result, dict)
+        return result
 
     # ------------------------------------------------------------------
     # the WAL side: the graph's first observer
@@ -336,12 +332,9 @@ class DurableStore:
                     self._wal.append(op)
 
         try:
-            if self.resilience is not None:
-                self.resilience.call(
-                    "store.wal_append", op["epoch"], append,
-                    clock=self.clock)
-            else:
-                append()
+            self.resilience.call(
+                "store.wal_append", op["epoch"], append,
+                clock=self.clock)
         except (FaultToleranceError, StoreError):
             with self._lock:
                 self._wal_healthy = False
@@ -375,8 +368,6 @@ class DurableStore:
             with maybe_span(self.tracer, "store.recover"):
                 return self._recover()
 
-        if self.resilience is None:
-            return run()
         try:
             result = self.resilience.call(
                 "store.recover", "recover", run, clock=self.clock)

@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.graph.candidates import VertexCandidateIndex
 from repro.graph.index import LabelIndex
-from repro.nlp.ann import EmbeddingANNIndex
+from repro.nlp.score_memo import ScoreMemo
 
 if TYPE_CHECKING:
     from repro.graph.observe import GraphObserver
@@ -119,7 +119,7 @@ class Graph:
         self.vertex_labels = LabelIndex()
         self.edge_labels = LabelIndex()
         self.candidate_index = VertexCandidateIndex()
-        self.ann_index = EmbeddingANNIndex()
+        self.score_memo = ScoreMemo()
         self._epoch = 0
         # every follower of the write stream, in notification order;
         # replaced, never mutated in place, so a mutator iterates a
@@ -250,7 +250,7 @@ class Graph:
             self._taxonomy_out.setdefault(src, []).append(edge.id)
             self._taxonomy_in.setdefault(dst, []).append(edge.id)
         self.edge_labels.add(label, edge.id)
-        self.ann_index.add_label(label)
+        self.score_memo.add_label(label)
         self._epoch += 1
         if self._observers:
             self._notify({
@@ -271,7 +271,7 @@ class Graph:
             _discard(self._taxonomy_out, edge.src, edge_id)
             _discard(self._taxonomy_in, edge.dst, edge_id)
         self.edge_labels.remove(edge.label, edge_id)
-        self.ann_index.remove_label(edge.label)
+        self.score_memo.remove_label(edge.label)
         self._epoch += 1
         if self._observers:
             self._notify({

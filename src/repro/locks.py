@@ -5,8 +5,7 @@ and annotates its shared-structure accesses with :func:`note_read` /
 :func:`note_write`.  With no sanitizer installed (the default) each
 hook is a single ``is None`` check — ``wrap_lock`` hands back the raw
 lock object untouched, so the off path is bit-identical to a build
-without the hooks (the same zero-cost discipline as the resilience
-and observability layers).
+without the hooks.
 
 The sanitizer itself lives in
 :mod:`repro.analysis.concurrency.sanitizer`; it cannot be imported

@@ -3,8 +3,7 @@
 ``SVQAConfig.observability`` takes an :class:`ObservabilityConfig` (or
 ``None`` — the default — which keeps the whole layer off: no tracer is
 constructed, no span context managers open, and the off path is
-bit-identical to a build without the layer, the same discipline as
-``SVQAConfig.resilience``).
+bit-identical to a build without the layer).
 """
 
 from __future__ import annotations

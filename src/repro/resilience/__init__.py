@@ -19,8 +19,9 @@ threaded through every pipeline layer:
   (keyword-match parse fallback, partial answers, attributed
   ``"unknown"``).
 
-All timing stays on the :class:`~repro.simtime.SimClock`; with
-``SVQAConfig.resilience`` unset the layer is strictly zero-cost.
+All timing stays on the :class:`~repro.simtime.SimClock`.  The layer
+is always on: the default :class:`ResilienceConfig` injects no faults,
+so it changes only what would otherwise fail.
 """
 
 from repro.resilience.breaker import CLOSED, CircuitBreaker, HALF_OPEN, OPEN

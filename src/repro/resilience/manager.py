@@ -19,8 +19,10 @@ Every incident is recorded twice: as a
 list (per-answer provenance) and as a counter on the shared
 :class:`~repro.core.stats.ExecutorStats` (fleet-level observability).
 
-With no manager present (``SVQAConfig.resilience is None``) none of
-this code runs: the resilience layer is strictly zero-cost when off.
+The layer is always on.  With no fault specs (the default
+:class:`ResilienceConfig`) nothing is injected, so ``call`` retries
+nothing and charges nothing: it only routes real failures — a question
+the grammar rejects, a crashed query — down the degradation ladder.
 """
 
 from __future__ import annotations
@@ -96,8 +98,9 @@ class ResilienceManager:
 
     One manager is created per :class:`~repro.core.pipeline.SVQA`
     instance and threaded through the SGG pipeline, the aggregator,
-    the executor, and the batch engine; breakers are per-site and
-    shared across worker threads.
+    the executor, the batch engine and the durable store; breakers are
+    per-site and shared across worker threads.  A component built on
+    its own holds a private default manager.
     """
 
     def __init__(

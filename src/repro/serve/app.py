@@ -102,10 +102,9 @@ def build_svqa_with_store(
 ) -> tuple[SVQA, RecoveryReport | None]:
     """Construct the pipeline, warm-starting from a snapshot if asked.
 
-    The resilience layer is always on (empty fault specs = production
-    guards) so ``/healthz`` can report breaker state and the
-    degradation ladder backs every response; ``chaos`` switches on
-    uniform fault injection for soak-style runs.
+    The resilience layer runs with empty fault specs (production
+    guards) and the scenario seed; ``chaos`` switches on uniform fault
+    injection for soak-style runs.
 
     With ``config.snapshot`` set, the durable store at that directory
     is recovered (snapshot load + WAL replay) and adopted in place of
@@ -130,8 +129,7 @@ def build_svqa_with_store(
         svqa.scenes, svqa.kg, svqa.annotations = \
             _scenario_corpus(config.scenario)
         svqa.build()
-    if svqa.resilience is not None:
-        svqa.resilience.publish_breaker_states()
+    svqa.resilience.publish_breaker_states()
     return svqa, report
 
 
@@ -414,9 +412,7 @@ class QAService:
 
     def healthz(self) -> dict[str, object]:
         """Live service health (read fresh on every call)."""
-        manager = self.svqa.resilience
-        breakers = manager.breaker_states() if manager is not None \
-            else {}
+        breakers = self.svqa.resilience.breaker_states()
         merged = getattr(self.svqa, "merged", None)
         with self._lock:
             requests_total = self._requests_total

@@ -10,11 +10,11 @@ list (what the mR@K evaluation consumes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import FaultToleranceError
+from repro.resilience.manager import ResilienceManager
 from repro.simtime import SimClock
 from repro.synth.relations import RELATIONS
 from repro.synth.scene import SyntheticScene
@@ -26,9 +26,6 @@ from repro.vision.relation import (
     spatial_predicates,
 )
 from repro.vision.tde import tde_scores
-
-if TYPE_CHECKING:
-    from repro.resilience.manager import ResilienceManager
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,7 @@ class SGGPipeline:
         self.predictor = predictor
         self.config = config or SGGConfig()
         self.clock = clock
-        self.resilience = resilience
+        self.resilience = resilience or ResilienceManager()
         #: image ids dropped by :meth:`run_many` after the detector
         #: failed permanently (the merged graph is then partial)
         self.skipped_images: list[int] = []
@@ -98,8 +95,7 @@ class SGGPipeline:
     def run(self, scene: SyntheticScene) -> SceneGraphResult:
         """Generate the scene graph for one scene.
 
-        Under a resilience manager the detector runs guarded (a
-        permanently failing image raises
+        The detector runs guarded (a permanently failing image raises
         :class:`~repro.errors.FaultToleranceError`, which
         :meth:`run_many` turns into a skip) and relation prediction
         degrades to a relation-less scene graph when its retry budget
@@ -109,35 +105,29 @@ class SGGPipeline:
             self.clock.charge("detector_forward")
             self.clock.charge("relation_forward")
         raster = scene.render()
-        if self.resilience is None:
-            detections = self.detector.detect(raster, scene.image_id)
-            triples, kept = self._predict_relations(scene, detections)
-            degraded = False
-        else:
-            detections = self.resilience.call(
-                "detector.detect", scene.image_id,
-                lambda: self.detector.detect(raster, scene.image_id),
-                clock=self.clock,
-            )
-            fallback_used: list[bool] = []
+        detections = self.resilience.call(
+            "detector.detect", scene.image_id,
+            lambda: self.detector.detect(raster, scene.image_id),
+            clock=self.clock,
+        )
+        fallback_used: list[bool] = []
 
-            def _no_relations() -> tuple[list[PredictedRelation],
-                                         list[PredictedRelation]]:
-                fallback_used.append(True)
-                return [], []
+        def _no_relations() -> tuple[list[PredictedRelation],
+                                     list[PredictedRelation]]:
+            fallback_used.append(True)
+            return [], []
 
-            triples, kept = self.resilience.call(
-                "relation.predict", scene.image_id,
-                lambda: self._predict_relations(scene, detections),
-                clock=self.clock, fallback=_no_relations,
-            )
-            degraded = bool(fallback_used)
+        triples, kept = self.resilience.call(
+            "relation.predict", scene.image_id,
+            lambda: self._predict_relations(scene, detections),
+            clock=self.clock, fallback=_no_relations,
+        )
         return SceneGraphResult(
             image_id=scene.image_id,
             detections=detections,
             relations=kept,
             ranked_triples=triples,
-            degraded=degraded,
+            degraded=bool(fallback_used),
         )
 
     def _predict_relations(
@@ -198,13 +188,10 @@ class SGGPipeline:
     def run_many(self, scenes: list[SyntheticScene]) -> list[SceneGraphResult]:
         """Generate scene graphs for a batch of scenes.
 
-        With a resilience manager, an image whose detector fails
-        permanently is skipped (recorded in :attr:`skipped_images`)
+        An image whose detector fails permanently is skipped (recorded in :attr:`skipped_images`)
         instead of sinking the whole offline build — the merged graph
         comes out partial, and dependent answers degrade.
         """
-        if self.resilience is None:
-            return [self.run(scene) for scene in scenes]
         results: list[SceneGraphResult] = []
         for scene in scenes:
             try:

@@ -10,8 +10,6 @@ import textwrap
 from repro.analysis import (
     RuleBinding,
     default_bindings,
-    default_source_root,
-    lint_paths,
     lint_source,
 )
 from repro.analysis.code_rules import (
@@ -308,7 +306,7 @@ class TestSyntaxError:
 
 
 class TestRealRepository:
-    def test_package_source_is_clean(self):
+    def test_package_source_is_clean(self, source_lint_report):
         """The acceptance gate: zero diagnostics on the shipped tree."""
-        report = lint_paths([default_source_root()])
+        report = source_lint_report
         assert len(report) == 0, report.render()

@@ -136,9 +136,10 @@ class TestDefaultProjectBindings:
 
 
 class TestRealRepositoryPostTriage:
-    def test_shipped_tree_has_zero_project_findings(self):
+    def test_shipped_tree_has_zero_project_findings(self,
+                                                    source_lint_report):
         """Satellite 1 acceptance: every finding fixed or allowlisted."""
-        report = lint_paths([default_source_root()])
+        report = source_lint_report
         concurrency = [d for d in report
                        if d.rule_id in ("RP008", "RP009", "RP010", "RP011")]
         assert concurrency == [], report.render()

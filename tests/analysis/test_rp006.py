@@ -115,8 +115,5 @@ class TestFaultSiteLiterals:
 
 
 class TestRepoIsClean:
-    def test_package_source_has_no_rp006_errors(self):
-        from repro.analysis import default_source_root, lint_paths
-
-        report = lint_paths([default_source_root()])
-        assert not [d for d in report if d.rule_id == "RP006"]
+    def test_package_source_has_no_rp006_errors(self, source_lint_report):
+        assert not [d for d in source_lint_report if d.rule_id == "RP006"]

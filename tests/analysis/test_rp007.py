@@ -162,11 +162,6 @@ class TestRetiringStoreWrites:
 
 
 class TestRepoIsClean:
-    def test_package_source_passes_rp007(self):
-        from repro.analysis import (
-            default_bindings,
-            default_source_root,
-            lint_paths,
-        )
-        report = lint_paths([default_source_root()], default_bindings())
-        assert not [d for d in report if d.rule_id == "RP007"]
+    def test_package_source_passes_rp007(self, source_lint_report):
+        # the shared report runs the default bindings, RP007 included
+        assert not [d for d in source_lint_report if d.rule_id == "RP007"]

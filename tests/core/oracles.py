@@ -31,7 +31,7 @@ from repro.nlp.embeddings import max_score, rank_scores
 
 
 class LinearScores:
-    """Drop-in for ``QueryGraphExecutor._ann``: the linear scans, with
+    """Drop-in for ``QueryGraphExecutor._score_memo``: the linear scans, with
     every score reported fresh and no memo probes."""
 
     def rank(self, query, candidates):

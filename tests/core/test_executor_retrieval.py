@@ -126,7 +126,7 @@ def run_questions(scores=None):
         make_merged(), clock=SimClock(), stats=ExecutorStats(),
     )
     if scores is not None:
-        executor._ann = scores
+        executor._score_memo = scores
     answers = [executor.execute(generate_query_graph(q))
                for q in QUESTIONS]
     return executor, answers

@@ -5,6 +5,7 @@ import pytest
 from repro.core import SVQA, SVQAConfig, estimate_parallel_latency
 from repro.dataset.kg import build_commonsense_kg
 from repro.errors import QueryError
+from repro.resilience.degrade import KEYWORD_FALLBACK_CONFIDENCE
 from repro.synth import SceneGenerator
 from tests.core.oracles import unplanned_answers
 
@@ -66,11 +67,17 @@ class TestAnswering:
         assert single.value == batch.value
 
     def test_unparseable_question_degrades_gracefully(self, svqa):
+        # the grammar rejects "canis"; the keyword-match fallback
+        # answers instead, capped and attributed, as /ask does
         answers = svqa.answer_many([
             "Does the kind of canis that is sitting on the bed appear "
             "in front of the vehicle?",
         ])
-        assert answers[0].value == "unknown"
+        answer = answers[0]
+        assert answer.degraded
+        assert answer.confidence <= KEYWORD_FALLBACK_CONFIDENCE
+        assert [(e.site, e.kind) for e in answer.fault_events] == \
+            [("parse.question", "error"), ("parse.question", "degraded")]
 
     def test_clock_accumulates(self, svqa):
         before = svqa.elapsed

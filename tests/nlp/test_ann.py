@@ -1,4 +1,4 @@
-"""Unit and equivalence tests for the EmbeddingANNIndex score memo.
+"""Unit and equivalence tests for the embedding score memo (ScoreMemo).
 
 ``rank``/``best`` must be extensionally equal to the linear
 :func:`repro.nlp.embeddings.rank_scores` / ``max_score`` scans (the
@@ -14,7 +14,7 @@ import pytest
 
 from repro.dataset.mvqa import build_mvqa
 from repro.graph import Graph
-from repro.nlp.ann import EmbeddingANNIndex
+from repro.nlp.score_memo import ScoreMemo
 from repro.nlp.embeddings import max_score, rank_scores
 
 PREDICATES = [
@@ -25,7 +25,7 @@ PREDICATES = [
 
 
 def make_index(*labels):
-    index = EmbeddingANNIndex()
+    index = ScoreMemo()
     for label in labels:
         index.add_label(label)
     return index
@@ -110,7 +110,7 @@ class TestGraphMaintenance:
         a = graph.add_vertex("dog", {})
         b = graph.add_vertex("grass", {})
         graph.add_edge(a.id, b.id, "standing on")
-        assert "standing on" in graph.ann_index
+        assert "standing on" in graph.score_memo
 
     def test_remove_edge_unindexes_last_copy(self):
         graph = Graph(name="g")
@@ -120,7 +120,7 @@ class TestGraphMaintenance:
         first = graph.add_edge(a.id, b.id, "near")
         graph.add_edge(c.id, b.id, "near")
         graph.remove_edge(first.id)
-        assert graph.ann_index.count("near") == 1
+        assert graph.score_memo.count("near") == 1
 
     def test_remove_vertex_retires_its_edge_labels(self):
         graph = Graph(name="g")
@@ -128,7 +128,7 @@ class TestGraphMaintenance:
         b = graph.add_vertex("grass", {})
         graph.add_edge(a.id, b.id, "standing on")
         graph.remove_vertex(a.id)
-        assert "standing on" not in graph.ann_index
+        assert "standing on" not in graph.score_memo
 
     def test_index_stays_fresh_across_epochs(self):
         """Epoch-bump staleness regression: the index must track the
@@ -139,9 +139,9 @@ class TestGraphMaintenance:
         before = graph.epoch
         edge = graph.add_edge(a.id, b.id, "standing on")
         assert graph.epoch > before
-        assert graph.ann_index.labels() == ["standing on"]
+        assert graph.score_memo.labels() == ["standing on"]
         graph.remove_edge(edge.id)
-        assert graph.ann_index.labels() == []
+        assert graph.score_memo.labels() == []
 
 
 FUZZ_LABELS = PREDICATES + [
@@ -188,11 +188,11 @@ class TestScanEquivalence:
                         live.pop(rng.randrange(len(live)))
                     )
                 if step % 10 == 9:
-                    labels = graph.ann_index.labels()
+                    labels = graph.score_memo.labels()
                     assert set(labels) == \
                         {e.label for e in graph.edges()}
                     assert len(labels) == len(set(labels))
                     queries = rng.sample(FUZZ_QUERIES, 4)
                     if labels:
-                        assert_rank_equivalent(graph.ann_index,
+                        assert_rank_equivalent(graph.score_memo,
                                                queries, labels)

@@ -11,6 +11,7 @@ import ast
 import re
 from pathlib import Path
 
+from repro.core.stats import ExecutorStats
 from repro.observability import (
     BENCH_GLOSSARY,
     METRIC_GLOSSARY,
@@ -71,16 +72,20 @@ class TestMetricGlossary:
     def test_stale_scope_drops_mean_write_retirement(self):
         """The family keeps its name, but counts entries retired by a
         write that could change them, not an epoch-wide flush: the
-        glossary, the bench row behind ``--explain`` and the runbook
-        row say the same."""
+        glossary, the bench row behind ``--explain``, the runbook row
+        and the exposition's ``# HELP`` line say the same."""
         name = "svqa_stale_scope_drops_total"
         definition = METRIC_GLOSSARY[name]
         row = next(line for line in
                    OPERATIONS.read_text(encoding="utf-8").splitlines()
                    if line.startswith(f"| `{name}`"))
         assert row.rstrip(" |").endswith(definition)
+        help_line = next(
+            line for line in
+            ExecutorStats().registry.to_prometheus().splitlines()
+            if line.startswith(f"# HELP {name} "))
         for text in (definition, BENCH_GLOSSARY["stale scope drops"],
-                     row):
+                     row, help_line):
             assert "write" in text and "epoch" not in text, text
 
     def test_definitions_are_one_line_and_nonempty(self):

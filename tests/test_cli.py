@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -30,6 +32,18 @@ class TestAskCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "A: " in out
+
+    def test_unparseable_question_degrades_like_serve(self, capsys):
+        """Bugfix: a question the grammar rejects gets the same
+        degraded ``unknown`` payload ``POST /ask`` returns, not an
+        error exit."""
+        code = main(["ask", "--json", "canis canis canis"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["answer"] == "unknown"
+        assert payload["meta"]["degraded"] is True
+        assert any(event["site"] == "parse.question"
+                   for event in payload["meta"]["fault_events"])
 
 
 class TestBenchCommand:
