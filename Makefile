@@ -2,7 +2,7 @@
 
 .PHONY: test lint lint-analysis sanitize docs-check doc-links profile \
 	bench chaos retrieval-fuzz scope-fuzz serve serve-smoke snapshot-smoke \
-	store-torture
+	store-torture src-size
 
 test:
 	PYTHONPATH=src python -m pytest -x -q
@@ -47,6 +47,11 @@ docs-check:
 # the documentation tier must resolve against the working tree
 doc-links:
 	python scripts/check_doc_links.py
+
+# the size of src/ on one line (line count and public-symbol count),
+# tracked like a benchmark: each change reports its delta
+src-size:
+	python scripts/src_size.py
 
 # deterministic per-stage profile of the fast MVQA suite; writes the
 # artifacts the CI observability job byte-diffs

@@ -23,7 +23,6 @@ from repro.analysis.code_linter import (
     default_bindings,
     default_source_root,
     lint_paths,
-    lint_source,
 )
 from repro.analysis.code_rules import (
     ALL_CODE_RULES,
@@ -70,6 +69,5 @@ __all__ = [
     "default_context",
     "default_source_root",
     "lint_paths",
-    "lint_source",
     "validate_query_graph",
 ]

@@ -186,30 +186,6 @@ def collect_python_files(roots: Iterable[Path]) -> list[Path]:
     return sorted(files)
 
 
-def lint_source(
-    source: str,
-    path: str,
-    bindings: Sequence[RuleBinding] | None = None,
-) -> DiagnosticReport:
-    """Lint one module's source text under the given bindings."""
-    if bindings is None:
-        bindings = default_bindings()
-    report = DiagnosticReport()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        report.add(Diagnostic(
-            "RP000", Severity.ERROR,
-            Location(file=path, line=exc.lineno, column=exc.offset),
-            f"file does not parse: {exc.msg}",
-        ))
-        return report
-    for binding in bindings:
-        if isinstance(binding.rule, CodeRule) and binding.applies_to(path):
-            report.extend(binding.rule.check(tree, path))
-    return report
-
-
 def lint_paths(
     roots: Iterable[Path],
     bindings: Sequence[RuleBinding] | None = None,
@@ -281,5 +257,4 @@ __all__ = [
     "default_project_bindings",
     "default_source_root",
     "lint_paths",
-    "lint_source",
 ]

@@ -33,7 +33,6 @@ standard conservative choice for order analysis.
 from __future__ import annotations
 
 import ast
-import builtins
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -91,8 +90,6 @@ def _is_seam_lock(lock: LockId) -> bool:
 BLOCKING_ATTRS: frozenset[str] = frozenset({
     "result", "join", "wait", "get", "put",
 })
-
-_BUILTIN_NAMES: frozenset[str] = frozenset(dir(builtins))
 
 
 @dataclass(frozen=True)

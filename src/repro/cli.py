@@ -96,8 +96,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batch_wait=args.batch_wait,
         rate=args.rate,
         burst=args.burst,
-        max_queue=args.max_queue,
-        soft_queue=args.soft_queue,
         default_deadline_ms=args.deadline_ms,
         chaos=args.chaos,
         snapshot=args.snapshot,
@@ -220,18 +218,6 @@ def _cmd_mvqa(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_baseline(path: str) -> dict | None:
-    """Read a recorded ``BENCH_baseline.json``; ``None`` if absent."""
-    import json
-    import os
-
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return payload if isinstance(payload, dict) else None
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.core import estimate_parallel_latency
     from repro.eval.harness import format_table, percentage
@@ -289,8 +275,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print()
     print(format_table(["Metric", "Value"], rows,
                        title="Executor statistics"))
-    print()
-    _print_makespan_prediction(svqa, args)
     if args.explain:
         from repro.observability import explain_lines
 
@@ -301,41 +285,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_makespan_prediction(svqa: SVQA,
-                               args: argparse.Namespace) -> None:
-    """Print the plan-aware makespan prediction for the last batch
-    against its measured makespan (calibrated from ``--baseline``)."""
-    from repro.core import CalibratedCosts, predict_makespan
-    from repro.eval.harness import format_table
-
-    plan, batch = svqa.last_plan, svqa.last_batch
-    assert plan is not None and batch is not None
-    baseline = _load_baseline(args.baseline)
-    if baseline is None:
-        print(f"(no baseline at {args.baseline}; skipping the "
-              "predicted-vs-measured makespan table)")
-        return
-    calibration = CalibratedCosts.from_baseline(baseline,
-                                                svqa.clock.costs)
-    prediction = predict_makespan(plan.forest, plan.positions,
-                                  args.workers, calibration)
-    measured = batch.simulated_makespan
-    error = (abs(prediction.makespan - measured) / measured
-             if measured else 0.0)
-    print(format_table(
-        ["Makespan", "Seconds"],
-        [["predicted (plan-aware)", f"{prediction.makespan:.3f}"],
-         ["measured", f"{measured:.3f}"],
-         ["relative error", f"{error:.1%}"],
-         ["share phase (predicted)", f"{prediction.share_cost:.3f}"]],
-        title=f"Predicted vs measured makespan (workers={args.workers}, "
-              f"calibrated from {args.baseline})",
-    ))
-
-
 def _cmd_plan(args: argparse.Namespace) -> int:
-    """Print the shared-sub-plan forest for a batch, plus the plan-aware
-    makespan prediction against the measured makespan."""
+    """Print the shared-sub-plan forest for an MVQA batch."""
     from repro.core import render_forest
 
     dataset, svqa = _build_mvqa_svqa(args)
@@ -347,8 +298,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print(f"  share phase: {plan.share.shared_scopes} scopes + "
           f"{plan.share.shared_neighborhoods} neighborhoods computed "
           f"once, {plan.share.charged_seconds:.3f} s charged")
-    print()
-    _print_makespan_prediction(svqa, args)
     return 0
 
 
@@ -812,7 +761,7 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--port", type=int, default=8030,
                        help="0 picks an ephemeral port")
     serve.add_argument("--seed", type=int, default=0,
-                       help="seed for shed decisions and chaos faults")
+                       help="seed for chaos faults")
     serve.add_argument("--workers", type=_positive_int, default=1,
                        help="batch-executor worker threads")
     serve.add_argument("--max-batch", type=_positive_int, default=8,
@@ -826,11 +775,6 @@ def main(argv: list[str] | None = None) -> int:
                             "simulated second")
     serve.add_argument("--burst", type=_positive_int, default=20,
                        help="token-bucket capacity per client")
-    serve.add_argument("--max-queue", type=_positive_int, default=64,
-                       help="hard in-flight bound (503 above it)")
-    serve.add_argument("--soft-queue", type=int, default=None,
-                       help="probabilistic shedding starts here "
-                            "(default: 3/4 of --max-queue)")
     serve.add_argument("--deadline-ms", type=_positive_float,
                        default=None,
                        help="default per-request deadline in simulated "
@@ -903,11 +847,6 @@ def main(argv: list[str] | None = None) -> int:
                             "this per-site rate")
     bench.add_argument("--seed", type=int, default=0,
                        help="fault-injection seed for --chaos")
-    bench.add_argument("--baseline", default="BENCH_baseline.json",
-                       metavar="PATH",
-                       help="recorded baseline used to calibrate the "
-                            "plan-aware makespan predictor (skipped "
-                            "when absent)")
     bench.add_argument("--explain", action="store_true",
                        help="print one definition line per reported "
                             "metric (from the shared glossary)")
@@ -915,16 +854,11 @@ def main(argv: list[str] | None = None) -> int:
 
     plan = commands.add_parser(
         "plan",
-        help="print the shared-sub-plan forest for an MVQA batch and "
-             "the predicted-vs-measured makespan",
+        help="print the shared-sub-plan forest for an MVQA batch",
     )
     plan.add_argument("--fast", action="store_true")
     plan.add_argument("--workers", type=_positive_int, default=1,
                       help="worker threads for batch answering")
-    plan.add_argument("--baseline", default="BENCH_baseline.json",
-                      metavar="PATH",
-                      help="recorded baseline used to calibrate the "
-                           "makespan predictor")
     plan.add_argument("--top", type=_positive_int, default=12,
                       help="shared nodes to list, by fan-out uses")
     plan.set_defaults(handler=_cmd_plan)

@@ -32,8 +32,6 @@ from repro.core.pipeline import (
     estimate_parallel_latency,
 )
 from repro.core.planner import (
-    CalibratedCosts,
-    MakespanPrediction,
     PlanForest,
     PlanNode,
     PlanOverlay,
@@ -45,7 +43,6 @@ from repro.core.planner import (
     canonicalize,
     execute_shared,
     plan_order,
-    predict_makespan,
     render_forest,
 )
 from repro.observability.config import ObservabilityConfig
@@ -66,7 +63,6 @@ __all__ = [
     "BatchResult",
     "CONSTRAINT_WORDS",
     "CacheReport",
-    "CalibratedCosts",
     "Clause",
     "DataAggregator",
     "DependencyKind",
@@ -78,7 +74,6 @@ __all__ = [
     "KeyCentricCache",
     "LFUCache",
     "LRUCache",
-    "MakespanPrediction",
     "MergeStats",
     "MergedGraph",
     "ObservabilityConfig",
@@ -109,7 +104,6 @@ __all__ = [
     "generate_query_graph",
     "make_cache",
     "plan_order",
-    "predict_makespan",
     "query_graph_from_tree",
     "render_answer",
     "render_forest",

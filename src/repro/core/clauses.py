@@ -74,26 +74,3 @@ def _owning_clause(
             return current
         current = tree.heads[current]
     return None
-
-
-def clause_token_span(tree: DependencyTree, clause: Clause,
-                      all_clauses: list[Clause]) -> list[int]:
-    """Token indices belonging to this clause (its subtree minus nested
-    clause subtrees)."""
-    nested_heads = [
-        c.head for c in all_clauses
-        if c.head != clause.head and _descends_from(tree, c.head, clause.head)
-    ]
-    excluded: set[int] = set()
-    for head in nested_heads:
-        excluded.update(tree.subtree(head))
-    return [i for i in tree.subtree(clause.head) if i not in excluded]
-
-
-def _descends_from(tree: DependencyTree, index: int, ancestor: int) -> bool:
-    current = tree.heads[index]
-    while current != -1:
-        if current == ancestor:
-            return True
-        current = tree.heads[current]
-    return False

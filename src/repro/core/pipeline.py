@@ -318,17 +318,16 @@ class SVQA:
                 "parse.question", "error",
                 detail=f"{type(exc).__name__}: {exc}",
             ))
-        if manager.config.degrade_parse:
-            from repro.resilience.degrade import (
-                KEYWORD_FALLBACK_CONFIDENCE,
-                keyword_query_graph,
-            )
+        from repro.resilience.degrade import (
+            KEYWORD_FALLBACK_CONFIDENCE,
+            keyword_query_graph,
+        )
 
-            graph = keyword_query_graph(question)
-            if graph is not None:
-                events.append(FaultEvent("parse.question", "degraded",
-                                         detail="keyword-match fallback"))
-                return graph, KEYWORD_FALLBACK_CONFIDENCE
+        graph = keyword_query_graph(question)
+        if graph is not None:
+            events.append(FaultEvent("parse.question", "degraded",
+                                     detail="keyword-match fallback"))
+            return graph, KEYWORD_FALLBACK_CONFIDENCE
         return None, None
 
     def _mark_parse_degraded(self, answer: Answer, cap: float) -> None:
@@ -504,11 +503,9 @@ class SVQA:
         kinds = [kind for kind, on in enabled.items() if on]
         forest = build_forest(plans, epoch, kinds=kinds)
         if config.enable_scheduler:
-            positions = plan_order(plans, forest)
-            order = [valid[p] for p in positions] + \
+            order = [valid[p] for p in plan_order(plans, forest)] + \
                 [i for i, g in enumerate(graphs) if g is None]
         else:
-            positions = list(range(len(plans)))
             order = list(range(len(graphs)))
         overlay = PlanOverlay(epoch)
         share_executor = QueryGraphExecutor(
@@ -530,9 +527,8 @@ class SVQA:
                          share.shared_neighborhoods)
         overlay.freeze()
         self._stats.record_plan_batch(forest.node_counts())
-        self._last_plan = PlannedBatch(forest=forest,
-                                       positions=positions,
-                                       order=order, share=share)
+        self._last_plan = PlannedBatch(forest=forest, order=order,
+                                       share=share)
         return order, overlay
 
     def _attach_batch_provenance(

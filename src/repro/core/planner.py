@@ -31,13 +31,7 @@ whole-plan sharing:
   shared mass first, which maximizes scope/path reuse while entries are
   hot in the bounded pool; within a cluster the §V-B frequency-ratio
   order is kept (the scheduler ablation, ``enable_scheduler=False``,
-  keeps the input order instead and still shares);
-* **predict** — a makespan predictor calibrated from the per-operation
-  clock counts in ``BENCH_baseline.json`` (schema v2) walks the plan
-  nodes in scheduled order, simulating first-touch misses and fan-out
-  fills, and packs the per-query costs onto the worker lanes — the
-  plan-aware successor of the retired bin-packing estimate, validated
-  against the measured makespan by ``repro bench`` / ``repro plan``.
+  keeps the input order instead and still shares).
 
 Epoch interaction: every canonical key carries the *plan-time* graph
 epoch at index 1, and the overlay is stamped with it (the executor's
@@ -88,41 +82,29 @@ class PlanNode:
     the ``("nbr", epoch, direction, head)`` overlay key.  ``shareable``
     marks nodes the share phase knows how to precompute (possessive
     scopes, for example, are canonical but not precomputed).
-    ``derives_from`` links a ``path`` node to the neighborhood key that
-    can serve it by membership filtering, if any.
     """
 
     kind: str
     key: tuple[Any, ...]
     shareable: bool = True
-    derives_from: tuple[Any, ...] | None = None
 
 
 @dataclass
 class QueryPlan:
     """One query graph, canonicalized into plan nodes.
 
-    ``dynamic_scopes`` / ``dynamic_paths`` count the requests whose
-    keys depend on runtime bindings (slots fed by provider clauses) —
-    unplannable statically, but still priced by the predictor through
-    the calibrated hit rates.
+    Requests whose keys depend on runtime bindings (slots fed by
+    provider clauses) are unplannable statically and get no node.
     """
 
     index: int
     vertices: int
     score: float
     nodes: list[PlanNode]
-    dynamic_scopes: int
-    dynamic_paths: int
 
     def signature(self) -> tuple[Any, ...]:
         """A canonical, comparable identity for determinism tests."""
-        return (
-            self.vertices,
-            tuple((n.kind, n.key) for n in self.nodes),
-            self.dynamic_scopes,
-            self.dynamic_paths,
-        )
+        return (self.vertices, tuple((n.kind, n.key) for n in self.nodes))
 
 
 @dataclass(frozen=True)
@@ -210,32 +192,24 @@ def canonicalize(graph: QueryGraph, epoch: int,
         dynamic[dst].add(kind.consumer_slot)
 
     nodes: list[PlanNode] = []
-    dynamic_scopes = 0
-    dynamic_paths = 0
     for i, spoc in enumerate(graph.vertices):
         subject_static = "subject" not in dynamic[i]
         object_static = "object" not in dynamic[i]
         for slot, static in (("subject", subject_static),
                              ("object", object_static)):
             term = spoc.slot(slot)
-            if not static:
-                dynamic_scopes += 1
-            elif term is not None:
+            if static and term is not None:
                 nodes.append(_term_scope_node(term, epoch))
-        if spoc.predicate == "be":
+        if spoc.predicate == "be" or not (subject_static and object_static):
             continue
-        if not (subject_static and object_static):
-            dynamic_paths += 1
-            continue
-        nbr_key = _neighborhood_key(spoc, epoch)
         path_key = (
             "path",
             epoch,
             _static_slot_key(spoc.subject),
             _static_slot_key(spoc.object),
         )
-        nodes.append(PlanNode(kind="path", key=path_key, shareable=False,
-                              derives_from=nbr_key))
+        nodes.append(PlanNode(kind="path", key=path_key, shareable=False))
+        nbr_key = _neighborhood_key(spoc, epoch)
         if nbr_key is not None:
             nodes.append(PlanNode(kind="neighborhood", key=nbr_key))
     return QueryPlan(
@@ -243,8 +217,6 @@ def canonicalize(graph: QueryGraph, epoch: int,
         vertices=len(graph.vertices),
         score=score,
         nodes=nodes,
-        dynamic_scopes=dynamic_scopes,
-        dynamic_paths=dynamic_paths,
     )
 
 
@@ -435,7 +407,6 @@ class ShareReport:
 
     shared_scopes: int
     shared_neighborhoods: int
-    fanout_uses: int
     charged_seconds: float
 
 
@@ -494,7 +465,6 @@ def execute_shared(
     return ShareReport(
         shared_scopes=shared_scopes,
         shared_neighborhoods=shared_neighborhoods,
-        fanout_uses=forest.fanout_uses(),
         charged_seconds=charged,
     )
 
@@ -504,181 +474,8 @@ class PlannedBatch:
     """Everything ``answer_many`` decided for one planned batch."""
 
     forest: PlanForest
-    positions: list[int]    # execution order, as positions into plans
     order: list[int]        # submission order, as input indices
     share: ShareReport
-
-
-# ----------------------------------------------------------------------
-# plan-aware makespan prediction
-# ----------------------------------------------------------------------
-def _series_value(metrics: dict[str, Any], family: str,
-                  **labels: str) -> float:
-    """Read one series value out of a baseline's metrics snapshot."""
-    payload = metrics.get(family)
-    if not isinstance(payload, dict):
-        return 0.0
-    total = 0.0
-    for row in payload.get("series", []):
-        if not labels or row.get("labels") == labels:
-            total += float(row.get("value", 0.0))
-    return total
-
-
-@dataclass(frozen=True)
-class CalibratedCosts:
-    """Per-operation unit costs calibrated from a recorded baseline.
-
-    The means are maximum-likelihood under the cost model: e.g.
-    ``mean_edge_mass`` is the baseline's total ``edge_scan`` charges
-    divided by the number of uncached (non-derived) path computations
-    that run, so ``path_probe + edge_scan * mean_edge_mass`` prices an
-    average cold path request.
-    """
-
-    scope_hit: float
-    scope_miss: float
-    path_hit: float
-    path_miss: float
-    path_fill: float
-    embed_per_query: float
-    scope_hit_rate: float
-    path_hit_rate: float
-    mean_edge_mass: float
-
-    @classmethod
-    def from_baseline(cls, baseline: dict[str, Any],
-                      costs: dict[str, float]) -> CalibratedCosts:
-        """Calibrate from a ``BENCH_baseline.json`` payload (schema v2)."""
-        counts = baseline.get("clock_counts", {})
-        metrics = baseline.get("metrics", {})
-        requests = "svqa_cache_requests_total"
-        scope_hits = _series_value(metrics, requests,
-                                   store="scope", outcome="hit")
-        scope_misses = _series_value(metrics, requests,
-                                     store="scope", outcome="miss")
-        path_hits = _series_value(metrics, requests,
-                                  store="path", outcome="hit")
-        path_misses = _series_value(metrics, requests,
-                                    store="path", outcome="miss")
-        fills = "svqa_plan_overlay_fills_total"
-        path_fills = _series_value(metrics, fills, store="path")
-        shared = "svqa_plan_shared_nodes_total"
-        shared_scopes = _series_value(metrics, shared, kind="scope")
-        shared_nbrs = _series_value(metrics, shared, kind="neighborhood")
-        queries = _series_value(metrics, "svqa_queries_total") or 1.0
-
-        scope_computes = scope_misses + shared_scopes
-        mean_examined = (counts.get("vertex_match", 0) / scope_computes
-                         if scope_computes else 0.0)
-        cold_paths = (path_misses - path_fills) + shared_nbrs
-        mean_edge_mass = (counts.get("edge_scan", 0) / cold_paths
-                          if cold_paths else 0.0)
-        pair_filters = counts.get("pair_filter", 0)
-        mean_pair_mass = (pair_filters / path_fills
-                          if path_fills else mean_edge_mass)
-        embed_per_query = (counts.get("embed_score", 0)
-                           * costs["embed_score"] / queries)
-        return cls(
-            scope_hit=costs["cache_hit"],
-            scope_miss=costs["scope_scan"]
-            + costs["vertex_match"] * mean_examined,
-            path_hit=costs["cache_hit"],
-            path_miss=costs["path_probe"]
-            + costs["edge_scan"] * mean_edge_mass,
-            path_fill=costs["path_probe"]
-            + costs["pair_filter"] * mean_pair_mass,
-            embed_per_query=embed_per_query,
-            scope_hit_rate=(scope_hits / (scope_hits + scope_misses)
-                            if scope_hits + scope_misses else 0.0),
-            path_hit_rate=(path_hits / (path_hits + path_misses)
-                           if path_hits + path_misses else 0.0),
-            mean_edge_mass=mean_edge_mass,
-        )
-
-
-@dataclass(frozen=True)
-class MakespanPrediction:
-    """The predictor's output for one planned batch."""
-
-    per_query: tuple[float, ...]   # predicted cost, in execution order
-    makespan: float                # predicted busiest-lane seconds
-    share_cost: float              # predicted share-phase seconds
-    total: float                   # predicted total batch work
-
-
-def _pack(latencies: list[float], workers: int) -> float:
-    """Greedy longest-first bin packing (the §V parallel model)."""
-    lanes = [0.0] * max(workers, 1)
-    for latency in sorted(latencies, reverse=True):
-        lanes[lanes.index(min(lanes))] += latency
-    return max(lanes) if lanes else 0.0
-
-
-def predict_makespan(
-    forest: PlanForest,
-    positions: list[int],
-    workers: int,
-    calibration: CalibratedCosts,
-) -> MakespanPrediction:
-    """Predict the batch makespan from the plan forest.
-
-    Walks the plans in execution order, simulating the key-centric
-    store: the first touch of an unshared static key pays the
-    calibrated miss cost, later touches pay the hit cost; keys the
-    share phase precomputed pay a warm hit (scope) or an overlay
-    derivation (path) on first touch; dynamic requests are priced by
-    the calibrated hit rates.  Per-query costs are then packed onto
-    ``workers`` lanes greedily (the measured batch submits in the same
-    order, so the busiest predicted lane approximates the measured
-    makespan).
-    """
-    plans = {plan.index: plan for plan in forest.plans}
-    seen: set[tuple[Any, ...]] = set()
-    per_query: list[float] = []
-    for position in positions:
-        plan = plans[position]
-        cost = calibration.embed_per_query
-        for node in plan.nodes:
-            if node.kind == "neighborhood":
-                continue
-            if node.kind == "scope":
-                if node.key in seen or node.key in forest.shared:
-                    cost += calibration.scope_hit
-                else:
-                    cost += calibration.scope_miss
-                seen.add(node.key)
-                continue
-            # path node
-            if node.key in seen:
-                cost += calibration.path_hit
-            elif node.derives_from is not None \
-                    and node.derives_from in forest.shared:
-                cost += calibration.path_fill
-            else:
-                cost += calibration.path_miss
-            seen.add(node.key)
-        cost += plan.dynamic_scopes * (
-            calibration.scope_hit_rate * calibration.scope_hit
-            + (1 - calibration.scope_hit_rate) * calibration.scope_miss
-        )
-        cost += plan.dynamic_paths * (
-            calibration.path_hit_rate * calibration.path_hit
-            + (1 - calibration.path_hit_rate) * calibration.path_miss
-        )
-        per_query.append(cost)
-
-    share_cost = (
-        len(forest.shared_by_kind("scope")) * calibration.scope_miss
-        + len(forest.shared_by_kind("neighborhood"))
-        * calibration.path_miss
-    )
-    return MakespanPrediction(
-        per_query=tuple(per_query),
-        makespan=_pack(per_query, workers),
-        share_cost=share_cost,
-        total=sum(per_query),
-    )
 
 
 def render_forest(forest: PlanForest, limit: int = 12) -> str:

@@ -177,17 +177,6 @@ def _has_wh_marker(tree: DependencyTree, index: int) -> bool:
     return False
 
 
-def _has_how_many(tree: DependencyTree, term_index: int | None) -> bool:
-    if term_index is None:
-        return False
-    for child in tree.children(term_index, "amod"):
-        if tree.tokens[child].lower in {"many", "much"}:
-            grand = tree.children(child, "advmod")
-            if grand and tree.tokens[grand[0]].lower == "how":
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # predicate / constraint helpers
 # ---------------------------------------------------------------------------

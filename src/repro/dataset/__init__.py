@@ -10,8 +10,6 @@ from repro.dataset.groundtruth import (
 from repro.dataset.kg import (
     build_commonsense_kg,
     build_movie_kg,
-    character_names,
-    characters_with_occupation,
 )
 from repro.dataset.mvqa import (
     COMPOSITION,
@@ -54,8 +52,6 @@ __all__ = [
     "build_movie_kg",
     "build_mvqa",
     "categories_for_word",
-    "character_names",
-    "characters_with_occupation",
     "mvqa_image_filter",
     "mvqa_row",
     "table2_breakdown",

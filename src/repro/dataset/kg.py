@@ -103,13 +103,3 @@ def build_movie_kg(include_commonsense: bool = True) -> Graph:
         for name, _ in _CHARACTERS[:6]:
             kg.add_edge(vertex(name, "entity"), movie_vertex, "appears in")
     return kg
-
-
-def character_names() -> list[str]:
-    """Names of all movie-KG characters (for scene generation)."""
-    return [name for name, _ in _CHARACTERS]
-
-
-def characters_with_occupation(occupation: str) -> list[str]:
-    """Characters whose occupation concept matches."""
-    return [name for name, occ in _CHARACTERS if occ == occupation]

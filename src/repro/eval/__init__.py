@@ -3,7 +3,6 @@
 from repro.eval.accuracy import AccuracyReport, SEMANTIC_THRESHOLD, answers_match
 from repro.eval.harness import (
     EvaluationResult,
-    breakdown_by_type,
     evaluate,
     format_table,
     percentage,
@@ -14,7 +13,6 @@ __all__ = [
     "EvaluationResult",
     "SEMANTIC_THRESHOLD",
     "answers_match",
-    "breakdown_by_type",
     "evaluate",
     "format_table",
     "percentage",

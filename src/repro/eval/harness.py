@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
 from repro.core.answer import Answer
-from repro.core.spoc import QuestionType
 from repro.dataset.questions import MVQAQuestion
 from repro.eval.accuracy import AccuracyReport, answers_match
 
@@ -82,12 +81,3 @@ def format_table(
 
 def percentage(value: float) -> str:
     return f"{100 * value:.1f}%"
-
-
-def breakdown_by_type(
-    questions: Sequence[MVQAQuestion],
-) -> dict[QuestionType, list[MVQAQuestion]]:
-    result: dict[QuestionType, list[MVQAQuestion]] = {}
-    for question in questions:
-        result.setdefault(question.question_type, []).append(question)
-    return result

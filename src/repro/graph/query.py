@@ -1,8 +1,6 @@
-"""Low-level pattern-matching primitives over a graph.
-
-These are the building blocks Algorithm 3 composes: find vertices by
-(approximate) label, and retrieve the relation pairs
-``(Sub - E_so - Obj)`` connecting two vertex sets.
+"""Relation retrieval over a graph: the ``getRelations`` step of
+Algorithm 3, which finds the relation pairs ``(Sub - E_so - Obj)``
+connecting two vertex sets.
 """
 
 from __future__ import annotations
@@ -24,11 +22,6 @@ class RelationPair:
     def triple(self) -> tuple[str, str, str]:
         """The (subject-label, edge-label, object-label) triple."""
         return (self.subject.label, self.edge.label, self.object.label)
-
-
-def vertices_with_label(graph: Graph, label: str) -> list[Vertex]:
-    """Exact-label vertex lookup (index-backed)."""
-    return graph.find_vertices(label)
 
 
 def relations_between(
@@ -63,26 +56,4 @@ def relations_between(
                 [v.id for v in objects if v.id not in subject_ids],
                 subject_ids)
         )
-    return pairs
-
-
-def relations_from(graph: Graph, subjects: list[Vertex]) -> list[RelationPair]:
-    """All outgoing relation pairs of the given subjects.
-
-    Used when a SPOC has an unknown object (e.g. "What kind of clothes
-    are worn by X" — the object set is open).
-    """
-    pairs = []
-    for subject in subjects:
-        for edge in graph.out_edges(subject.id):
-            pairs.append(RelationPair(subject, edge, graph.vertex(edge.dst)))
-    return pairs
-
-
-def relations_to(graph: Graph, objects: list[Vertex]) -> list[RelationPair]:
-    """All incoming relation pairs of the given objects."""
-    pairs = []
-    for obj in objects:
-        for edge in graph.in_edges(obj.id):
-            pairs.append(RelationPair(graph.vertex(edge.src), edge, obj))
     return pairs

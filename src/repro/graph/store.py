@@ -1,17 +1,7 @@
-"""Graph persistence (JSON-lines) and summary statistics.
+"""Graph persistence: framed, checksummed snapshots (store v2).
 
-Two on-disk formats live here (full spec in DESIGN.md §5i):
-
-**v1** — the original diff-able JSONL format: a header record
-``{"type": "header", "version": 1, "name": ...}`` followed by one
-``{"type": "vertex", ...}`` / ``{"type": "edge", ...}`` record per
-element.  v1 has no checksums; it remains the format of
-:func:`save_graph` / :func:`load_graph` for ad-hoc exports, but writes
-now go through the atomic temp+fsync+rename path so a crash can never
-destroy the previous good file.
-
-**v2 (snapshot)** — the durable-store format used by
-:mod:`repro.graph.durable`.  Every line is a *framed* record::
+The on-disk format (full spec in DESIGN.md §5i) is a sequence of
+*framed* records, one per line::
 
     <payload-bytes>|<blake2b-128 hex>|<canonical-json-payload>\\n
 
@@ -39,8 +29,6 @@ from typing import Any
 
 from repro.errors import GraphError, StoreError
 from repro.graph.model import Graph
-
-FORMAT_VERSION = 1
 
 #: format version of the framed snapshot format (store v2)
 SNAPSHOT_VERSION = 2
@@ -169,132 +157,6 @@ def _fsync_dir(directory: Path) -> None:
         pass
     finally:
         os.close(fd)
-
-
-# ----------------------------------------------------------------------
-# v1: plain JSONL (ad-hoc exports; now crash-safe on the write side)
-# ----------------------------------------------------------------------
-def save_graph(graph: Graph, path: str | Path) -> None:
-    """Serialize ``graph`` to a JSONL file at ``path``, atomically."""
-    lines = [
-        json.dumps(
-            {"type": "header", "version": FORMAT_VERSION, "name": graph.name}
-        )
-    ]
-    for vertex in graph.vertices():
-        lines.append(json.dumps({
-            "type": "vertex",
-            "id": vertex.id,
-            "label": vertex.label,
-            "props": vertex.props,
-        }))
-    for edge in graph.edges():
-        lines.append(json.dumps({
-            "type": "edge",
-            "src": edge.src,
-            "dst": edge.dst,
-            "label": edge.label,
-            "props": edge.props,
-        }))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def load_graph(path: str | Path) -> Graph:
-    """Load a graph previously written by :func:`save_graph`.
-
-    Malformed input raises an attributed
-    :class:`~repro.errors.StoreError` (``path``, 1-based ``lineno``,
-    ``reason`` slug) — never a bare ``KeyError`` or a misleading
-    "unknown record type" for a duplicated header.
-    """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise StoreError(
-            f"cannot read graph file {path}: {exc}",
-            path=path, reason="unreadable",
-        ) from exc
-    if not lines:
-        raise StoreError(
-            f"empty graph file: {path}", path=path, reason="missing-header"
-        )
-
-    header = _parse_line(lines[0], path, 1)
-    if header.get("type") != "header":
-        raise StoreError(
-            f"{path}:1: first record must be a header",
-            path=path, lineno=1, reason="missing-header",
-        )
-    if header.get("version") != FORMAT_VERSION:
-        raise StoreError(
-            f"{path}:1: unsupported format version "
-            f"{header.get('version')!r}",
-            path=path, lineno=1, reason="bad-version",
-        )
-
-    name = header.get("name", "")
-    if not isinstance(name, str):
-        raise StoreError(
-            f"{path}:1: header name must be a string, got {name!r}",
-            path=path, lineno=1, reason="bad-record",
-        )
-    graph = Graph(name=name)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        record = _parse_line(line, path, lineno)
-        kind = record.get("type")
-        try:
-            if kind == "vertex":
-                graph.add_vertex(
-                    record["label"], record.get("props"),
-                    vertex_id=record["id"],
-                )
-            elif kind == "edge":
-                graph.add_edge(
-                    record["src"], record["dst"], record["label"],
-                    record.get("props"),
-                )
-            elif kind == "header":
-                raise StoreError(
-                    f"{path}:{lineno}: duplicate header record",
-                    path=path, lineno=lineno, reason="duplicate-header",
-                )
-            else:
-                raise StoreError(
-                    f"{path}:{lineno}: unknown record type {kind!r}",
-                    path=path, lineno=lineno, reason="bad-record",
-                )
-        except KeyError as exc:
-            raise StoreError(
-                f"{path}:{lineno}: {kind} record missing key {exc}",
-                path=path, lineno=lineno, reason="bad-record",
-            ) from exc
-        except StoreError:
-            raise
-        except GraphError as exc:
-            raise StoreError(
-                f"{path}:{lineno}: inconsistent {kind} record: {exc}",
-                path=path, lineno=lineno, reason="bad-record",
-            ) from exc
-    return graph
-
-
-def _parse_line(line: str, path: Path, lineno: int) -> dict[str, Any]:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise StoreError(
-            f"{path}:{lineno}: invalid JSON: {exc}",
-            path=path, lineno=lineno, reason="bad-json",
-        ) from exc
-    if not isinstance(record, dict):
-        raise StoreError(
-            f"{path}:{lineno}: record must be an object",
-            path=path, lineno=lineno, reason="bad-record",
-        )
-    return record
 
 
 # ----------------------------------------------------------------------
@@ -525,47 +387,3 @@ def extensional_digest(graph: Graph) -> str:
     return hashlib.blake2b(
         canonical_payload(payload), digest_size=DIGEST_SIZE
     ).hexdigest()
-
-
-def graphs_equal(a: Graph, b: Graph) -> bool:
-    """Extensional equality (see :func:`extensional_digest`)."""
-    return extensional_digest(a) == extensional_digest(b)
-
-
-# ----------------------------------------------------------------------
-# summary statistics
-# ----------------------------------------------------------------------
-@dataclass
-class GraphStats:
-    """Summary statistics for a graph."""
-
-    vertex_count: int
-    edge_count: int
-    vertex_label_count: int
-    edge_label_count: int
-    max_out_degree: int
-    max_in_degree: int
-    top_vertex_labels: list[tuple[str, int]]
-    top_edge_labels: list[tuple[str, int]]
-
-
-def graph_stats(graph: Graph, top: int = 10) -> GraphStats:
-    """Compute :class:`GraphStats` for ``graph``."""
-    vertex_counts = graph.vertex_labels.counts()
-    edge_counts = graph.edge_labels.counts()
-    max_out = max((graph.out_degree(v) for v in graph.vertex_ids()), default=0)
-    max_in = max((graph.in_degree(v) for v in graph.vertex_ids()), default=0)
-
-    def top_items(counts: dict[str, int]) -> list[tuple[str, int]]:
-        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
-
-    return GraphStats(
-        vertex_count=graph.vertex_count,
-        edge_count=graph.edge_count,
-        vertex_label_count=len(vertex_counts),
-        edge_label_count=len(edge_counts),
-        max_out_degree=max_out,
-        max_in_degree=max_in,
-        top_vertex_labels=top_items(vertex_counts),
-        top_edge_labels=top_items(edge_counts),
-    )

@@ -4,10 +4,8 @@ Definition 2 of the paper: given the k-hop vertex set ``S(t, k)`` of a
 target vertex ``t``, ``G[S(t, k)]`` is the subgraph of ``G`` induced by
 those vertices.  §III-B notes that SVQA "does not store a part of G
 independently; instead, it adds an index to G to distinguish
-G[S(t, k)]" — so the primary representation here is
-:class:`SubgraphView`, a lightweight vertex-id index over the parent
-graph, with :func:`materialize` available when an independent copy is
-genuinely needed (e.g. for serialization).
+G[S(t, k)]" — so the representation here is :class:`SubgraphView`, a
+lightweight vertex-id index over the parent graph.
 """
 
 from __future__ import annotations
@@ -68,15 +66,6 @@ class SubgraphView:
         return vertex_id in self.vertex_ids
 
 
-def induced_subgraph_view(
-    graph: Graph, vertex_ids: set[int], anchor: int | None = None
-) -> SubgraphView:
-    """Build a :class:`SubgraphView` over an explicit vertex set."""
-    for vertex_id in vertex_ids:
-        graph.vertex(vertex_id)  # validate membership
-    return SubgraphView(graph, frozenset(vertex_ids), anchor)
-
-
 def k_hop_subgraph(graph: Graph, target: int, k: int) -> SubgraphView:
     """``G[S(t, k)]`` — the induced subgraph of the k-hop set of ``target``.
 
@@ -84,16 +73,3 @@ def k_hop_subgraph(graph: Graph, target: int, k: int) -> SubgraphView:
     """
     vertex_ids = k_hop_neighborhood(graph, target, k, directed=False)
     return SubgraphView(graph, frozenset(vertex_ids), anchor=target)
-
-
-def materialize(view: SubgraphView) -> Graph:
-    """Copy a view into an independent :class:`Graph`.
-
-    Vertex ids are preserved so results can be mapped back to the parent.
-    """
-    out = Graph(name=f"{view.parent.name}[S]")
-    for vertex in view.vertices():
-        out.add_vertex(vertex.label, vertex.props, vertex_id=vertex.id)
-    for edge in view.edges():
-        out.add_edge(edge.src, edge.dst, edge.label, edge.props)
-    return out

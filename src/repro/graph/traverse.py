@@ -1,4 +1,4 @@
-"""Graph traversal primitives: BFS, DFS, k-hop neighborhoods.
+"""Graph traversal: the k-hop neighbourhood of Definition 1.
 
 Implements Definition 1 of the paper — the *K-th order neighbours* of a
 vertex ``t`` are the vertices reachable from ``t`` within ``K`` hops —
@@ -10,47 +10,8 @@ count as one hop between the two vertices).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterator
 
 from repro.graph.model import Graph
-
-
-def bfs_order(graph: Graph, start: int, directed: bool = True) -> list[int]:
-    """Vertex ids in BFS order from ``start``.
-
-    With ``directed=False`` edges are traversed both ways.
-    """
-    graph.vertex(start)  # validate
-    seen = {start}
-    order = [start]
-    frontier = deque([start])
-    while frontier:
-        current = frontier.popleft()
-        for nxt in _adjacent(graph, current, directed):
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                frontier.append(nxt)
-    return order
-
-
-def dfs_order(graph: Graph, start: int, directed: bool = True) -> list[int]:
-    """Vertex ids in DFS (preorder) from ``start``."""
-    graph.vertex(start)
-    seen: set[int] = set()
-    order: list[int] = []
-    stack = [start]
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        order.append(current)
-        # reversed so the first adjacent vertex is visited first
-        for nxt in reversed(_adjacent(graph, current, directed)):
-            if nxt not in seen:
-                stack.append(nxt)
-    return order
 
 
 def k_hop_neighborhood(
@@ -76,62 +37,6 @@ def k_hop_neighborhood(
                 distances[nxt] = depth + 1
                 frontier.append(nxt)
     return set(distances)
-
-
-def hop_distances(
-    graph: Graph, start: int, directed: bool = False, limit: int | None = None
-) -> dict[int, int]:
-    """BFS distances from ``start``; ``limit`` caps the search depth."""
-    graph.vertex(start)
-    distances = {start: 0}
-    frontier = deque([start])
-    while frontier:
-        current = frontier.popleft()
-        depth = distances[current]
-        if limit is not None and depth == limit:
-            continue
-        for nxt in _adjacent(graph, current, directed):
-            if nxt not in distances:
-                distances[nxt] = depth + 1
-                frontier.append(nxt)
-    return distances
-
-
-def connected_components(graph: Graph) -> list[set[int]]:
-    """Weakly connected components (edges treated as undirected)."""
-    seen: set[int] = set()
-    components: list[set[int]] = []
-    for vertex_id in graph.vertex_ids():
-        if vertex_id in seen:
-            continue
-        component = set(bfs_order(graph, vertex_id, directed=False))
-        seen |= component
-        components.append(component)
-    return components
-
-
-def iter_paths(
-    graph: Graph,
-    start: int,
-    goal: Callable[[int], bool],
-    max_depth: int,
-) -> Iterator[list[int]]:
-    """Yield simple directed paths from ``start`` to vertices satisfying
-    ``goal``, up to ``max_depth`` edges long.
-
-    Used by multi-hop reasoning questions ("friend of a friend").
-    """
-    graph.vertex(start)
-    stack: list[tuple[int, list[int]]] = [(start, [start])]
-    while stack:
-        current, path = stack.pop()
-        if goal(current) and len(path) > 1:
-            yield path
-        if len(path) > max_depth:
-            continue
-        for edge in graph.out_edges(current):
-            if edge.dst not in path:
-                stack.append((edge.dst, path + [edge.dst]))
 
 
 def _adjacent(graph: Graph, vertex_id: int, directed: bool) -> list[int]:

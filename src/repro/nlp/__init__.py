@@ -4,14 +4,13 @@ dependency parser, morphology, edit distance, and embeddings.
 
 from repro.nlp.depparse import DependencyTree, parse, parse_tagged
 from repro.nlp.dword import levenshtein, normalized_levenshtein, within_distance
-from repro.nlp.embeddings import cosine, max_score, phrase_vector, rank_scores, word_vector
+from repro.nlp.embeddings import cosine, max_score, phrase_vector, word_vector
 from repro.nlp.morphology import (
     gerund,
     noun_plural,
     noun_singular,
     normalize_predicate,
     past_participle,
-    present_3sg,
     verb_lemma,
 )
 from repro.nlp.pos import TaggedToken, tag, tag_tokens, unknown_word_report
@@ -21,10 +20,8 @@ from repro.nlp.semlex import (
     are_synonyms,
     cluster_of,
     hypernym_chain,
-    hyponyms_of,
-    is_kind_of,
 )
-from repro.nlp.tokenize import Token, detokenize, tokenize
+from repro.nlp.tokenize import Token, tokenize
 
 __all__ = [
     "DependencyTree",
@@ -35,11 +32,8 @@ __all__ = [
     "are_synonyms",
     "cluster_of",
     "cosine",
-    "detokenize",
     "gerund",
     "hypernym_chain",
-    "hyponyms_of",
-    "is_kind_of",
     "levenshtein",
     "max_score",
     "normalize_predicate",
@@ -50,8 +44,6 @@ __all__ = [
     "parse_tagged",
     "past_participle",
     "phrase_vector",
-    "present_3sg",
-    "rank_scores",
     "tag",
     "tag_tokens",
     "tokenize",

@@ -196,12 +196,3 @@ def max_score(query: str, candidates: list[str]) -> tuple[str | None, float]:
         if score > best_score:
             best, best_score = candidate, score
     return best, best_score
-
-
-def rank_scores(query: str, candidates: list[str]) -> list[tuple[str, float]]:
-    """All candidates with similarities, best first."""
-    query_vec = phrase_vector(query)
-    scored = [
-        (c, float(np.dot(query_vec, phrase_vector(c)))) for c in candidates
-    ]
-    return sorted(scored, key=lambda cs: -cs[1])

@@ -14,7 +14,6 @@ from repro.nlp.lexicon import (
     BE_FORMS,
     NOUN_TABLE,
     VERB_TABLE,
-    noun_form_index,
     verb_form_index,
 )
 
@@ -31,7 +30,6 @@ def _full_verb_index() -> dict[str, tuple[str, str]]:
 
 
 _VERB_INDEX = _full_verb_index()
-_NOUN_INDEX = noun_form_index()
 _PLURAL_TO_SINGULAR = {
     plural: singular for singular, plural in NOUN_TABLE.items()
 }
@@ -91,36 +89,6 @@ def noun_plural(word: str) -> str:
     if lowered in NOUN_TABLE:
         return NOUN_TABLE[lowered]
     if lowered.endswith(("ch", "sh", "ss", "x", "s")):
-        return lowered + "es"
-    if lowered.endswith("y") and len(lowered) > 1 and lowered[-2] not in "aeiou":
-        return lowered[:-1] + "ies"
-    return lowered + "s"
-
-
-def is_participle(word: str) -> bool:
-    """Whether ``word`` is a known past participle (VBN)."""
-    lowered = word.lower()
-    entry = _VERB_INDEX.get(lowered)
-    if entry is not None:
-        return entry[0] == "VBN"
-    return lowered.endswith(("ed", "en"))
-
-
-def is_gerund(word: str) -> bool:
-    """Whether ``word`` is a known present participle (VBG)."""
-    lowered = word.lower()
-    entry = _VERB_INDEX.get(lowered)
-    if entry is not None:
-        return entry[0] == "VBG"
-    return lowered.endswith("ing")
-
-
-def present_3sg(lemma: str) -> str:
-    """Simple-present third-singular of a verb lemma (``wear`` -> ``wears``)."""
-    lowered = lemma.lower()
-    if lowered in VERB_TABLE:
-        return VERB_TABLE[lowered][0]
-    if lowered.endswith(("ch", "sh", "ss", "x", "o")):
         return lowered + "es"
     if lowered.endswith("y") and len(lowered) > 1 and lowered[-2] not in "aeiou":
         return lowered[:-1] + "ies"

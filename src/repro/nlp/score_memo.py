@@ -14,13 +14,12 @@ the much cheaper ``ann_probe``.  Across a workload the same
 aggregate ``embed_score`` drop comes from.
 
 :meth:`~ScoreMemo.rank` and :meth:`~ScoreMemo.best`
-are **extensionally equal** to
-:func:`repro.nlp.embeddings.rank_scores` /
+are **extensionally equal** to the linear scans — a stable sort of
+every candidate's score, and
 :func:`repro.nlp.embeddings.max_score`: scores are produced by the
 byte-identical float expression, assembled in caller candidate order,
 and tie-broken by the same stable sort / first-strict-greater scan.
-The linear scans stay in :mod:`repro.nlp.embeddings` as the oracle the
-fuzz suite compares against outright.
+The fuzz suite compares both against those scans outright.
 
 Membership is maintained incrementally by
 :class:`~repro.graph.model.Graph` on ``add_edge`` / ``remove_edge``
@@ -123,7 +122,7 @@ class ScoreMemo:
              candidates: list[str]) -> tuple[list[tuple[str, float]],
                                              int, int]:
         """All candidates with similarities, best first — the exact
-        output of :func:`~repro.nlp.embeddings.rank_scores` — plus
+        output of a stable sort over the linear scan — plus
         ``(fresh, probes)``: how many scores were computed this call
         (charge ``embed_score``) vs. served from the memo (charge
         ``ann_probe``)."""

@@ -154,17 +154,6 @@ def hypernym_chain(word: str) -> list[str]:
     return chain
 
 
-def hyponyms_of(word: str) -> list[str]:
-    """Direct hyponyms of ``word`` ("pet" -> ["dog", "cat", "bird"])."""
-    lowered = word.lower()
-    return [child for child, parent in HYPERNYMS.items() if parent == lowered]
-
-
-def is_kind_of(child: str, ancestor: str) -> bool:
-    """Whether ``ancestor`` appears anywhere above ``child``."""
-    return ancestor.lower() in hypernym_chain(child)
-
-
 def _build_cluster_index() -> dict[str, tuple[str, ...]]:
     index: dict[str, tuple[str, ...]] = {}
     for cluster in SYNONYM_CLUSTERS:

@@ -87,14 +87,3 @@ def tokenize(text: str) -> list[Token]:
     if not tokens:
         raise TokenizationError(f"no tokens found in {text!r}")
     return tokens
-
-
-def detokenize(tokens: list[Token]) -> str:
-    """Rebuild readable text from tokens (clitics and punctuation reattach)."""
-    parts: list[str] = []
-    for token in tokens:
-        if parts and (token.text in {"'s", "n't"} or token.is_punct):
-            parts[-1] += token.text
-            continue
-        parts.append(token.text)
-    return " ".join(parts)

@@ -47,7 +47,6 @@ from repro.observability.spans import (
     maybe_span,
     maybe_trace,
     render_trace,
-    span_multiset,
 )
 
 __all__ = [
@@ -73,6 +72,5 @@ __all__ = [
     "maybe_trace",
     "parse_prometheus",
     "render_trace",
-    "span_multiset",
     "stage_breakdown",
 ]

@@ -82,7 +82,7 @@ METRIC_GLOSSARY: dict[str, str] = {
         "HTTP requests served, labeled by route and status code.",
     "svqa_admission_total":
         "Admission-control decisions, labeled by outcome "
-        "(admitted/throttled/shed).",
+        "(admitted/rate-limited).",
     "svqa_serve_batch_size":
         "Histogram of micro-batch sizes the serving bridge submitted.",
     # --- durable store ---
@@ -158,9 +158,6 @@ BENCH_GLOSSARY: dict[str, str] = {
     "plan overlay fills":
         "Cache misses served from the plan overlay "
         "(svqa_plan_overlay_fills_total).",
-    "predicted makespan":
-        "The plan-aware makespan predictor's estimate, calibrated "
-        "from the recorded baseline's per-operation clock counts.",
     "ann fresh scores":
         "Embedding scores computed for the first time "
         "(svqa_retrieval_ann_lookups_total, outcome=fresh).",

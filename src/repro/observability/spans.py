@@ -23,8 +23,8 @@ Determinism rules (also documented in DESIGN.md §5e):
 * the multiset of ``(name, attributes)`` pairs across a whole run is
   worker-count invariant; the *assignment* of a shared-cache miss to
   a particular question is not (under concurrency, whichever query
-  reaches the key first becomes the single-flight leader), which is
-  why :func:`span_multiset` drops timing and trace identity.
+  reaches the key first becomes the single-flight leader), so a
+  worker-invariance comparison drops timing and trace identity.
 
 The tracer never charges the clock — it only reads it — so enabling
 tracing cannot perturb answers, latencies, or statistics.
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import Counter as _Counter
 from collections.abc import Iterator
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -272,21 +271,6 @@ def maybe_span(
     if tracer is None:
         return _NULL_CONTEXT
     return tracer.span(name, **attributes)
-
-
-def span_multiset(spans: list[Span]) -> _Counter:
-    """The worker-count-invariant view of a run's spans.
-
-    Counts ``(name, sorted attribute items)`` pairs, dropping timing
-    and trace assignment — the two properties that legitimately move
-    between lanes under concurrency (see the module docstring).
-    """
-    return _Counter(
-        (span.name,
-         tuple(sorted((k, repr(v))
-                      for k, v in span.attributes.items())))
-        for span in spans
-    )
 
 
 def render_trace(spans: list[Span], trace_id: str) -> str:

@@ -61,8 +61,6 @@ class ResilienceConfig:
     injection, the production setting: retries/breakers/deadlines
     still guard real failures).  ``query_deadline`` is the per-query
     budget in simulated seconds (``None`` = unbounded).
-    ``degrade_parse`` enables the keyword-match fallback for questions
-    the grammar rejects.
     """
 
     seed: int = 0
@@ -71,7 +69,6 @@ class ResilienceConfig:
     query_deadline: float | None = None
     breaker_threshold: int = 3
     breaker_cooldown: int = 8
-    degrade_parse: bool = True
 
     @classmethod
     def chaos(

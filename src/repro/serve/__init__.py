@@ -7,8 +7,8 @@ Built once at startup, then stateless per request (DESIGN.md §5g):
 * :mod:`repro.serve.frontend` — the HTTP front end behind
   ``repro serve``: one ``selectors`` event loop, no thread per
   connection, one request per connection;
-* :mod:`repro.serve.admission` — deterministic token-bucket rate
-  limiting and queue-depth load shedding;
+* :mod:`repro.serve.admission` — deterministic per-client
+  token-bucket rate limiting;
 * :mod:`repro.serve.batching` — the micro-batching bridge from
   the app's callers into the shared
   :class:`~repro.core.batch.BatchExecutor`;

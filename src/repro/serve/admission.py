@@ -1,21 +1,15 @@
-"""Admission control: per-client rate limiting + queue-depth shedding.
+"""Admission control: per-client rate limiting.
 
 The serving layer refuses work it cannot absorb *before* the work
-starts, with structured, attributable errors:
-
-* **token bucket per client** — each client id owns a bucket of
-  ``burst`` tokens refilled at ``rate`` tokens per *simulated* second
-  (the service clock is the SVQA system's
-  :class:`~repro.simtime.SimClock`, so admission behaviour is a pure
-  function of the request sequence and replays byte-identically);
-  an empty bucket answers **429** with a ``retry_after_s`` hint;
-* **load shedder** — above ``max_queue`` requests in flight the
-  service answers **503** unconditionally; between ``soft_queue`` and
-  ``max_queue`` it sheds *probabilistically*, with the probability
-  rising linearly toward 1.0.  The coin flip is a blake2b hash of
-  ``(seed, client, sequence)`` — the same discipline as the fault
-  injector — so shed-vs-served decisions are deterministic per seed
-  and reproducible across replays and thread interleavings.
+starts, with structured, attributable errors: each client id owns a
+token bucket of ``burst`` tokens refilled at ``rate`` tokens per
+*simulated* second (the service clock is the SVQA system's
+:class:`~repro.simtime.SimClock`, so admission behaviour is a pure
+function of the request sequence and replays byte-identically); an
+empty bucket answers **429** with a ``retry_after_s`` hint.  How many
+requests may wait is bounded elsewhere: the front end caps open
+connections (``MAX_CONNECTIONS``) and the app runs on at most
+``max_batch`` threads.
 
 Every decision is an :class:`AdmissionDecision` carrying the HTTP
 status, machine-readable reason, and retry hint the contract layer
@@ -24,7 +18,6 @@ serializes into the error body.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -32,19 +25,13 @@ from dataclasses import dataclass
 from repro.locks import wrap_lock
 
 
-def _unit_hash(seed: int, client: str, sequence: int) -> float:
-    """Deterministic uniform value in ``[0, 1)`` for one decision."""
-    payload = f"{seed}|{client}|{sequence}|shed".encode()
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2.0 ** 64
-
-
 @dataclass(frozen=True)
 class AdmissionDecision:
     """One admit-or-refuse verdict, ready for serialization.
 
-    ``reason`` is the machine-readable outcome (``admitted``,
-    ``rate-limited``, ``shed``, ``overloaded``); ``retry_after_s`` is
+    ``reason`` is the machine-readable outcome (``admitted`` or
+    ``rate-limited``, the ``outcome`` label of
+    ``svqa_admission_total``); ``retry_after_s`` is
     the simulated seconds until the client's bucket accrues a token
     (rate-limit refusals only).
     """
@@ -98,8 +85,7 @@ class AdmissionController:
     time (the serving layer passes ``lambda: svqa.clock.elapsed``);
     because simulated time only advances when queries do work, two
     identical request sequences against fresh servers see identical
-    bucket levels, depths, and hash coins — decision sequences are
-    byte-identical per seed.
+    bucket levels — decision sequences are byte-identical.
 
     Callers must pair every admitted request with exactly one
     :meth:`release` (the request's ``finally`` block).
@@ -110,26 +96,12 @@ class AdmissionController:
         clock: Callable[[], float],
         rate: float = 10.0,
         burst: int = 20,
-        max_queue: int = 64,
-        soft_queue: int | None = None,
-        seed: int = 0,
     ) -> None:
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        soft = max_queue * 3 // 4 if soft_queue is None else soft_queue
-        if not 0 <= soft <= max_queue:
-            raise ValueError(
-                f"soft_queue must be in [0, max_queue], got {soft}"
-            )
         self.clock = clock
         self.rate = rate
         self.burst = burst
-        self.max_queue = max_queue
-        self.soft_queue = soft
-        self.seed = seed
         self._lock = wrap_lock(threading.Lock(), "serve.admission")
         self._buckets: dict[str, TokenBucket] = {}
-        self._sequences: dict[str, int] = {}
         self._in_flight = 0
 
     @property
@@ -138,35 +110,10 @@ class AdmissionController:
         with self._lock:
             return self._in_flight
 
-    def _shed_probability(self, depth: int) -> float:
-        """Linear ramp from 0 at ``soft_queue`` to 1 at ``max_queue``."""
-        if depth < self.soft_queue:
-            return 0.0
-        if depth >= self.max_queue:
-            return 1.0
-        span = self.max_queue - self.soft_queue
-        return (depth - self.soft_queue + 1) / (span + 1)
-
     def admit(self, client: str) -> AdmissionDecision:
-        """Decide one request; pairs with :meth:`release` if admitted.
-
-        Decision order matters and is part of the contract: the hard
-        queue bound is checked first (503), then the probabilistic
-        shed band (503), then the client's token bucket (429) — a
-        shed request must not consume a token the client could have
-        spent once the queue drains.
-        """
+        """Decide one request; pairs with :meth:`release` if admitted."""
         now = self.clock()
         with self._lock:
-            sequence = self._sequences.get(client, 0)
-            self._sequences[client] = sequence + 1
-            depth = self._in_flight
-            if depth >= self.max_queue:
-                return AdmissionDecision(False, "overloaded", 503)
-            probability = self._shed_probability(depth)
-            if probability > 0.0 and \
-                    _unit_hash(self.seed, client, sequence) < probability:
-                return AdmissionDecision(False, "shed", 503)
             bucket = self._buckets.get(client)
             if bucket is None:
                 bucket = TokenBucket(self.rate, self.burst, now)

@@ -32,7 +32,6 @@ from repro.core.pipeline import SVQA, SVQAConfig
 from repro.graph import Graph
 from repro.graph.durable import RecoveryReport
 from repro.locks import wrap_lock
-from repro.errors import QueryError
 from repro.observability.metrics import COUNT_BUCKETS
 from repro.resilience import ResilienceConfig
 from repro.serve.admission import AdmissionController
@@ -82,8 +81,6 @@ class ServeConfig:
     batch_wait: float = 0.0
     rate: float = 10.0
     burst: int = 20
-    max_queue: int = 64
-    soft_queue: int | None = None
     default_deadline_ms: float | None = None
     chaos: float | None = None
     #: durable-store directory for warm start (``repro serve
@@ -236,9 +233,6 @@ class QAService:
             clock=lambda: svqa.clock.elapsed,
             rate=self.config.rate,
             burst=self.config.burst,
-            max_queue=self.config.max_queue,
-            soft_queue=self.config.soft_queue,
-            seed=self.config.seed,
         )
         self.bridge = BatchingBridge(
             svqa,
@@ -399,11 +393,6 @@ class QAService:
             return status, headers, body
         try:
             answer = self.bridge.submit(question, deadline_s)
-        except QueryError as exc:
-            # only reachable with degrade_parse off; the production
-            # config degrades to an attributed "unknown" instead
-            return self._json(400, error_body(400, "unanswerable",
-                                              str(exc)))
         finally:
             self.admission.release()
         return self._json(200, ask_response(answer, deadline_s))

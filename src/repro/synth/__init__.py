@@ -33,7 +33,6 @@ from repro.synth.taxonomy import (
     MVQA_GROUPS,
     Category,
     Group,
-    categories_in_group,
     category_by_name,
     category_index,
     category_names,
@@ -59,7 +58,6 @@ __all__ = [
     "SyntheticScene",
     "TEMPLATES",
     "UBIQUITOUS_RELATIONS",
-    "categories_in_group",
     "category_by_name",
     "category_index",
     "category_names",

@@ -147,10 +147,6 @@ def category_names() -> list[str]:
     return [c.name for c in CATEGORIES]
 
 
-def categories_in_group(group: Group) -> list[Category]:
-    return [c for c in CATEGORIES if c.group == group]
-
-
 def _validate() -> None:
     names = [c.name for c in CATEGORIES]
     if len(names) != len(set(names)):

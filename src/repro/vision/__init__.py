@@ -2,7 +2,6 @@
 debiasing, SGG pipeline, and mR@K evaluation.
 """
 
-from repro.vision.boxes import match_boxes, nms
 from repro.vision.detector import (
     CONFUSIONS,
     Detection,
@@ -48,8 +47,6 @@ __all__ = [
     "VTRANSE",
     "candidate_pairs",
     "evaluate_scene",
-    "match_boxes",
     "mean_recall_at",
-    "nms",
     "tde_scores",
 ]

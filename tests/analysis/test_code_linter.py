@@ -10,7 +10,7 @@ import textwrap
 from repro.analysis import (
     RuleBinding,
     default_bindings,
-    lint_source,
+    lint_paths,
 )
 from repro.analysis.code_rules import (
     LockDisciplineRule,
@@ -19,6 +19,7 @@ from repro.analysis.code_rules import (
     SeededRngRule,
     WallClockRule,
 )
+from tests.analysis.helpers import lint_source
 
 
 def lint_fixture(source, rule, path="src/repro/core/fixture.py"):
@@ -299,8 +300,10 @@ class TestBindings:
 
 
 class TestSyntaxError:
-    def test_unparseable_source_reports_rp000(self):
-        report = lint_source("def broken(:\n", "src/repro/x.py")
+    def test_unparseable_source_reports_rp000(self, tmp_path):
+        broken = tmp_path / "x.py"
+        broken.write_text("def broken(:\n")
+        report = lint_paths([broken])
         assert [d.rule_id for d in report] == ["RP000"]
         assert report.has_errors
 

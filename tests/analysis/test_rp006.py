@@ -2,8 +2,9 @@
 
 import textwrap
 
-from repro.analysis import lint_source, RuleBinding
+from repro.analysis import RuleBinding
 from repro.analysis.code_rules import FaultSiteDisciplineRule
+from tests.analysis.helpers import lint_source
 
 
 def lint(source, path="src/repro/core/fixture.py"):

@@ -3,8 +3,9 @@ and writes through the retiring cache API."""
 
 import textwrap
 
-from repro.analysis import RuleBinding, lint_source
+from repro.analysis import RuleBinding
 from repro.analysis.code_rules import CandidateIndexDisciplineRule
+from tests.analysis.helpers import lint_source
 
 
 def lint(source, path="src/repro/core/fixture.py"):

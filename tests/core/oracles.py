@@ -6,7 +6,7 @@ differential tests compare that path with the simplest execution that
 must give the same answers:
 
 * :class:`LinearScores` — the linear
-  :func:`~repro.nlp.embeddings.rank_scores` /
+  :func:`~tests.nlp.oracles.rank_scores` /
   :func:`~repro.nlp.embeddings.max_score` scans in place of the score
   memo, every score charged fresh (``embed_score``);
 * :func:`unplanned_answers` — each question parsed and executed on its
@@ -27,7 +27,8 @@ scans that adjacency replaced:
 from repro.core import Answer, QueryGraphExecutor, SVQA, generate_query_graph
 from repro.core.executor import ExecutorConfig, _is_category
 from repro.graph import INSTANCE_OF, IS_A, TAXONOMY_LABELS, Graph, Vertex
-from repro.nlp.embeddings import max_score, rank_scores
+from repro.nlp.embeddings import max_score
+from tests.nlp.oracles import rank_scores
 
 
 class LinearScores:

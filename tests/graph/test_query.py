@@ -1,14 +1,8 @@
-"""Unit tests for pattern-matching primitives."""
+"""Unit tests for vertex lookup and relation retrieval."""
 
 import pytest
 
-from repro.graph import (
-    Graph,
-    relations_between,
-    relations_from,
-    relations_to,
-    vertices_with_label,
-)
+from repro.graph import Graph, relations_between
 
 
 @pytest.fixture
@@ -29,11 +23,11 @@ def scene():
 class TestVertexLookup:
     def test_finds_all_with_label(self, scene):
         g, wizards, _, _ = scene
-        assert vertices_with_label(g, "wizard") == wizards
+        assert g.find_vertices("wizard") == wizards
 
     def test_unknown_label_empty(self, scene):
         g, *_ = scene
-        assert vertices_with_label(g, "dragon") == []
+        assert g.find_vertices("dragon") == []
 
 
 class TestRelations:
@@ -51,17 +45,6 @@ class TestRelations:
         pairs = relations_between(g, wizards, clothes)
         assert all(p.subject.label == "wizard" for p in pairs)
 
-    def test_relations_from_open_object(self, scene):
-        g, wizards, _, _ = scene
-        pairs = relations_from(g, wizards)
-        assert {p.object.label for p in pairs} == {"robe", "hat"}
-
-    def test_relations_to_open_subject(self, scene):
-        g, _, clothes, _ = scene
-        hat = [c for c in clothes if c.label == "hat"]
-        pairs = relations_to(g, hat)
-        assert {p.subject.label for p in pairs} == {"wizard", "muggle"}
-
     def test_include_reverse(self):
         g = Graph()
         a = g.add_vertex("a")
@@ -74,8 +57,7 @@ class TestRelations:
     def test_empty_inputs(self, scene):
         g, wizards, _, _ = scene
         assert relations_between(g, [], []) == []
-        assert relations_from(g, []) == []
-        assert relations_to(g, []) == []
+        assert relations_between(g, wizards, []) == []
 
     def test_triple_property(self, scene):
         g, wizards, clothes, _ = scene

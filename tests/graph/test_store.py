@@ -1,11 +1,18 @@
-"""Unit tests for graph persistence and statistics."""
+"""Unit tests for snapshot persistence: round trips, attributed load
+errors and atomic writes.
 
-import json
+The framing grammar and the byte-damage sweep live in
+``test_store_v2.py``; the manifest is the snapshot's header record.
+"""
+
+import hashlib
 
 import pytest
 
 from repro.errors import StoreError
-from repro.graph import Graph, graph_stats, load_graph, save_graph
+from repro.graph import Graph, read_snapshot, write_snapshot
+from repro.graph.store import DIGEST_SIZE, SNAPSHOT_VERSION, frame_record
+from tests.graph.helpers import graphs_equal
 
 
 @pytest.fixture
@@ -18,11 +25,30 @@ def sample():
     return g
 
 
+def snapshot_bytes(records, **manifest):
+    """A snapshot whose manifest matches ``records`` (count and
+    payload digest), with ``manifest`` fields overriding the rest."""
+    body = b"".join(frame_record(record) for record in records)
+    header = {
+        "type": "manifest", "version": SNAPSHOT_VERSION, "name": "x",
+        "epoch": 0, "vertices": 0, "edges": 0, "records": len(records),
+        "next_vertex_id": 0, "next_edge_id": 0,
+        "payload_digest": hashlib.blake2b(
+            body, digest_size=DIGEST_SIZE).hexdigest(),
+    }
+    header.update(manifest)
+    return frame_record(header) + body
+
+
+def load(tmp_path, sample):
+    path = tmp_path / "g.snap"
+    write_snapshot(sample, path)
+    return read_snapshot(path).graph
+
+
 class TestRoundTrip:
     def test_round_trip_preserves_everything(self, sample, tmp_path):
-        path = tmp_path / "g.jsonl"
-        save_graph(sample, path)
-        loaded = load_graph(path)
+        loaded = load(tmp_path, sample)
         assert loaded.name == "sample"
         assert loaded.vertex_count == sample.vertex_count
         assert loaded.edge_count == sample.edge_count
@@ -32,15 +58,10 @@ class TestRoundTrip:
         assert edge.props == {"score": 0.9}
 
     def test_round_trip_preserves_label_index(self, sample, tmp_path):
-        path = tmp_path / "g.jsonl"
-        save_graph(sample, path)
-        loaded = load_graph(path)
-        assert len(loaded.find_vertices("dog")) == 2
+        assert len(load(tmp_path, sample).find_vertices("dog")) == 2
 
     def test_empty_graph_round_trip(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        save_graph(Graph(name="e"), path)
-        loaded = load_graph(path)
+        loaded = load(tmp_path, Graph(name="e"))
         assert loaded.vertex_count == 0
         assert loaded.name == "e"
 
@@ -48,95 +69,87 @@ class TestRoundTrip:
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(StoreError):
-            load_graph(tmp_path / "nope.jsonl")
+            read_snapshot(tmp_path / "nope.snap")
 
     def test_empty_file(self, tmp_path):
-        path = tmp_path / "z.jsonl"
+        path = tmp_path / "z.snap"
         path.write_text("")
         with pytest.raises(StoreError):
-            load_graph(path)
+            read_snapshot(path)
 
     def test_bad_json(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
+        path = tmp_path / "bad.snap"
         path.write_text("{not json\n")
         with pytest.raises(StoreError):
-            load_graph(path)
+            read_snapshot(path)
 
     def test_missing_header(self, tmp_path):
-        path = tmp_path / "noheader.jsonl"
-        path.write_text(json.dumps({"type": "vertex", "id": 0, "label": "x"}) + "\n")
+        path = tmp_path / "noheader.snap"
+        path.write_bytes(frame_record(
+            {"type": "vertex", "id": 0, "label": "x", "props": {}}))
         with pytest.raises(StoreError):
-            load_graph(path)
+            read_snapshot(path)
 
     def test_bad_version(self, tmp_path):
-        path = tmp_path / "v9.jsonl"
-        path.write_text(json.dumps({"type": "header", "version": 9}) + "\n")
+        path = tmp_path / "v9.snap"
+        path.write_bytes(snapshot_bytes([], version=9))
         with pytest.raises(StoreError):
-            load_graph(path)
+            read_snapshot(path)
 
     def test_unknown_record_type(self, tmp_path):
-        path = tmp_path / "weird.jsonl"
-        lines = [
-            json.dumps({"type": "header", "version": 1, "name": "x"}),
-            json.dumps({"type": "mystery"}),
-        ]
-        path.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "weird.snap"
+        path.write_bytes(snapshot_bytes([{"type": "mystery"}]))
         with pytest.raises(StoreError):
-            load_graph(path)
+            read_snapshot(path)
 
 
 class TestAttributedErrors:
     def test_missing_header_carries_lineno(self, tmp_path):
-        path = tmp_path / "noheader.jsonl"
-        path.write_text(
-            json.dumps({"type": "vertex", "id": 0, "label": "x"}) + "\n")
+        path = tmp_path / "noheader.snap"
+        path.write_bytes(frame_record(
+            {"type": "vertex", "id": 0, "label": "x", "props": {}}))
         with pytest.raises(StoreError) as err:
-            load_graph(path)
-        assert err.value.reason == "missing-header"
+            read_snapshot(path)
+        assert err.value.reason == "missing-manifest"
         assert err.value.lineno == 1
         assert str(path) in str(err.value)
 
     def test_duplicate_header_is_rejected(self, tmp_path):
-        path = tmp_path / "dup.jsonl"
-        header = json.dumps({"type": "header", "version": 1, "name": "x"})
-        path.write_text(header + "\n" + header + "\n")
+        path = tmp_path / "dup.snap"
+        path.write_bytes(snapshot_bytes([{"type": "manifest"}]))
         with pytest.raises(StoreError) as err:
-            load_graph(path)
-        assert err.value.reason == "duplicate-header"
+            read_snapshot(path)
+        assert err.value.reason == "bad-record"
         assert err.value.lineno == 2
 
     def test_unknown_version_is_attributed(self, tmp_path):
-        path = tmp_path / "v9.jsonl"
-        path.write_text(
-            json.dumps({"type": "header", "version": 9, "name": "x"})
-            + "\n")
+        path = tmp_path / "v9.snap"
+        path.write_bytes(snapshot_bytes([], version=9))
         with pytest.raises(StoreError) as err:
-            load_graph(path)
+            read_snapshot(path)
         assert err.value.reason == "bad-version"
         assert err.value.lineno == 1
 
     def test_bad_json_carries_lineno(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            json.dumps({"type": "header", "version": 1, "name": "x"})
-            + "\n{not json\n")
+        path = tmp_path / "bad.snap"
+        path.write_bytes(snapshot_bytes([]) + b"{not json\n")
         with pytest.raises(StoreError) as err:
-            load_graph(path)
-        assert err.value.reason == "bad-json"
+            read_snapshot(path)
+        assert err.value.reason == "torn-record"
         assert err.value.lineno == 2
 
 
 class TestAtomicSave:
     def test_no_temp_file_left_behind(self, sample, tmp_path):
-        path = tmp_path / "g.jsonl"
-        save_graph(sample, path)
+        path = tmp_path / "g.snap"
+        write_snapshot(sample, path)
         leftovers = [p for p in tmp_path.iterdir() if p != path]
         assert leftovers == []
 
     def test_crashed_rewrite_keeps_the_old_file(self, sample, tmp_path,
                                                 monkeypatch):
-        path = tmp_path / "g.jsonl"
-        save_graph(sample, path)
+        path = tmp_path / "g.snap"
+        write_snapshot(sample, path)
         before = path.read_bytes()
 
         import os as _os
@@ -148,11 +161,11 @@ class TestAtomicSave:
         bigger = Graph(name="bigger")
         bigger.add_vertex("x")
         with pytest.raises(StoreError) as err:
-            save_graph(bigger, path)
+            write_snapshot(bigger, path)
         assert err.value.reason == "unwritable"
         monkeypatch.undo()
         assert path.read_bytes() == before
-        assert load_graph(path).name == "sample"
+        assert read_snapshot(path).graph.name == "sample"
 
 
 # -- property-based round trips (gnarly props) ------------------------
@@ -199,9 +212,9 @@ if HAVE_HYPOTHESIS:
             ids = [g.add_vertex(label, p).id for label, p in records]
             if len(ids) >= 2:
                 g.add_edge(ids[0], ids[1], edge_label, edge_props)
-            path = tmp_path_factory.mktemp("rt") / "g.jsonl"
-            save_graph(g, path)
-            loaded = load_graph(path)
+            path = tmp_path_factory.mktemp("rt") / "g.snap"
+            write_snapshot(g, path)
+            loaded = read_snapshot(path).graph
             assert loaded.name == g.name
             assert loaded.vertex_count == g.vertex_count
             assert loaded.edge_count == g.edge_count
@@ -219,39 +232,9 @@ if HAVE_HYPOTHESIS:
                                 max_size=6))
         def test_snapshot_round_trip_is_extensional(
                 self, tmp_path_factory, records):
-            from repro.graph import (
-                graphs_equal,
-                read_snapshot,
-                write_snapshot,
-            )
-
             g = Graph(name="prop")
             for label, p in records:
                 g.add_vertex(label, p)
             path = tmp_path_factory.mktemp("snap") / "s.jsonl"
             write_snapshot(g, path)
             assert graphs_equal(read_snapshot(path).graph, g)
-
-
-class TestStats:
-    def test_stats_counts(self, sample):
-        stats = graph_stats(sample)
-        assert stats.vertex_count == 3
-        assert stats.edge_count == 1
-        assert stats.vertex_label_count == 2
-        assert stats.top_vertex_labels[0] == ("dog", 2)
-
-    def test_stats_empty_graph(self):
-        stats = graph_stats(Graph())
-        assert stats.vertex_count == 0
-        assert stats.max_out_degree == 0
-
-    def test_stats_degrees(self):
-        g = Graph()
-        hub = g.add_vertex("hub").id
-        for i in range(3):
-            leaf = g.add_vertex(f"l{i}").id
-            g.add_edge(hub, leaf, "spoke")
-        stats = graph_stats(g)
-        assert stats.max_out_degree == 3
-        assert stats.max_in_degree == 1

@@ -10,14 +10,9 @@ class of damage.
 import pytest
 
 from repro.errors import StoreError
-from repro.graph import (
-    Graph,
-    extensional_digest,
-    graphs_equal,
-    read_snapshot,
-    write_snapshot,
-)
+from repro.graph import Graph, extensional_digest, read_snapshot, write_snapshot
 from repro.graph.store import canonical_payload, frame_record, parse_frame
+from tests.graph.helpers import graphs_equal
 
 
 @pytest.fixture

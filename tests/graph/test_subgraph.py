@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.graph import (
-    Graph,
-    induced_subgraph_view,
-    k_hop_subgraph,
-    materialize,
-)
+from repro.graph import Graph, SubgraphView, k_hop_subgraph
 
 
 @pytest.fixture
@@ -30,19 +25,19 @@ def sample():
 class TestView:
     def test_view_membership(self, sample):
         g, ids = sample
-        view = induced_subgraph_view(g, {ids["fence"], ids["man"]})
+        view = SubgraphView(g, frozenset({ids["fence"], ids["man"]}))
         assert ids["fence"] in view
         assert ids["dog"] not in view
 
     def test_view_edges_are_induced(self, sample):
         g, ids = sample
-        view = induced_subgraph_view(g, {ids["fence"], ids["man"]})
+        view = SubgraphView(g, frozenset({ids["fence"], ids["man"]}))
         labels = sorted(e.label for e in view.edges())
         assert labels == ["behind", "in front of"]
 
     def test_view_label_lookup(self, sample):
         g, ids = sample
-        view = induced_subgraph_view(g, {ids["fence"], ids["man"]})
+        view = SubgraphView(g, frozenset({ids["fence"], ids["man"]}))
         assert [v.id for v in view.find_vertices("Man")] == [ids["man"]]
         assert view.find_vertices("Dog") == []
 
@@ -51,7 +46,7 @@ class TestView:
         from repro.errors import VertexNotFoundError
 
         with pytest.raises(VertexNotFoundError):
-            induced_subgraph_view(g, {999})
+            k_hop_subgraph(g, 999, 1)
 
 
 class TestKHopSubgraph:
@@ -70,21 +65,3 @@ class TestKHopSubgraph:
     def test_vertex_count(self, sample):
         g, ids = sample
         assert k_hop_subgraph(g, ids["fence"], 1).vertex_count == 2
-
-
-class TestMaterialize:
-    def test_materialize_preserves_ids_and_edges(self, sample):
-        g, ids = sample
-        view = k_hop_subgraph(g, ids["fence"], 2)
-        copy = materialize(view)
-        assert copy.vertex_count == view.vertex_count
-        assert copy.vertex(ids["man"]).label == "Man"
-        # the man->dog edge is inside the 2-hop view
-        assert len(copy.edges_between(ids["man"], ids["dog"])) == 1
-
-    def test_materialize_is_independent(self, sample):
-        g, ids = sample
-        view = k_hop_subgraph(g, ids["fence"], 1)
-        copy = materialize(view)
-        copy.add_vertex("NewThing")
-        assert g.find_vertices("NewThing") == []

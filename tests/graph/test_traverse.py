@@ -1,16 +1,8 @@
-"""Unit tests for graph traversal (BFS/DFS, k-hop, components)."""
+"""Unit tests for the k-hop neighbourhood (Definition 1)."""
 
 import pytest
 
-from repro.graph import (
-    Graph,
-    bfs_order,
-    connected_components,
-    dfs_order,
-    hop_distances,
-    iter_paths,
-    k_hop_neighborhood,
-)
+from repro.graph import Graph, k_hop_neighborhood
 
 
 @pytest.fixture
@@ -21,53 +13,6 @@ def chain():
     for a, b in zip(ids, ids[1:], strict=False):
         g.add_edge(a, b, "next")
     return g, ids
-
-
-@pytest.fixture
-def star():
-    """center -> leaf_i for i in 0..3"""
-    g = Graph()
-    center = g.add_vertex("center").id
-    leaves = [g.add_vertex(f"leaf{i}").id for i in range(4)]
-    for leaf in leaves:
-        g.add_edge(center, leaf, "spoke")
-    return g, center, leaves
-
-
-class TestBFS:
-    def test_bfs_covers_reachable(self, chain):
-        g, ids = chain
-        assert bfs_order(g, ids[0]) == ids
-
-    def test_bfs_respects_direction(self, chain):
-        g, ids = chain
-        assert bfs_order(g, ids[2]) == ids[2:]
-
-    def test_bfs_undirected(self, chain):
-        g, ids = chain
-        assert set(bfs_order(g, ids[2], directed=False)) == set(ids)
-
-    def test_bfs_start_validated(self, chain):
-        g, _ = chain
-        from repro.errors import VertexNotFoundError
-
-        with pytest.raises(VertexNotFoundError):
-            bfs_order(g, 999)
-
-
-class TestDFS:
-    def test_dfs_preorder_on_star(self, star):
-        g, center, leaves = star
-        order = dfs_order(g, center)
-        assert order[0] == center
-        assert set(order[1:]) == set(leaves)
-        # first edge added explored first
-        assert order[1] == leaves[0]
-
-    def test_dfs_single_vertex(self):
-        g = Graph()
-        v = g.add_vertex("only")
-        assert dfs_order(g, v.id) == [v.id]
 
 
 class TestKHop:
@@ -104,56 +49,3 @@ class TestKHop:
         g.add_edge(man, far, "watching")
         s = k_hop_neighborhood(g, fence, 1)
         assert s == {fence, man}
-
-
-class TestDistances:
-    def test_hop_distances(self, chain):
-        g, ids = chain
-        d = hop_distances(g, ids[0], directed=True)
-        assert [d[i] for i in ids] == [0, 1, 2, 3, 4]
-
-    def test_hop_distances_limit(self, chain):
-        g, ids = chain
-        d = hop_distances(g, ids[0], directed=True, limit=2)
-        assert set(d) == set(ids[:3])
-
-
-class TestComponents:
-    def test_single_component(self, chain):
-        g, ids = chain
-        comps = connected_components(g)
-        assert comps == [set(ids)]
-
-    def test_two_components(self):
-        g = Graph()
-        a = g.add_vertex("a").id
-        b = g.add_vertex("b").id
-        g.add_edge(a, b, "x")
-        c = g.add_vertex("c").id
-        comps = connected_components(g)
-        assert {frozenset(s) for s in comps} == {frozenset({a, b}), frozenset({c})}
-
-    def test_empty_graph(self):
-        assert connected_components(Graph()) == []
-
-
-class TestPaths:
-    def test_iter_paths_finds_multi_hop(self, chain):
-        g, ids = chain
-        paths = list(iter_paths(g, ids[0], lambda v: v == ids[3], max_depth=5))
-        assert paths == [[ids[0], ids[1], ids[2], ids[3]]]
-
-    def test_iter_paths_depth_capped(self, chain):
-        g, ids = chain
-        paths = list(iter_paths(g, ids[0], lambda v: v == ids[4], max_depth=2))
-        assert paths == []
-
-    def test_iter_paths_simple_only(self):
-        # cycle: ensure no infinite revisit
-        g = Graph()
-        a = g.add_vertex("a").id
-        b = g.add_vertex("b").id
-        g.add_edge(a, b, "x")
-        g.add_edge(b, a, "y")
-        paths = list(iter_paths(g, a, lambda v: v == b, max_depth=10))
-        assert paths == [[a, b]]

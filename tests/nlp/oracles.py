@@ -1,12 +1,33 @@
-"""Reference implementations the dependency-tree helpers are tested against.
+"""Reference implementations the NLP substrate is tested against.
 
 :class:`~repro.nlp.depparse.DependencyTree` indexes each head's
-dependents once; these are the original scans over every arc, kept as
-the oracle for the differential tests in ``test_depparse_oracle.py``.
+dependents once; the scans below over every arc are the oracle for
+the differential tests in ``test_depparse_oracle.py``.  The score
+memo (``repro.nlp.score_memo``) is fuzzed against the linear
+:func:`rank_scores` scan, and the answer tests filter ``kind of``
+labels with the lexicon's hypernym walk, :func:`is_kind_of`.
 """
 
+import numpy as np
+
 from repro.nlp.depparse import MULTIWORD_PREPOSITIONS
+from repro.nlp.embeddings import phrase_vector
 from repro.nlp.pos import TaggedToken
+from repro.nlp.semlex import hypernym_chain
+
+
+def rank_scores(query, candidates):
+    """All candidates with similarities, best first (a linear scan)."""
+    query_vec = phrase_vector(query)
+    scored = [
+        (c, float(np.dot(query_vec, phrase_vector(c)))) for c in candidates
+    ]
+    return sorted(scored, key=lambda cs: -cs[1])
+
+
+def is_kind_of(child, ancestor):
+    """Whether ``ancestor`` appears anywhere above ``child``."""
+    return ancestor.lower() in hypernym_chain(child)
 
 
 def children(tree, head, label=None):

@@ -1,7 +1,7 @@
 """Unit and equivalence tests for the embedding score memo (ScoreMemo).
 
 ``rank``/``best`` must be extensionally equal to the linear
-:func:`repro.nlp.embeddings.rank_scores` / ``max_score`` scans (the
+:func:`tests.nlp.oracles.rank_scores` / ``max_score`` scans (the
 oracle) — the contract the executor relies on for byte-identical
 answers.  The fuzz classes at the bottom mirror
 ``tests/graph/test_candidates.py``: the MVQA vocabulary and randomly
@@ -15,7 +15,8 @@ import pytest
 from repro.dataset.mvqa import build_mvqa
 from repro.graph import Graph
 from repro.nlp.score_memo import ScoreMemo
-from repro.nlp.embeddings import max_score, rank_scores
+from repro.nlp.embeddings import max_score
+from tests.nlp.oracles import rank_scores
 
 PREDICATES = [
     "standing on", "sitting on", "near", "wearing", "holding",

@@ -6,7 +6,6 @@ from repro.nlp import (
     noun_plural,
     noun_singular,
     past_participle,
-    present_3sg,
     verb_lemma,
 )
 
@@ -75,11 +74,6 @@ class TestNounNumber:
 
 
 class TestInflection:
-    def test_present_3sg(self):
-        assert present_3sg("wear") == "wears"
-        assert present_3sg("carry") == "carries"
-        assert present_3sg("watch") == "watches"
-
     def test_gerund(self):
         assert gerund("sit") == "sitting"
         assert gerund("ride") == "riding"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TokenizationError
-from repro.nlp import detokenize, tokenize
+from repro.nlp import tokenize
 
 
 class TestTokenize:
@@ -55,16 +55,3 @@ class TestTokenize:
         tokens = tokenize("dog?")
         assert tokens[0].is_word and not tokens[0].is_punct
         assert tokens[1].is_punct and not tokens[1].is_word
-
-
-class TestDetokenize:
-    def test_round_trip_simple(self):
-        text = "the dog runs"
-        assert detokenize(tokenize(text)) == text
-
-    def test_punctuation_reattaches(self):
-        assert detokenize(tokenize("Is this a cat?")) == "Is this a cat?"
-
-    def test_clitic_reattaches(self):
-        out = detokenize(tokenize("Harry's owl"))
-        assert out == "Harry's owl"

@@ -21,6 +21,7 @@ from repro.observability import (
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
 OPERATIONS = REPO_ROOT / "docs" / "OPERATIONS.md"
+ADMISSION = SRC_ROOT / "serve" / "admission.py"
 
 
 def registered_families():
@@ -34,6 +35,29 @@ def registered_families():
                     and node.value.startswith("svqa_"):
                 families.add(node.value)
     return families
+
+
+def admission_reasons():
+    """Every ``reason`` an ``AdmissionDecision`` is built with in
+    :mod:`repro.serve.admission` (the ``svqa_admission_total``
+    ``outcome`` label values)."""
+    tree = ast.parse(ADMISSION.read_text(encoding="utf-8"))
+    reasons = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "id", None) == "AdmissionDecision":
+            args = node.args[1:2] + [kw.value for kw in node.keywords
+                                     if kw.arg == "reason"]
+            for arg in args:
+                assert isinstance(arg, ast.Constant), ast.dump(arg)
+                reasons.add(arg.value)
+    return reasons
+
+
+def outcome_list(text):
+    """``admitted/rate-limited`` or ``outcomes `a` / `b``` as a set."""
+    words = text.replace("outcomes", "").split("/")
+    return {word.strip(" `") for word in words if word.strip(" `")}
 
 
 class TestMetricGlossary:
@@ -87,6 +111,24 @@ class TestMetricGlossary:
         for text in (definition, BENCH_GLOSSARY["stale scope drops"],
                      row, help_line):
             assert "write" in text and "epoch" not in text, text
+
+    def test_admission_outcomes_match_the_controller(self):
+        """The documented ``outcome`` values of ``svqa_admission_total``
+        are exactly the reasons ``AdmissionController`` returns, so an
+        operator's ``outcome="..."`` query never selects nothing."""
+        reasons = admission_reasons()
+        assert "admitted" in reasons and len(reasons) > 1
+        definition = METRIC_GLOSSARY["svqa_admission_total"]
+        glossed = re.search(r"\(([^)]*)\)", definition)
+        assert glossed is not None, definition
+        assert outcome_list(glossed.group(1)) == reasons
+        text = OPERATIONS.read_text(encoding="utf-8")
+        documented = set(re.findall(
+            r'svqa_admission_total\{outcome="([^"]+)"\}', text))
+        for group in re.findall(r"svqa_admission_total`[^(\n]*\(([^)]*)\)",
+                                text):
+            documented |= outcome_list(group)
+        assert documented == reasons
 
     def test_definitions_are_one_line_and_nonempty(self):
         for name, definition in {**METRIC_GLOSSARY,

@@ -14,8 +14,8 @@ import pytest
 
 from repro.core import ObservabilityConfig, SVQA, SVQAConfig
 from repro.dataset.kg import build_commonsense_kg
-from repro.observability import span_multiset
 from repro.synth import SceneGenerator
+from tests.observability.helpers import span_multiset
 
 QUESTIONS = [
     "Is there a dog near the fence?",

@@ -11,9 +11,9 @@ from repro.observability.spans import (
     maybe_span,
     maybe_trace,
     render_trace,
-    span_multiset,
 )
 from repro.simtime import SimClock
+from tests.observability.helpers import span_multiset
 
 
 def clock_with(cost):

@@ -27,11 +27,11 @@ from repro.core.pipeline import SVQA, SVQAConfig
 from repro.graph.durable import DurableStore
 from repro.graph.store import extensional_digest
 from repro.observability import ObservabilityConfig
-from repro.observability.spans import span_multiset
 from repro.serve import ServeConfig, build_service
 from repro.serve.app import _warm_start, build_svqa_with_store
 from repro.vision.detector import DetectorConfig
 
+from tests.observability.helpers import span_multiset
 from tests.serve.test_app import ask, request
 
 

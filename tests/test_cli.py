@@ -138,7 +138,7 @@ class TestArgumentErrors:
         ["serve", "--rate", "-1"],
         ["serve", "--rate", "0"],
         ["serve", "--burst", "0"],
-        ["serve", "--max-queue", "0"],
+        ["serve", "--scenario", "imagenet"],
         ["serve", "--max-batch", "0"],
         ["serve", "--batch-wait", "-0.5"],
         ["serve", "--deadline-ms", "0"],

@@ -1,0 +1,98 @@
+"""Regrowth guard: no ``src/`` definition that only tests reach.
+
+Every top-level function and class in ``src/repro`` must be reached
+from a shipped entry point: the package itself, ``benchmarks/``,
+``scripts/``, ``examples/`` or ``perfbench/``.  Reachability is a
+fixpoint over names: a definition is live when a live body names it.
+The roots are everything outside ``src/`` and the module-level code
+of each ``src/`` module, minus its ``__all__`` and minus the package
+``__init__`` re-exports, which would keep anything alive.  Functions
+registered by ``@query_rule`` run through the registry and count as
+roots.  Matching is by bare name, so a name used anywhere keeps every
+definition of it alive; the check can miss dead code, never invent
+it.  A helper that only a test needs belongs in ``tests/``.
+"""
+
+import ast
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC_ROOT = REPO_ROOT / "src" / "repro"
+SHIPPED = ("benchmarks", "scripts", "examples", "perfbench")
+#: decorators that register the function they wrap
+REGISTERING = {"query_rule"}
+
+
+def referenced_names(nodes):
+    """Every identifier the nodes name: loads, attributes, imported
+    names, and string constants that are bare identifiers."""
+    names = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str) and node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def is_registered(node):
+    for decorator in node.decorator_list:
+        call = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(call, "id", None) in REGISTERING:
+            return True
+    return False
+
+
+def unreached_definitions():
+    """``module:name`` of every top-level ``src/repro`` definition no
+    shipped entry point reaches."""
+    definitions = []   # (label, name, names its body references)
+    live = set()
+    for directory in SHIPPED:
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+            live |= referenced_names([ast.parse(path.read_text("utf-8"))])
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        module = path.relative_to(SRC_ROOT).with_suffix("").as_posix()
+        top_level = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                body = referenced_names([node])
+                if is_registered(node) or node.name.startswith("__"):
+                    live |= body
+                else:
+                    definitions.append((f"{module}:{node.name}", node.name,
+                                        body))
+            elif not is_all(node):
+                top_level.append(node)
+        live |= referenced_names(top_level)
+    pending = definitions
+    while True:
+        reached = [d for d in pending if d[1] in live]
+        if not reached:
+            return sorted(label for label, _, _ in pending)
+        pending = [d for d in pending if d[1] not in live]
+        for _, _, body in reached:
+            live |= body
+
+
+def test_every_src_definition_is_reached_from_a_shipped_entry_point():
+    unreached = unreached_definitions()
+    assert unreached == [], (
+        "src/ definitions that only tests reach (delete them, or move "
+        f"them into tests/ if a test needs them): {unreached}"
+    )

@@ -3,8 +3,31 @@
 import pytest
 
 from repro.synth import Box, SceneGenerator, SceneObject, SceneRelation, SyntheticScene
+from repro.synth.scene import iou
 from repro.vision import DetectorConfig, SimulatedDetector
-from repro.vision.boxes import iou, match_boxes
+
+
+def match_boxes(detected, truth, threshold=0.5):
+    """Greedy IoU matching: detected index -> ground-truth index.
+
+    Each ground-truth box is matched at most once; pairs are taken in
+    descending IoU order, and pairs below ``threshold`` are ignored.
+    """
+    pairs = []
+    for i, det in enumerate(detected):
+        for j, gt in enumerate(truth):
+            score = iou(det, gt)
+            if score >= threshold:
+                pairs.append((score, i, j))
+    pairs.sort(key=lambda p: -p[0])
+    matched = {}
+    used_truth = set()
+    for _, i, j in pairs:
+        if i in matched or j in used_truth:
+            continue
+        matched[i] = j
+        used_truth.add(j)
+    return matched
 
 
 @pytest.fixture
