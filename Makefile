@@ -76,9 +76,11 @@ retrieval-fuzz:
 		tests/nlp/test_embed_cache.py \
 		tests/core/test_executor_retrieval.py
 
-# differential fuzz of the taxonomy adjacency: scope ids and "kind of"
-# answers must equal the full-scan oracles after seeded mutation runs
-# (twenty seeds, longer runs than the tier-1 copy of the check)
+# differential fuzz of key-level retirement: scope ids, "kind of"
+# answers, served relation pairs and held neighborhoods must equal the
+# full-scan oracles after seeded mutation runs, in a long-lived session
+# and against a racing writer (more seeds and longer runs than the
+# tier-1 copy of the checks)
 scope-fuzz:
 	PYTHONPATH=src python -m pytest -x -q tests/core/scope_fuzz.py
 

@@ -25,7 +25,6 @@ from repro.analysis.code_linter import (
     lint_paths,
 )
 from repro.analysis.code_rules import (
-    ALL_CODE_RULES,
     CodeRule,
     FaultSiteDisciplineRule,
     LockDisciplineRule,
@@ -48,7 +47,6 @@ from repro.analysis.query_validator import (
 )
 
 __all__ = [
-    "ALL_CODE_RULES",
     "CodeRule",
     "Diagnostic",
     "DiagnosticReport",

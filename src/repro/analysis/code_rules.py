@@ -41,14 +41,13 @@ RP007     ERROR      candidate-index discipline: the
                      (``add_label``/``remove_label``) only through the
                      ``Graph`` mutation API (allowlisted:
                      ``graph/model.py`` and ``graph/candidates.py``);
-                     executor cache-key tuples tagged ``"scope"``,
-                     ``"scope-poss"`` or ``"path"`` carry no epoch
-                     (except the planner's plan-node keys, which name
-                     the overlay's plan-time epoch), and the scope /
-                     path stores are written only through the
-                     retiring ``KeyCentricCache`` API (outside
+                     cache-key tuples tagged ``"scope"``,
+                     ``"scope-poss"``, ``"path"`` or ``"nbr"`` carry
+                     no epoch, and the scope / path / neighborhood
+                     stores are written only through the retiring
+                     ``KeyCentricCache`` API (outside
                      ``core/cache.py`` no ``*.scope.put`` /
-                     ``*.path.put``)
+                     ``*.path.put`` / ``*.nbr.put``)
 ========  =========  ====================================================
 
 Every rule is an :class:`ast.NodeVisitor`-based :class:`CodeRule`
@@ -594,40 +593,38 @@ class CandidateIndexDisciplineRule(CodeRule):
       index from vertex storage and the matcher silently diverges
       from the linear-scan reference (the binding allowlists
       ``repro/graph/model.py`` and ``repro/graph/candidates.py``);
-    * executor cache-key tuples — literals whose first element is one
-      of the kind tags ``"scope"``, ``"scope-poss"``, ``"path"`` —
-      carry no epoch: an entry is retired by the writes that touch
+    * cache-key tuples — literals whose first element is one of the
+      kind tags ``"scope"``, ``"scope-poss"``, ``"path"``, ``"nbr"``
+      — carry no epoch: an entry is retired by the writes that touch
       what it read, so a key that also names an epoch would be
-      orphaned by every write instead (the planner's plan-node keys,
-      which name the per-batch overlay's plan-time epoch, are the
-      exception);
-    * the scope and path stores are written only through the retiring
-      ``KeyCentricCache`` API, which indexes what each entry read: a
-      raw ``<x>.scope.put(...)`` / ``<x>.path.put(...)`` outside
-      ``repro/core/cache.py`` stores an entry no write can retire.
+      orphaned by every write instead;
+    * the scope, path and neighborhood stores are written only through
+      the retiring ``KeyCentricCache`` API, which indexes what each
+      entry read: a raw ``<x>.scope.put(...)`` / ``<x>.path.put(...)``
+      / ``<x>.nbr.put(...)`` outside ``repro/core/cache.py`` stores an
+      entry no write can retire.
     """
 
     rule_id = "RP007"
     description = ("VertexCandidateIndex mutated only via the Graph "
-                   "mutation API; scope/path cache keys carry no epoch "
-                   "and are stored only through the retiring cache API")
+                   "mutation API; scope/path/nbr cache keys carry no "
+                   "epoch and are stored only through the retiring "
+                   "cache API")
 
     #: methods that mutate a VertexCandidateIndex
     INDEX_MUTATORS: frozenset[str] = frozenset({
         "add_label", "remove_label",
     })
-    #: first-element tags identifying executor cache-key tuples
-    KEY_KINDS: frozenset[str] = frozenset({"scope", "scope-poss", "path"})
+    #: first-element tags identifying cache-key tuples
+    KEY_KINDS: frozenset[str] = frozenset({"scope", "scope-poss", "path",
+                                           "nbr"})
     #: the raw evicting stores of a KeyCentricCache
-    STORES: frozenset[str] = frozenset({"scope", "path"})
-    #: the module whose plan-node keys carry the plan-time epoch
-    PLANNER = "repro/core/planner.py"
+    STORES: frozenset[str] = frozenset({"scope", "path", "nbr"})
     #: the module that owns the stores
     CACHE = "repro/core/cache.py"
 
     def check(self, tree: ast.Module, path: str) -> list[Diagnostic]:
         normalized = path.replace("\\", "/")
-        keys_may_carry_epoch = normalized.endswith(self.PLANNER)
         owns_stores = normalized.endswith(self.CACHE)
         found: list[Diagnostic] = []
         for node in ast.walk(tree):
@@ -635,7 +632,7 @@ class CandidateIndexDisciplineRule(CodeRule):
                 found.extend(self._check_index_mutation(node, path))
                 if not owns_stores:
                     found.extend(self._check_store_write(node, path))
-            elif isinstance(node, ast.Tuple) and not keys_may_carry_epoch:
+            elif isinstance(node, ast.Tuple):
                 found.extend(self._check_cache_key(node, path))
         return found
 
@@ -675,8 +672,7 @@ class CandidateIndexDisciplineRule(CodeRule):
             "retiring cache API — no graph write could retire the "
             "entry",
             hint=f"store through KeyCentricCache.put_{store.attr}"
-                 f"(key, value, deps, stamp) or "
-                 f"{store.attr}_get_or_compute",
+                 f"(key, value, deps, stamp)",
         )]
 
     def _check_cache_key(
@@ -702,20 +698,7 @@ class CandidateIndexDisciplineRule(CodeRule):
         )]
 
 
-#: every invariant rule, in id order
-ALL_CODE_RULES: tuple[type[CodeRule], ...] = (
-    WallClockRule,
-    SeededRngRule,
-    LockDisciplineRule,
-    OrderedIterationRule,
-    MutableDefaultRule,
-    FaultSiteDisciplineRule,
-    CandidateIndexDisciplineRule,
-)
-
-
 __all__ = [
-    "ALL_CODE_RULES",
     "CandidateIndexDisciplineRule",
     "CodeRule",
     "FaultSiteDisciplineRule",

@@ -13,7 +13,6 @@ from repro.analysis.concurrency.lockgraph import (
     extract_module,
 )
 from repro.analysis.concurrency.rules import (
-    ALL_PROJECT_RULES,
     BlockingUnderLockRule,
     DispatchUnderLockRule,
     LockOrderInversionRule,
@@ -29,7 +28,6 @@ from repro.analysis.concurrency.sanitizer import (
 )
 
 __all__ = [
-    "ALL_PROJECT_RULES",
     "Acquisition",
     "BlockingCall",
     "BlockingUnderLockRule",

@@ -240,17 +240,7 @@ class LockPublicationRule(ProjectRule):
         return found
 
 
-#: every concurrency project rule, in id order
-ALL_PROJECT_RULES: tuple[type[ProjectRule], ...] = (
-    LockOrderInversionRule,
-    BlockingUnderLockRule,
-    DispatchUnderLockRule,
-    LockPublicationRule,
-)
-
-
 __all__ = [
-    "ALL_PROJECT_RULES",
     "BlockingUnderLockRule",
     "DispatchUnderLockRule",
     "LockOrderInversionRule",

@@ -6,13 +6,11 @@ from repro.baselines.splitters import (
     ABCD_BILINEAR,
     ABCD_MLP,
     DISSIM,
-    SPLITTERS,
     BaselineSplitter,
     LinguisticSplitter,
     SplitterSpec,
 )
 from repro.baselines.vqa import (
-    BASELINES,
     OFA,
     VILT,
     VISUALBERT,
@@ -23,14 +21,12 @@ from repro.baselines.vqa import (
 __all__ = [
     "ABCD_BILINEAR",
     "ABCD_MLP",
-    "BASELINES",
     "BaselineSpec",
     "BaselineSplitter",
     "BaselineVQA",
     "DISSIM",
     "LinguisticSplitter",
     "OFA",
-    "SPLITTERS",
     "SplitterSpec",
     "VILT",
     "VISUALBERT",

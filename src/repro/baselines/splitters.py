@@ -37,10 +37,6 @@ ABCD_BILINEAR = SplitterSpec("ABCD-bilinear", load_seconds=8.6,
 DISSIM = SplitterSpec("DisSim", load_seconds=5.8,
                       per_question_seconds=0.140)
 
-SPLITTERS: dict[str, SplitterSpec] = {
-    spec.name: spec for spec in (ABCD_MLP, ABCD_BILINEAR, DISSIM)
-}
-
 
 class BaselineSplitter:
     """A DL sentence splitter: load once, forward per question."""

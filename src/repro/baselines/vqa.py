@@ -82,10 +82,6 @@ OFA = BaselineSpec("OFA", relation_recall=0.98, label_accuracy=0.99,
                                 ("counting", 0.92),
                                 ("reasoning", 0.82)))
 
-BASELINES: dict[str, BaselineSpec] = {
-    spec.name: spec for spec in (VISUALBERT, VILT, OFA)
-}
-
 
 class BaselineVQA:
     """A per-image VQA model run over a regrouped multi-image dataset."""

@@ -260,7 +260,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ["plan batches", str(stats.plan_batches)],
         ["plan nodes", str(stats.plan_nodes)],
         ["plan shared nodes", str(stats.plan_shared_nodes)],
-        ["plan overlay fills", str(stats.plan_overlay_fills)],
+        ["plan neighborhood fills", str(stats.plan_neighborhood_fills)],
         ["ann fresh scores", str(stats.retrieval_ann_fresh)],
         ["ann memo probes", str(stats.retrieval_ann_probes)],
         ["faults injected", str(stats.faults_injected)],

@@ -34,7 +34,6 @@ from repro.core.pipeline import (
 from repro.core.planner import (
     PlanForest,
     PlanNode,
-    PlanOverlay,
     PlannedBatch,
     QueryPlan,
     SharedNode,
@@ -79,7 +78,6 @@ __all__ = [
     "ObservabilityConfig",
     "PlanForest",
     "PlanNode",
-    "PlanOverlay",
     "PlannedBatch",
     "QueryGraph",
     "QueryGraphExecutor",

@@ -30,8 +30,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING
-
 from repro.core.aggregator import MergedGraph
 from repro.core.answer import Answer, fallback_answer
 from repro.core.cache import KeyCentricCache
@@ -48,9 +46,6 @@ from repro.observability.spans import Tracer, maybe_trace
 from repro.resilience.events import FaultEvent
 from repro.resilience.manager import ResilienceManager
 from repro.simtime import SimClock
-
-if TYPE_CHECKING:
-    from repro.core.planner import PlanOverlay
 
 
 @dataclass
@@ -104,7 +99,6 @@ class BatchExecutor:
         stats: ExecutorStats | None = None,
         resilience: ResilienceManager | None = None,
         tracer: Tracer | None = None,
-        plan_overlay: PlanOverlay | None = None,
         memo: ExecutorMemo | None = None,
     ) -> None:
         if workers < 1:
@@ -120,9 +114,6 @@ class BatchExecutor:
         # per-site across the whole batch
         self.resilience = resilience or ResilienceManager()
         self.tracer = tracer
-        # frozen shared-sub-plan results from the planner's share
-        # phase, handed to every per-thread executor
-        self.plan_overlay = plan_overlay
         # the session's executor memo, shared by every lane (a batch
         # built without one leaves each lane its own unbound memo)
         self.memo = memo
@@ -182,7 +173,6 @@ class BatchExecutor:
                     config=self.config, stats=self.stats,
                     resilience=self.resilience,
                     tracer=self.tracer,
-                    plan_overlay=self.plan_overlay,
                     memo=self.memo,
                 )
                 local.executor = executor

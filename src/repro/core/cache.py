@@ -13,9 +13,15 @@ The executor's two expensive operations are cached:
   one cached neighborhood serves every predicate over the same
   endpoints.
 
-Both sit on an evicting store; the paper uses LFU [39] and compares it
-against LRU [47] in Figure 11, so both policies are implemented behind
-one interface.
+A third store holds the planner's shared neighborhoods (``nbr``): the
+full non-taxonomy edge set on one side of a label's vertices, from
+which a path miss over those endpoints derives its pairs by membership
+filtering instead of rescanning (:mod:`repro.core.planner`).  It is on
+exactly when the path store is.
+
+All three sit on an evicting store; the paper uses LFU [39] and
+compares it against LRU [47] in Figure 11, so both policies are
+implemented behind one interface.
 
 All stores are thread-safe: every ``get``/``put`` (and the hit/miss
 counters) runs under a per-store lock, and ``KeyCentricCache`` offers
@@ -48,9 +54,10 @@ class EvictingCache:
 
     Subclasses must guard every operation with ``self._lock`` so one
     store can be shared by a pool of worker threads.  ``name`` is the
-    store's sanitizer role (``cache.scope`` / ``cache.path``); locks
-    are created through :func:`repro.locks.wrap_lock`, so with no
-    sanitizer installed this is the raw ``RLock``.
+    store's sanitizer role (``cache.scope`` / ``cache.path`` /
+    ``cache.nbr``); locks are created through
+    :func:`repro.locks.wrap_lock`, so with no sanitizer installed this
+    is the raw ``RLock``.
     """
 
     def __init__(self, capacity: int, *, name: str = "store") -> None:
@@ -241,7 +248,8 @@ class KeyCentricCache:
     """The §V-B two-level cache over matchVertex and getRelationpairs.
 
     ``enabled_scope`` / ``enabled_path`` allow the Figure-10(b)
-    granularity ablation (No / Scope / Path / Both).
+    granularity ablation (No / Scope / Path / Both); the neighborhood
+    store follows ``enabled_path``.
 
     The ``*_get_or_compute`` methods make miss-then-fill atomic under
     concurrency: the first thread to miss a key becomes the *leader*
@@ -261,6 +269,7 @@ class KeyCentricCache:
 
     scope: EvictingCache
     path: EvictingCache
+    nbr: EvictingCache
     enabled_scope: bool = True
     enabled_path: bool = True
     _inflight: dict[Hashable, _InFlight] = field(
@@ -293,10 +302,12 @@ class KeyCentricCache:
         enabled_scope: bool = True,
         enabled_path: bool = True,
     ) -> KeyCentricCache:
-        """Build scope and path stores of ``pool_size`` entries each."""
+        """Build scope, path and neighborhood stores of ``pool_size``
+        entries each."""
         return cls(
             scope=make_cache(policy, pool_size, name="scope"),
             path=make_cache(policy, pool_size, name="path"),
+            nbr=make_cache(policy, pool_size, name="nbr"),
             enabled_scope=enabled_scope,
             enabled_path=enabled_path,
         )
@@ -312,9 +323,10 @@ class KeyCentricCache:
              stats: ExecutorStats | None = None) -> None:
         """Hold entries for ``graph`` and observe its writes.
 
-        Rebinding to another graph empties both stores.  ``stats``
-        (when given) counts retired entries.  A cache with both stores
-        disabled holds nothing and observes nothing.
+        Rebinding to another graph empties every store.  ``stats``
+        (when given) counts retired scope and path entries.  A cache
+        with the scope and path stores disabled holds nothing and
+        observes nothing.
         """
         if not (self.enabled_scope or self.enabled_path):
             return
@@ -328,8 +340,8 @@ class KeyCentricCache:
             self._graph = graph
             self._observed = graph.epoch
             self._index = ReadIndex()
-            self.scope.drop_where(_always)
-            self.path.drop_where(_always)
+            for store in self._stores():
+                store.drop_where(_always)
         if previous is not None:
             previous.remove_observer(self)
         graph.add_observer(self)
@@ -354,12 +366,18 @@ class KeyCentricCache:
             if keys:
                 for key in keys:
                     self._index.discard(key)
+                # counted: the scope and path entries (the stale-drop
+                # family's meaning); neighborhoods are plan work
                 dropped = self.scope.drop_where(keys.__contains__) \
                     + self.path.drop_where(keys.__contains__)
+                self.nbr.drop_where(keys.__contains__)
             self._observed = op["epoch"]
             stats = self._stats
         if dropped and stats is not None:
             stats.record_stale_scope_drops(dropped)
+
+    def _stores(self) -> tuple[EvictingCache, ...]:
+        return self.scope, self.path, self.nbr
 
     def _label_is_new(self, label: str) -> bool:
         graph = self._graph
@@ -411,6 +429,23 @@ class KeyCentricCache:
         (no-op when disabled)."""
         if self.enabled_path:
             self._store(self.path, key, value, deps, stamp)
+
+    # neighborhood --------------------------------------------------------
+    def get_nbr(self, key: Hashable) -> Any | None:
+        """Neighborhood-store lookup (``None`` when the path store is
+        disabled or the key is missing)."""
+        if not self.enabled_path:
+            return None
+        found = self.nbr.get(key)
+        return None if found is None else found[0]
+
+    def put_nbr(self, key: Hashable, value: Any,
+                deps: tuple[Reads, ...] = (),
+                stamp: int | None = None) -> None:
+        """Store a shared neighborhood computed under ``stamp`` (no-op
+        when the path store is disabled)."""
+        if self.enabled_path:
+            self._store(self.nbr, key, value, deps, stamp)
 
     # atomic get-or-compute ------------------------------------------------
     def scope_get_or_compute(
@@ -496,8 +531,8 @@ class KeyCentricCache:
 
     @property
     def item_count(self) -> int:
-        """Entries held across both stores."""
-        return len(self.scope) + len(self.path)
+        """Entries held across every store."""
+        return sum(len(store) for store in self._stores())
 
 
 def _always(_key: Hashable) -> bool:

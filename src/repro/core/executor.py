@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
     from repro.analysis.query_validator import QueryGraphValidator
-    from repro.core.planner import PlanOverlay
     from repro.graph.model import Edge
 
 from repro.errors import ExecutionError, QueryValidationError
@@ -393,7 +392,6 @@ class QueryGraphExecutor:
         stats: ExecutorStats | None = None,
         resilience: ResilienceManager | None = None,
         tracer: Tracer | None = None,
-        plan_overlay: PlanOverlay | None = None,
         memo: ExecutorMemo | None = None,
     ) -> None:
         self.merged = merged
@@ -409,9 +407,6 @@ class QueryGraphExecutor:
         self.cache = cache if cache is not None else KeyCentricCache.disabled()
         self.cache.bind(self.graph, stats)
         self.clock = clock
-        # frozen fan-out store of shared sub-plan results for the
-        # current planned batch (None outside answer_many)
-        self.plan_overlay = plan_overlay
         self.config = config or ExecutorConfig()
         if self.config.validation not in VALIDATION_MODES:
             raise ValueError(
@@ -759,29 +754,11 @@ class QueryGraphExecutor:
         """:meth:`match_vertex_label`'s ids, and the entry and reads
         behind them."""
         stamp = self.cache.stamp()
-        epoch = self.graph.epoch
         key = ("scope", label.lower())
-
-        def compute() -> tuple[ScopeEntry, tuple[Reads, ...]]:
-            # scope-store miss: a shared sub-plan result may still be
-            # in the batch's plan overlay (the share phase warms the
-            # store, but the bounded pool can evict) — a fill replays
-            # the stored triple at cache-hit cost instead of rescanning
-            if self.plan_overlay is not None \
-                    and self.plan_overlay.epoch == epoch:
-                stored = self.plan_overlay.scope(key)
-                if stored is not None:
-                    if self.clock is not None:
-                        self.clock.charge("cache_hit")
-                    if self.stats is not None:
-                        self.stats.record_plan_fill("scope")
-                    return stored
-            return self._scope_value(label)
-
         with maybe_span(self.tracer, "cache.scope",
                         key=str(key)) as span:
-            entry, deps, hit = \
-                self._scope_get_or_compute(key, compute, stamp)
+            entry, deps, hit = self._scope_get_or_compute(
+                key, lambda: self._scope_value(label), stamp)
             if span is not None:
                 span.set("hit", hit)
                 span.set("candidates", entry.examined)
@@ -1013,13 +990,12 @@ class QueryGraphExecutor:
         def scan() -> list[RelationPair]:
             if self.clock is not None:
                 self.clock.charge("path_probe")
-            # path-store miss: when the batch's plan overlay holds the
+            # path-store miss: when the neighborhood store holds the
             # shared neighborhood of these endpoints, derive the exact
             # pair list by membership filtering (pair_filter per stored
             # pair) instead of rescanning the edge mass
-            derived = self._pairs_from_overlay(
-                spoc, binding, subjects, objects, epoch=epoch
-            )
+            derived = self._pairs_from_neighborhood(
+                spoc, binding, subjects, objects, stamp)
             if derived is not None:
                 return derived
             if self.clock is not None:
@@ -1082,73 +1058,56 @@ class QueryGraphExecutor:
             if edge.label not in TAXONOMY_LABELS
         ]
 
-    def _pairs_from_overlay(
+    def _pairs_from_neighborhood(
         self,
         spoc: SPOC,
         binding: dict[str, list[str] | None],
         subjects: list[Vertex],
         objects: list[Vertex],
-        epoch: int,
+        stamp: int | None,
     ) -> list[RelationPair] | None:
         """Derive a path result from a shared neighborhood, if possible.
 
         Applies only when the branch ``_relation_pairs`` would take is
         anchored on a *static* plain term (no provider binding, no
-        possessive) whose shared neighborhood is in the overlay under
-        the same epoch, **and** the neighborhood was computed from
-        exactly the vertex set resolved at runtime (degraded slot
-        resolution — a retry-exhausted match falling back to an empty
-        set — therefore falls through to the normal scan).  Returns
-        ``None`` when no derivation applies; the caller then pays the
-        ordinary edge-scan cost.
+        possessive) whose shared neighborhood the cache holds, **and**
+        the neighborhood was computed from exactly the vertex set
+        resolved at runtime (a write that moved the label's vertices,
+        or degraded slot resolution — a retry-exhausted match falling
+        back to an empty set — therefore falls through to the normal
+        scan).  Nothing is derived while a write is being retired
+        (``stamp`` is ``None``).  Returns ``None`` when no derivation
+        applies; the caller then pays the ordinary edge-scan cost.
         """
-        overlay = self.plan_overlay
-        if overlay is None or overlay.epoch != epoch:
+        if stamp is None:
             return None
         if subjects:
-            term = spoc.subject
-            if binding["subject"] is not None or term is None \
-                    or term.owner is not None:
-                return None
-            entry = overlay.neighborhood(
-                ("nbr", epoch, "out", term.head.lower())
-            )
-            if entry is None:
-                return None
-            source_ids, stored = entry
-            if source_ids != tuple(v.id for v in subjects):
-                return None
-            if self.clock is not None:
-                self.clock.charge("pair_filter", times=len(stored))
-            if self.stats is not None:
-                self.stats.record_plan_fill("path")
-            if objects:
-                object_map = {v.id: v for v in objects}
-                return [
-                    RelationPair(p.subject, p.edge,
-                                 object_map[p.edge.dst])
-                    for p in stored if p.edge.dst in object_map
-                ]
-            return list(stored)
-        if objects:
-            term = spoc.object
-            if binding["object"] is not None or term is None \
-                    or term.owner is not None:
-                return None
-            entry = overlay.neighborhood(
-                ("nbr", epoch, "in", term.head.lower())
-            )
-            if entry is None:
-                return None
-            source_ids, stored = entry
-            if source_ids != tuple(v.id for v in objects):
-                return None
-            if self.clock is not None:
-                self.clock.charge("pair_filter", times=len(stored))
-            if self.stats is not None:
-                self.stats.record_plan_fill("path")
-            return list(stored)
-        return None
+            slot, direction, sources = "subject", "out", subjects
+        elif objects:
+            slot, direction, sources = "object", "in", objects
+        else:
+            return None
+        term = spoc.slot(slot)
+        if binding[slot] is not None or term is None \
+                or term.owner is not None:
+            return None
+        entry = self.cache.get_nbr(("nbr", direction, term.head.lower()))
+        if entry is None:
+            return None
+        source_ids, stored = entry
+        if source_ids != tuple(v.id for v in sources):
+            return None
+        if self.clock is not None:
+            self.clock.charge("pair_filter", times=len(stored))
+        if self.stats is not None:
+            self.stats.record_neighborhood_fill()
+        if subjects and objects:
+            object_map = {v.id: v for v in objects}
+            return [
+                RelationPair(p.subject, p.edge, object_map[p.edge.dst])
+                for p in stored if p.edge.dst in object_map
+            ]
+        return list(stored)
 
     def _slot_key(
         self, term: Term | None, bound: list[str] | None

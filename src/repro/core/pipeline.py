@@ -49,7 +49,6 @@ from repro.core.executor import (
 )
 from repro.core.planner import (
     PlannedBatch,
-    PlanOverlay,
     build_forest,
     build_plans,
     execute_shared,
@@ -459,13 +458,13 @@ class SVQA:
             pre_events.append(events)
             parse_caps.append(cap)
 
-        order, overlay = self._plan_batch(graphs)
+        order = self._plan_batch(graphs)
         batch = BatchExecutor(
             self.merged, cache=self._cache,
             config=self.config.executor, workers=workers,
             costs=self.clock.costs, stats=self._stats,
             resilience=self.resilience, tracer=self.tracer,
-            plan_overlay=overlay, memo=self._executor_memo,
+            memo=self._executor_memo,
         )
         result = batch.run(graphs, order=order, trace_ids=trace_ids,
                            deadlines=deadlines)
@@ -476,38 +475,33 @@ class SVQA:
         )
         return result.answers
 
-    def _plan_batch(
-        self, graphs: list[QueryGraph | None]
-    ) -> tuple[list[int], PlanOverlay]:
+    def _plan_batch(self, graphs: list[QueryGraph | None]) -> list[int]:
         """Plan one :meth:`answer_many` batch.
 
-        Canonicalizes the parsed graphs under the current graph epoch,
-        detects structurally shared sub-plans across the batch (only
-        of the kinds whose cache is enabled — sharing is cross-query
-        reuse), executes each shared node exactly once on the main
-        thread (the ``planner.share`` span, charged to the aggregate
-        clock), and picks the submission order: affinity-clustered
+        Canonicalizes the parsed graphs, detects structurally shared
+        sub-plans across the batch (only of the kinds whose cache is
+        enabled — sharing is cross-query reuse), executes each shared
+        node exactly once on the main thread into the session's cache
+        (the ``planner.share`` span, charged to the aggregate clock),
+        and returns the submission order: affinity-clustered
         frequency-ratio order with the scheduler on (unparseable slots
-        last), the input order with it off.  Returns that order plus
-        the frozen fan-out overlay the batch's executors will consult.
+        last), the input order with it off.
         """
         assert self.merged is not None
         config = self.config
         valid = [i for i, g in enumerate(graphs) if g is not None]
         valid_graphs: list[QueryGraph] = \
             [g for g in graphs if g is not None]
-        epoch = self.merged.graph.epoch
-        plans = build_plans(valid_graphs, epoch)
+        plans = build_plans(valid_graphs)
         enabled = {"scope": config.enable_scope_cache,
                    "neighborhood": config.enable_path_cache}
         kinds = [kind for kind, on in enabled.items() if on]
-        forest = build_forest(plans, epoch, kinds=kinds)
+        forest = build_forest(plans, kinds=kinds)
         if config.enable_scheduler:
             order = [valid[p] for p in plan_order(plans, forest)] + \
                 [i for i, g in enumerate(graphs) if g is None]
         else:
             order = list(range(len(graphs)))
-        overlay = PlanOverlay(epoch)
         share_executor = QueryGraphExecutor(
             self.merged, cache=self._cache, clock=self.clock,
             config=config.executor, stats=self._stats,
@@ -519,17 +513,16 @@ class SVQA:
         with maybe_trace(self.tracer, trace_id, self.clock), \
                 maybe_span(self.tracer, "planner.share",
                            queries=len(valid_graphs)) as span:
-            share = execute_shared(forest, share_executor, overlay,
+            share = execute_shared(forest, share_executor,
                                    stats=self._stats)
             if span is not None:
                 span.set("shared_scopes", share.shared_scopes)
                 span.set("shared_neighborhoods",
                          share.shared_neighborhoods)
-        overlay.freeze()
         self._stats.record_plan_batch(forest.node_counts())
         self._last_plan = PlannedBatch(forest=forest, order=order,
                                        share=share)
-        return order, overlay
+        return order
 
     def _attach_batch_provenance(
         self,

@@ -12,20 +12,21 @@ This module pushes key-centric reuse from per-item memoization to
 whole-plan sharing:
 
 * **canonicalize** — every query graph becomes a :class:`QueryPlan` of
-  plan nodes with canonical keys under the current graph epoch:
-  ``scope`` nodes (one per statically-resolvable slot, keyed exactly
-  like the scope store), ``path`` nodes (one per non-copular clause
-  whose endpoints are both static, keyed exactly like the path store),
-  and ``neighborhood`` nodes (``("nbr", epoch, direction, head)`` — the
-  *full* non-structural edge set on one side of a static endpoint, from
-  which any path request over that endpoint can be derived by
-  membership filtering);
+  plan nodes with canonical keys: ``scope`` nodes (one per
+  statically-resolvable slot, keyed exactly like the scope store),
+  ``path`` nodes (one per non-copular clause whose endpoints are both
+  static, keyed exactly like the path store), and ``neighborhood``
+  nodes (``("nbr", direction, head)``, keyed exactly like the
+  neighborhood store — the *full* non-structural edge set on one side
+  of a static endpoint, from which any path request over that endpoint
+  can be derived by membership filtering);
 * **share** — nodes whose canonical key recurs across the batch are
   executed exactly once, in deterministic key order, on the main thread
-  before the batch starts; results fan out to every consumer through a
-  frozen :class:`PlanOverlay` that the executor consults inside its
-  cache-miss closures (so derived results still land in the scope/path
-  stores and stay single-flight under concurrency);
+  before the batch starts; scopes land in the scope store and
+  neighborhoods in the neighborhood store of the session's
+  key-centric cache, where the executor's cache-miss closures find
+  them (so derived results still land in the path store and stay
+  single-flight under concurrency);
 * **order** — queries are clustered by shared-key affinity (union-find
   over shared canonical keys) and clusters run back to back, largest
   shared mass first, which maximizes scope/path reuse while entries are
@@ -33,16 +34,15 @@ whole-plan sharing:
   order is kept (the scheduler ablation, ``enable_scheduler=False``,
   keeps the input order instead and still shares).
 
-Epoch interaction: every canonical key carries the *plan-time* graph
-epoch at index 1, and the overlay is stamped with it (the executor's
-cache keys name no epoch: its entries are retired by the writes that
-touch them).  A mid-batch mutation bumps the epoch, and executors
-consult the overlay only at its own epoch, so every overlay entry
-becomes unreachable — a shared sub-plan result can never leak across
-epochs.  Degraded slot resolution (resilience fallbacks)
-is guarded the same way: a neighborhood entry records the vertex ids
-it was computed from, and derivation only applies when the runtime
-endpoint set matches exactly.
+Epoch interaction: no key names an epoch.  A shared result is a cache
+entry like any other, stored with the reads it made, so a graph write
+retires exactly the scopes and neighborhoods it touches
+(:mod:`repro.graph.observe`), mid-batch or between batches, and what it
+leaves stays valid for later batches.  A neighborhood also records the
+vertex ids it was computed from, and derivation applies only when the
+runtime endpoint set matches them exactly: that covers a label whose
+vertices changed without touching the stored edges, and degraded slot
+resolution (resilience fallbacks).
 """
 
 from __future__ import annotations
@@ -53,33 +53,25 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.scheduler import schedule_queries
 from repro.core.spoc import QueryGraph, SPOC, Term
+from repro.graph.observe import Reads
 
 if TYPE_CHECKING:
     from repro.core.executor import QueryGraphExecutor, ScopeEntry
     from repro.core.stats import ExecutorStats
-    from repro.graph import RelationPair
-    from repro.graph.observe import Reads
-
-
-#: how many uses a canonical node needs across the batch before the
-#: share phase precomputes it (2 = any reuse)
-SHARE_THRESHOLD = 2
 
 
 #: the three plan-node kinds (also the ``kind`` label values of the
-#: ``svqa_plan_*`` metric families); built from a list so RP007 does
-#: not mistake the literal for a "scope"-tagged cache key
-NODE_KINDS: tuple[str, ...] = tuple(["scope", "path", "neighborhood"])
+#: ``svqa_plan_*`` metric families)
+NODE_KINDS: tuple[str, ...] = ("scope", "path", "neighborhood")
 
 
 @dataclass(frozen=True)
 class PlanNode:
     """One canonical unit of plan work inside a query plan.
 
-    ``key`` is the node's canonical identity: for ``scope`` and
-    ``path`` nodes it is byte-for-byte the cache key the executor will
-    present to the key-centric store, for ``neighborhood`` nodes it is
-    the ``("nbr", epoch, direction, head)`` overlay key.  ``shareable``
+    ``key`` is the node's canonical identity: byte-for-byte the key
+    the executor presents to the key-centric cache's scope, path or
+    neighborhood store.  ``shareable``
     marks nodes the share phase knows how to precompute (possessive
     scopes, for example, are canonical but not precomputed).
     """
@@ -120,7 +112,6 @@ class SharedNode:
 class PlanForest:
     """The batch-wide sharing structure over a list of query plans."""
 
-    epoch: int
     plans: list[QueryPlan]
     shared: dict[tuple[Any, ...], SharedNode]
 
@@ -151,7 +142,6 @@ class PlanForest:
     def signature(self) -> tuple[Any, ...]:
         """Canonical identity of the whole forest (determinism tests)."""
         return (
-            self.epoch,
             tuple(plan.signature() for plan in self.plans),
             tuple(sorted(
                 (key, s.uses, s.consumers) for key, s in self.shared.items()
@@ -159,16 +149,15 @@ class PlanForest:
         )
 
 
-def _term_scope_node(term: Term, epoch: int) -> PlanNode:
+def _term_scope_node(term: Term) -> PlanNode:
     """The scope node a static term slot will request."""
     if term.owner is not None:
         return PlanNode(
             kind="scope",
-            key=("scope-poss", epoch, term.owner.lower(),
-                 term.head.lower()),
+            key=("scope-poss", term.owner.lower(), term.head.lower()),
             shareable=False,
         )
-    return PlanNode(kind="scope", key=("scope", epoch, term.head.lower()))
+    return PlanNode(kind="scope", key=("scope", term.head.lower()))
 
 
 def _static_slot_key(term: Term | None) -> tuple[str, ...]:
@@ -178,8 +167,8 @@ def _static_slot_key(term: Term | None) -> tuple[str, ...]:
     return (term.head.lower(), term.owner.lower() if term.owner else "")
 
 
-def canonicalize(graph: QueryGraph, epoch: int,
-                 index: int = 0, score: float = 0.0) -> QueryPlan:
+def canonicalize(graph: QueryGraph, index: int = 0,
+                 score: float = 0.0) -> QueryPlan:
     """Canonicalize one query graph into a :class:`QueryPlan`.
 
     A slot is *static* when no dependency edge feeds it (its
@@ -199,17 +188,16 @@ def canonicalize(graph: QueryGraph, epoch: int,
                              ("object", object_static)):
             term = spoc.slot(slot)
             if static and term is not None:
-                nodes.append(_term_scope_node(term, epoch))
+                nodes.append(_term_scope_node(term))
         if spoc.predicate == "be" or not (subject_static and object_static):
             continue
         path_key = (
             "path",
-            epoch,
             _static_slot_key(spoc.subject),
             _static_slot_key(spoc.object),
         )
         nodes.append(PlanNode(kind="path", key=path_key, shareable=False))
-        nbr_key = _neighborhood_key(spoc, epoch)
+        nbr_key = _neighborhood_key(spoc)
         if nbr_key is not None:
             nodes.append(PlanNode(kind="neighborhood", key=nbr_key))
     return QueryPlan(
@@ -220,7 +208,7 @@ def canonicalize(graph: QueryGraph, epoch: int,
     )
 
 
-def _neighborhood_key(spoc: SPOC, epoch: int) -> tuple[Any, ...] | None:
+def _neighborhood_key(spoc: SPOC) -> tuple[Any, ...] | None:
     """The derivable-neighborhood key of a static non-copular clause.
 
     Mirrors the executor's branch choice in ``_relation_pairs``: a
@@ -231,40 +219,36 @@ def _neighborhood_key(spoc: SPOC, epoch: int) -> tuple[Any, ...] | None:
     if spoc.subject is not None:
         if spoc.subject.owner is not None:
             return None
-        return ("nbr", epoch, "out", spoc.subject.head.lower())
+        return ("nbr", "out", spoc.subject.head.lower())
     if spoc.object is not None:
         if spoc.object.owner is not None:
             return None
-        return ("nbr", epoch, "in", spoc.object.head.lower())
+        return ("nbr", "in", spoc.object.head.lower())
     return None
 
 
-def build_plans(graphs: list[QueryGraph], epoch: int) -> list[QueryPlan]:
+def build_plans(graphs: list[QueryGraph]) -> list[QueryPlan]:
     """Canonicalize a batch, scoring each plan by §V-B frequency ratio."""
     schedule = schedule_queries(graphs)
     return [
-        canonicalize(graph, epoch, index=i, score=schedule.graph_scores[i])
+        canonicalize(graph, index=i, score=schedule.graph_scores[i])
         for i, graph in enumerate(graphs)
     ]
 
 
-def build_forest(plans: list[QueryPlan], epoch: int,
-                 threshold: int = SHARE_THRESHOLD,
-                 kinds: Collection[str] = NODE_KINDS,
-                 ) -> PlanForest:
+def build_forest(plans: list[QueryPlan],
+                 kinds: Collection[str] = NODE_KINDS) -> PlanForest:
     """Detect structurally shared sub-plans across the batch.
 
     A shareable node of one of ``kinds`` whose canonical key is used
-    at least ``threshold`` times (across all plans, repeated uses
-    within one plan included — each use is a store request) becomes a
+    at least twice (across all plans, repeated uses within one plan
+    included — each use is a store request) becomes a
     :class:`SharedNode` the share phase executes exactly once.
     Sharing is cross-query reuse, so ``answer_many`` leaves out the
     kind whose cache the configuration disables (``scope`` with the
     scope store, ``neighborhood`` with the path store): a cache-off
-    ablation must not be quietly served from the plan overlay.
+    ablation must not pay for results no store would keep.
     """
-    if threshold < 2:
-        raise ValueError(f"share_threshold must be >= 2, got {threshold}")
     uses: dict[tuple[Any, ...], int] = {}
     consumers: dict[tuple[Any, ...], list[int]] = {}
     nodes: dict[tuple[Any, ...], PlanNode] = {}
@@ -280,9 +264,9 @@ def build_forest(plans: list[QueryPlan], epoch: int,
     shared = {
         key: SharedNode(node=nodes[key], uses=count,
                         consumers=tuple(consumers[key]))
-        for key, count in uses.items() if count >= threshold
+        for key, count in uses.items() if count >= 2
     }
-    return PlanForest(epoch=epoch, plans=plans, shared=shared)
+    return PlanForest(plans=plans, shared=shared)
 
 
 def plan_order(plans: list[QueryPlan], forest: PlanForest) -> list[int]:
@@ -338,69 +322,6 @@ def plan_order(plans: list[QueryPlan], forest: PlanForest) -> list[int]:
     return order
 
 
-class PlanOverlay:
-    """Per-batch fan-out store for shared sub-plan results.
-
-    Written only by the share phase (single-threaded, before the batch
-    starts) and frozen before any worker runs, so executors read it
-    without locks; the thread-pool fork provides the happens-before
-    edge.  The overlay is stamped with the plan-time graph epoch, and
-    every key carries it at index 1; executors consult the overlay
-    only while the graph is still at that epoch, so after a mid-batch
-    write stale shared results are unreachable, not merely retired.
-    """
-
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
-        self._scope: dict[tuple[Any, ...],
-                          tuple[ScopeEntry, tuple[Reads, ...]]] = {}
-        self._nbr: dict[tuple[Any, ...],
-                        tuple[tuple[int, ...], list[RelationPair]]] = {}
-        self._frozen = False
-
-    def _check_writable(self) -> None:
-        if self._frozen:
-            raise RuntimeError("PlanOverlay is frozen")
-
-    def put_scope(self, key: tuple[Any, ...], value: ScopeEntry,
-                  deps: tuple[Reads, ...] = ()) -> None:
-        """Record one shared scope result and the reads behind it
-        (share phase only)."""
-        self._check_writable()
-        self._scope[key] = (value, deps)
-
-    def put_neighborhood(
-        self, key: tuple[Any, ...], source_ids: tuple[int, ...],
-        pairs: list[RelationPair],
-    ) -> None:
-        """Record one shared neighborhood with its source vertex ids."""
-        self._check_writable()
-        self._nbr[key] = (source_ids, pairs)
-
-    def freeze(self) -> None:
-        """Make the overlay read-only (called before the batch runs)."""
-        self._frozen = True
-
-    def scope(
-        self, cache_key: tuple[Any, ...]
-    ) -> tuple[ScopeEntry, tuple[Reads, ...]] | None:
-        """The shared ``(value, deps)`` scope entry for a scope-store
-        key (which names no epoch), if any."""
-        return self._scope.get(
-            (cache_key[0], self.epoch, *cache_key[1:]))
-
-    def neighborhood(
-        self, key: tuple[Any, ...]
-    ) -> tuple[tuple[int, ...], list[RelationPair]] | None:
-        """The shared ``(source_ids, pairs)`` neighborhood, if any."""
-        return self._nbr.get(key)
-
-    @property
-    def size(self) -> int:
-        """Entries held (scope + neighborhood)."""
-        return len(self._scope) + len(self._nbr)
-
-
 @dataclass(frozen=True)
 class ShareReport:
     """What the share phase executed and charged."""
@@ -413,7 +334,6 @@ class ShareReport:
 def execute_shared(
     forest: PlanForest,
     executor: QueryGraphExecutor,
-    overlay: PlanOverlay,
     stats: ExecutorStats | None = None,
 ) -> ShareReport:
     """Execute every shared node exactly once, fanning results out.
@@ -421,42 +341,44 @@ def execute_shared(
     Runs on the main thread before the batch starts, in sorted
     canonical-key order (deterministic), charging the executor's clock
     with the same costs an uncached request would have paid.  Scope
-    results are also written through to the key-centric scope store, so
-    consumer queries observe ordinary warm hits; neighborhoods live
-    only in the overlay (they are supersets of path-store entries, not
-    path entries themselves) and the executor derives exact path
-    results from them inside its miss closures.
+    results go to the key-centric scope store, so consumer queries
+    observe ordinary warm hits; neighborhoods go to its neighborhood
+    store with the vertex ids they were computed from (they are
+    supersets of path-store entries, not path entries themselves), and
+    the executor derives exact path results from them inside its miss
+    closures.
     """
     start = executor.clock.snapshot() if executor.clock is not None \
         else None
-    # the share phase stores into the scope store only if no write
-    # lands while it runs
+    # the share phase stores only if no write lands while it runs
     stamp = executor.cache.stamp()
-    scope_values: dict[str, tuple[ScopeEntry, tuple[Reads, ...]]] = {}
+    scopes: dict[str, ScopeEntry] = {}
 
-    def scope_for(label: str) -> tuple[ScopeEntry, tuple[Reads, ...]]:
-        if label not in scope_values:
+    def scope_for(label: str) -> ScopeEntry:
+        if label not in scopes:
             key, value, deps = executor.plan_scope_entry(label)
-            scope_values[label] = (value, deps)
+            scopes[label] = value
             executor.cache.put_scope(key, value, deps, stamp)
-        return scope_values[label]
+        return scopes[label]
 
     shared_scopes = 0
     for shared in forest.shared_by_kind("scope"):
-        label = str(shared.node.key[2])
-        overlay.put_scope(shared.node.key, *scope_for(label))
+        scope_for(str(shared.node.key[1]))
         shared_scopes += 1
         if stats is not None:
             stats.record_plan_shared("scope")
 
     shared_neighborhoods = 0
     for shared in forest.shared_by_kind("neighborhood"):
-        direction = str(shared.node.key[2])
-        label = str(shared.node.key[3])
-        ids = scope_for(label)[0].ids
-        vertices = executor.graph.vertices_by_id(ids)
-        pairs = executor.plan_neighborhood(direction, vertices)
-        overlay.put_neighborhood(shared.node.key, tuple(ids), pairs)
+        _, direction, label = shared.node.key
+        ids = tuple(scope_for(label).ids)
+        pairs = executor.plan_neighborhood(
+            direction, executor.graph.vertices_by_id(ids))
+        edges = [pair.edge.id for pair in pairs]
+        reads = Reads(out_of=ids, edges=edges) if direction == "out" \
+            else Reads(into=ids, edges=edges)
+        executor.cache.put_nbr(shared.node.key, (ids, pairs), (reads,),
+                               stamp)
         shared_neighborhoods += 1
         if stats is not None:
             stats.record_plan_shared("neighborhood")
@@ -483,7 +405,7 @@ def render_forest(forest: PlanForest, limit: int = 12) -> str:
     nodes = forest.node_counts()
     shared = forest.shared_counts()
     lines = [
-        f"plan forest: {len(forest.plans)} queries, epoch {forest.epoch}",
+        f"plan forest: {len(forest.plans)} queries",
         f"  canonical nodes: {nodes['scope']} scope, "
         f"{nodes['path']} path, {nodes['neighborhood']} neighborhood",
         f"  shared nodes: {shared['scope']} scope, "
@@ -497,9 +419,9 @@ def render_forest(forest: PlanForest, limit: int = 12) -> str:
     for shared_node in ranked[:limit]:
         key = shared_node.node.key
         if shared_node.node.kind == "neighborhood":
-            what = f"neighborhood {key[2]} '{key[3]}'"
+            what = f"neighborhood {key[1]} '{key[2]}'"
         else:
-            what = f"scope '{key[2]}'"
+            what = f"scope '{key[1]}'"
         lines.append(
             f"    {what}: uses={shared_node.uses} "
             f"consumers={len(shared_node.consumers)}"

@@ -103,8 +103,8 @@ class ExecutorStatsReport:
     plan_nodes: int = 0
     #: shared sub-plan nodes executed once and fanned out
     plan_shared_nodes: int = 0
-    #: cache-miss closures served from the plan overlay
-    plan_overlay_fills: int = 0
+    #: path-store misses derived from a shared neighborhood
+    plan_neighborhood_fills: int = 0
     #: score-memo lookups computed for the first time (charged
     #: ``embed_score``)
     retrieval_ann_fresh: int = 0
@@ -227,10 +227,9 @@ class ExecutorStats:
             "by kind.",
             labels=("kind",))
         self._plan_fills = r.counter(
-            "svqa_plan_overlay_fills_total",
-            "Cache-miss closures served from the plan overlay, "
-            "by store.",
-            labels=("store",))
+            "svqa_plan_neighborhood_fills_total",
+            "Path-store misses derived from a shared neighborhood "
+            "instead of rescanning.")
         self._ann_lookups = r.counter(
             "svqa_retrieval_ann_lookups_total",
             "Embedding scores through the score memo by executor site "
@@ -344,10 +343,10 @@ class ExecutorStats:
         """The share phase executed one shared sub-plan node."""
         self._plan_shared.inc(kind=kind)
 
-    def record_plan_fill(self, store: str) -> None:
-        """One cache-miss closure was served from the plan overlay
-        instead of recomputing (``store`` is ``scope`` or ``path``)."""
-        self._plan_fills.inc(store=store)
+    def record_neighborhood_fill(self) -> None:
+        """One path-store miss derived its pairs from a shared
+        neighborhood instead of rescanning."""
+        self._plan_fills.inc()
 
     def record_store_rebuild(self) -> None:
         """A warm start found the durable store unrecoverable and
@@ -410,7 +409,7 @@ class ExecutorStats:
             plan_batches=int(self._plan_batches.total()),
             plan_nodes=int(self._plan_nodes.total()),
             plan_shared_nodes=int(self._plan_shared.total()),
-            plan_overlay_fills=int(self._plan_fills.total()),
+            plan_neighborhood_fills=int(self._plan_fills.total()),
             retrieval_ann_fresh=int(lookups.get("fresh", 0.0)),
             retrieval_ann_probes=int(lookups.get("probe", 0.0)),
         )

@@ -181,8 +181,7 @@ class Graph:
         """Monotone mutation counter: bumped by every structural
         mutation (vertex or edge).  The WAL checks its continuity;
         derived views compare it before and after a computation, so a
-        value computed while a write landed is not kept, and a
-        per-batch plan overlay is stamped with it.
+        value computed while a write landed is not kept.
         """
         return self._epoch
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.graph.model import Edge, Graph, Vertex
+from repro.graph.model import Graph, Vertex
 from repro.graph.traverse import k_hop_neighborhood
 
 
@@ -38,24 +38,6 @@ class SubgraphView:
             label = self.parent.vertex(vertex_id).label
             index.setdefault(label, []).append(vertex_id)
         self.label_index = index
-
-    @property
-    def vertex_count(self) -> int:
-        """Number of vertices inside the view."""
-        return len(self.vertex_ids)
-
-    def vertices(self) -> list[Vertex]:
-        """Vertices in the view (resolved live from the parent)."""
-        return [self.parent.vertex(i) for i in sorted(self.vertex_ids)]
-
-    def edges(self) -> list[Edge]:
-        """Edges of the parent with both endpoints inside the view."""
-        result = []
-        for vertex_id in sorted(self.vertex_ids):
-            for edge in self.parent.out_edges(vertex_id):
-                if edge.dst in self.vertex_ids:
-                    result.append(edge)
-        return result
 
     def find_vertices(self, label: str) -> list[Vertex]:
         """Vertices in the view carrying ``label`` (built-in index)."""

@@ -27,11 +27,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     parse_prometheus,
 )
-from repro.observability.glossary import (
-    BENCH_GLOSSARY,
-    METRIC_GLOSSARY,
-    explain_lines,
-)
+from repro.observability.glossary import BENCH_GLOSSARY, explain_lines
 from repro.observability.profiler import (
     BASELINE_SCHEMA_VERSION,
     StageRow,
@@ -57,7 +53,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
-    "METRIC_GLOSSARY",
     "MetricsRegistry",
     "ObservabilityConfig",
     "SPAN_NAMES",

@@ -25,8 +25,6 @@ from repro.errors import ReproError
 KEYWORD_FALLBACK_CONFIDENCE = 0.3
 #: confidence of a best-partial answer after a deadline cutoff
 PARTIAL_ANSWER_CONFIDENCE = 0.25
-#: confidence of an attributed "unknown" produced when a stage crashed
-FAILED_ANSWER_CONFIDENCE = 0.0
 
 #: leading tokens that signal a yes/no question
 _JUDGMENT_STARTERS = frozenset({
@@ -117,7 +115,6 @@ def keyword_query_graph(question: str) -> QueryGraph | None:
 
 
 __all__ = [
-    "FAILED_ANSWER_CONFIDENCE",
     "KEYWORD_FALLBACK_CONFIDENCE",
     "PARTIAL_ANSWER_CONFIDENCE",
     "classify_question_text",

@@ -65,8 +65,8 @@ class TestIndexMutation:
 
 
 class TestEpochTaggedKeys:
-    """Executor cache keys name what was asked, never an epoch: the
-    cache retires an entry by the writes that touch what it read."""
+    """Cache keys name what was asked, never an epoch: the cache
+    retires an entry by the writes that touch what it read."""
 
     def test_label_only_scope_key_is_fine(self):
         report = lint(
@@ -110,7 +110,7 @@ class TestEpochTaggedKeys:
         )
         assert [d.rule_id for d in report] == ["RP007"]
 
-    def test_planner_node_keys_may_carry_the_plan_epoch(self):
+    def test_planner_node_keys_carry_no_epoch_either(self):
         report = lint(
             """
             def node_key(term, epoch):
@@ -118,6 +118,20 @@ class TestEpochTaggedKeys:
             """,
             path="src/repro/core/planner.py",
         )
+        assert [d.rule_id for d in report] == ["RP007"]
+
+    def test_epoch_in_neighborhood_key_fires(self):
+        report = lint(
+            """
+            def nbr_key(graph, head):
+                return ("nbr", graph.epoch, "out", head)
+            """
+        )
+        assert [d.rule_id for d in report] == ["RP007"]
+        assert "'nbr'" in next(iter(report)).message
+
+    def test_neighborhood_key_without_epoch_is_fine(self):
+        report = lint('key = ("nbr", "out", head.lower())\n')
         assert len(report) == 0
 
     def test_unrelated_tuples_are_fine(self):
@@ -125,7 +139,7 @@ class TestEpochTaggedKeys:
             """
             POINT = ("x", "y")
             ROW = ("scoped", 1)
-            NBR = ("nbr", epoch, "out", "dog")
+            NEAR = ("nbrs", epoch, "out", "dog")
             """
         )
         assert len(report) == 0
@@ -146,12 +160,19 @@ class TestRetiringStoreWrites:
         report = lint("cache.path.put(key, pairs)\n")
         assert [d.rule_id for d in report] == ["RP007"]
 
+    def test_raw_neighborhood_store_put_fires(self):
+        report = lint("self.cache.nbr.put(key, (ids, pairs))\n",
+                      path="src/repro/core/planner.py")
+        assert [d.rule_id for d in report] == ["RP007"]
+        assert "put_nbr" in next(iter(report)).hint
+
     def test_cache_api_is_fine(self):
         report = lint(
             """
             def store(self, key, value, deps, stamp):
                 self.cache.put_scope(key, value, deps, stamp)
                 self.cache.put_path(key, value, deps, stamp)
+                self.cache.put_nbr(key, value, deps, stamp)
             """
         )
         assert len(report) == 0

@@ -10,8 +10,8 @@ must give the same answers:
   :func:`~repro.nlp.embeddings.max_score` scans in place of the score
   memo, every score charged fresh (``embed_score``);
 * :func:`unplanned_answers` — each question parsed and executed on its
-  own by a fresh executor with no cache and no plan overlay, in input
-  order.
+  own by a fresh executor with no cache (so no shared neighborhood), in
+  input order.
 
 The executor's taxonomy walks read the graph's sparse ``is a`` /
 ``instance of`` adjacency; their oracles are the full in-/out-edge

@@ -7,7 +7,8 @@ Against the same oracles as :mod:`tests.core.test_scope_oracle` and
 
 * twenty seeds of six runs of 60 mutations each on one executor;
 * a long-lived session against the remember-nothing oracle, eight
-  seeds at workers 1 and 4, six bursts of 60 writes each;
+  seeds at workers 1 and 4, six bursts of 60 writes each, each run
+  deriving path results from neighborhoods held across writes;
 * six seeds of a 600-write writer thread racing reader threads.
 """
 
@@ -15,6 +16,8 @@ import pytest
 
 # the module-scoped fixtures the tests below request
 from tests.core.test_retirement_fuzz import (  # noqa: F401
+    MIN_HELD_DERIVATIONS,
+    derivations,
     run_retirement_fuzz,
     run_writer_race,
     served_pairs,
@@ -35,12 +38,13 @@ def test_scope_and_kind_of_match_full_scans(mvqa_base, seed):
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("seed", range(200, 208))
 def test_session_matches_the_oracle_under_writes(mvqa_dataset, mvqa_base,
-                                                 served_pairs, seed,
-                                                 workers):
+                                                 served_pairs, derivations,
+                                                 seed, workers):
     graph, labels = mvqa_base
     run_retirement_fuzz(mvqa_dataset, graph, labels, seed=seed,
                         workers=workers, bursts=6, ops=60)
     assert served_pairs == []
+    assert derivations.held >= MIN_HELD_DERIVATIONS
 
 
 @pytest.mark.parametrize("seed", range(300, 306))

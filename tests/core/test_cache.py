@@ -172,29 +172,37 @@ class TestKeyCentric:
         cache = KeyCentricCache.create(pool_size=4)
         cache.put_scope("k", [1])
         cache.put_path("k", [2])
+        cache.put_nbr("k", [3])
         assert cache.get_scope("k") == [1]
         assert cache.get_path("k") == [2]
+        assert cache.get_nbr("k") == [3]
 
     def test_disabled_cache_stores_nothing(self):
         cache = KeyCentricCache.disabled()
         cache.put_scope("k", [1])
         cache.put_path("k", [2])
+        cache.put_nbr("k", [3])
         assert cache.get_scope("k") is None
         assert cache.get_path("k") is None
+        assert cache.get_nbr("k") is None
 
     def test_granularity_flags(self):
         cache = KeyCentricCache.create(pool_size=4, enabled_scope=True,
                                        enabled_path=False)
         cache.put_scope("k", [1])
         cache.put_path("k", [2])
+        cache.put_nbr("k", [3])
         assert cache.get_scope("k") == [1]
         assert cache.get_path("k") is None
+        # the neighborhood store follows the path store
+        assert cache.get_nbr("k") is None
 
     def test_item_count(self):
         cache = KeyCentricCache.create(pool_size=4)
         cache.put_scope("a", 1)
         cache.put_path("b", 2)
-        assert cache.item_count == 2
+        cache.put_nbr("c", 3)
+        assert cache.item_count == 3
 
     def test_report(self):
         cache = KeyCentricCache.create(pool_size=4)
@@ -395,11 +403,15 @@ class TestRetireStale:
         cache.put_scope("cat", [], (Reads(labels=("cat",)),),
                         cache.stamp())
         cache.put_path("near", [], (Reads(out_of={2}),), cache.stamp())
+        cache.put_nbr("out", [], (Reads(out_of={2}),), cache.stamp())
+        cache.put_nbr("in", [], (Reads(into={2}),), cache.stamp())
         graph.add_vertex("dog")
         assert scope_keys(cache) == ["cat"]
         assert cache.get_path("near") == []
         graph.add_edge(2, 3, "near")
         assert cache.get_path("near") is None
+        assert cache.get_nbr("out") is None
+        assert cache.get_nbr("in") == []
         # a taxonomy edge at 2 is not an "other" out-edge of 2
         cache.put_path("near", [], (Reads(out_of={2}),), cache.stamp())
         graph.add_edge(2, 3, "is a")
@@ -430,8 +442,10 @@ class TestRetireStale:
         cache.put_scope("dog", [1], (Reads(held=held, tax_in=held),),
                         cache.stamp())
         cache.put_path("p", [], (Reads(held=held),), cache.stamp())
+        cache.put_nbr("n", [], (Reads(held=held),), cache.stamp())
         graph.relabel_vertex(1, "cat")
         assert cache.item_count == 0
+        # stale drops count scope and path entries only
         assert stats.snapshot().stale_scope_drops == 2
         graph.relabel_vertex(1, "dog")
         assert stats.snapshot().stale_scope_drops == 2
@@ -488,6 +502,7 @@ class TestRetireStale:
     def test_rebinding_empties_the_stores(self):
         cache, graph = bound_cache()
         cache.put_scope("dog", [0, 1], (), cache.stamp())
+        cache.put_nbr("out", [], (), cache.stamp())
         other = Graph()
         cache.bind(other)
         assert cache.item_count == 0

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core import (
     ObservabilityConfig,
-    PlanOverlay,
     QueryGraphExecutor,
     SVQA,
     SVQAConfig,
@@ -19,11 +18,13 @@ from repro.core import (
     generate_query_graph,
     plan_order,
 )
-from repro.core.executor import ScopeEntry
+from repro.core.cache import KeyCentricCache
 from repro.dataset.kg import build_commonsense_kg
+from repro.graph.observe import Reads
 from repro.synth import SceneGenerator
 from tests.core.oracles import unplanned_answers
 from tests.core.test_executor import make_merged
+from tests.core.test_scope_oracle import mvqa_dataset  # noqa: F401
 
 QUESTIONS = [
     "How many dogs are standing on the grass?",
@@ -59,31 +60,24 @@ def answer_dicts(system, workers=1):
 
 class TestCanonicalization:
     def test_same_input_same_forest_signature(self):
-        epoch = 17
-        first = build_forest(build_plans(parse_all(), epoch), epoch)
-        second = build_forest(build_plans(parse_all(), epoch), epoch)
+        first = build_forest(build_plans(parse_all()))
+        second = build_forest(build_plans(parse_all()))
         assert first.signature() == second.signature()
 
     def test_repeated_questions_share_nodes(self):
-        epoch = 3
-        forest = build_forest(build_plans(parse_all(), epoch), epoch)
+        forest = build_forest(build_plans(parse_all()))
         assert forest.shared, "repeated questions must share sub-plans"
         scopes = forest.shared_by_kind("scope")
-        assert any(node.node.key[2] == "grass" for node in scopes)
+        assert ("scope", "grass") in [node.node.key for node in scopes]
         for shared in forest.shared.values():
             assert shared.uses >= 2
-            assert shared.node.key[1] == epoch
-
-    def test_share_threshold_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            build_forest([], epoch=0, threshold=1)
 
     def test_dynamic_slots_are_not_shared(self):
         graph = generate_query_graph(
             "What kind of animals is carried by the pets that are "
             "standing on the grass?"
         )
-        plan = canonicalize(graph, epoch=5)
+        plan = canonicalize(graph)
         # a dependency-fed slot's key depends on runtime bindings, so
         # it gets no scope node: fewer scope nodes than filled slots
         slots = sum(spoc.slot(slot) is not None
@@ -92,27 +86,23 @@ class TestCanonicalization:
         scopes = [node for node in plan.nodes if node.kind == "scope"]
         assert len(graph.edges) > 0
         assert len(scopes) < slots
-        for node in plan.nodes:
-            assert node.key[1] == 5
 
     def test_plan_order_is_permutation(self):
-        epoch = 9
-        plans = build_plans(parse_all(), epoch)
-        forest = build_forest(plans, epoch)
+        plans = build_plans(parse_all())
+        forest = build_forest(plans)
         order = plan_order(plans, forest)
         assert sorted(order) == list(range(len(plans)))
 
     def test_kinds_limit_what_is_shared(self):
-        epoch = 4
-        plans = build_plans(parse_all(), epoch)
-        everything = build_forest(plans, epoch)
+        plans = build_plans(parse_all())
+        everything = build_forest(plans)
         assert everything.shared_counts()["scope"] > 0
         assert everything.shared_counts()["neighborhood"] > 0
-        scopes = build_forest(plans, epoch, kinds=("scope",))
+        scopes = build_forest(plans, kinds=("scope",))
         assert scopes.shared_counts()["neighborhood"] == 0
         assert scopes.shared_counts()["scope"] == \
             everything.shared_counts()["scope"]
-        assert not build_forest(plans, epoch, kinds=()).shared
+        assert not build_forest(plans, kinds=()).shared
 
 
 def strip_latency(dicts):
@@ -174,8 +164,8 @@ class TestSchedulerAblation:
 
 
 class TestCacheOffAblation:
-    """With both caches off there is no cross-query reuse: the plan
-    overlay must not serve anything the stores would not."""
+    """With both caches off there is no cross-query reuse: no shared
+    result may be served that the stores would not keep."""
 
     def test_cache_off_charges_equal_unplanned_oracle(self):
         config = dict(enable_scope_cache=False, enable_path_cache=False)
@@ -190,7 +180,7 @@ class TestCacheOffAblation:
         # the score memo's fresh + probe counts do not depend on the
         # order the questions ran in, so every count must agree
         assert dict(planned.clock.counts) == dict(oracle.clock.counts)
-        assert planned.execution_report().stats.plan_overlay_fills == 0
+        assert planned.execution_report().stats.plan_neighborhood_fills == 0
 
     def test_one_cache_off_shares_only_the_other_kind(self):
         scope_only = build_system(enable_path_cache=False)
@@ -207,47 +197,88 @@ class TestCacheOffAblation:
         assert plan.share.shared_neighborhoods > 0
 
 
-class TestEpochSafety:
-    """A mid-batch epoch bump must make shared results unreachable."""
+
+
+class TestHeldNeighborhood:
+    """A shared neighborhood is a cache entry: served while it holds,
+    retired by the writes that touch what it read, never used for
+    endpoints other than those it was computed from."""
 
     QUESTION = "Is there a fence near the grass?"
+    KEY = ("nbr", "out", "fence")
 
     def baseline_value(self):
         executor = QueryGraphExecutor(make_merged())
         return executor.execute(generate_query_graph(self.QUESTION)).value
 
-    def poisoned_overlay(self, epoch):
-        # empty scopes for both endpoints: if the executor ever serves
-        # these entries no relation pair survives and the judgment
-        # flips to "no", so a leak is a visibly wrong answer
-        overlay = PlanOverlay(epoch=epoch)
-        for label in ("fence", "grass"):
-            overlay.put_scope(("scope", epoch, label),
-                              ScopeEntry([], 0, 0, (), 0, epoch))
-        overlay.freeze()
-        return overlay
-
-    def test_overlay_is_consulted_at_matching_epoch(self):
+    def poisoned_executor(self, source_ids=None):
+        # an empty neighborhood for the subject: if the executor serves
+        # it no relation pair survives and the judgment flips to "no",
+        # so a wrong use is a visibly wrong answer
         merged = make_merged()
-        overlay = self.poisoned_overlay(merged.graph.epoch)
-        executor = QueryGraphExecutor(merged, plan_overlay=overlay)
+        executor = QueryGraphExecutor(merged, cache=KeyCentricCache.create())
+        ids = tuple(v.id for v in executor.match_vertex_label("fence"))
+        if source_ids is not None:
+            ids = source_ids(ids)
+        executor.cache.put_nbr(self.KEY, (ids, []), (Reads(out_of=ids),),
+                               executor.cache.stamp())
+        assert executor.cache.get_nbr(self.KEY) is not None
+        return executor
+
+    def test_poisoned_entry_is_served_when_source_ids_match(self):
+        executor = self.poisoned_executor()
         answer = executor.execute(generate_query_graph(self.QUESTION))
-        # positive control: the poison IS served while epochs match,
-        # proving the guard below is what protects after the bump
+        # positive control: the poison IS served, proving the guard
+        # below is what protects
         assert answer.value != self.baseline_value()
 
-    def test_epoch_bump_makes_overlay_unreachable(self):
-        merged = make_merged()
-        overlay = self.poisoned_overlay(merged.graph.epoch)
-        merged.graph.add_vertex("marker", {"kind": "concept"})
-        assert merged.graph.epoch > overlay.epoch
-        executor = QueryGraphExecutor(merged, plan_overlay=overlay)
-        answer = executor.execute(generate_query_graph(self.QUESTION))
-        assert answer.value == self.baseline_value()
+    def test_entry_for_other_source_ids_is_never_used(self):
+        for change in (lambda ids: ids[:-1], lambda ids: (*ids, 10**6),
+                       lambda ids: ids[::-1]):
+            executor = self.poisoned_executor(change)
+            answer = executor.execute(generate_query_graph(self.QUESTION))
+            assert answer.value == self.baseline_value()
 
-    def test_frozen_overlay_rejects_writes(self):
-        overlay = PlanOverlay(epoch=0)
-        overlay.freeze()
-        with pytest.raises(RuntimeError):
-            overlay.put_scope(("scope", 0, "fence"),
-                              ScopeEntry([], 0, 0, (), 0, 0))
+    def test_out_edge_write_retires_the_entry_and_is_rescanned(self):
+        system = build_system()
+        system.answer_many(QUESTIONS)
+        cache = system._cache
+        key = ("nbr", "out", "dog")
+        source_ids, _ = cache.get_nbr(key)
+        graph = system.merged.graph
+        fence = graph.find_vertices("fence")[0]
+        edge = graph.add_edge(source_ids[0], fence.id, "near")
+        assert cache.get_nbr(key) is None
+        before = dict(system.clock.counts)
+        question = "Is there a dog near the fence?"
+        answers = system.answer_many([question])
+        delta = {name: count - before.get(name, 0)
+                 for name, count in system.clock.counts.items()}
+        assert delta.get("edge_scan", 0) > 0
+        assert delta.get("pair_filter", 0) == 0
+        pairs, _ = cache.path._values[
+            ("path", ("dog", ""), ("fence", ""))]
+        assert edge.id in [pair.edge.id for pair in pairs.pairs]
+        expected = unplanned_answers(system, [question])
+        assert strip_latency([a.to_dict() for a in answers]) == \
+            strip_latency([a.to_dict() for a in expected])
+
+    def test_one_question_batch_derives_from_a_warm_batch(
+            self, mvqa_dataset):
+        system = SVQA(mvqa_dataset.scenes, mvqa_dataset.kg,
+                      SVQAConfig(workers=1))
+        system.build()
+        system.answer_many([q.text for q in mvqa_dataset.questions])
+        question = "Is there a dog near the grass?"
+        assert system._cache.get_nbr(("nbr", "out", "dog")) is not None
+        before = dict(system.clock.counts)
+        fills = system.stats.snapshot().plan_neighborhood_fills
+        answers = system.answer_many([question])
+        delta = {name: count - before.get(name, 0)
+                 for name, count in system.clock.counts.items()}
+        assert delta.get("pair_filter", 0) > 0
+        assert delta.get("edge_scan", 0) == 0
+        assert system.stats.snapshot().plan_neighborhood_fills == fills + 1
+        expected = unplanned_answers(system, [question])
+        assert strip_latency([a.to_dict() for a in answers]) == \
+            strip_latency([a.to_dict() for a in expected])

@@ -14,14 +14,19 @@ predicate is exercised) and concept removals whose cascades drop many
 resolve to.
 
 After every burst the session and the oracle are compared on answer
-values (workers 1 and 4), on scope id lists and ``kind of`` answers
-(against the full-scan oracles), and on every relation-pair list the
-session's executors serve (against :func:`full_scan_path_pairs`).
+values (workers 1 and 4), asked first one question per batch and then
+as one batch, on scope id lists and ``kind of`` answers (against the
+full-scan oracles), and on every relation-pair list the session's
+executors serve (against :func:`full_scan_path_pairs`).  The
+one-question batches share nothing, so their path misses derive from
+the neighborhoods an earlier batch left in the cache, across the
+writes since: the fuzz counts those derivations and requires some.
 Every scope entry the session still holds must resolve to a fresh
-recomputation (or ask for one), and every ``kind of`` answer it holds
-must equal a fresh walk.  A writer thread racing reader threads
-(``sys.setswitchinterval(1e-6)``) checks the store guard: at
-quiescence every entry that is held still equals a fresh
+recomputation (or ask for one), every neighborhood it holds must equal
+a fresh scan of the vertices it was computed from, and every ``kind
+of`` answer it holds must equal a fresh walk.  A writer thread racing
+reader threads (``sys.setswitchinterval(1e-6)``) checks the store
+guard: at quiescence every entry that is held still equals a fresh
 recomputation, and every path entry served is right.
 
 Only retention changed, and each entry is still computed by the
@@ -36,7 +41,7 @@ import threading
 
 import pytest
 
-from repro.core import SVQA, QueryGraphExecutor, SVQAConfig
+from repro.core import SVQA, KeyCentricCache, QueryGraphExecutor, SVQAConfig
 from repro.core import generate_query_graph
 from repro.core.spoc import Term
 from repro.errors import ReproError
@@ -57,6 +62,9 @@ from tests.core.test_scope_oracle import (  # noqa: F401 (fixtures)
 
 #: questions compared after every burst
 QUESTIONS = 40
+#: path misses a run must derive from a neighborhood held across a
+#: write (the tier-1 runs derive ~50)
+MIN_HELD_DERIVATIONS = 20
 
 
 def fresh_labels(vocabulary: list[str]) -> list[str]:
@@ -211,10 +219,49 @@ def served_pairs(monkeypatch):
     return mismatches
 
 
+class Derivations:
+    """Path misses derived from a held neighborhood: ``total``, and
+    ``held`` -- those whose neighborhood was stored before a write
+    that did not retire it."""
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.held = 0
+        # neighborhood key -> the epoch it was last stored at
+        self.stored: dict[tuple, int] = {}
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Count every path result derived from a held neighborhood."""
+    seen = Derivations()
+    put, derive = KeyCentricCache.put_nbr, \
+        QueryGraphExecutor._pairs_from_neighborhood
+
+    def stored(self, key, value, deps=(), stamp=None):
+        put(self, key, value, deps, stamp)
+        seen.stored[key] = stamp
+
+    def derived(self, spoc, binding, subjects, objects, stamp):
+        pairs = derive(self, spoc, binding, subjects, objects, stamp)
+        if pairs is not None:
+            key = ("nbr", "out", spoc.subject.head.lower()) if subjects \
+                else ("nbr", "in", spoc.object.head.lower())
+            seen.total += 1
+            seen.held += stamp != seen.stored[key]
+        return pairs
+
+    monkeypatch.setattr(KeyCentricCache, "put_nbr", stored)
+    monkeypatch.setattr(QueryGraphExecutor, "_pairs_from_neighborhood",
+                        derived)
+    return seen
+
+
 def assert_held_entries_are_current(session: SVQA, graph: Graph) -> None:
     """Every scope entry the session holds resolves, if it resolves at
-    all, to a fresh recomputation on ``graph``, and every ``kind of``
-    answer it holds equals a fresh walk."""
+    all, to a fresh recomputation on ``graph``, every neighborhood it
+    holds equals a fresh scan of the vertices it was computed from,
+    and every ``kind of`` answer it holds equals a fresh walk."""
     config = session.config.executor
     fresh = QueryGraphExecutor(merged_of(graph), config=config)
     stamp = session._cache.stamp()
@@ -225,10 +272,27 @@ def assert_held_entries_are_current(session: SVQA, graph: Graph) -> None:
             term = Term(text=key[2], head=key[2], owner=key[1])
             want = [v.id for v in fresh.match_vertex(term)]
         assert entry.resolve(graph, stamp) in (None, want), key
+    for key, ((source_ids, pairs), _) in \
+            list(session._cache.nbr._values.items()):
+        # a source vertex that left took no edge of the entry with it
+        sources = [graph.vertex(i) for i in source_ids
+                   if graph.has_vertex(i)]
+        subjects, objects = (sources, []) if key[1] == "out" \
+            else ([], sources)
+        assert [(p.subject.id, p.edge.id, p.object.id) for p in pairs] \
+            == full_scan_path_pairs(graph, subjects, objects), key
     memo = session._executor_memo
     for (label, ancestor), known in list(memo._kinds.items()):
         assert known == full_scan_is_kind_of(graph, label, ancestor,
                                              config), (label, ancestor)
+
+
+def evict_path_entries(cache: KeyCentricCache) -> None:
+    """Evict every path entry, as a full bounded pool would."""
+    with cache._lock:
+        for key in list(cache.path._values):
+            cache._index.discard(key)
+        cache.path.drop_where(lambda key: True)
 
 
 def run_retirement_fuzz(dataset, base: Graph, labels: list[str],
@@ -248,8 +312,16 @@ def run_retirement_fuzz(dataset, base: Graph, labels: list[str],
             # short bursts between long ones: an entry read after one
             # write is read again after the next
             writes.run(ops if burst % 2 else rng.randint(1, 3))
+        want = oracle_answers(oracle, questions, config)
+        if burst:
+            # one question per batch after the bounded pool evicted
+            # every path entry: nothing is shared, so each path miss
+            # derives from the neighborhoods an earlier batch left
+            evict_path_entries(session._cache)
+            singles = [session.answer_many([q])[0].value for q in questions]
+            assert singles == want, burst
         got = [a.value for a in session.answer_many(questions)]
-        assert got == oracle_answers(oracle, questions, config), burst
+        assert got == want, burst
         for label in labels:
             assert [v.id for v in executor.match_vertex_label(label)] == \
                 full_scan_scope_ids(oracle, label, config), (burst, label)
@@ -264,11 +336,13 @@ def run_retirement_fuzz(dataset, base: Graph, labels: list[str],
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_session_matches_the_oracle_under_writes(mvqa_dataset, mvqa_base,
-                                                 served_pairs, workers):
+                                                 served_pairs, derivations,
+                                                 workers):
     graph, labels = mvqa_base
     run_retirement_fuzz(mvqa_dataset, graph, labels, seed=workers,
                         workers=workers, bursts=3, ops=30)
     assert served_pairs == []
+    assert derivations.held >= MIN_HELD_DERIVATIONS
 
 
 def run_writer_race(dataset, base: Graph, labels: list[str], seed: int,

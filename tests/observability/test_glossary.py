@@ -1,7 +1,7 @@
 """Anti-drift tests for the shared metric/bench glossary.
 
 Three artifacts describe the same metric families — the registering
-source code, :mod:`repro.observability.glossary`, and the operator
+source code, :mod:`tests.observability.glossary`, and the operator
 runbook ``docs/OPERATIONS.md`` — and these tests hold them together:
 a family added in code without a glossary entry, or a glossary entry
 missing from the runbook, fails here instead of silently drifting.
@@ -12,11 +12,8 @@ import re
 from pathlib import Path
 
 from repro.core.stats import ExecutorStats
-from repro.observability import (
-    BENCH_GLOSSARY,
-    METRIC_GLOSSARY,
-    explain_lines,
-)
+from repro.observability import BENCH_GLOSSARY, explain_lines
+from tests.observability.glossary import METRIC_GLOSSARY
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.baselines import (
+    ABCD_BILINEAR,
     ABCD_MLP,
-    BASELINES,
     BaselineSplitter,
     BaselineVQA,
     DISSIM,
     LinguisticSplitter,
     OFA,
-    SPLITTERS,
+    VILT,
     VISUALBERT,
 )
 from repro.core.spoc import QuestionType
@@ -64,7 +64,8 @@ class TestBaselineVQA:
             pytest.approx(0.62)
 
     def test_registry(self):
-        assert set(BASELINES) == {"VisualBert", "Vilt", "OFA"}
+        assert [spec.name for spec in (VISUALBERT, VILT, OFA)] == \
+            ["VisualBert", "Vilt", "OFA"]
 
 
 class TestSplitters:
@@ -103,4 +104,5 @@ class TestSplitters:
         assert out == ["canis canis canis"]
 
     def test_registry(self):
-        assert set(SPLITTERS) == {"ABCD-MLP", "ABCD-bilinear", "DisSim"}
+        assert [spec.name for spec in (ABCD_MLP, ABCD_BILINEAR, DISSIM)] \
+            == ["ABCD-MLP", "ABCD-bilinear", "DisSim"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.graph import Graph, k_hop_neighborhood, k_hop_subgraph
 from repro.nlp.embeddings import cosine, phrase_vector
 from repro.simtime import SimClock
+from tests.graph.helpers import induced_edges
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +44,7 @@ class TestGraphProperties:
     def test_subgraph_edges_are_internal(self, g, k):
         start = next(iter(g.vertex_ids()))
         view = k_hop_subgraph(g, start, k)
-        for edge in view.edges():
+        for edge in induced_edges(view):
             assert edge.src in view.vertex_ids
             assert edge.dst in view.vertex_ids
 

@@ -1,12 +1,13 @@
 """Regrowth guard: no ``src/`` definition that only tests reach.
 
-Every top-level function and class in ``src/repro`` must be reached
-from a shipped entry point: the package itself, ``benchmarks/``,
+Every top-level function, class and UPPER_CASE constant in
+``src/repro`` must be reached from a shipped entry point: the package itself, ``benchmarks/``,
 ``scripts/``, ``examples/`` or ``perfbench/``.  Reachability is a
 fixpoint over names: a definition is live when a live body names it.
 The roots are everything outside ``src/`` and the module-level code
-of each ``src/`` module, minus its ``__all__`` and minus the package
-``__init__`` re-exports, which would keep anything alive.  Functions
+of each ``src/`` module, minus its ``__all__``, its constants (a
+constant's value counts only once the constant is reached) and the
+package ``__init__`` re-exports, which would keep anything alive.  Functions
 registered by ``@query_rule`` run through the registry and count as
 roots.  Matching is by bare name, so a name used anywhere keeps every
 definition of it alive; the check can miss dead code, never invent
@@ -14,6 +15,7 @@ it.  A helper that only a test needs belongs in ``tests/``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -21,6 +23,8 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 SHIPPED = ("benchmarks", "scripts", "examples", "perfbench")
 #: decorators that register the function they wrap
 REGISTERING = {"query_rule"}
+#: module-level names held to the check like definitions
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def referenced_names(nodes):
@@ -46,6 +50,22 @@ def is_all(node):
         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
 
 
+def constant_names(node):
+    """The names a module-level assignment binds, when every one of
+    them is an UPPER_CASE constant; otherwise ``[]``."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets = [node.target]
+    else:
+        return []
+    names = [t.id for t in targets if isinstance(t, ast.Name)]
+    if len(names) != len(targets) or \
+            not all(CONSTANT.fullmatch(name) for name in names):
+        return []
+    return names
+
+
 def is_registered(node):
     for decorator in node.decorator_list:
         call = decorator.func if isinstance(decorator, ast.Call) else decorator
@@ -55,8 +75,8 @@ def is_registered(node):
 
 
 def unreached_definitions():
-    """``module:name`` of every top-level ``src/repro`` definition no
-    shipped entry point reaches."""
+    """``module:name`` of every top-level ``src/repro`` definition and
+    constant no shipped entry point reaches."""
     definitions = []   # (label, name, names its body references)
     live = set()
     for directory in SHIPPED:
@@ -77,6 +97,10 @@ def unreached_definitions():
                 else:
                     definitions.append((f"{module}:{node.name}", node.name,
                                         body))
+            elif constant_names(node):
+                body = referenced_names([node.value])
+                definitions += [(f"{module}:{name}", name, body)
+                                for name in constant_names(node)]
             elif not is_all(node):
                 top_level.append(node)
         live |= referenced_names(top_level)
