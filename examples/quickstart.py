@@ -37,11 +37,11 @@ def main() -> None:
 
     # 3. decompose the complex question (Algorithm 2)
     question = movie.flagship_question
-    query_graph = svqa.parse_question(question)
-    print(f"\n{describe_query_graph(query_graph)}")
+    print(f"\n{describe_query_graph(svqa.parse_question(question))}")
 
-    # 4. execute the query graph over the merged graph (Algorithm 3)
-    answer = svqa.answer_query_graph(query_graph)
+    # 4. answer it: parse, plan and execute over the merged graph
+    #    (Algorithm 3); the latency is the execute phase's
+    answer = svqa.answer(question)
     print(f"\nQ: {question}")
     print(f"A: {answer.value}   "
           f"(expected: {movie.flagship_answer}; "

@@ -62,22 +62,32 @@ def _unit_rate(text: str) -> float:
     return value
 
 
-def _cmd_ask(args: argparse.Namespace) -> int:
-    from repro.dataset.kg import build_movie_kg
-    from repro.dataset.movie import build_movie_scenes
-    from repro.vision.detector import DetectorConfig
+def _movie_svqa(trace: bool = False) -> SVQA:
+    """The movie-scenario session ``repro serve`` builds, cold; with
+    ``trace`` it records spans."""
+    from repro.core import ObservabilityConfig
+    from repro.resilience import ResilienceConfig
+    from repro.serve import ServeConfig
+    from repro.serve.app import _scenario_corpus, _svqa_config
 
-    movie = build_movie_scenes()
-    config = SVQAConfig(detector=DetectorConfig(label_noise=0.0,
-                                                miss_rate=0.0))
-    svqa = SVQA(movie.scenes, build_movie_kg(), config,
-                annotations=movie.annotations)
+    config = _svqa_config(ServeConfig(), ResilienceConfig())
+    if trace:
+        config.observability = ObservabilityConfig()
+    scenes, kg, annotations = _scenario_corpus("movie")
+    svqa = SVQA(scenes, kg, config, annotations=annotations)
     svqa.build()
-    question = args.question or movie.flagship_question
+    return svqa
+
+
+def _cmd_ask(args: argparse.Namespace) -> int:
+    from repro.dataset.movie import FLAGSHIP_QUESTION
+
+    svqa = _movie_svqa()
+    question = args.question or FLAGSHIP_QUESTION
     answer = svqa.answer(question)
     if args.json:
-        # the same stable Answer.to_dict() shape the serving layer's
-        # POST /ask emits — one wire contract across all surfaces
+        # the serving layer's POST /ask body without its deadline_s:
+        # the same session, question path and Answer.to_dict()
         print(answer.to_json())
     else:
         print(render_answer(answer, question))
@@ -408,20 +418,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Answer one movie-scenario question and print its span tree."""
-    from repro.core import ObservabilityConfig
-    from repro.dataset.kg import build_movie_kg
-    from repro.dataset.movie import build_movie_scenes
+    from repro.dataset.movie import FLAGSHIP_QUESTION
     from repro.observability import render_trace
-    from repro.vision.detector import DetectorConfig
 
-    movie = build_movie_scenes()
-    config = SVQAConfig(detector=DetectorConfig(label_noise=0.0,
-                                                miss_rate=0.0),
-                        observability=ObservabilityConfig())
-    svqa = SVQA(movie.scenes, build_movie_kg(), config,
-                annotations=movie.annotations)
-    svqa.build()
-    question = args.question or movie.flagship_question
+    svqa = _movie_svqa(trace=True)
+    question = args.question or FLAGSHIP_QUESTION
     answer = svqa.answer(question)
     print(render_answer(answer, question))
     print()

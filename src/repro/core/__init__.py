@@ -10,7 +10,6 @@ from repro.core.aggregator import (
 )
 from repro.core.answer import (
     Answer,
-    fallback_answer,
     final_answer,
     render_answer,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "estimate_parallel_latency",
     "execute_shared",
     "extract_spoc",
-    "fallback_answer",
     "final_answer",
     "generate_query_graph",
     "make_cache",

@@ -4,16 +4,17 @@
 
 * **build** — run scene-graph generation over every image and merge
   the results with the knowledge graph (Data Aggregator, §III);
-* **answer** — decompose a question into a query graph (§IV) and
-  execute it over the merged graph (§V);
-* **answer_many** — the multi-query path with the §V-B optimizations:
-  cross-query plan sharing (:mod:`repro.core.planner`), key-centric
-  caching, frequency-ratio scheduling, and concurrent execution on a
-  configurable worker pool (``SVQAConfig.workers``).
+* **answer_many** — the path every question takes: decompose each
+  question into a query graph (§IV), then execute the batch over the
+  merged graph (§V) with the §V-B optimizations: cross-query plan
+  sharing (:mod:`repro.core.planner`), key-centric caching,
+  frequency-ratio scheduling, and concurrent execution on a
+  configurable worker pool (``SVQAConfig.workers``);
+* **answer** — a one-question :meth:`SVQA.answer_many`.
 
 All latencies are accounted on a :class:`~repro.simtime.SimClock`
-(see that module for why), and every answer carries its own simulated
-latency.
+(see that module for why).  Every answer carries its execute phase's
+simulated latency; parsing and plan sharing charge the session clock.
 """
 
 from __future__ import annotations
@@ -231,12 +232,7 @@ class SVQA:
                 span.set("vertices", self.merged.graph.vertex_count)
                 span.set("skipped",
                          len(self.merged.skipped_images))
-        self._executor = QueryGraphExecutor(
-            self.merged, cache=self._cache, clock=self.clock,
-            config=self.config.executor, stats=self._stats,
-            resilience=self.resilience, tracer=self.tracer,
-            memo=self._executor_memo,
-        )
+        self._bind(self.merged)
         return self.merged
 
     def adopt_merged(self, merged: MergedGraph) -> MergedGraph:
@@ -251,25 +247,25 @@ class SVQA:
         """
         self.merged = merged
         self.scene_graphs = None
-        self._executor = QueryGraphExecutor(
-            merged, cache=self._cache, clock=self.clock,
-            config=self.config.executor, stats=self._stats,
-            resilience=self.resilience, tracer=self.tracer,
-            memo=self._executor_memo,
-        )
+        self._bind(merged)
         return merged
 
-    def _require_built(self) -> QueryGraphExecutor:
-        if self._executor is None:
+    def _bind(self, merged: MergedGraph) -> None:
+        """Bind the session's cache and memo to the installed graph,
+        so they observe every write from here on."""
+        self._executor_memo.bind(merged.graph)
+        self._cache.bind(merged.graph, self._stats)
+
+    def _require_built(self) -> MergedGraph:
+        if self.merged is None:
             raise QueryError("call build() before answering questions")
-        return self._executor
+        return self.merged
 
     def _next_trace_ids(self, count: int) -> list[str]:
         """Allocate ``count`` sequential ``q0000``-style trace ids.
 
         Ids are unique across the system's lifetime so repeated
-        ``answer``/``answer_many`` calls never collide in the span
-        export.
+        :meth:`answer_many` calls never collide in the span export.
         """
         start = self._trace_seq
         self._trace_seq += count
@@ -338,77 +334,23 @@ class SVQA:
     def answer(
         self, question: str, deadline: float | None = None
     ) -> Answer:
-        """Answer one complex question.
+        """Answer one complex question: a one-question :meth:`answer_many`.
 
-        Walks the degradation ladder instead of raising, exactly as
-        :meth:`answer_many` and the serving layer do: parse failures
-        fall back to a keyword-match query (or an attributed
-        ``"unknown"``), executor crashes become attributed
-        ``"unknown"`` answers, and every salvaged answer carries its
-        :class:`~repro.resilience.events.FaultEvent` provenance.
+        Walks the degradation ladder instead of raising, as the serving
+        layer does: parse failures fall back to a keyword-match query
+        (or an attributed ``"unknown"``), executor crashes become
+        attributed ``"unknown"`` answers, and every salvaged answer
+        carries its :class:`~repro.resilience.events.FaultEvent`
+        provenance.
 
         ``deadline`` is a per-question budget in simulated seconds
         (the serving layer maps the ``Deadline-Ms`` request header
         here); execution past the budget is cut off with the best
-        partial, degraded answer.
+        partial, degraded answer.  ``latency`` is the execute phase's
+        simulated seconds; parsing and plan sharing charge the session
+        clock (:attr:`elapsed`).
         """
-        executor = self._require_built()
-        trace_id = self._next_trace_ids(1)[0]
-        start = self.clock.snapshot()
-        with maybe_trace(self.tracer, trace_id, self.clock), \
-                maybe_span(self.tracer, "question",
-                           question=question) as span:
-            answer = self._answer_inner(question, executor, deadline)
-            answer.latency = start.interval
-            if span is not None:
-                span.set("answer", answer.value)
-                span.set("degraded", answer.degraded)
-        self._stats.record_latency(answer.latency)
-        return answer
-
-    def _answer_inner(
-        self, question: str, executor: QueryGraphExecutor,
-        deadline: float | None = None,
-    ) -> Answer:
-        from repro.resilience.degrade import classify_question_text
-
-        events: list[FaultEvent] = []
-        query_graph, parse_cap = self._parse_resilient(question, events)
-        if query_graph is None:
-            answer = fallback_answer(classify_question_text(question),
-                                     events)
-            self._stats.record_degraded()
-        else:
-            try:
-                answer = executor.execute(query_graph,
-                                          deadline_limit=deadline)
-            except ReproError as exc:
-                events.append(FaultEvent(
-                    "executor.execute", "error",
-                    detail=f"{type(exc).__name__}: {exc}",
-                ))
-                answer = fallback_answer(classify_question_text(question),
-                                         events)
-                self._stats.record_degraded()
-            else:
-                if events:
-                    answer.fault_events = events + answer.fault_events
-                if parse_cap is not None:
-                    self._mark_parse_degraded(answer, parse_cap)
-        return answer
-
-    def answer_query_graph(self, query_graph: QueryGraph) -> Answer:
-        """Execute an already-parsed query graph."""
-        executor = self._require_built()
-        trace_id = self._next_trace_ids(1)[0]
-        start = self.clock.snapshot()
-        with maybe_trace(self.tracer, trace_id, self.clock), \
-                maybe_span(self.tracer, "question",
-                           question=query_graph.question):
-            answer = executor.execute(query_graph)
-        answer.latency = start.interval
-        self._stats.record_latency(answer.latency)
-        return answer
+        return self.answer_many([question], deadlines=[deadline])[0]
 
     def answer_many(
         self,
@@ -435,7 +377,7 @@ class SVQA:
         answering with the best partial, degraded answer.
         """
         workers = self.config.workers if workers is None else workers
-        self._require_built()
+        merged = self._require_built()
         if deadlines is not None and len(deadlines) != len(questions):
             raise ValueError(
                 f"deadlines must align with questions: "
@@ -458,9 +400,9 @@ class SVQA:
             pre_events.append(events)
             parse_caps.append(cap)
 
-        order = self._plan_batch(graphs)
+        order = self._plan_batch(merged, graphs)
         batch = BatchExecutor(
-            self.merged, cache=self._cache,
+            merged, cache=self._cache,
             config=self.config.executor, workers=workers,
             costs=self.clock.costs, stats=self._stats,
             resilience=self.resilience, tracer=self.tracer,
@@ -475,7 +417,8 @@ class SVQA:
         )
         return result.answers
 
-    def _plan_batch(self, graphs: list[QueryGraph | None]) -> list[int]:
+    def _plan_batch(self, merged: MergedGraph,
+                    graphs: list[QueryGraph | None]) -> list[int]:
         """Plan one :meth:`answer_many` batch.
 
         Canonicalizes the parsed graphs, detects structurally shared
@@ -487,7 +430,6 @@ class SVQA:
         frequency-ratio order with the scheduler on (unparseable slots
         last), the input order with it off.
         """
-        assert self.merged is not None
         config = self.config
         valid = [i for i, g in enumerate(graphs) if g is not None]
         valid_graphs: list[QueryGraph] = \
@@ -503,7 +445,7 @@ class SVQA:
         else:
             order = list(range(len(graphs)))
         share_executor = QueryGraphExecutor(
-            self.merged, cache=self._cache, clock=self.clock,
+            merged, cache=self._cache, clock=self.clock,
             config=config.executor, stats=self._stats,
             resilience=self.resilience, tracer=self.tracer,
             memo=self._executor_memo,
@@ -541,7 +483,7 @@ class SVQA:
                 salvaged = fallback_answer(
                     classify_question_text(questions[i]), pre_events[i]
                 )
-                salvaged.latency = answer.latency
+                salvaged.latency = result.latencies[i]
                 result.answers[i] = salvaged
                 self._stats.record_degraded()
                 continue

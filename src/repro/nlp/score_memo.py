@@ -158,7 +158,10 @@ class ScoreMemo:
         misses under the lock, compute the misses *unlocked* (scoring
         acquires the embed-cache lock), then store under the lock,
         keeping whichever float landed first (they are identical:
-        scores are pure functions of the spellings).
+        scores are pure functions of the spellings).  A miss counts as
+        fresh only when this call's store inserted it: a key another
+        lane stored in between is a probe, so the counts do not depend
+        on how worker threads interleave.
         """
         lowered_query = query.lower()
         keys = [(lowered_query, c.lower()) for c in candidates]
@@ -166,12 +169,14 @@ class ScoreMemo:
         fresh = 0
         probes = 0
         known: dict[tuple[str, str], float] = {}
+        # missed key -> how many candidate occurrences it stands for
+        missed: dict[tuple[str, str], int] = {}
         with self._lock:
             for key in keys:
                 locks.note_read("nlp.score_memo", key)
                 cached = self._scores.get(key[1], {}).get(key[0])
                 if cached is None:
-                    fresh += 1
+                    missed[key] = missed.get(key, 0) + 1
                 else:
                     probes += 1
                     known[key] = cached
@@ -186,8 +191,13 @@ class ScoreMemo:
             with self._lock:
                 for key in computed:
                     locks.note_write("nlp.score_memo", key)
-                    known[key] = self._scores.setdefault(
-                        key[1], {}).setdefault(key[0], computed[key])
+                    row = self._scores.setdefault(key[1], {})
+                    if key[0] in row:
+                        probes += missed[key]
+                    else:
+                        row[key[0]] = computed[key]
+                        fresh += missed[key]
+                    known[key] = row[key[0]]
         return [known[key] for key in keys], fresh, probes
 
     # ------------------------------------------------------------------

@@ -46,7 +46,7 @@ from repro.simtime import SimClock
 #: only open spans with these names, so exports stay diffable across
 #: commits
 SPAN_NAMES: frozenset[str] = frozenset({
-    "question",          # root: one answered question
+    "question",          # root: one question's parse phase
     "build",             # root: the offline build phase
     "parse",             # dependency parse of the question text
     "spoc",              # SPOC extraction for one clause

@@ -11,7 +11,8 @@ must give the same answers:
   memo, every score charged fresh (``embed_score``);
 * :func:`unplanned_answers` — each question parsed and executed on its
   own by a fresh executor with no cache (so no shared neighborhood), in
-  input order.
+  input order; a question the grammar rejects runs its keyword-match
+  salvage graph, or answers ``"unknown"``.
 
 The executor's taxonomy walks read the graph's sparse ``is a`` /
 ``instance of`` adjacency; their oracles are the full in-/out-edge
@@ -26,8 +27,10 @@ scans that adjacency replaced:
 
 from repro.core import Answer, QueryGraphExecutor, SVQA, generate_query_graph
 from repro.core.executor import ExecutorConfig, _is_category
+from repro.errors import ReproError
 from repro.graph import INSTANCE_OF, IS_A, TAXONOMY_LABELS, Graph, Vertex
 from repro.nlp.embeddings import max_score
+from repro.resilience.degrade import classify_question_text, keyword_query_graph
 from tests.nlp.oracles import rank_scores
 
 
@@ -47,11 +50,20 @@ def unplanned_answers(system: SVQA, questions: list[str]) -> list[Answer]:
     """Answer ``questions`` one by one, unplanned and uncached.
 
     Parsing and execution charge ``system.clock``, like
-    ``answer_many`` does, so charge counts are comparable.
+    ``answer_many`` does, so charge counts are comparable.  A question
+    the grammar rejects is salvaged as the resilience layer does: its
+    keyword-match graph runs, else the answer is ``"unknown"``.
     """
     answers = []
     for question in questions:
-        graph = generate_query_graph(question, clock=system.clock)
+        try:
+            graph = generate_query_graph(question, clock=system.clock)
+        except ReproError:
+            graph = keyword_query_graph(question)
+        if graph is None:
+            answers.append(Answer(classify_question_text(question),
+                                  "unknown"))
+            continue
         executor = QueryGraphExecutor(system.merged, clock=system.clock,
                                       config=system.config.executor)
         answers.append(executor.execute(graph))

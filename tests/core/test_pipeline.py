@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.core import SVQA, SVQAConfig, estimate_parallel_latency
+from repro.core import (
+    SVQA,
+    QueryGraphExecutor,
+    SVQAConfig,
+    estimate_parallel_latency,
+)
 from repro.dataset.kg import build_commonsense_kg
-from repro.errors import QueryError
+from repro.dataset.mvqa import build_mvqa
+from repro.errors import ExecutionError, QueryError
 from repro.resilience.degrade import KEYWORD_FALLBACK_CONFIDENCE
 from repro.synth import SceneGenerator
 from tests.core.oracles import unplanned_answers
@@ -60,11 +66,37 @@ class TestAnswering:
         assert len(answers) == 2
         assert answers[1].value.isdigit()
 
-    def test_answer_many_matches_single(self, svqa):
-        question = "How many dogs are standing on the grass?"
-        single = svqa.answer(question)
-        batch = svqa.answer_many([question])[0]
-        assert single.value == batch.value
+    def test_answer_matches_unplanned_oracle(self):
+        """``answer()`` is a one-question ``answer_many``: asked one
+        question per call over the fast MVQA suite (a warm session,
+        salvaged questions included), it gives the answers of the
+        unplanned, uncached oracle."""
+        dataset = build_mvqa(seed=5, pool_size=1_200, image_count=400)
+        questions = [q.text for q in dataset.questions]
+        system = SVQA(dataset.scenes, dataset.kg)
+        system.build()
+        got = [system.answer(question) for question in questions]
+        assert sum(answer.degraded for answer in got) == 3
+        assert [a.value for a in got] == \
+            [a.value for a in unplanned_answers(system, questions)]
+
+    def test_executor_crash_is_salvaged_with_the_parsed_type(
+            self, svqa, monkeypatch):
+        # the surface text reads as a reasoning question; the slot
+        # keeps the type of the query graph that was executed
+        question = "What is the number of dogs on the grass?"
+        parsed = svqa.parse_question(question).question_type
+
+        def crash(self, graph, deadline_limit=None):
+            raise ExecutionError("injected crash")
+
+        monkeypatch.setattr(QueryGraphExecutor, "execute", crash)
+        answer = svqa.answer(question)
+        assert (answer.value, answer.degraded) == ("unknown", True)
+        assert answer.question_type is parsed
+        assert [(e.site, e.kind) for e in answer.fault_events] == \
+            [("executor.execute", "error")]
+        assert answer.latency == 0.0
 
     def test_unparseable_question_degrades_gracefully(self, svqa):
         # the grammar rejects "canis"; the keyword-match fallback

@@ -58,6 +58,7 @@ from tests.core.test_scope_oracle import (  # noqa: F401 (fixtures)
     merged_of,
     mvqa_base,
     mvqa_dataset,
+    session_executor,
 )
 
 #: questions compared after every burst
@@ -303,7 +304,7 @@ def run_retirement_fuzz(dataset, base: Graph, labels: list[str],
     mutated, oracle = clone(base), clone(base)
     session.adopt_merged(merged_of(mutated))
     config = session.config.executor
-    executor = session._require_built()
+    executor = session_executor(session)
     ancestors = sorted(set(labels) | set(HYPERNYMS.values()))
     writes = Writes([mutated, oracle], seed, labels)
     rng = random.Random(f"retire:{seed}")
@@ -421,7 +422,7 @@ class TestRecheckOnRead:
     def session_over(self, graph: Graph) -> QueryGraphExecutor:
         session = SVQA(config=SVQAConfig(workers=1))
         session.adopt_merged(merged_of(graph))
-        return session._require_built()
+        return session_executor(session)
 
     def assert_scope_is_fresh(self, executor, label):
         fresh = QueryGraphExecutor(merged_of(executor.graph))
@@ -487,7 +488,7 @@ class TestPossessiveRetirement:
         graph = make_merged().graph
         session = SVQA(config=SVQAConfig(workers=1))
         session.adopt_merged(merged_of(graph))
-        executor = session._require_built()
+        executor = session_executor(session)
         self.assert_fresh(executor)
         owner = graph.find_vertices("Harry Potter")[0]
         target = graph.add_vertex("Cho Chang")
@@ -511,7 +512,7 @@ class TestPossessiveRetirement:
         graph = make_merged().graph
         session = SVQA(config=SVQAConfig(workers=1))
         session.adopt_merged(merged_of(graph))
-        executor = session._require_built()
+        executor = session_executor(session)
         self.assert_fresh(executor)
         joined = graph.add_vertex("Harry Potter")
         self.assert_fresh(executor)

@@ -132,6 +132,17 @@ def merged_of(graph: Graph) -> MergedGraph:
                        stats=MergeStats({}, [], 0.0, 0.0, 0, 0, 0))
 
 
+def session_executor(session: SVQA) -> QueryGraphExecutor:
+    """An executor over the session's graph that shares its cache,
+    memo, stats and clock, as every executor of its batches does."""
+    return QueryGraphExecutor(
+        session.merged, cache=session._cache, clock=session.clock,
+        config=session.config.executor, stats=session.stats,
+        resilience=session.resilience, tracer=session.tracer,
+        memo=session._executor_memo,
+    )
+
+
 def assert_matches_oracle(executor: QueryGraphExecutor, labels: list[str],
                           ancestors: list[str], rng: random.Random) -> None:
     graph, config = executor.graph, executor.config
@@ -196,7 +207,7 @@ class TestSessionKindOfMemo:
         session.adopt_merged(merged_of(mutated))
         memo = session._executor_memo
         memo.capacity = capacity
-        executor = session._require_built()
+        executor = session_executor(session)
         assert executor.memo is memo
         ancestors = sorted(set(labels) | set(HYPERNYMS.values()))
         mutations = TaxonomyMutations(mutated, seed=3)
@@ -225,7 +236,7 @@ class TestSessionKindOfMemo:
             (label, HYPERNYMS[label]) for label in labels
             if label in HYPERNYMS and full_scan_is_kind_of(
                 graph, label, HYPERNYMS[label], ExecutorConfig()))
-        assert session._require_built()._is_kind_of(label, parent)
+        assert session_executor(session)._is_kind_of(label, parent)
         # same epoch, different graph: the remembered True must not
         # answer for a graph without the taxonomy
         bare = Graph(name=graph.name)
@@ -235,7 +246,7 @@ class TestSessionKindOfMemo:
             bare.add_vertex("filler", {})
         assert bare.epoch == graph.epoch
         session.adopt_merged(merged_of(bare))
-        executor = session._require_built()
+        executor = session_executor(session)
         assert executor._is_kind_of(label, parent) is False
         assert full_scan_is_kind_of(bare, label, parent,
                                     executor.config) is False

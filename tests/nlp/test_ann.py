@@ -9,6 +9,8 @@ mutated synthetic graphs.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -76,6 +78,54 @@ class TestExactScoring:
         assert ranked == rank_scores("near", ["near", "near", "near"])
         _, fresh, probes = index.rank("near", ["near", "near"])
         assert fresh == 0 and probes == 2
+
+    def test_a_key_another_lane_stored_first_is_a_probe(self,
+                                                        monkeypatch):
+        # lane B scores and stores ("wear", "near") while lane A, which
+        # missed it at its snapshot, is still computing: the key is
+        # fresh once in total, whichever lane stores it
+        import repro.nlp.score_memo as score_memo
+
+        index = make_index("near", "wearing")
+        real = score_memo.phrase_vector
+        counts = []
+
+        def interleaved(text):
+            # lane A's unlocked compute phase, first candidate
+            if text == "near" and not counts:
+                counts.append(None)
+                counts[0] = index.rank("wear", ["near"])[1:]
+            return real(text)
+
+        monkeypatch.setattr(score_memo, "phrase_vector", interleaved)
+        ranked, fresh, probes = index.rank("wear", ["near", "wearing"])
+        assert ranked == rank_scores("wear", ["near", "wearing"])
+        assert counts == [(1, 0)]
+        assert (fresh, probes) == (1, 1)
+
+    def test_racing_lanes_count_each_key_fresh_once(self):
+        index = make_index(*PREDICATES)
+        queries = ["wear", "stand", "sit near", "hold"]
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def lane():
+                for query in queries:
+                    results.append(index.rank(query, PREDICATES)[1:])
+
+            threads = [threading.Thread(target=lane) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        fresh = sum(f for f, _ in results)
+        probes = sum(p for _, p in results)
+        assert fresh == len(queries) * len(PREDICATES)
+        assert fresh + probes == 8 * len(queries) * len(PREDICATES)
 
 
 class TestRefcounting:

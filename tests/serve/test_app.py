@@ -82,6 +82,8 @@ class TestAskContract:
         assert payload["meta"]["confidence"] < 1.0
         assert any(event["site"] == "parse.question"
                    for event in payload["meta"]["fault_events"])
+        # nothing executed: meta still carries a latency, and it is 0
+        assert payload["meta"]["latency"] == 0.0
 
     def test_deadline_header_cuts_execution(self, service):
         status, _, body = ask(service, FLAGSHIP_QUESTION,
