@@ -48,8 +48,8 @@ docs-check:
 doc-links:
 	python scripts/check_doc_links.py
 
-# the size of src/ on one line (line count and public-symbol count),
-# tracked like a benchmark: each change reports its delta
+# the size of src/ on one line (line, public-symbol and config-field
+# counts), tracked like a benchmark: each change reports its delta
 src-size:
 	python scripts/src_size.py
 

@@ -60,7 +60,8 @@ def run_sweep(sgg_scenes, accuracy_dataset):
             recalls = mean_recall_at(results, sgg_scenes,
                                      ks=(20, 50, 100))
             svqa = SVQA(accuracy_dataset.scenes, accuracy_dataset.kg,
-                        SVQAConfig(relation_model=name, use_tde=use_tde))
+                        SVQAConfig(relation_model=name,
+                                   sgg=SGGConfig(use_tde=use_tde)))
             svqa.build()
             accuracy = evaluate(
                 name, accuracy_dataset.questions, svqa.answer_many,

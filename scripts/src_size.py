@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Report the size of ``src/`` on one line: its line count and its
-public-symbol count.
+"""Report the size of ``src/`` on one line: its line count, its
+public-symbol count and its config-field count.
 
 * lines — every line of every ``*.py`` file under ``src/`` (the same
   figure as ``find src -name '*.py' | xargs cat | wc -l``);
 * public symbols — the sum of the lengths of every module's
-  ``__all__`` (package ``__init__`` re-exports included), read from the
-  AST without importing anything.
+  ``__all__`` (package ``__init__`` re-exports included);
+* config fields — the settable fields (annotated class-body names) of
+  every class whose name ends in ``Config``.
+
+All three are read from the source or its AST without importing
+anything.
 
 Stdlib only, always exits 0 — run directly (``python
 scripts/src_size.py``) or via ``make src-size``; the CI lint-analysis
@@ -30,13 +34,27 @@ def public_symbols(tree: ast.Module) -> int:
     return 0
 
 
+def config_fields(tree: ast.Module) -> int:
+    """Settable fields of the module's ``*Config`` classes."""
+    return sum(
+        isinstance(statement, ast.AnnAssign)
+        and isinstance(statement.target, ast.Name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+        for statement in node.body
+    )
+
+
 def main() -> int:
-    lines = symbols = 0
+    lines = symbols = fields = 0
     for path in sorted(SRC_ROOT.rglob("*.py")):
         source = path.read_bytes()
         lines += source.count(b"\n")
-        symbols += public_symbols(ast.parse(source))
-    print(f"src: {lines} lines, {symbols} public symbols")
+        tree = ast.parse(source)
+        symbols += public_symbols(tree)
+        fields += config_fields(tree)
+    print(f"src: {lines} lines, {symbols} public symbols, "
+          f"{fields} config fields")
     return 0
 
 

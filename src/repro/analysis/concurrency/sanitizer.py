@@ -57,16 +57,13 @@ def _ordered_before(vector: _VectorClock, index: int,
 
 @dataclass(frozen=True)
 class SanitizerConfig:
-    """Knobs of the runtime sanitizer (all deterministic).
+    """Configuration of the runtime sanitizer (deterministic).
 
     ``seed`` only labels the report (the workload's own seed); the
-    sanitizer adds no randomness of its own.  ``track_order`` /
-    ``track_races`` gate the two checkers independently.
+    sanitizer adds no randomness of its own.
     """
 
     seed: int = 0
-    track_order: bool = True
-    track_races: bool = True
 
     @classmethod
     def from_env(cls) -> SanitizerConfig:
@@ -237,9 +234,8 @@ class Sanitizer:
                 if entry[0] == lock.name:
                     entry[1] += 1  # reentrant reacquisition
                     return
-            if self.config.track_order:
-                for held_name, _count in state.held:
-                    self._observe_edge(held_name, lock.name)
+            for held_name, _count in state.held:
+                self._observe_edge(held_name, lock.name)
             frontier = self._lock_vectors.get(lock.name)
             if frontier is not None:
                 _join(state.vector, frontier)
@@ -263,8 +259,6 @@ class Sanitizer:
     def note_access(self, structure: str, key: object,
                     write: bool) -> None:
         """One annotated read/write of a shared location."""
-        if not self.config.track_races:
-            return
         with self._lock:
             state = self._state()
             self._structures.add(structure)

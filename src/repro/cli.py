@@ -65,14 +65,12 @@ def _unit_rate(text: str) -> float:
 def _movie_svqa(trace: bool = False) -> SVQA:
     """The movie-scenario session ``repro serve`` builds, cold; with
     ``trace`` it records spans."""
-    from repro.core import ObservabilityConfig
     from repro.resilience import ResilienceConfig
     from repro.serve import ServeConfig
     from repro.serve.app import _scenario_corpus, _svqa_config
 
     config = _svqa_config(ServeConfig(), ResilienceConfig())
-    if trace:
-        config.observability = ObservabilityConfig()
+    config.trace = trace
     scenes, kg, annotations = _scenario_corpus("movie")
     svqa = SVQA(scenes, kg, config, annotations=annotations)
     svqa.build()
@@ -320,7 +318,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.core import ObservabilityConfig
     from repro.dataset.mvqa import build_mvqa
     from repro.eval.harness import evaluate, format_table, percentage
     from repro.observability import (
@@ -335,8 +332,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                              image_count=400)
     else:
         dataset = build_mvqa(seed=args.seed)
-    config = SVQAConfig(workers=args.workers,
-                        observability=ObservabilityConfig())
+    config = SVQAConfig(workers=args.workers, trace=True)
     svqa = SVQA(dataset.scenes, dataset.kg, config)
     svqa.build()
     result = evaluate("SVQA", dataset.questions, svqa.answer_many,

@@ -43,7 +43,6 @@ from repro.core.planner import (
     plan_order,
     render_forest,
 )
-from repro.observability.config import ObservabilityConfig
 from repro.core.stats import ExecutorStats, ExecutorStatsReport
 from repro.core.query_graph import (
     describe_query_graph,
@@ -74,7 +73,6 @@ __all__ = [
     "LRUCache",
     "MergeStats",
     "MergedGraph",
-    "ObservabilityConfig",
     "PlanForest",
     "PlanNode",
     "PlannedBatch",

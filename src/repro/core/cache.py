@@ -381,7 +381,7 @@ class KeyCentricCache:
 
     def _label_is_new(self, label: str) -> bool:
         graph = self._graph
-        return graph is not None and graph.candidate_index.count(label) <= 1
+        return graph is not None and graph.vertex_labels.count(label) <= 1
 
     def _store(self, store: EvictingCache, key: Hashable, value: Any,
                deps: tuple[Reads, ...], stamp: int | None) -> None:

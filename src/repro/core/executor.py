@@ -45,7 +45,7 @@ if TYPE_CHECKING:
     from repro.analysis.query_validator import QueryGraphValidator
     from repro.graph.model import Edge
 
-from repro.errors import ExecutionError, QueryValidationError
+from repro.errors import ExecutionError
 from repro.graph.observe import ReadIndex, Reads
 from repro.locks import note_write, wrap_lock
 from repro.graph import (
@@ -77,27 +77,14 @@ _DEGRADING_EVENT_KINDS = frozenset({
 })
 
 
-#: legal values of :attr:`ExecutorConfig.validation`
-VALIDATION_MODES: frozenset[str] = frozenset({"off", "warn", "strict"})
-
-
 @dataclass
 class ExecutorConfig:
-    """Matching thresholds of Algorithm 3 plus validation policy.
-
-    ``validation`` controls the pre-execution semantic validator
-    (:mod:`repro.analysis.query_validator`): ``"warn"`` (default)
-    records diagnostic counts in :class:`ExecutorStats` and proceeds,
-    ``"strict"`` fails fast with
-    :class:`~repro.errors.QueryValidationError` when a graph carries
-    ERROR diagnostics, ``"off"`` skips validation entirely.
-    """
+    """Matching thresholds of Algorithm 3."""
 
     ld_threshold: float = 0.34        # normalized-Levenshtein cutoff
     predicate_threshold: float = 0.55  # cosine floor for edge labels
     constraint_threshold: float = 0.5  # cosine floor for constraints
     expansion_hops: int = 2           # "is a" hops in matchVertex
-    validation: str = "warn"          # off | warn | strict
 
 
 #: entries each :class:`ExecutorMemo` table keeps before it drops
@@ -408,11 +395,6 @@ class QueryGraphExecutor:
         self.cache.bind(self.graph, stats)
         self.clock = clock
         self.config = config or ExecutorConfig()
-        if self.config.validation not in VALIDATION_MODES:
-            raise ValueError(
-                f"unknown validation mode: {self.config.validation!r} "
-                f"(expected one of {sorted(VALIDATION_MODES)})"
-            )
         self.stats = stats
         # a session shares one manager; a standalone executor guards
         # with a private one
@@ -443,20 +425,13 @@ class QueryGraphExecutor:
         analysis), recording diagnostic counts in the stats collector.
 
         Returns the
-        :class:`~repro.analysis.diagnostics.DiagnosticReport`; raises
-        :class:`~repro.errors.QueryValidationError` in ``"strict"``
-        mode when the graph carries ERROR diagnostics.
+        :class:`~repro.analysis.diagnostics.DiagnosticReport`; a graph
+        carrying ERROR diagnostics is counted, never rejected.
         """
         report = self.memo.diagnostics(query_graph, self._run_validator)
         if self.stats is not None:
             self.stats.record_validation(
                 len(report.errors), len(report.warnings)
-            )
-        if self.config.validation == "strict" and report.has_errors:
-            summary = "; ".join(d.render() for d in report.errors)
-            raise QueryValidationError(
-                f"query graph failed semantic validation: {summary}",
-                diagnostics=report,
             )
         return report
 
@@ -475,10 +450,8 @@ class QueryGraphExecutor:
     ) -> Answer:
         """Run one query graph and produce the final answer.
 
-        When :attr:`ExecutorConfig.validation` is not ``"off"``, the
-        graph first passes through the semantic validator — broken
-        wiring is reported (or, in strict mode, rejected) before
-        Algorithm 3 touches the merged graph.
+        The graph first passes through the semantic validator — broken
+        wiring is counted before Algorithm 3 touches the merged graph.
 
         matchVertex / cache operations run under the resilience
         manager's retry + circuit-breaker guards, a per-query deadline
@@ -503,8 +476,7 @@ class QueryGraphExecutor:
         self, query_graph: QueryGraph,
         deadline_limit: float | None = None,
     ) -> Answer:
-        if self.config.validation != "off":
-            self.validate(query_graph)
+        self.validate(query_graph)
         events: list[FaultEvent] = []
         self._events = events
         try:

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import QueryError, ReproError
 from repro.graph import Graph
-from repro.observability.config import ObservabilityConfig
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.spans import (
     Span,
@@ -71,13 +70,11 @@ class SVQAConfig:
     """End-to-end configuration of the SVQA system."""
 
     relation_model: str = "neural-motifs"
-    use_tde: bool = True
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     sgg: SGGConfig = field(default_factory=SGGConfig)
     aggregator: AggregatorConfig = field(default_factory=AggregatorConfig)
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     cache_pool_size: int = 100
-    cache_policy: str = "lfu"
     enable_scope_cache: bool = True
     enable_path_cache: bool = True
     enable_scheduler: bool = True
@@ -86,9 +83,9 @@ class SVQAConfig:
     #: always on — the default injects no faults, so it only degrades
     #: what really fails (a question the grammar rejects, a crash)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    #: observability layer (span tracing); ``None`` keeps the off path
-    #: bit-identical — no tracer is even constructed
-    observability: ObservabilityConfig | None = None
+    #: span tracing; off keeps the path bit-identical — no tracer is
+    #: even constructed
+    trace: bool = False
     #: runtime lock/race sanitizer ("tsan-lite"); ``None`` keeps every
     #: lock raw and every note hook a single ``is None`` check, so
     #: answers are bit-identical with the sanitizer disabled
@@ -141,18 +138,14 @@ class SVQA:
         # into another) SVQA instance
         self._query_graphs = QueryGraphMemo()
         self._executor_memo = ExecutorMemo()
-        self._executor: QueryGraphExecutor | None = None
         self._stats = ExecutorStats()
         self._last_batch: BatchResult | None = None
         self._last_plan: PlannedBatch | None = None
         self.tracer: Tracer | None = None
         self._trace_seq = 0
         self._plan_seq = 0
-        obs = self.config.observability
-        if obs is not None and obs.trace:
-            self.tracer = Tracer(
-                max_spans_per_trace=obs.max_spans_per_trace
-            )
+        if self.config.trace:
+            self.tracer = Tracer()
         self.resilience = ResilienceManager(self.config.resilience,
                                             stats=self._stats,
                                             tracer=self.tracer)
@@ -176,7 +169,6 @@ class SVQA:
             return KeyCentricCache.disabled()
         return KeyCentricCache.create(
             pool_size=config.cache_pool_size,
-            policy=config.cache_policy,
             enabled_scope=config.enable_scope_cache,
             enabled_path=config.enable_path_cache,
         )
@@ -208,14 +200,10 @@ class SVQA:
                 maybe_span(self.tracer, "build",
                            images=len(scenes)) as span:
             self.clock.charge("model_load_sgg")
-            sgg_config = SGGConfig(**{
-                **self.config.sgg.__dict__,
-                "use_tde": self.config.use_tde,
-            })
             pipeline = SGGPipeline(
                 SimulatedDetector(self.config.detector),
                 RelationPredictor(spec),
-                sgg_config,
+                self.config.sgg,
                 clock=self.clock,
                 resilience=self.resilience,
             )

@@ -130,19 +130,6 @@ class QueryParseError(QueryError):
         self.term = term
 
 
-class QueryValidationError(QueryError):
-    """A query graph failed semantic validation in fail-fast mode.
-
-    ``diagnostics`` holds the full
-    :class:`~repro.analysis.diagnostics.DiagnosticReport` so callers
-    can render or filter the individual findings.
-    """
-
-    def __init__(self, message: str, diagnostics: object = None) -> None:
-        super().__init__(message)
-        self.diagnostics = diagnostics
-
-
 class ExecutionError(QueryError):
     """Query-graph execution over the merged graph failed."""
 

@@ -32,10 +32,13 @@ scan — in the same order (labels carry their graph
 insertion position, mirroring :class:`~repro.graph.index.LabelIndex`
 iteration order).
 
-The index is maintained **incrementally** by
-:class:`~repro.graph.model.Graph` on ``add_vertex`` /
-``remove_vertex`` / ``relabel_vertex`` behind the graph's monotone
-epoch counter; nothing else may mutate it (lint rule RP007).
+The index holds each distinct vertex label once; the graph's
+``vertex_labels`` :class:`~repro.graph.index.LabelIndex` counts the
+vertices.  :class:`~repro.graph.model.Graph` maintains it
+incrementally on ``add_vertex`` / ``remove_vertex`` /
+``relabel_vertex``, adding a label when ``vertex_labels`` gains it and
+removing it when ``vertex_labels`` loses it; nothing else may mutate
+it (lint rule RP007).
 """
 
 from __future__ import annotations
@@ -189,12 +192,12 @@ class VertexCandidateIndex:
 
     Mutate only through the :class:`~repro.graph.model.Graph` mutation
     API (``add_vertex`` / ``remove_vertex`` / ``relabel_vertex``),
-    which refcounts labels so a label leaves the index exactly when
-    its last vertex does — the invariant lint rule RP007 enforces.
+    which adds a label with its first vertex and removes it with its
+    last — the invariant lint rule RP007 enforces.
     """
 
     def __init__(self) -> None:
-        self._refs: dict[str, int] = {}
+        #: every indexed label -> its insertion position
         self._order: dict[str, int] = {}
         self._next_position = 0
         self._exact: dict[str, dict[str, None]] = {}
@@ -206,12 +209,8 @@ class VertexCandidateIndex:
     # maintenance (Graph mutation API only — RP007)
     # ------------------------------------------------------------------
     def add_label(self, label: str) -> None:
-        """Register one more vertex carrying ``label``."""
+        """Register ``label``, which its first vertex now carries."""
         note_write("graph.candidate_index")
-        count = self._refs.get(label, 0)
-        self._refs[label] = count + 1
-        if count:
-            return
         self._order[label] = self._next_position
         self._next_position += 1
         lowered = label.lower()
@@ -225,17 +224,10 @@ class VertexCandidateIndex:
         bucket.add(label, lowered)
 
     def remove_label(self, label: str) -> None:
-        """Unregister one vertex carrying ``label``; the label leaves
-        every bucket when its last vertex goes."""
+        """Unregister ``label``, whose last vertex is gone: the label
+        leaves every bucket."""
         note_write("graph.candidate_index")
-        count = self._refs.get(label)
-        if count is None:
-            raise KeyError(f"label {label!r} is not indexed")
-        if count > 1:
-            self._refs[label] = count - 1
-            return
-        del self._refs[label]
-        del self._order[label]
+        del self._order[label]  # KeyError: the label is not indexed
         lowered = label.lower()
         self._drop(self._exact, lowered, label)
         self._drop(self._singular, noun_singular(lowered), label)
@@ -287,7 +279,7 @@ class VertexCandidateIndex:
         examined += self._match_levenshtein(lowered, ld_threshold, matched)
         ordered = sorted(matched, key=self._order.__getitem__)
         return CandidateMatch(labels=tuple(ordered), examined=examined,
-                              total=len(self._refs))
+                              total=len(self._order))
 
     def _match_levenshtein(self, lowered: str, threshold: float,
                            matched: dict[str, None]) -> int:
@@ -362,18 +354,3 @@ class VertexCandidateIndex:
                 if label in base:
                     candidates.setdefault(label, None)
         return candidates
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        """Distinct labels currently indexed."""
-        return len(self._refs)
-
-    def __contains__(self, label: str) -> bool:
-        """Whether ``label`` is currently indexed."""
-        return label in self._refs
-
-    def count(self, label: str) -> int:
-        """Number of vertices currently carrying ``label``."""
-        return self._refs.get(label, 0)

@@ -3,12 +3,14 @@
 Maps a label string to the set of element ids carrying it.  Maintained
 by :class:`repro.graph.model.Graph` on every mutation, so label lookups
 (the hot path of ``matchVertex`` in Algorithm 3) are O(1) instead of a
-full vertex scan.
+full vertex scan.  A graph's two label indexes are its only label
+counts: the candidate index and the score memo follow the labels they
+gain and lose.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 
 class LabelIndex:
@@ -57,9 +59,3 @@ class LabelIndex:
     def __iter__(self) -> Iterator[str]:
         """Iterate over the registered labels."""
         return iter(self._by_label)
-
-    def update_many(self, label: str, element_ids: Iterable[int]) -> None:
-        """Bulk-register many ids under one label."""
-        bucket = self._by_label.setdefault(label, {})
-        for element_id in element_ids:
-            bucket[element_id] = None

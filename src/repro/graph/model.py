@@ -208,8 +208,7 @@ class Graph:
         self._vertices[vertex_id] = vertex
         self._out[vertex_id] = []
         self._in[vertex_id] = []
-        self.vertex_labels.add(label, vertex_id)
-        self.candidate_index.add_label(label)
+        self._index_vertex_label(label, vertex_id)
         self._epoch += 1
         if self._observers:
             self._notify({
@@ -249,7 +248,6 @@ class Graph:
             self._taxonomy_out.setdefault(src, []).append(edge.id)
             self._taxonomy_in.setdefault(dst, []).append(edge.id)
         self.edge_labels.add(label, edge.id)
-        self.score_memo.add_label(label)
         self._epoch += 1
         if self._observers:
             self._notify({
@@ -270,7 +268,8 @@ class Graph:
             _discard(self._taxonomy_out, edge.src, edge_id)
             _discard(self._taxonomy_in, edge.dst, edge_id)
         self.edge_labels.remove(edge.label, edge_id)
-        self.score_memo.remove_label(edge.label)
+        if edge.label not in self.edge_labels:
+            self.score_memo.forget(edge.label)
         self._epoch += 1
         if self._observers:
             self._notify({
@@ -296,8 +295,7 @@ class Graph:
         del self._vertices[vertex_id]
         del self._out[vertex_id]
         del self._in[vertex_id]
-        self.vertex_labels.remove(vertex.label, vertex_id)
-        self.candidate_index.remove_label(vertex.label)
+        self._unindex_vertex_label(vertex.label, vertex_id)
         self._epoch += 1
         if self._observers:
             self._notify({
@@ -308,17 +306,29 @@ class Graph:
     def relabel_vertex(self, vertex_id: int, label: str) -> None:
         """Change a vertex label, keeping the label indexes consistent."""
         vertex = self.vertex(vertex_id)
-        self.vertex_labels.remove(vertex.label, vertex_id)
-        self.candidate_index.remove_label(vertex.label)
+        self._unindex_vertex_label(vertex.label, vertex_id)
         vertex.label = label
-        self.vertex_labels.add(label, vertex_id)
-        self.candidate_index.add_label(label)
+        self._index_vertex_label(label, vertex_id)
         self._epoch += 1
         if self._observers:
             self._notify({
                 "op": "relabel_vertex", "epoch": self._epoch,
                 "id": vertex_id, "label": label,
             })
+
+    def _index_vertex_label(self, label: str, vertex_id: int) -> None:
+        """Register a vertex label; the candidate index learns the
+        label only when ``vertex_labels`` gains it."""
+        self.vertex_labels.add(label, vertex_id)
+        if self.vertex_labels.count(label) == 1:
+            self.candidate_index.add_label(label)
+
+    def _unindex_vertex_label(self, label: str, vertex_id: int) -> None:
+        """Unregister a vertex label; the candidate index forgets the
+        label only when ``vertex_labels`` loses it."""
+        self.vertex_labels.remove(label, vertex_id)
+        if label not in self.vertex_labels:
+            self.candidate_index.remove_label(label)
 
     # ------------------------------------------------------------------
     # access

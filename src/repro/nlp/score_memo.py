@@ -1,4 +1,4 @@
-"""Refcounted, exact score memo over the embedding space.
+"""Exact score memo over the embedding space.
 
 PR 5 made vertex label matching sublinear; this module does the same
 for the *embedding* lookups left on the hot path
@@ -21,12 +21,12 @@ byte-identical float expression, assembled in caller candidate order,
 and tie-broken by the same stable sort / first-strict-greater scan.
 The fuzz suite compares both against those scans outright.
 
-Membership is maintained incrementally by
-:class:`~repro.graph.model.Graph` on ``add_edge`` / ``remove_edge``
-behind the graph's monotone epoch counter, with refcounts so a label
-retires exactly when its last edge does; retiring a label also purges
-its memo rows (sound: scores are pure, so a re-added label recomputes
-identical floats).  The index itself never touches the
+The memo holds scores only, not the edge-label set: the graph's
+``edge_labels`` :class:`~repro.graph.index.LabelIndex` counts the
+edges.  When :class:`~repro.graph.model.Graph` removes a label's last
+edge it calls :meth:`~ScoreMemo.forget`, which purges the label's memo
+rows (sound: scores are pure, so a re-added label recomputes identical
+floats); adding an edge calls nothing.  The memo itself never touches the
 :class:`~repro.simtime.SimClock` — call sites charge the returned
 ``(fresh, probes)`` counts.
 
@@ -51,18 +51,13 @@ from repro.nlp.embeddings import phrase_vector
 
 
 class ScoreMemo:
-    """Refcounted edge-label set + exact score memo over embeddings.
+    """Exact score memo over embeddings.
 
-    Mutate membership only through the
-    :class:`~repro.graph.model.Graph` mutation API (``add_edge`` /
-    ``remove_edge``), which refcounts labels so a label leaves the
-    index exactly when its last edge does — the
-    :class:`~repro.graph.candidates.VertexCandidateIndex` invariant.
+    Only :class:`~repro.graph.model.Graph` forgets labels
+    (``remove_edge``, when a label's last edge goes).
     """
 
     def __init__(self) -> None:
-        #: live edge-label refcounts, in graph insertion order
-        self._refs: dict[str, int] = {}
         #: the memo, lowercased candidate -> lowercased query -> score
         #: (keyed by candidate first, so retiring a label drops its rows
         #: in one step)
@@ -93,26 +88,11 @@ class ScoreMemo:
     # ------------------------------------------------------------------
     # maintenance (Graph mutation API only)
     # ------------------------------------------------------------------
-    def add_label(self, label: str) -> None:
-        """Register one more edge carrying ``label``."""
+    def forget(self, label: str) -> None:
+        """Drop every memo row of ``label``, whose last edge is gone."""
         self._refresh_lock()
         with self._lock:
             locks.note_write("nlp.score_memo", label)
-            self._refs[label] = self._refs.get(label, 0) + 1
-
-    def remove_label(self, label: str) -> None:
-        """Unregister one edge carrying ``label``; the label retires
-        from the index and the score memo when its last edge goes."""
-        self._refresh_lock()
-        with self._lock:
-            locks.note_write("nlp.score_memo", label)
-            count = self._refs.get(label)
-            if count is None:
-                raise KeyError(f"label {label!r} is not indexed")
-            if count > 1:
-                self._refs[label] = count - 1
-                return
-            del self._refs[label]
             self._scores.pop(label.lower(), None)
 
     # ------------------------------------------------------------------
@@ -199,28 +179,6 @@ class ScoreMemo:
                         fresh += missed[key]
                     known[key] = row[key[0]]
         return [known[key] for key in keys], fresh, probes
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        """Distinct labels currently indexed."""
-        return len(self._refs)
-
-    def __contains__(self, label: str) -> bool:
-        """Whether ``label`` is currently indexed."""
-        return label in self._refs
-
-    def count(self, label: str) -> int:
-        """Number of edges currently carrying ``label``."""
-        return self._refs.get(label, 0)
-
-    def labels(self) -> list[str]:
-        """Every indexed label, in graph insertion order."""
-        self._refresh_lock()
-        with self._lock:
-            locks.note_read("nlp.score_memo")
-            return list(self._refs)
 
 
 __all__ = [

@@ -4,7 +4,7 @@ Three cooperating pieces (DESIGN.md §5e):
 
 * :mod:`repro.observability.spans` — the deterministic,
   SimClock-stamped span tracer threaded through the pipeline behind
-  ``SVQAConfig.observability``;
+  ``SVQAConfig.trace``;
 * :mod:`repro.observability.metrics` — the named counter / gauge /
   histogram registry that backs
   :class:`~repro.core.stats.ExecutorStats`, with Prometheus text and
@@ -17,7 +17,6 @@ This package sits *below* :mod:`repro.core` (the stats collector
 imports the registry), so nothing here may import from the core.
 """
 
-from repro.observability.config import ObservabilityConfig
 from repro.observability.metrics import (
     COUNT_BUCKETS,
     Counter,
@@ -54,7 +53,6 @@ __all__ = [
     "Histogram",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
-    "ObservabilityConfig",
     "SPAN_NAMES",
     "Span",
     "StageRow",

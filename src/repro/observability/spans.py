@@ -252,7 +252,7 @@ def maybe_trace(
     """``tracer.trace(...)`` when tracing is on, else a no-op context.
 
     The instrumentation sites call this unconditionally; with
-    ``SVQAConfig.observability`` unset the tracer is ``None`` and the
+    ``SVQAConfig.trace`` off the tracer is ``None`` and the
     shared null context keeps the off path free of observable effects.
     """
     if tracer is None:

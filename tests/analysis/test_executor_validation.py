@@ -1,15 +1,11 @@
 """Executor integration: validation runs before Algorithm 3.
 
-``ExecutorConfig.validation`` plumbs layer-1 static analysis into
-``Executor.execute``: ``warn`` records counts and proceeds,
-``strict`` fail-fasts with :class:`QueryValidationError`, ``off``
-skips the validator entirely.
+Every ``Executor.execute`` passes its graph through layer-1 static
+analysis first: the diagnostics are counted and execution proceeds,
+a graph carrying ERROR diagnostics included.
 """
 
-import pytest
-
 from repro.core import (
-    ExecutorConfig,
     ExecutorStats,
     QueryGraphExecutor,
     QuestionType,
@@ -18,7 +14,6 @@ from repro.core import (
 from repro.analysis.query_validator import validate_query_graph
 from repro.core.executor import ExecutorMemo
 from repro.core.spoc import DependencyKind, QueryGraph, SPOC, Term
-from repro.errors import QueryValidationError
 
 from tests.core.test_executor import make_merged
 
@@ -38,36 +33,9 @@ def broken_graph():
 
 
 class TestValidationModes:
-    def test_unknown_mode_is_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            QueryGraphExecutor(
-                make_merged(),
-                config=ExecutorConfig(validation="paranoid"),
-            )
-
-    def test_strict_mode_rejects_broken_graph(self):
-        executor = QueryGraphExecutor(
-            make_merged(), config=ExecutorConfig(validation="strict")
-        )
-        with pytest.raises(QueryValidationError) as info:
-            executor.execute(broken_graph())
-        assert info.value.diagnostics is not None
-        assert info.value.diagnostics.has_errors
-
-    def test_strict_mode_passes_clean_graph(self):
-        executor = QueryGraphExecutor(
-            make_merged(), config=ExecutorConfig(validation="strict")
-        )
-        graph = generate_query_graph("Is there a dog near the fence?")
-        answer = executor.execute(graph)
-        assert answer.value in ("yes", "no")
-
     def test_warn_mode_records_stats_and_proceeds(self):
         stats = ExecutorStats()
-        executor = QueryGraphExecutor(
-            make_merged(), stats=stats,
-            config=ExecutorConfig(validation="warn"),
-        )
+        executor = QueryGraphExecutor(make_merged(), stats=stats)
         graph = generate_query_graph(
             "How many dogs are standing on the grass?"
         )
@@ -78,31 +46,17 @@ class TestValidationModes:
 
     def test_warn_mode_counts_errors_without_raising(self):
         stats = ExecutorStats()
-        executor = QueryGraphExecutor(
-            make_merged(), stats=stats,
-            config=ExecutorConfig(validation="warn"),
-        )
+        executor = QueryGraphExecutor(make_merged(), stats=stats)
         report = executor.validate(broken_graph())
         assert report.has_errors
         snapshot = stats.snapshot()
         assert snapshot.graphs_validated == 1
         assert snapshot.validation_errors >= 1
 
-    def test_off_mode_skips_validation(self):
-        stats = ExecutorStats()
-        executor = QueryGraphExecutor(
-            make_merged(), stats=stats,
-            config=ExecutorConfig(validation="off"),
-        )
-        graph = generate_query_graph("Is there a dog near the fence?")
-        executor.execute(graph)
-        assert stats.snapshot().graphs_validated == 0
-
 
 class TestMemoisedValidation:
     """Executors sharing one ``ExecutorMemo`` validate each distinct
-    graph once, yet count, report and (in strict mode) raise on every
-    ask."""
+    graph once, yet count and report on every ask."""
 
     def test_every_ask_is_counted_with_the_same_numbers(self):
         stats = ExecutorStats()
@@ -127,10 +81,3 @@ class TestMemoisedValidation:
         report.diagnostics.clear()
         assert executor.validate(broken_graph()).diagnostics == \
             fresh.diagnostics
-
-    def test_strict_mode_raises_on_every_ask(self):
-        executor = QueryGraphExecutor(
-            make_merged(), config=ExecutorConfig(validation="strict"))
-        for _ in range(3):
-            with pytest.raises(QueryValidationError):
-                executor.execute(broken_graph())

@@ -13,6 +13,14 @@ from repro.dataset.mvqa import build_mvqa
 from repro.errors import ExecutionError, QueryError
 from repro.resilience.degrade import KEYWORD_FALLBACK_CONFIDENCE
 from repro.synth import SceneGenerator
+from repro.vision import (
+    MODELS,
+    DetectorConfig,
+    RelationPredictor,
+    SGGConfig,
+    SGGPipeline,
+    SimulatedDetector,
+)
 from tests.core.oracles import unplanned_answers
 
 
@@ -49,6 +57,27 @@ class TestBuild:
     def test_build_returns_merged_graph(self, svqa):
         assert svqa.merged is not None
         assert svqa.merged.graph.vertex_count > 0
+
+    def test_sgg_config_is_the_tde_switch(self):
+        # Table V's ablation: SGGConfig.use_tde alone picks the path
+        scenes = SceneGenerator(seed=5).generate_pool(12)
+        original = SVQA(scenes, build_commonsense_kg(),
+                        SVQAConfig(sgg=SGGConfig(use_tde=False)))
+        original.build()
+        tde = SVQA(scenes, build_commonsense_kg())
+        tde.build()
+        expected = SGGPipeline(
+            SimulatedDetector(DetectorConfig()),
+            RelationPredictor(MODELS["neural-motifs"]),
+            SGGConfig(use_tde=False),
+        ).run_many(scenes)
+
+        def edges(results):
+            return [(r.image_id, r.relations, r.ranked_triples)
+                    for r in results]
+
+        assert edges(original.scene_graphs) == edges(expected)
+        assert edges(tde.scene_graphs) != edges(expected)
 
 
 class TestAnswering:

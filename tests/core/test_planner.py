@@ -8,7 +8,6 @@ differential: answers must equal the unplanned, uncached oracle of
 import pytest
 
 from repro.core import (
-    ObservabilityConfig,
     QueryGraphExecutor,
     SVQA,
     SVQAConfig,
@@ -50,7 +49,7 @@ def build_system(**config):
 
 @pytest.fixture(scope="module")
 def svqa_on():
-    return build_system(observability=ObservabilityConfig())
+    return build_system(trace=True)
 
 
 def answer_dicts(system, workers=1):

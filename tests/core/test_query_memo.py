@@ -22,7 +22,6 @@ from repro.core.query_graph import (
 from repro.dataset.kg import build_commonsense_kg
 from repro.dataset.mvqa import build_mvqa
 from repro.errors import QueryParseError
-from repro.observability import ObservabilityConfig
 from repro.resilience import ResilienceConfig
 from repro.synth import SceneGenerator
 
@@ -71,7 +70,7 @@ class TestDifferential:
     def test_repeated_passes_match_a_memo_free_session(self, mvqa,
                                                        questions):
         config = dict(resilience=ResilienceConfig(),
-                      observability=ObservabilityConfig())
+                      trace=True)
         memo = session(mvqa.scenes, mvqa.kg, **config)
         fresh = session(mvqa.scenes, mvqa.kg, memo=False, **config)
         for _ in range(3):

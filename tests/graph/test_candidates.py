@@ -38,7 +38,7 @@ def make_index(*labels):
 def ordered_labels(index):
     """Every indexed label in graph insertion order (the order the old
     linear scan compared them in)."""
-    return sorted(index._refs, key=index._order.__getitem__)
+    return sorted(index._order, key=index._order.__getitem__)
 
 
 def labels_match(query, candidate, threshold=THRESHOLD):
@@ -143,15 +143,17 @@ class TestBuckets:
 
 class TestRefcounting:
     def test_duplicate_labels_survive_one_removal(self):
-        index = make_index("dog", "dog")
-        assert index.count("dog") == 2
-        index.remove_label("dog")
-        assert "dog" in index
-        assert index.match("dog", THRESHOLD).labels == ("dog",)
-        index.remove_label("dog")
-        assert "dog" not in index
-        assert len(index) == 0
-        assert index.match("dog", THRESHOLD).labels == ()
+        graph = Graph(name="g")
+        a = graph.add_vertex("dog", {})
+        b = graph.add_vertex("dog", {})
+        assert graph.vertex_labels.count("dog") == 2
+        graph.remove_vertex(a.id)
+        assert graph.candidate_index.match("dog", THRESHOLD).labels == \
+            ("dog",)
+        graph.remove_vertex(b.id)
+        match = graph.candidate_index.match("dog", THRESHOLD)
+        assert match.labels == ()
+        assert match.total == 0
 
     def test_remove_unknown_label_raises(self):
         index = make_index("dog")
@@ -170,8 +172,10 @@ class TestRefcounting:
 
 class TestAccounting:
     def test_examined_counts_bucket_entries(self):
-        index = make_index("dog", "dog", "cat")
-        match = index.match("dog", THRESHOLD)
+        graph = Graph(name="g")
+        for label in ("dog", "dog", "cat"):
+            graph.add_vertex(label, {})
+        match = graph.candidate_index.match("dog", THRESHOLD)
         # "dog" sits in both the exact and singular buckets; distinct
         # labels, not vertices, are what the lookup examines
         assert match.labels == ("dog",)
@@ -192,21 +196,26 @@ class TestGraphMaintenance:
     def test_add_vertex_indexes_label(self):
         graph = Graph(name="g")
         graph.add_vertex("dog", {})
-        assert "dog" in graph.candidate_index
+        assert graph.candidate_index.match("dog", THRESHOLD).labels == \
+            ("dog",)
 
     def test_remove_vertex_unindexes_last_copy(self):
         graph = Graph(name="g")
         a = graph.add_vertex("dog", {})
         graph.add_vertex("dog", {})
         graph.remove_vertex(a.id)
-        assert graph.candidate_index.count("dog") == 1
+        assert graph.vertex_labels.count("dog") == 1
+        assert graph.candidate_index.match("dog", THRESHOLD).labels == \
+            ("dog",)
 
     def test_relabel_vertex_moves_label(self):
         graph = Graph(name="g")
         v = graph.add_vertex("dog", {})
         graph.relabel_vertex(v.id, "cat")
-        assert "dog" not in graph.candidate_index
-        assert "cat" in graph.candidate_index
+        assert "dog" not in graph.vertex_labels
+        assert graph.candidate_index.match("dog", THRESHOLD).labels == ()
+        assert graph.candidate_index.match("cat", THRESHOLD).labels == \
+            ("cat",)
 
     def test_every_mutator_bumps_the_epoch(self):
         graph = Graph(name="g")

@@ -12,8 +12,6 @@ import random
 import sys
 import threading
 
-import pytest
-
 from repro.dataset.mvqa import build_mvqa
 from repro.graph import Graph
 from repro.nlp.score_memo import ScoreMemo
@@ -27,13 +25,6 @@ PREDICATES = [
 ]
 
 
-def make_index(*labels):
-    index = ScoreMemo()
-    for label in labels:
-        index.add_label(label)
-    return index
-
-
 def assert_rank_equivalent(index, queries, candidates):
     """``rank``/``best`` must equal the linear scans outright."""
     for query in queries:
@@ -45,25 +36,25 @@ def assert_rank_equivalent(index, queries, candidates):
 
 class TestExactScoring:
     def test_rank_matches_linear_scan(self):
-        index = make_index(*PREDICATES)
+        index = ScoreMemo()
         assert_rank_equivalent(index, ["wear", "stand", "sit near"],
                                PREDICATES)
 
     def test_empty_candidates(self):
-        index = make_index("near")
+        index = ScoreMemo()
         assert index.best("dog", []) == (None, float("-inf"), 0, 0)
         ranked, fresh, probes = index.rank("dog", [])
         assert ranked == [] and fresh == 0 and probes == 0
 
     def test_fresh_then_probes(self):
-        index = make_index(*PREDICATES)
+        index = ScoreMemo()
         _, _, fresh, probes = index.best("wear", PREDICATES)
         assert (fresh, probes) == (len(PREDICATES), 0)
         _, _, fresh, probes = index.best("wear", PREDICATES)
         assert (fresh, probes) == (0, len(PREDICATES))
 
     def test_memo_is_case_insensitive(self):
-        index = make_index("Wearing", "near")
+        index = ScoreMemo()
         index.rank("Wear", ["Wearing", "near"])
         _, fresh, probes = index.rank("wear", ["wearing", "NEAR"])
         assert (fresh, probes) == (0, 2)
@@ -71,7 +62,7 @@ class TestExactScoring:
     def test_duplicate_candidates_charge_like_the_scan(self):
         # the linear scan charges per candidate occurrence, so fresh
         # counts occurrences too (only one float is actually computed)
-        index = make_index("near")
+        index = ScoreMemo()
         ranked, fresh, probes = index.rank("near",
                                            ["near", "near", "near"])
         assert fresh == 3 and probes == 0
@@ -86,7 +77,7 @@ class TestExactScoring:
         # fresh once in total, whichever lane stores it
         import repro.nlp.score_memo as score_memo
 
-        index = make_index("near", "wearing")
+        index = ScoreMemo()
         real = score_memo.phrase_vector
         counts = []
 
@@ -104,7 +95,7 @@ class TestExactScoring:
         assert (fresh, probes) == (1, 1)
 
     def test_racing_lanes_count_each_key_fresh_once(self):
-        index = make_index(*PREDICATES)
+        index = ScoreMemo()
         queries = ["wear", "stand", "sit near", "hold"]
         results = []
         interval = sys.getswitchinterval()
@@ -130,26 +121,26 @@ class TestExactScoring:
 
 class TestRefcounting:
     def test_duplicate_labels_survive_one_removal(self):
-        index = make_index("near", "near")
-        assert index.count("near") == 2
-        index.remove_label("near")
-        assert "near" in index
-        index.remove_label("near")
-        assert "near" not in index
-        assert len(index) == 0
-
-    def test_remove_unknown_label_raises(self):
-        index = make_index("near")
-        with pytest.raises(KeyError):
-            index.remove_label("far")
+        graph = Graph(name="g")
+        a = graph.add_vertex("dog", {})
+        b = graph.add_vertex("grass", {})
+        first = graph.add_edge(a.id, b.id, "near")
+        second = graph.add_edge(b.id, a.id, "near")
+        graph.score_memo.rank("close", ["near"])
+        graph.remove_edge(first.id)
+        assert graph.edge_labels.count("near") == 1
+        # the label still has an edge: its memo rows stay
+        assert graph.score_memo.rank("close", ["near"])[1:] == (0, 1)
+        graph.remove_edge(second.id)
+        assert "near" not in graph.edge_labels
+        assert graph.score_memo.rank("close", ["near"])[1:] == (1, 0)
 
     def test_retire_purges_memo_rows(self):
-        index = make_index("wearing", "near")
+        index = ScoreMemo()
         index.rank("wear", ["wearing", "near"])
         assert sum(map(len, index._scores.values())) == 2
-        index.remove_label("wearing")
+        index.forget("wearing")
         assert sum(map(len, index._scores.values())) == 1
-        index.add_label("wearing")
         # a re-added label recomputes identical floats (scores are
         # pure), so correctness is unaffected by the purge
         assert_rank_equivalent(index, ["wear"], ["wearing", "near"])
@@ -161,7 +152,7 @@ class TestGraphMaintenance:
         a = graph.add_vertex("dog", {})
         b = graph.add_vertex("grass", {})
         graph.add_edge(a.id, b.id, "standing on")
-        assert "standing on" in graph.score_memo
+        assert "standing on" in graph.edge_labels
 
     def test_remove_edge_unindexes_last_copy(self):
         graph = Graph(name="g")
@@ -171,15 +162,18 @@ class TestGraphMaintenance:
         first = graph.add_edge(a.id, b.id, "near")
         graph.add_edge(c.id, b.id, "near")
         graph.remove_edge(first.id)
-        assert graph.score_memo.count("near") == 1
+        assert graph.edge_labels.count("near") == 1
 
     def test_remove_vertex_retires_its_edge_labels(self):
         graph = Graph(name="g")
         a = graph.add_vertex("dog", {})
         b = graph.add_vertex("grass", {})
         graph.add_edge(a.id, b.id, "standing on")
+        graph.score_memo.rank("stand", ["standing on"])
         graph.remove_vertex(a.id)
-        assert "standing on" not in graph.score_memo
+        assert "standing on" not in graph.edge_labels
+        assert graph.score_memo.rank("stand", ["standing on"])[1:] == \
+            (1, 0)
 
     def test_index_stays_fresh_across_epochs(self):
         """Epoch-bump staleness regression: the index must track the
@@ -190,9 +184,9 @@ class TestGraphMaintenance:
         before = graph.epoch
         edge = graph.add_edge(a.id, b.id, "standing on")
         assert graph.epoch > before
-        assert graph.score_memo.labels() == ["standing on"]
+        assert list(graph.edge_labels) == ["standing on"]
         graph.remove_edge(edge.id)
-        assert graph.score_memo.labels() == []
+        assert list(graph.edge_labels) == []
 
 
 FUZZ_LABELS = PREDICATES + [
@@ -218,7 +212,7 @@ class TestScanEquivalence:
             if word.strip("?,.'\"")
         })
         assert len(words) > 50
-        index = make_index(*FUZZ_LABELS)
+        index = ScoreMemo()
         assert_rank_equivalent(index, words, FUZZ_LABELS)
 
     def test_interleaved_mutations(self):
@@ -239,7 +233,7 @@ class TestScanEquivalence:
                         live.pop(rng.randrange(len(live)))
                     )
                 if step % 10 == 9:
-                    labels = graph.score_memo.labels()
+                    labels = list(graph.edge_labels)
                     assert set(labels) == \
                         {e.label for e in graph.edges()}
                     assert len(labels) == len(set(labels))

@@ -2,7 +2,7 @@
 
 Two contracts matter most (ISSUE acceptance criteria):
 
-* with ``SVQAConfig.observability=None`` the system behaves
+* with ``SVQAConfig.trace=False`` the system behaves
   bit-identically to a pre-observability build — same answers, same
   simulated latencies, same stats report;
 * with tracing on, the multiset of ``(name, attributes)`` spans is
@@ -12,7 +12,7 @@ Two contracts matter most (ISSUE acceptance criteria):
 
 import pytest
 
-from repro.core import ObservabilityConfig, SVQA, SVQAConfig
+from repro.core import SVQA, SVQAConfig
 from repro.dataset.kg import build_commonsense_kg
 from repro.synth import SceneGenerator
 from tests.observability.helpers import span_multiset
@@ -25,25 +25,25 @@ QUESTIONS = [
 ]
 
 
-def build_svqa(observability=None, workers=1, pool=40, seed=31):
+def build_svqa(trace=False, workers=1, pool=40, seed=31):
     scenes = SceneGenerator(seed=seed).generate_pool(pool)
-    config = SVQAConfig(observability=observability, workers=workers,
+    config = SVQAConfig(trace=trace, workers=workers,
                         cache_pool_size=10_000)
     system = SVQA(scenes, build_commonsense_kg(), config)
     system.build()
     return system
 
 
-def run_batch(observability=None, workers=1):
-    system = build_svqa(observability=observability, workers=workers)
+def run_batch(trace=False, workers=1):
+    system = build_svqa(trace=trace, workers=workers)
     answers = system.answer_many(QUESTIONS)
     return system, answers
 
 
 class TestZeroCostOff:
     def test_off_path_is_bit_identical(self):
-        off_sys, off = run_batch(observability=None)
-        on_sys, on = run_batch(observability=ObservabilityConfig())
+        off_sys, off = run_batch(trace=False)
+        on_sys, on = run_batch(trace=True)
         assert [a.value for a in off] == [a.value for a in on]
         assert [a.latency for a in off] == [a.latency for a in on]
         assert off_sys.elapsed == on_sys.elapsed
@@ -51,7 +51,7 @@ class TestZeroCostOff:
             on_sys.execution_report().stats
 
     def test_off_path_constructs_no_tracer(self):
-        system = build_svqa(observability=None)
+        system = build_svqa(trace=False)
         assert system.tracer is None
         assert system.finished_spans() == []
         assert system.spans_jsonl() == ""
@@ -59,7 +59,7 @@ class TestZeroCostOff:
 
 class TestTracing:
     def test_answer_records_a_question_trace(self):
-        system = build_svqa(observability=ObservabilityConfig())
+        system = build_svqa(trace=True)
         system.answer(QUESTIONS[0])
         spans = system.finished_spans()
         names = {s.name for s in spans}
@@ -70,7 +70,7 @@ class TestTracing:
         assert "cache.scope" in names
 
     def test_build_trace_recorded(self):
-        system = build_svqa(observability=ObservabilityConfig())
+        system = build_svqa(trace=True)
         build_spans = [s for s in system.finished_spans()
                        if s.trace_id == "build"]
         names = {s.name for s in build_spans}
@@ -78,7 +78,7 @@ class TestTracing:
         assert "aggregate.merge" in names
 
     def test_trace_ids_unique_across_calls(self):
-        system = build_svqa(observability=ObservabilityConfig())
+        system = build_svqa(trace=True)
         system.answer(QUESTIONS[0])
         system.answer_many(QUESTIONS[:2])
         system.answer(QUESTIONS[1])
@@ -91,7 +91,7 @@ class TestTracing:
             ["q0000", "q0001", "q0002", "q0003"]
 
     def test_cache_spans_carry_hit_attribute(self):
-        system = build_svqa(observability=ObservabilityConfig())
+        system = build_svqa(trace=True)
         system.answer(QUESTIONS[0])
         system.answer(QUESTIONS[0])
         scope = [s for s in system.finished_spans()
@@ -101,7 +101,7 @@ class TestTracing:
 
     def test_same_seed_exports_are_byte_identical(self):
         def export():
-            system = build_svqa(observability=ObservabilityConfig())
+            system = build_svqa(trace=True)
             system.answer_many(QUESTIONS)
             return system.spans_jsonl()
 
@@ -110,9 +110,9 @@ class TestTracing:
 
 class TestWorkerInvariance:
     def test_span_multiset_is_worker_count_invariant(self):
-        serial, _ = run_batch(observability=ObservabilityConfig(),
+        serial, _ = run_batch(trace=True,
                               workers=1)
-        parallel, _ = run_batch(observability=ObservabilityConfig(),
+        parallel, _ = run_batch(trace=True,
                                 workers=4)
         assert span_multiset(serial.finished_spans()) == \
             span_multiset(parallel.finished_spans())
@@ -120,7 +120,7 @@ class TestWorkerInvariance:
 
 class TestMetricsFacade:
     def test_registry_and_report_agree(self):
-        system, _ = run_batch(observability=ObservabilityConfig())
+        system, _ = run_batch(trace=True)
         report = system.execution_report().stats
         registry = system.metrics
         snap = registry.to_json()

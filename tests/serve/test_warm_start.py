@@ -26,7 +26,6 @@ from repro.dataset.movie import (
 from repro.core.pipeline import SVQA, SVQAConfig
 from repro.graph.durable import DurableStore
 from repro.graph.store import extensional_digest
-from repro.observability import ObservabilityConfig
 from repro.serve import ServeConfig, build_service
 from repro.serve.app import _warm_start, build_svqa_with_store
 from repro.vision.detector import DetectorConfig
@@ -87,7 +86,7 @@ class TestWarmStartSkipsVisionPipeline:
             build_movie_kg(),
             SVQAConfig(
                 detector=DetectorConfig(label_noise=0.0, miss_rate=0.0),
-                observability=ObservabilityConfig(trace=True),
+                trace=True,
             ),
             annotations=movie.annotations,
         )
