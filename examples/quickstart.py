@@ -39,7 +39,7 @@ def main() -> None:
     question = movie.flagship_question
     print(f"\n{describe_query_graph(svqa.parse_question(question))}")
 
-    # 4. answer it: parse, plan and execute over the merged graph
+    # 4. answer it: parse and execute over the merged graph
     #    (Algorithm 3); the latency is the execute phase's
     answer = svqa.answer(question)
     print(f"\nQ: {question}")

@@ -671,8 +671,8 @@ class CandidateIndexDisciplineRule(CodeRule):
             f"raw write to the {store.attr} store bypasses the "
             "retiring cache API — no graph write could retire the "
             "entry",
-            hint=f"store through KeyCentricCache.put_{store.attr}"
-                 f"(key, value, deps, stamp)",
+            hint=f"store through KeyCentricCache."
+                 f"{store.attr}_get_or_compute(key, compute, stamp)",
         )]
 
     def _check_cache_key(

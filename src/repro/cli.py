@@ -6,7 +6,6 @@ Commands
 ``serve``         long-lived QA server: POST /ask, /healthz, /metrics
 ``mvqa``          build MVQA and evaluate SVQA on it (Exp-1 / Table III)
 ``bench``         concurrent batch benchmark + executor statistics
-``plan``          print the shared-sub-plan forest for an MVQA batch
 ``profile``       MVQA suite with tracing: per-stage sim-time breakdown
 ``trace``         answer one question and print its span tree
 ``chaos``         fault-injection sweep: accuracy decay vs fault rate
@@ -265,9 +264,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ["validation warnings", str(stats.validation_warnings)],
         ["validation errors", str(stats.validation_errors)],
         ["stale scope drops", str(stats.stale_scope_drops)],
-        ["plan batches", str(stats.plan_batches)],
-        ["plan nodes", str(stats.plan_nodes)],
-        ["plan shared nodes", str(stats.plan_shared_nodes)],
         ["plan neighborhood fills", str(stats.plan_neighborhood_fills)],
         ["ann fresh scores", str(stats.retrieval_ann_fresh)],
         ["ann memo probes", str(stats.retrieval_ann_probes)],
@@ -290,22 +286,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("Metric definitions (repro bench --explain):")
         for line in explain_lines():
             print(line)
-    return 0
-
-
-def _cmd_plan(args: argparse.Namespace) -> int:
-    """Print the shared-sub-plan forest for an MVQA batch."""
-    from repro.core import render_forest
-
-    dataset, svqa = _build_mvqa_svqa(args)
-    svqa.answer_many([q.text for q in dataset.questions],
-                     workers=args.workers)
-    plan = svqa.last_plan
-    assert plan is not None
-    print(render_forest(plan.forest, limit=args.top))
-    print(f"  share phase: {plan.share.shared_scopes} scopes + "
-          f"{plan.share.shared_neighborhoods} neighborhoods computed "
-          f"once, {plan.share.charged_seconds:.3f} s charged")
     return 0
 
 
@@ -848,17 +828,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="print one definition line per reported "
                             "metric (from the shared glossary)")
     bench.set_defaults(handler=_cmd_bench)
-
-    plan = commands.add_parser(
-        "plan",
-        help="print the shared-sub-plan forest for an MVQA batch",
-    )
-    plan.add_argument("--fast", action="store_true")
-    plan.add_argument("--workers", type=_positive_int, default=1,
-                      help="worker threads for batch answering")
-    plan.add_argument("--top", type=_positive_int, default=12,
-                      help="shared nodes to list, by fan-out uses")
-    plan.set_defaults(handler=_cmd_plan)
 
     profile = commands.add_parser(
         "profile",

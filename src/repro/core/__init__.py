@@ -30,19 +30,6 @@ from repro.core.pipeline import (
     SVQAConfig,
     estimate_parallel_latency,
 )
-from repro.core.planner import (
-    PlanForest,
-    PlanNode,
-    PlannedBatch,
-    QueryPlan,
-    SharedNode,
-    build_forest,
-    build_plans,
-    canonicalize,
-    execute_shared,
-    plan_order,
-    render_forest,
-)
 from repro.core.stats import ExecutorStats, ExecutorStatsReport
 from repro.core.query_graph import (
     describe_query_graph,
@@ -73,34 +60,23 @@ __all__ = [
     "LRUCache",
     "MergeStats",
     "MergedGraph",
-    "PlanForest",
-    "PlanNode",
-    "PlannedBatch",
     "QueryGraph",
     "QueryGraphExecutor",
-    "QueryPlan",
     "QuestionType",
     "SPOC",
     "SVQA",
     "SVQAConfig",
     "SchedulePlan",
-    "SharedNode",
     "Term",
     "VertexResult",
-    "build_forest",
-    "build_plans",
-    "canonicalize",
     "describe_query_graph",
     "estimate_parallel_latency",
-    "execute_shared",
     "extract_spoc",
     "final_answer",
     "generate_query_graph",
     "make_cache",
-    "plan_order",
     "query_graph_from_tree",
     "render_answer",
-    "render_forest",
     "schedule_queries",
     "segment_clauses",
     "validate_spoc",

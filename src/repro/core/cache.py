@@ -13,11 +13,12 @@ The executor's two expensive operations are cached:
   one cached neighborhood serves every predicate over the same
   endpoints.
 
-A third store holds the planner's shared neighborhoods (``nbr``): the
-full non-taxonomy edge set on one side of a label's vertices, from
-which a path miss over those endpoints derives its pairs by membership
-filtering instead of rescanning (:mod:`repro.core.planner`).  It is on
-exactly when the path store is.
+A third store holds neighborhoods (``nbr``): the full non-taxonomy
+edge set on one side of a label's vertices, keyed by that one endpoint
+(``("nbr", direction, label)``).  The executor fills one on a path
+miss anchored on a static label, and a later path miss under the same
+label derives its pairs from it by membership filtering instead of
+rescanning.  It is on exactly when the path store is.
 
 All three sit on an evicting store; the paper uses LFU [39] and
 compares it against LRU [47] in Figure 11, so both policies are
@@ -367,7 +368,7 @@ class KeyCentricCache:
                 for key in keys:
                     self._index.discard(key)
                 # counted: the scope and path entries (the stale-drop
-                # family's meaning); neighborhoods are plan work
+                # family's meaning), not neighborhoods
                 dropped = self.scope.drop_where(keys.__contains__) \
                     + self.path.drop_where(keys.__contains__)
                 self.nbr.drop_where(keys.__contains__)
@@ -430,23 +431,6 @@ class KeyCentricCache:
         if self.enabled_path:
             self._store(self.path, key, value, deps, stamp)
 
-    # neighborhood --------------------------------------------------------
-    def get_nbr(self, key: Hashable) -> Any | None:
-        """Neighborhood-store lookup (``None`` when the path store is
-        disabled or the key is missing)."""
-        if not self.enabled_path:
-            return None
-        found = self.nbr.get(key)
-        return None if found is None else found[0]
-
-    def put_nbr(self, key: Hashable, value: Any,
-                deps: tuple[Reads, ...] = (),
-                stamp: int | None = None) -> None:
-        """Store a shared neighborhood computed under ``stamp`` (no-op
-        when the path store is disabled)."""
-        if self.enabled_path:
-            self._store(self.nbr, key, value, deps, stamp)
-
     # atomic get-or-compute ------------------------------------------------
     def scope_get_or_compute(
         self, key: Hashable, compute: Computation,
@@ -467,6 +451,17 @@ class KeyCentricCache:
         """``(value, deps, hit)`` for a path key, as
         :meth:`scope_get_or_compute`."""
         return self._get_or_compute(self.path, self.enabled_path,
+                                    key, compute, stamp, accept)
+
+    def nbr_get_or_compute(
+        self, key: Hashable, compute: Computation,
+        stamp: int | None = None,
+        accept: Callable[[Any], bool] | None = None,
+    ) -> tuple[Any, tuple[Reads, ...], bool]:
+        """``(value, deps, hit)`` for a neighborhood key, as
+        :meth:`scope_get_or_compute`; on exactly when the path store
+        is."""
+        return self._get_or_compute(self.nbr, self.enabled_path,
                                     key, compute, stamp, accept)
 
     def _get_or_compute(
@@ -495,11 +490,13 @@ class KeyCentricCache:
         if found is not None:
             return found[0], found[1], True
         stats = self._stats
-        if rejected and stats is not None:
-            # a write made it stale; it is found out on this read
+        if rejected and stats is not None and store is not self.nbr:
+            # a write made it stale; it is found out on this read (a
+            # neighborhood rejected for other endpoint ids is not a
+            # scope/path entry, so it is not counted)
             stats.record_stale_scope_drops(1)
-        # single-flight: scope and path keys share the in-flight table
-        # without colliding because every key is prefix-tagged
+        # single-flight: the stores share the in-flight table without
+        # colliding because every key is prefix-tagged
         with self._inflight_lock:
             note_write("cache.inflight", key)
             entry = self._inflight.get(key)

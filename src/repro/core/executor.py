@@ -20,7 +20,9 @@ vertices toward the main clause.  For every vertex it
 4. **propagates** the surviving labels along S2S/S2O/O2S/O2O edges to
    its consumers (Update stage).
 
-The key-centric cache short-circuits steps 1 (scope) and 2 (path).
+The key-centric cache short-circuits steps 1 (scope) and 2 (path; a
+path miss on a static head scans that head's whole neighborhood once
+and later misses under it filter their pairs from it).
 Its keys name what was asked (a label, a pair of slot keys); each
 entry records what its computation read, and the cache observes the
 merged graph's writes, so a mutation after merge retires the entries
@@ -772,51 +774,6 @@ class QueryGraphExecutor:
                            match.labels, len(direct), self.graph.epoch)
         return entry, (reads,)
 
-    # ------------------------------------------------------------------
-    # planner share phase (multi-query plan sharing)
-    # ------------------------------------------------------------------
-    def plan_scope_entry(
-        self, label: str
-    ) -> tuple[tuple, ScopeEntry, tuple[Reads, ...]]:
-        """Compute one shared scope node for the planner's share phase.
-
-        Returns the exact ``(key, value, deps)`` the scope store would
-        hold after a miss on ``label``, charging the clock like that
-        miss (``scope_scan`` + per-candidate ``vertex_match``) but
-        touching no cache counters — the share phase is plan work, not
-        a query request.
-        """
-        return ("scope", label.lower()), *self._scope_value(label)
-
-    def plan_neighborhood(
-        self, direction: str, vertices: list[Vertex]
-    ) -> list[RelationPair]:
-        """Compute one shared neighborhood for the share phase.
-
-        The full non-structural edge set on one side of a vertex set:
-        ``direction="out"`` pairs each vertex with its out-neighbors
-        (what the subject branches of ``_relation_pairs`` scan),
-        ``"in"`` with its in-neighbors (the objects-only branch).
-        Charges ``path_probe`` plus the true ``edge_scan`` mass, i.e.
-        exactly what one cold path request over these endpoints pays —
-        every *other* consumer of the result then derives its pairs by
-        membership filtering instead of rescanning.
-        """
-        if direction not in ("out", "in"):
-            raise ValueError(f"direction must be 'out' or 'in', "
-                             f"got {direction!r}")
-        if self.clock is not None:
-            self.clock.charge("path_probe")
-            ids = [v.id for v in vertices]
-            if direction == "out":
-                scans = self.graph.out_degree_sum(ids)
-            else:
-                scans = self.graph.in_degree_sum(ids)
-            self.clock.charge("edge_scan", times=scans)
-        if direction == "out":
-            return self._out_relation_pairs(vertices)
-        return self._in_relation_pairs(vertices)
-
     def _match_possessive(self, term: Term) -> list[Vertex]:
         """"Harry Potter's girlfriend": resolve the owner, follow its
         most similar out-edge, expand the targets."""
@@ -962,34 +919,19 @@ class QueryGraphExecutor:
         def scan() -> list[RelationPair]:
             if self.clock is not None:
                 self.clock.charge("path_probe")
-            # path-store miss: when the neighborhood store holds the
-            # shared neighborhood of these endpoints, derive the exact
-            # pair list by membership filtering (pair_filter per stored
-            # pair) instead of rescanning the edge mass
-            derived = self._pairs_from_neighborhood(
-                spoc, binding, subjects, objects, stamp)
-            if derived is not None:
-                return derived
-            if self.clock is not None:
-                # charge the edge mass of the branch actually taken:
-                # the subject branches scan subject out-edges, but the
-                # objects-only branch scans every object's *in*-edges
-                # (charging subject out-degrees there billed zero work
-                # while the scan still happened)
-                if subjects:
-                    scans = self.graph.out_degree_sum(
-                        [v.id for v in subjects])
-                else:
-                    scans = self.graph.in_degree_sum(
-                        [v.id for v in objects])
-                self.clock.charge("edge_scan", times=scans)
-            if subjects and objects:
-                return [p for p in relations_between(
-                            self.graph, subjects, objects)
-                        if p.edge.label not in TAXONOMY_LABELS]
-            if subjects:
-                return self._out_relation_pairs(subjects)
-            return self._in_relation_pairs(objects)
+            # path-store miss on a static head: its whole neighborhood
+            # is read from (or scanned once into) the neighborhood
+            # store, and this request's pairs are filtered from it
+            edges = self._neighborhood_edges(spoc, binding, subjects,
+                                             objects, stamp)
+            if edges is None:
+                self._charge_edge_scan(subjects, objects)
+                if subjects and objects:
+                    return [p for p in relations_between(
+                                self.graph, subjects, objects)
+                            if p.edge.label not in TAXONOMY_LABELS]
+                edges = self._side_edges(subjects, objects)
+            return self._pairs_on(edges, subjects, objects)
 
         with maybe_span(self.tracer, "cache.path",
                         key=str(key)) as span:
@@ -1006,52 +948,77 @@ class QueryGraphExecutor:
         # corrupt the cache entry for every subsequent hit
         return list(entry.pairs)
 
-    def _out_relation_pairs(
-        self, vertices: list[Vertex]
-    ) -> list[RelationPair]:
-        """Every non-taxonomy out-edge of ``vertices`` as a pair."""
-        vertex = self.graph.vertex
-        return [
-            RelationPair(subject, edge, vertex(edge.dst))
-            for subject in vertices
-            for edge in self.graph.out_edges(subject.id)
-            if edge.label not in TAXONOMY_LABELS
-        ]
+    def _side_edges(self, subjects: list[Vertex],
+                    objects: list[Vertex]) -> list[Edge]:
+        """The non-taxonomy edges a path miss scans: every out-edge of
+        the subjects, or with no subjects every in-edge of the objects,
+        in vertex then adjacency order."""
+        if subjects:
+            adjacent, sources = self.graph.out_edges, subjects
+        else:
+            adjacent, sources = self.graph.in_edges, objects
+        return [edge for v in sources for edge in adjacent(v.id)
+                if edge.label not in TAXONOMY_LABELS]
 
-    def _in_relation_pairs(
-        self, vertices: list[Vertex]
-    ) -> list[RelationPair]:
-        """Every non-taxonomy in-edge of ``vertices`` as a pair."""
+    def _pairs_on(self, edges: list[Edge], subjects: list[Vertex],
+                  objects: list[Vertex]) -> list[RelationPair]:
+        """The relation pairs of ``edges`` (from :meth:`_side_edges`
+        over these endpoints) that run between ``subjects`` and
+        ``objects``; an empty side is unconstrained."""
         vertex = self.graph.vertex
-        return [
-            RelationPair(vertex(edge.src), edge, obj)
-            for obj in vertices
-            for edge in self.graph.in_edges(obj.id)
-            if edge.label not in TAXONOMY_LABELS
-        ]
+        if not subjects:
+            object_map = {v.id: v for v in objects}
+            return [RelationPair(vertex(e.src), e, object_map[e.dst])
+                    for e in edges]
+        subject_map = {v.id: v for v in subjects}
+        if not objects:
+            return [RelationPair(subject_map[e.src], e, vertex(e.dst))
+                    for e in edges]
+        object_map = {v.id: v for v in objects}
+        return [RelationPair(subject_map[e.src], e, object_map[e.dst])
+                for e in edges if e.dst in object_map]
 
-    def _pairs_from_neighborhood(
+    def _charge_edge_scan(self, subjects: list[Vertex],
+                          objects: list[Vertex]) -> None:
+        """Charge the edge mass of the branch a path miss takes: the
+        subject branches scan subject out-edges, the objects-only
+        branch every object's *in*-edges."""
+        if self.clock is None:
+            return
+        if subjects:
+            scans = self.graph.out_degree_sum([v.id for v in subjects])
+        else:
+            scans = self.graph.in_degree_sum([v.id for v in objects])
+        self.clock.charge("edge_scan", times=scans)
+
+    def _neighborhood_edges(
         self,
         spoc: SPOC,
         binding: dict[str, list[str] | None],
         subjects: list[Vertex],
         objects: list[Vertex],
         stamp: int | None,
-    ) -> list[RelationPair] | None:
-        """Derive a path result from a shared neighborhood, if possible.
+    ) -> list[Edge] | None:
+        """A path miss's :meth:`_side_edges`, read from its head's
+        neighborhood.
 
-        Applies only when the branch ``_relation_pairs`` would take is
-        anchored on a *static* plain term (no provider binding, no
-        possessive) whose shared neighborhood the cache holds, **and**
-        the neighborhood was computed from exactly the vertex set
-        resolved at runtime (a write that moved the label's vertices,
-        or degraded slot resolution — a retry-exhausted match falling
-        back to an empty set — therefore falls through to the normal
-        scan).  Nothing is derived while a write is being retired
-        (``stamp`` is ``None``).  Returns ``None`` when no derivation
-        applies; the caller then pays the ordinary edge-scan cost.
+        A neighborhood is a §V-B path item keyed by one endpoint: the
+        non-taxonomy edges on one side of a head's vertices, stored
+        under ``("nbr", direction, head)`` with the vertex ids it was
+        read from.  It applies only when the branch
+        :meth:`_relation_pairs` takes is anchored on a *static* plain
+        term (no provider binding, no possessive), the path store is
+        on, and no write is being retired (``stamp`` is not ``None``);
+        otherwise this returns ``None`` and the caller scans as usual.
+
+        A held neighborhood whose ids equal the runtime endpoint ids
+        is used, charging ``pair_filter`` per stored edge.  Otherwise
+        (a miss, a write that moved the head's vertices, or degraded
+        slot resolution) the whole neighborhood is scanned once
+        through the store's single-flight, charging the same
+        ``edge_scan`` mass as a plain miss, and stored.
         """
-        if stamp is None:
+        if stamp is None or not self.cache.enabled_path:
             return None
         if subjects:
             slot, direction, sources = "subject", "out", subjects
@@ -1063,23 +1030,29 @@ class QueryGraphExecutor:
         if binding[slot] is not None or term is None \
                 or term.owner is not None:
             return None
-        entry = self.cache.get_nbr(("nbr", direction, term.head.lower()))
-        if entry is None:
-            return None
-        source_ids, stored = entry
-        if source_ids != tuple(v.id for v in sources):
-            return None
-        if self.clock is not None:
-            self.clock.charge("pair_filter", times=len(stored))
-        if self.stats is not None:
-            self.stats.record_neighborhood_fill()
-        if subjects and objects:
-            object_map = {v.id: v for v in objects}
-            return [
-                RelationPair(p.subject, p.edge, object_map[p.edge.dst])
-                for p in stored if p.edge.dst in object_map
-            ]
-        return list(stored)
+        ids = tuple(v.id for v in sources)
+
+        def fill() -> tuple[tuple[tuple[int, ...], list[Edge]],
+                            tuple[Reads, ...]]:
+            self._charge_edge_scan(subjects, objects)
+            edges = self._side_edges(subjects, objects)
+            edge_ids = [edge.id for edge in edges]
+            reads = Reads(out_of=ids, edges=edge_ids) if subjects \
+                else Reads(into=ids, edges=edge_ids)
+            return (ids, edges), (reads,)
+
+        (source_ids, edges), _, held = self.cache.nbr_get_or_compute(
+            ("nbr", direction, term.head.lower()), fill, stamp,
+            lambda entry: entry[0] == ids)
+        if source_ids != ids:
+            # a concurrent fill from other endpoint ids: scan our own
+            (_, edges), _ = fill()
+        elif held:
+            if self.clock is not None:
+                self.clock.charge("pair_filter", times=len(edges))
+            if self.stats is not None:
+                self.stats.record_neighborhood_fill()
+        return edges
 
     def _slot_key(
         self, term: Term | None, bound: list[str] | None

@@ -6,15 +6,15 @@
   the results with the knowledge graph (Data Aggregator, §III);
 * **answer_many** — the path every question takes: decompose each
   question into a query graph (§IV), then execute the batch over the
-  merged graph (§V) with the §V-B optimizations: cross-query plan
-  sharing (:mod:`repro.core.planner`), key-centric caching,
-  frequency-ratio scheduling, and concurrent execution on a
-  configurable worker pool (``SVQAConfig.workers``);
+  merged graph (§V) with the §V-B optimizations: key-centric caching
+  (scope, path and neighborhood items), frequency-ratio scheduling,
+  and concurrent execution on a configurable worker pool
+  (``SVQAConfig.workers``);
 * **answer** — a one-question :meth:`SVQA.answer_many`.
 
 All latencies are accounted on a :class:`~repro.simtime.SimClock`
 (see that module for why).  Every answer carries its execute phase's
-simulated latency; parsing and plan sharing charge the session clock.
+simulated latency; parsing charges the session clock.
 """
 
 from __future__ import annotations
@@ -42,19 +42,9 @@ from repro.core.aggregator import AggregatorConfig, DataAggregator, MergedGraph
 from repro.core.answer import Answer, fallback_answer
 from repro.core.batch import BatchExecutor, BatchResult
 from repro.core.cache import CacheReport, KeyCentricCache
-from repro.core.executor import (
-    ExecutorConfig,
-    ExecutorMemo,
-    QueryGraphExecutor,
-)
-from repro.core.planner import (
-    PlannedBatch,
-    build_forest,
-    build_plans,
-    execute_shared,
-    plan_order,
-)
+from repro.core.executor import ExecutorConfig, ExecutorMemo
 from repro.core.query_graph import QueryGraphMemo, generate_query_graph
+from repro.core.scheduler import schedule_queries
 from repro.core.spoc import QueryGraph
 from repro.core.stats import ExecutorStats, ExecutorStatsReport
 
@@ -140,10 +130,8 @@ class SVQA:
         self._executor_memo = ExecutorMemo()
         self._stats = ExecutorStats()
         self._last_batch: BatchResult | None = None
-        self._last_plan: PlannedBatch | None = None
         self.tracer: Tracer | None = None
         self._trace_seq = 0
-        self._plan_seq = 0
         if self.config.trace:
             self.tracer = Tracer()
         self.resilience = ResilienceManager(self.config.resilience,
@@ -335,8 +323,8 @@ class SVQA:
         (the serving layer maps the ``Deadline-Ms`` request header
         here); execution past the budget is cut off with the best
         partial, degraded answer.  ``latency`` is the execute phase's
-        simulated seconds; parsing and plan sharing charge the session
-        clock (:attr:`elapsed`).
+        simulated seconds; parsing charges the session clock
+        (:attr:`elapsed`).
         """
         return self.answer_many([question], deadlines=[deadline])[0]
 
@@ -348,9 +336,8 @@ class SVQA:
     ) -> list[Answer]:
         """Answer a batch with the §V-B multi-query optimizations.
 
-        Query graphs are generated for all questions and planned
-        (:meth:`_plan_batch`: sub-plans shared across the batch run
-        once up front), executed in the planned order against the
+        Query graphs are generated for all questions, ordered
+        (:meth:`_batch_order`), and executed in that order against the
         shared thread-safe key-centric cache on ``workers`` pool
         threads (``workers=1``, the default, runs serially in the
         calling thread), and returned in input order.  Each worker
@@ -388,7 +375,7 @@ class SVQA:
             pre_events.append(events)
             parse_caps.append(cap)
 
-        order = self._plan_batch(merged, graphs)
+        order = self._batch_order(graphs)
         batch = BatchExecutor(
             merged, cache=self._cache,
             config=self.config.executor, workers=workers,
@@ -405,54 +392,16 @@ class SVQA:
         )
         return result.answers
 
-    def _plan_batch(self, merged: MergedGraph,
-                    graphs: list[QueryGraph | None]) -> list[int]:
-        """Plan one :meth:`answer_many` batch.
-
-        Canonicalizes the parsed graphs, detects structurally shared
-        sub-plans across the batch (only of the kinds whose cache is
-        enabled — sharing is cross-query reuse), executes each shared
-        node exactly once on the main thread into the session's cache
-        (the ``planner.share`` span, charged to the aggregate clock),
-        and returns the submission order: affinity-clustered
-        frequency-ratio order with the scheduler on (unparseable slots
-        last), the input order with it off.
-        """
-        config = self.config
+    def _batch_order(self, graphs: list[QueryGraph | None]) -> list[int]:
+        """The submission order of one :meth:`answer_many` batch: the
+        §V-B frequency-ratio order with the scheduler on (unparseable
+        slots last), the input order with it off."""
+        if not self.config.enable_scheduler:
+            return list(range(len(graphs)))
         valid = [i for i, g in enumerate(graphs) if g is not None]
-        valid_graphs: list[QueryGraph] = \
-            [g for g in graphs if g is not None]
-        plans = build_plans(valid_graphs)
-        enabled = {"scope": config.enable_scope_cache,
-                   "neighborhood": config.enable_path_cache}
-        kinds = [kind for kind, on in enabled.items() if on]
-        forest = build_forest(plans, kinds=kinds)
-        if config.enable_scheduler:
-            order = [valid[p] for p in plan_order(plans, forest)] + \
-                [i for i, g in enumerate(graphs) if g is None]
-        else:
-            order = list(range(len(graphs)))
-        share_executor = QueryGraphExecutor(
-            merged, cache=self._cache, clock=self.clock,
-            config=config.executor, stats=self._stats,
-            resilience=self.resilience, tracer=self.tracer,
-            memo=self._executor_memo,
-        )
-        trace_id = f"plan{self._plan_seq:04d}"
-        self._plan_seq += 1
-        with maybe_trace(self.tracer, trace_id, self.clock), \
-                maybe_span(self.tracer, "planner.share",
-                           queries=len(valid_graphs)) as span:
-            share = execute_shared(forest, share_executor,
-                                   stats=self._stats)
-            if span is not None:
-                span.set("shared_scopes", share.shared_scopes)
-                span.set("shared_neighborhoods",
-                         share.shared_neighborhoods)
-        self._stats.record_plan_batch(forest.node_counts())
-        self._last_plan = PlannedBatch(forest=forest, order=order,
-                                       share=share)
-        return order
+        schedule = schedule_queries([graphs[i] for i in valid])
+        return [valid[p] for p in schedule.order] + \
+            [i for i, g in enumerate(graphs) if g is None]
 
     def _attach_batch_provenance(
         self,
@@ -502,12 +451,6 @@ class SVQA:
     def last_batch(self) -> BatchResult | None:
         """The most recent ``answer_many`` run's :class:`BatchResult`."""
         return self._last_batch
-
-    @property
-    def last_plan(self) -> PlannedBatch | None:
-        """The most recent planned batch (``None`` until
-        ``answer_many`` has run)."""
-        return self._last_plan
 
     @property
     def stats(self) -> ExecutorStats:

@@ -97,13 +97,7 @@ class ExecutorStatsReport:
     stale_scope_drops: int = 0
     #: warm starts that degraded to a full vision-pipeline rebuild
     store_rebuilds: int = 0
-    #: batches routed through the cost-based multi-query planner
-    plan_batches: int = 0
-    #: canonical plan nodes discovered across planned batches
-    plan_nodes: int = 0
-    #: shared sub-plan nodes executed once and fanned out
-    plan_shared_nodes: int = 0
-    #: path-store misses derived from a shared neighborhood
+    #: path-store misses derived from a held neighborhood
     plan_neighborhood_fills: int = 0
     #: score-memo lookups computed for the first time (charged
     #: ``embed_score``)
@@ -214,21 +208,9 @@ class ExecutorStats:
             "Circuit-breaker state by site "
             "(0=closed, 1=half-open, 2=open).",
             labels=("site",))
-        self._plan_batches = r.counter(
-            "svqa_plan_batches_total",
-            "Batches routed through the multi-query planner.")
-        self._plan_nodes = r.counter(
-            "svqa_plan_nodes_total",
-            "Canonical plan nodes discovered, by kind.",
-            labels=("kind",))
-        self._plan_shared = r.counter(
-            "svqa_plan_shared_nodes_total",
-            "Shared sub-plan nodes executed once and fanned out, "
-            "by kind.",
-            labels=("kind",))
         self._plan_fills = r.counter(
             "svqa_plan_neighborhood_fills_total",
-            "Path-store misses derived from a shared neighborhood "
+            "Path-store misses derived from a held neighborhood "
             "instead of rescanning.")
         self._ann_lookups = r.counter(
             "svqa_retrieval_ann_lookups_total",
@@ -330,21 +312,8 @@ class ExecutorStats:
         if count > 0:
             self._stale_drops.inc(count)
 
-    def record_plan_batch(self, nodes: dict[str, int]) -> None:
-        """One batch went through the planner, discovering ``nodes``
-        canonical plan nodes (keyed by node kind); the shared subset
-        is recorded per execution by :meth:`record_plan_shared`."""
-        self._plan_batches.inc()
-        for kind, count in sorted(nodes.items()):
-            if count > 0:
-                self._plan_nodes.inc(count, kind=kind)
-
-    def record_plan_shared(self, kind: str) -> None:
-        """The share phase executed one shared sub-plan node."""
-        self._plan_shared.inc(kind=kind)
-
     def record_neighborhood_fill(self) -> None:
-        """One path-store miss derived its pairs from a shared
+        """One path-store miss derived its pairs from a held
         neighborhood instead of rescanning."""
         self._plan_fills.inc()
 
@@ -406,9 +375,6 @@ class ExecutorStats:
             degraded_answers=int(self._degraded.total()),
             stale_scope_drops=int(self._stale_drops.total()),
             store_rebuilds=int(self._store_rebuilds.total()),
-            plan_batches=int(self._plan_batches.total()),
-            plan_nodes=int(self._plan_nodes.total()),
-            plan_shared_nodes=int(self._plan_shared.total()),
             plan_neighborhood_fills=int(self._plan_fills.total()),
             retrieval_ann_fresh=int(lookups.get("fresh", 0.0)),
             retrieval_ann_probes=int(lookups.get("probe", 0.0)),

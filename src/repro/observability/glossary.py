@@ -16,7 +16,7 @@ BENCH_GLOSSARY: dict[str, str] = {
         "parallel deployment actually waits for.",
     "sim total":
         "Total simulated work summed over all worker-lane clock "
-        "shards (excludes the planner's main-thread share phase).",
+        "shards (excludes parsing, charged on the main thread).",
     "speedup":
         "Simulated total work divided by the makespan.",
     "wall":
@@ -53,16 +53,8 @@ BENCH_GLOSSARY: dict[str, str] = {
     "stale scope drops":
         "Cache entries a write made stale "
         "(svqa_stale_scope_drops_total).",
-    "plan batches":
-        "Batches routed through the multi-query planner "
-        "(svqa_plan_batches_total).",
-    "plan nodes":
-        "Canonical plan nodes discovered (svqa_plan_nodes_total).",
-    "plan shared nodes":
-        "Sub-plan nodes executed once and fanned out "
-        "(svqa_plan_shared_nodes_total).",
     "plan neighborhood fills":
-        "Path-store misses derived from a shared neighborhood "
+        "Path-store misses derived from a held neighborhood "
         "(svqa_plan_neighborhood_fills_total).",
     "ann fresh scores":
         "Embedding scores computed for the first time "

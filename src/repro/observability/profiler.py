@@ -133,11 +133,11 @@ def charge_ceiling_violations(
     The checked-in baseline counts are the contract: the candidate
     index must keep ``vertex_match`` at or below the number of
     candidates it examined when the baseline was recorded, the
-    multi-query planner must keep ``edge_scan`` at or below the
-    post-plan-sharing mass, and the embedding score memo must keep
-    ``embed_score`` at or below the post-memo fresh-score mass — an
-    accidental return to linear scanning (or to re-embedding every
-    candidate pair) fails CI instead of silently re-inflating
+    path and neighborhood stores must keep ``edge_scan`` at or below
+    the mass recorded with their reuse, and the embedding score memo
+    must keep ``embed_score`` at or below the post-memo fresh-score
+    mass — an accidental return to linear scanning (or to re-embedding
+    every candidate pair) fails CI instead of silently re-inflating
     simulated latency.
     """
     recorded = baseline.get("clock_counts", {})

@@ -56,7 +56,6 @@ SPAN_NAMES: frozenset[str] = frozenset({
     "cache.path",        # one getRelationpairs path-store access
     "executor.match",    # resolving one query-graph slot
     "executor.execute",  # Algorithm 3 over one query graph
-    "planner.share",     # shared sub-plan execution for one batch
     "resilience.retry",  # one backoff before a retry attempt
     "store.snapshot",    # writing one durable-store snapshot
     "store.wal_append",  # appending one mutation to the WAL

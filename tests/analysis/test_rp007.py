@@ -111,12 +111,14 @@ class TestEpochTaggedKeys:
         assert [d.rule_id for d in report] == ["RP007"]
 
     def test_planner_node_keys_carry_no_epoch_either(self):
+        # the batch planner (the §V-B scheduler) keys nodes outside
+        # the executor and the cache; the rule holds there too
         report = lint(
             """
             def node_key(term, epoch):
                 return ("scope", epoch, term.head.lower())
             """,
-            path="src/repro/core/planner.py",
+            path="src/repro/core/scheduler.py",
         )
         assert [d.rule_id for d in report] == ["RP007"]
 
@@ -161,10 +163,10 @@ class TestRetiringStoreWrites:
         assert [d.rule_id for d in report] == ["RP007"]
 
     def test_raw_neighborhood_store_put_fires(self):
-        report = lint("self.cache.nbr.put(key, (ids, pairs))\n",
-                      path="src/repro/core/planner.py")
+        report = lint("self.cache.nbr.put(key, (ids, edges))\n",
+                      path="src/repro/core/executor.py")
         assert [d.rule_id for d in report] == ["RP007"]
-        assert "put_nbr" in next(iter(report)).hint
+        assert "nbr_get_or_compute" in next(iter(report)).hint
 
     def test_cache_api_is_fine(self):
         report = lint(
@@ -172,7 +174,7 @@ class TestRetiringStoreWrites:
             def store(self, key, value, deps, stamp):
                 self.cache.put_scope(key, value, deps, stamp)
                 self.cache.put_path(key, value, deps, stamp)
-                self.cache.put_nbr(key, value, deps, stamp)
+                self.cache.nbr_get_or_compute(key, compute, stamp)
             """
         )
         assert len(report) == 0

@@ -167,41 +167,52 @@ class TestFactoryAndProperties:
             assert cache.get(key) == key * 10
 
 
+def put_nbr(cache, key, value, deps=(), stamp=None):
+    """Fill a neighborhood through the store's get-or-compute."""
+    cache.nbr_get_or_compute(key, lambda: (value, deps), stamp)
+
+
+def get_nbr(cache, key):
+    """The held neighborhood under ``key`` (``None`` when missing)."""
+    found = cache.nbr.get(key)
+    return None if found is None else found[0]
+
+
 class TestKeyCentric:
     def test_scope_and_path_independent(self):
         cache = KeyCentricCache.create(pool_size=4)
         cache.put_scope("k", [1])
         cache.put_path("k", [2])
-        cache.put_nbr("k", [3])
+        put_nbr(cache, "k", [3])
         assert cache.get_scope("k") == [1]
         assert cache.get_path("k") == [2]
-        assert cache.get_nbr("k") == [3]
+        assert get_nbr(cache, "k") == [3]
 
     def test_disabled_cache_stores_nothing(self):
         cache = KeyCentricCache.disabled()
         cache.put_scope("k", [1])
         cache.put_path("k", [2])
-        cache.put_nbr("k", [3])
+        put_nbr(cache, "k", [3])
         assert cache.get_scope("k") is None
         assert cache.get_path("k") is None
-        assert cache.get_nbr("k") is None
+        assert get_nbr(cache, "k") is None
 
     def test_granularity_flags(self):
         cache = KeyCentricCache.create(pool_size=4, enabled_scope=True,
                                        enabled_path=False)
         cache.put_scope("k", [1])
         cache.put_path("k", [2])
-        cache.put_nbr("k", [3])
+        put_nbr(cache, "k", [3])
         assert cache.get_scope("k") == [1]
         assert cache.get_path("k") is None
         # the neighborhood store follows the path store
-        assert cache.get_nbr("k") is None
+        assert get_nbr(cache, "k") is None
 
     def test_item_count(self):
         cache = KeyCentricCache.create(pool_size=4)
         cache.put_scope("a", 1)
         cache.put_path("b", 2)
-        cache.put_nbr("c", 3)
+        put_nbr(cache, "c", 3)
         assert cache.item_count == 3
 
     def test_report(self):
@@ -403,15 +414,15 @@ class TestRetireStale:
         cache.put_scope("cat", [], (Reads(labels=("cat",)),),
                         cache.stamp())
         cache.put_path("near", [], (Reads(out_of={2}),), cache.stamp())
-        cache.put_nbr("out", [], (Reads(out_of={2}),), cache.stamp())
-        cache.put_nbr("in", [], (Reads(into={2}),), cache.stamp())
+        put_nbr(cache, "out", [], (Reads(out_of={2}),), cache.stamp())
+        put_nbr(cache, "in", [], (Reads(into={2}),), cache.stamp())
         graph.add_vertex("dog")
         assert scope_keys(cache) == ["cat"]
         assert cache.get_path("near") == []
         graph.add_edge(2, 3, "near")
         assert cache.get_path("near") is None
-        assert cache.get_nbr("out") is None
-        assert cache.get_nbr("in") == []
+        assert get_nbr(cache, "out") is None
+        assert get_nbr(cache, "in") == []
         # a taxonomy edge at 2 is not an "other" out-edge of 2
         cache.put_path("near", [], (Reads(out_of={2}),), cache.stamp())
         graph.add_edge(2, 3, "is a")
@@ -442,7 +453,7 @@ class TestRetireStale:
         cache.put_scope("dog", [1], (Reads(held=held, tax_in=held),),
                         cache.stamp())
         cache.put_path("p", [], (Reads(held=held),), cache.stamp())
-        cache.put_nbr("n", [], (Reads(held=held),), cache.stamp())
+        put_nbr(cache, "n", [], (Reads(held=held),), cache.stamp())
         graph.relabel_vertex(1, "cat")
         assert cache.item_count == 0
         # stale drops count scope and path entries only
@@ -502,7 +513,7 @@ class TestRetireStale:
     def test_rebinding_empties_the_stores(self):
         cache, graph = bound_cache()
         cache.put_scope("dog", [0, 1], (), cache.stamp())
-        cache.put_nbr("out", [], (), cache.stamp())
+        put_nbr(cache, "out", [], (), cache.stamp())
         other = Graph()
         cache.bind(other)
         assert cache.item_count == 0

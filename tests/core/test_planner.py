@@ -1,29 +1,39 @@
-"""Tests for cost-based multi-query plan sharing (DESIGN.md §5j).
+"""Differential tests of the batch path against the unplanned oracle.
 
-Plan sharing is the only batch path, so its equivalence suite is
-differential: answers must equal the unplanned, uncached oracle of
-:mod:`tests.core.oracles`.
+There is no planning pass before a batch: ``answer_many`` orders the
+parsed graphs (the §V-B scheduler, or the input order with it off) and
+the executor reuses work through the key-centric cache alone.  A path
+miss anchored on a static head fills that head's neighborhood in the
+cache's ``nbr`` store, and later path misses under the head derive
+their pairs from it (DESIGN.md §5j).  Answers must equal the
+unplanned, uncached oracle of :mod:`tests.core.oracles`.
 """
+
+import sys
+import time
 
 import pytest
 
+from repro.analysis.concurrency.sanitizer import SanitizerConfig
 from repro.core import (
     QueryGraphExecutor,
     SVQA,
     SVQAConfig,
-    build_forest,
-    build_plans,
-    canonicalize,
     generate_query_graph,
-    plan_order,
 )
 from repro.core.cache import KeyCentricCache
+from repro.core.stats import ExecutorStats
 from repro.dataset.kg import build_commonsense_kg
 from repro.graph.observe import Reads
 from repro.synth import SceneGenerator
 from tests.core.oracles import unplanned_answers
 from tests.core.test_executor import make_merged
-from tests.core.test_scope_oracle import mvqa_dataset  # noqa: F401
+from tests.core.test_scope_oracle import (  # noqa: F401 (fixtures)
+    clone,
+    merged_of,
+    mvqa_base,
+    mvqa_dataset,
+)
 
 QUESTIONS = [
     "How many dogs are standing on the grass?",
@@ -35,9 +45,17 @@ QUESTIONS = [
     "Is there a dog near the fence?",
 ]
 
-
-def parse_all(questions=QUESTIONS):
-    return [generate_query_graph(q) for q in questions]
+#: one-clause questions on the static head "dog", each with its own
+#: path key
+DOG_QUESTIONS = [
+    "Is there a dog near the fence?",
+    "How many dogs are standing on the grass?",
+    "Is there a dog near the tree?",
+    "Is there a dog near the car?",
+    "Is there a dog near the bench?",
+    "Is there a dog next to the person?",
+    "Is there a dog near the cat?",
+]
 
 
 def build_system(**config):
@@ -57,65 +75,39 @@ def answer_dicts(system, workers=1):
                                                     workers=workers)]
 
 
-class TestCanonicalization:
-    def test_same_input_same_forest_signature(self):
-        first = build_forest(build_plans(parse_all()))
-        second = build_forest(build_plans(parse_all()))
-        assert first.signature() == second.signature()
-
-    def test_repeated_questions_share_nodes(self):
-        forest = build_forest(build_plans(parse_all()))
-        assert forest.shared, "repeated questions must share sub-plans"
-        scopes = forest.shared_by_kind("scope")
-        assert ("scope", "grass") in [node.node.key for node in scopes]
-        for shared in forest.shared.values():
-            assert shared.uses >= 2
-
-    def test_dynamic_slots_are_not_shared(self):
-        graph = generate_query_graph(
-            "What kind of animals is carried by the pets that are "
-            "standing on the grass?"
-        )
-        plan = canonicalize(graph)
-        # a dependency-fed slot's key depends on runtime bindings, so
-        # it gets no scope node: fewer scope nodes than filled slots
-        slots = sum(spoc.slot(slot) is not None
-                    for spoc in graph.vertices
-                    for slot in ("subject", "object"))
-        scopes = [node for node in plan.nodes if node.kind == "scope"]
-        assert len(graph.edges) > 0
-        assert len(scopes) < slots
-
-    def test_plan_order_is_permutation(self):
-        plans = build_plans(parse_all())
-        forest = build_forest(plans)
-        order = plan_order(plans, forest)
-        assert sorted(order) == list(range(len(plans)))
-
-    def test_kinds_limit_what_is_shared(self):
-        plans = build_plans(parse_all())
-        everything = build_forest(plans)
-        assert everything.shared_counts()["scope"] > 0
-        assert everything.shared_counts()["neighborhood"] > 0
-        scopes = build_forest(plans, kinds=("scope",))
-        assert scopes.shared_counts()["neighborhood"] == 0
-        assert scopes.shared_counts()["scope"] == \
-            everything.shared_counts()["scope"]
-        assert not build_forest(plans, kinds=()).shared
-
-
 def strip_latency(dicts):
-    """Drop ``meta.latency``: sharing lowers per-query charges by
+    """Drop ``meta.latency``: cache reuse lowers per-query charges by
     design, while everything else must be byte-identical."""
     for payload in dicts:
         payload["meta"].pop("latency")
     return dicts
 
 
+def held(cache, key):
+    """The ``(source ids, edges)`` neighborhood the cache holds under
+    ``key``, or ``None``."""
+    found = cache.nbr._values.get(key)
+    return None if found is None else found[0]
+
+
+def fills(system):
+    return system.stats.snapshot().plan_neighborhood_fills
+
+
+def charges_of(system, ask):
+    """The clock charges ``ask()`` adds, by operation."""
+    before = dict(system.clock.counts)
+    result = ask()
+    delta = {name: count - before.get(name, 0)
+             for name, count in system.clock.counts.items()
+             if count != before.get(name, 0)}
+    return result, delta
+
+
 class TestPlannerEquivalence:
-    def test_planner_on_matches_planner_off(self, svqa_on):
-        """The planned batch answers exactly like the unplanned,
-        uncached oracle, at any worker count."""
+    def test_answers_equal_the_unplanned_oracle(self, svqa_on):
+        """A batch answers exactly like the unplanned, uncached
+        oracle, at any worker count."""
         oracle = strip_latency([a.to_dict() for a in
                                 unplanned_answers(svqa_on, QUESTIONS)])
         for workers in (1, 4):
@@ -126,82 +118,65 @@ class TestPlannerEquivalence:
         assert answer_dicts(svqa_on, workers=1) == \
             answer_dicts(svqa_on, workers=4)
 
-    def test_planned_batch_is_recorded(self, svqa_on):
-        svqa_on.answer_many(QUESTIONS)
-        plan = svqa_on.last_plan
-        assert plan is not None
-        assert sorted(plan.order) == list(range(len(QUESTIONS)))
-        assert plan.forest.fanout_uses() > 0
-        assert plan.share.charged_seconds > 0
-
-    def test_planner_emits_plan_metrics(self, svqa_on):
-        svqa_on.answer_many(QUESTIONS)
-        snapshot = svqa_on.metrics_snapshot()
-        assert "svqa_plan_batches_total" in snapshot
-        assert "svqa_plan_shared_nodes_total" in snapshot
-        names = [span.name for span in svqa_on.finished_spans()]
-        assert "planner.share" in names
-
 
 class TestSchedulerAblation:
-    """``enable_scheduler=False`` must keep the input order — it used
-    to be ignored whenever the planner ran — and still share."""
+    """``enable_scheduler=False`` keeps the input order, and the
+    executor still shares neighborhoods across the batch."""
 
     def test_scheduler_off_keeps_input_order_and_shares(self, svqa_on):
-        answers_on = strip_latency(answer_dicts(svqa_on))
-        planned = svqa_on.last_plan
+        graphs = [generate_query_graph(q) for q in QUESTIONS]
         identity = list(range(len(QUESTIONS)))
         # precondition: the scheduler does reorder this batch
-        assert planned is not None and planned.order != identity
+        assert svqa_on._batch_order(graphs) != identity
+        answers_on = strip_latency(answer_dicts(svqa_on))
         off = build_system(enable_scheduler=False)
+        assert off._batch_order(graphs) == identity
         assert strip_latency(answer_dicts(off)) == answers_on
-        plan = off.last_plan
-        assert plan is not None
-        assert plan.order == identity
-        assert plan.share.shared_scopes > 0
-        assert plan.share.shared_neighborhoods > 0
+        assert fills(off) > 0
+
+    def test_unparseable_slots_run_last(self, svqa_on):
+        graphs = [generate_query_graph(q) for q in QUESTIONS]
+        graphs[1] = None
+        order = svqa_on._batch_order(graphs)
+        assert sorted(order) == list(range(len(QUESTIONS)))
+        assert order[-1] == 1
 
 
 class TestCacheOffAblation:
-    """With both caches off there is no cross-query reuse: no shared
-    result may be served that the stores would not keep."""
+    """With a store off there is no reuse through it."""
 
     def test_cache_off_charges_equal_unplanned_oracle(self):
         config = dict(enable_scope_cache=False, enable_path_cache=False)
-        planned = build_system(**config)
+        system = build_system(**config)
         oracle = build_system(**config)
-        answers = planned.answer_many(QUESTIONS)
+        answers = system.answer_many(QUESTIONS)
         expected = unplanned_answers(oracle, QUESTIONS)
         assert strip_latency([a.to_dict() for a in answers]) == \
             strip_latency([a.to_dict() for a in expected])
-        assert planned.last_plan is not None
-        assert not planned.last_plan.forest.shared
         # the score memo's fresh + probe counts do not depend on the
         # order the questions ran in, so every count must agree
-        assert dict(planned.clock.counts) == dict(oracle.clock.counts)
-        assert planned.execution_report().stats.plan_neighborhood_fills == 0
+        assert dict(system.clock.counts) == dict(oracle.clock.counts)
+        assert fills(system) == 0
+        assert system._cache.item_count == 0
 
     def test_one_cache_off_shares_only_the_other_kind(self):
         scope_only = build_system(enable_path_cache=False)
         scope_only.answer_many(QUESTIONS)
-        plan = scope_only.last_plan
-        assert plan is not None
-        assert plan.share.shared_scopes > 0
-        assert plan.share.shared_neighborhoods == 0
+        assert scope_only.cache_report().scope_hits > 0
+        assert len(scope_only._cache.nbr) == 0
+        assert fills(scope_only) == 0
+        assert "pair_filter" not in scope_only.clock.counts
         path_only = build_system(enable_scope_cache=False)
         path_only.answer_many(QUESTIONS)
-        plan = path_only.last_plan
-        assert plan is not None
-        assert plan.share.shared_scopes == 0
-        assert plan.share.shared_neighborhoods > 0
-
-
+        assert len(path_only._cache.scope) == 0
+        assert len(path_only._cache.nbr) > 0
+        assert fills(path_only) > 0
 
 
 class TestHeldNeighborhood:
-    """A shared neighborhood is a cache entry: served while it holds,
-    retired by the writes that touch what it read, never used for
-    endpoints other than those it was computed from."""
+    """A neighborhood is a cache entry: served while it holds, retired
+    by the writes that touch what it read, never used for endpoints
+    other than those it was computed from."""
 
     QUESTION = "Is there a fence near the grass?"
     KEY = ("nbr", "out", "fence")
@@ -215,13 +190,15 @@ class TestHeldNeighborhood:
         # it no relation pair survives and the judgment flips to "no",
         # so a wrong use is a visibly wrong answer
         merged = make_merged()
-        executor = QueryGraphExecutor(merged, cache=KeyCentricCache.create())
+        executor = QueryGraphExecutor(merged, cache=KeyCentricCache.create(),
+                                      stats=ExecutorStats())
         ids = tuple(v.id for v in executor.match_vertex_label("fence"))
         if source_ids is not None:
             ids = source_ids(ids)
-        executor.cache.put_nbr(self.KEY, (ids, []), (Reads(out_of=ids),),
-                               executor.cache.stamp())
-        assert executor.cache.get_nbr(self.KEY) is not None
+        executor.cache.nbr_get_or_compute(
+            self.KEY, lambda: ((ids, []), (Reads(out_of=ids),)),
+            executor.cache.stamp())
+        assert held(executor.cache, self.KEY) is not None
         return executor
 
     def test_poisoned_entry_is_served_when_source_ids_match(self):
@@ -237,27 +214,33 @@ class TestHeldNeighborhood:
             executor = self.poisoned_executor(change)
             answer = executor.execute(generate_query_graph(self.QUESTION))
             assert answer.value == self.baseline_value()
+            # the rescan replaced the entry, and counts as no stale
+            # scope/path drop
+            _, edges = held(executor.cache, self.KEY)
+            assert edges
+            assert executor.stats.snapshot().stale_scope_drops == 0
 
     def test_out_edge_write_retires_the_entry_and_is_rescanned(self):
         system = build_system()
         system.answer_many(QUESTIONS)
         cache = system._cache
         key = ("nbr", "out", "dog")
-        source_ids, _ = cache.get_nbr(key)
+        source_ids, _ = held(cache, key)
         graph = system.merged.graph
         fence = graph.find_vertices("fence")[0]
         edge = graph.add_edge(source_ids[0], fence.id, "near")
-        assert cache.get_nbr(key) is None
-        before = dict(system.clock.counts)
+        assert held(cache, key) is None
         question = "Is there a dog near the fence?"
-        answers = system.answer_many([question])
-        delta = {name: count - before.get(name, 0)
-                 for name, count in system.clock.counts.items()}
+        answers, delta = charges_of(
+            system, lambda: system.answer_many([question]))
         assert delta.get("edge_scan", 0) > 0
         assert delta.get("pair_filter", 0) == 0
         pairs, _ = cache.path._values[
             ("path", ("dog", ""), ("fence", ""))]
         assert edge.id in [pair.edge.id for pair in pairs.pairs]
+        # the rescan filled the neighborhood again, with the new edge
+        _, edges = held(cache, key)
+        assert edge.id in [e.id for e in edges]
         expected = unplanned_answers(system, [question])
         assert strip_latency([a.to_dict() for a in answers]) == \
             strip_latency([a.to_dict() for a in expected])
@@ -269,15 +252,93 @@ class TestHeldNeighborhood:
         system.build()
         system.answer_many([q.text for q in mvqa_dataset.questions])
         question = "Is there a dog near the grass?"
-        assert system._cache.get_nbr(("nbr", "out", "dog")) is not None
-        before = dict(system.clock.counts)
-        fills = system.stats.snapshot().plan_neighborhood_fills
-        answers = system.answer_many([question])
-        delta = {name: count - before.get(name, 0)
-                 for name, count in system.clock.counts.items()}
+        assert held(system._cache, ("nbr", "out", "dog")) is not None
+        before = fills(system)
+        answers, delta = charges_of(
+            system, lambda: system.answer_many([question]))
         assert delta.get("pair_filter", 0) > 0
         assert delta.get("edge_scan", 0) == 0
-        assert system.stats.snapshot().plan_neighborhood_fills == fills + 1
+        assert fills(system) == before + 1
         expected = unplanned_answers(system, [question])
         assert strip_latency([a.to_dict() for a in answers]) == \
             strip_latency([a.to_dict() for a in expected])
+
+    def test_one_question_ask_after_another_on_the_same_head_derives(self):
+        system = build_system()
+        first, second = DOG_QUESTIONS[:2]
+        _, delta = charges_of(system, lambda: system.answer(first))
+        assert delta.get("edge_scan", 0) > 0
+        assert held(system._cache, ("nbr", "out", "dog")) is not None
+        answer, delta = charges_of(system, lambda: system.answer(second))
+        assert delta.get("edge_scan", 0) == 0
+        assert delta.get("pair_filter", 0) > 0
+        assert fills(system) == 1
+        expected = unplanned_answers(system, [second])
+        assert strip_latency([answer.to_dict()]) == \
+            strip_latency([a.to_dict() for a in expected])
+
+
+class TestWarmOneQuestionAsks:
+    def test_re_ask_after_one_question_asks_scans_nothing(
+            self, mvqa_dataset):
+        """Asking the fast suite one question per ``answer()`` leaves
+        what a re-ask needs in the stores: #53 (a scope another
+        question shares) re-asked charges no scan or match."""
+        system = SVQA(mvqa_dataset.scenes, mvqa_dataset.kg,
+                      SVQAConfig(workers=1))
+        system.build()
+        questions = [q.text for q in mvqa_dataset.questions]
+        for question in questions:
+            system.answer(question)
+        _, delta = charges_of(system, lambda: system.answer(questions[53]))
+        for operation in ("scope_scan", "vertex_match", "edge_scan"):
+            assert delta.get(operation, 0) == 0, (operation, delta)
+
+
+class TestConcurrentFill:
+    def test_racing_lanes_scan_a_shared_head_once(self, monkeypatch):
+        """Lanes that miss the same static head wait for one fill."""
+        system = build_system(workers=4,
+                              sanitizer=SanitizerConfig(seed=31))
+        side_edges = QueryGraphExecutor._side_edges
+
+        def slow_scan(self, subjects, objects):
+            # hold the scan open so the other lanes reach the head
+            # while it runs
+            time.sleep(0.05)
+            return side_edges(self, subjects, objects)
+
+        monkeypatch.setattr(QueryGraphExecutor, "_side_edges", slow_scan)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, delta = charges_of(
+                system, lambda: system.answer_many(DOG_QUESTIONS))
+            report = system.sanitizer.report()
+        finally:
+            sys.setswitchinterval(interval)
+            system.release_sanitizer()
+        assert report.clean, report.render()
+        graph = system.merged.graph
+        dogs = [v.id for v in QueryGraphExecutor(
+            system.merged).match_vertex_label("dog")]
+        assert delta["edge_scan"] == graph.out_degree_sum(dogs)
+        assert [key for key in system._cache.nbr._values
+                if key[2] == "dog"] == [("nbr", "out", "dog")]
+        assert fills(system) == len(DOG_QUESTIONS) - 1
+
+    def test_charges_are_worker_count_invariant_without_eviction(
+            self, mvqa_dataset, mvqa_base):
+        """With a pool that holds every key, nothing evicts, so the
+        order lanes reach the stores cannot change what is charged."""
+        graph, _ = mvqa_base
+        questions = [q.text for q in mvqa_dataset.questions]
+        counts = []
+        for workers in (1, 4):
+            for _ in range(5):
+                system = SVQA(config=SVQAConfig(workers=workers,
+                                                cache_pool_size=1000))
+                system.adopt_merged(merged_of(clone(graph)))
+                system.answer_many(questions)
+                counts.append(dict(system.clock.counts))
+        assert all(count == counts[0] for count in counts[1:])

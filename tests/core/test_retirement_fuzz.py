@@ -18,9 +18,10 @@ values (workers 1 and 4), asked first one question per batch and then
 as one batch, on scope id lists and ``kind of`` answers (against the
 full-scan oracles), and on every relation-pair list the session's
 executors serve (against :func:`full_scan_path_pairs`).  The
-one-question batches share nothing, so their path misses derive from
-the neighborhoods an earlier batch left in the cache, across the
-writes since: the fuzz counts those derivations and requires some.
+one-question batches run after every path entry was evicted, so their
+path misses derive from the neighborhoods earlier asks left in the
+cache, across the writes since: the fuzz counts those derivations and
+requires some.
 Every scope entry the session still holds must resolve to a fresh
 recomputation (or ask for one), every neighborhood it holds must equal
 a fresh scan of the vertices it was computed from, and every ``kind
@@ -236,25 +237,20 @@ class Derivations:
 def derivations(monkeypatch):
     """Count every path result derived from a held neighborhood."""
     seen = Derivations()
-    put, derive = KeyCentricCache.put_nbr, \
-        QueryGraphExecutor._pairs_from_neighborhood
+    get_or_compute = KeyCentricCache.nbr_get_or_compute
 
-    def stored(self, key, value, deps=(), stamp=None):
-        put(self, key, value, deps, stamp)
-        seen.stored[key] = stamp
+    def counted(self, key, compute, stamp=None, accept=None):
+        def fill():
+            seen.stored[key] = stamp
+            return compute()
 
-    def derived(self, spoc, binding, subjects, objects, stamp):
-        pairs = derive(self, spoc, binding, subjects, objects, stamp)
-        if pairs is not None:
-            key = ("nbr", "out", spoc.subject.head.lower()) if subjects \
-                else ("nbr", "in", spoc.object.head.lower())
+        value, deps, hit = get_or_compute(self, key, fill, stamp, accept)
+        if hit:
             seen.total += 1
             seen.held += stamp != seen.stored[key]
-        return pairs
+        return value, deps, hit
 
-    monkeypatch.setattr(KeyCentricCache, "put_nbr", stored)
-    monkeypatch.setattr(QueryGraphExecutor, "_pairs_from_neighborhood",
-                        derived)
+    monkeypatch.setattr(KeyCentricCache, "nbr_get_or_compute", counted)
     return seen
 
 
@@ -273,14 +269,14 @@ def assert_held_entries_are_current(session: SVQA, graph: Graph) -> None:
             term = Term(text=key[2], head=key[2], owner=key[1])
             want = [v.id for v in fresh.match_vertex(term)]
         assert entry.resolve(graph, stamp) in (None, want), key
-    for key, ((source_ids, pairs), _) in \
+    for key, ((source_ids, edges), _) in \
             list(session._cache.nbr._values.items()):
         # a source vertex that left took no edge of the entry with it
         sources = [graph.vertex(i) for i in source_ids
                    if graph.has_vertex(i)]
         subjects, objects = (sources, []) if key[1] == "out" \
             else ([], sources)
-        assert [(p.subject.id, p.edge.id, p.object.id) for p in pairs] \
+        assert [(e.src, e.id, e.dst) for e in edges] \
             == full_scan_path_pairs(graph, subjects, objects), key
     memo = session._executor_memo
     for (label, ancestor), known in list(memo._kinds.items()):
@@ -316,8 +312,8 @@ def run_retirement_fuzz(dataset, base: Graph, labels: list[str],
         want = oracle_answers(oracle, questions, config)
         if burst:
             # one question per batch after the bounded pool evicted
-            # every path entry: nothing is shared, so each path miss
-            # derives from the neighborhoods an earlier batch left
+            # every path entry: each path miss on a static head
+            # derives from the neighborhood earlier asks left
             evict_path_entries(session._cache)
             singles = [session.answer_many([q])[0].value for q in questions]
             assert singles == want, burst

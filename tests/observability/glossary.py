@@ -36,18 +36,10 @@ METRIC_GLOSSARY: dict[str, str] = {
     "svqa_stale_scope_drops_total":
         "Scope/path cache entries a graph write made stale, retired when "
         "it lands or found stale at their next read.",
-    # --- multi-query planner ---
-    "svqa_plan_batches_total":
-        "Batches routed through the cost-based multi-query planner.",
-    "svqa_plan_nodes_total":
-        "Canonical plan nodes discovered across planned batches, "
-        "labeled by kind (scope/path/neighborhood).",
-    "svqa_plan_shared_nodes_total":
-        "Shared sub-plan nodes executed exactly once by the share "
-        "phase and fanned out to all consumers, labeled by kind.",
+    # --- neighborhood store ---
     "svqa_plan_neighborhood_fills_total":
         "Path-store misses whose relation pairs were derived from a "
-        "shared neighborhood in the cache instead of rescanning.",
+        "held neighborhood in the cache instead of rescanning.",
     # --- embedding score memo ---
     "svqa_retrieval_ann_lookups_total":
         "Embedding scores through the score memo, labeled by executor "
