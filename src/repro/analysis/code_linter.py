@@ -98,9 +98,8 @@ def default_bindings() -> tuple[RuleBinding, ...]:
         RuleBinding(SeededRngRule()),
         RuleBinding(
             LockDisciplineRule(),
-            paths=("repro/core/cache.py", "repro/core/stats.py",
-                   "repro/core/batch.py",
-                   "repro/nlp/embeddings.py",
+            paths=("repro/core/cache.py", "repro/core/batch.py",
+                   "repro/memo.py",
                    "repro/nlp/score_memo.py",
                    "repro/observability/metrics.py",
                    "repro/observability/spans.py",
@@ -121,22 +120,23 @@ def default_bindings() -> tuple[RuleBinding, ...]:
     )
 
 
-#: the lock-owning modules governed by the RP008–RP011 project rules
+#: the lock-owning modules governed by the RP008–RP011 project rules:
+#: every module that makes a lock through :func:`repro.locks.wrap_lock`
+#: or :class:`repro.memo.SharedLock` (``tests/test_lock_modules.py``
+#: keeps the two in step)
 LOCK_MODULES: tuple[str, ...] = (
     "repro/core/batch.py",
     "repro/core/cache.py",
-    "repro/core/stats.py",
+    "repro/memo.py",
     "repro/serve/app.py",
     "repro/serve/admission.py",
     "repro/serve/batching.py",
     "repro/resilience/manager.py",
     "repro/resilience/breaker.py",
     "repro/graph/durable.py",
-    "repro/nlp/embeddings.py",
     "repro/nlp/score_memo.py",
     "repro/observability/spans.py",
     "repro/observability/metrics.py",
-    "repro/analysis/code_rules.py",
 )
 
 
@@ -148,11 +148,14 @@ def default_project_bindings() -> tuple[RuleBinding, ...]:
     always sees every linted file.  Triage record for the allowlists
     (every suppression here is an intentional, reviewed ordering):
 
-    * ``core/cache.py`` (RP010) — ``drop_where`` runs its predicate
-      under the store lock by documented contract: predicates are
-      pure key tests (emptying the stores on a rebind, retiring
-      the keys a write touched), and evaluating them outside
-      the lock would race concurrent inserts into the same scan.
+    * ``core/cache.py`` (RP010) — a store's ``get`` runs its
+      ``accept`` callback under the store lock by documented
+      contract: the callback rechecks the held scope or path entry
+      against the graph (``ScopeEntry.resolve`` / ``PathEntry.holds``,
+      which may update the entry's last-checked epoch), takes no
+      lock, and its verdict is counted as the lookup's hit or miss
+      in the same critical section; run after release, two readers
+      would race on the entry.
     * ``serve/batching.py`` (RP010) — ``BatchingBridge.submit``'s
       inline fallback calls ``answer_many`` while holding the bridge
       lock *by design*: the bridge lock is the serialization point

@@ -19,7 +19,7 @@ RP002     ERROR      no unseeded RNGs: ``np.random.default_rng()``
                      functions, and the ``random`` module's global
                      state all break run-to-run determinism
 RP003     ERROR      in lock-disciplined modules (``cache.py``,
-                     ``stats.py``), public methods of a class that owns
+                     ``memo.py``, ...), public methods of a class that owns
                      a ``*lock*`` attribute may mutate shared ``self``
                      state only under ``with self._lock`` (private
                      ``_helpers`` are documented as lock-held)
@@ -42,12 +42,12 @@ RP007     ERROR      candidate-index discipline: the
                      ``Graph`` mutation API (allowlisted:
                      ``graph/model.py`` and ``graph/candidates.py``);
                      cache-key tuples tagged ``"scope"``,
-                     ``"scope-poss"``, ``"path"`` or ``"nbr"`` carry
-                     no epoch, and the scope / path / neighborhood
-                     stores are written only through the retiring
-                     ``KeyCentricCache`` API (outside
-                     ``core/cache.py`` no ``*.scope.put`` /
-                     ``*.path.put`` / ``*.nbr.put``)
+                     ``"scope-poss"``, ``"path"``, ``"nbr"`` or
+                     ``"kind"`` carry no epoch, and the scope / path /
+                     neighborhood / kind stores are written only
+                     through the retiring ``KeyCentricCache`` API
+                     (outside ``core/cache.py`` no ``*.scope.put`` /
+                     ``*.path.put`` / ``*.nbr.put`` / ``*.kind.put``)
 ========  =========  ====================================================
 
 Every rule is an :class:`ast.NodeVisitor`-based :class:`CodeRule`
@@ -594,14 +594,15 @@ class CandidateIndexDisciplineRule(CodeRule):
       from the linear-scan reference (the binding allowlists
       ``repro/graph/model.py`` and ``repro/graph/candidates.py``);
     * cache-key tuples — literals whose first element is one of the
-      kind tags ``"scope"``, ``"scope-poss"``, ``"path"``, ``"nbr"``
-      — carry no epoch: an entry is retired by the writes that touch
-      what it read, so a key that also names an epoch would be
+      kind tags ``"scope"``, ``"scope-poss"``, ``"path"``, ``"nbr"``,
+      ``"kind"`` — carry no epoch: an entry is retired by the writes
+      that touch what it read, so a key that also names an epoch would be
       orphaned by every write instead;
-    * the scope, path and neighborhood stores are written only through
-      the retiring ``KeyCentricCache`` API, which indexes what each
-      entry read: a raw ``<x>.scope.put(...)`` / ``<x>.path.put(...)``
-      / ``<x>.nbr.put(...)`` outside ``repro/core/cache.py`` stores an
+    * the scope, path, neighborhood and kind stores are written only
+      through the retiring ``KeyCentricCache`` API, which indexes what
+      each entry read: a raw ``<x>.scope.put(...)`` /
+      ``<x>.path.put(...)`` / ``<x>.nbr.put(...)`` /
+      ``<x>.kind.put(...)`` outside ``repro/core/cache.py`` stores an
       entry no write can retire.
     """
 
@@ -617,9 +618,9 @@ class CandidateIndexDisciplineRule(CodeRule):
     })
     #: first-element tags identifying cache-key tuples
     KEY_KINDS: frozenset[str] = frozenset({"scope", "scope-poss", "path",
-                                           "nbr"})
+                                           "nbr", "kind"})
     #: the raw evicting stores of a KeyCentricCache
-    STORES: frozenset[str] = frozenset({"scope", "path", "nbr"})
+    STORES: frozenset[str] = frozenset({"scope", "path", "nbr", "kind"})
     #: the module that owns the stores
     CACHE = "repro/core/cache.py"
 

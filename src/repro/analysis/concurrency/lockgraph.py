@@ -40,12 +40,14 @@ from pathlib import PurePath
 
 from repro.analysis.code_rules import qualified_name, resolve_aliases
 
-#: constructors whose result is a lock (or lock wrapper)
+#: constructors whose result is a lock (or lock wrapper;
+#: ``SharedLock`` is :mod:`repro.memo`'s lazily wrapped lock)
 LOCK_FACTORY_SUFFIXES: tuple[str, ...] = (
     "threading.Lock",
     "threading.RLock",
     "threading.Semaphore",
     "threading.BoundedSemaphore",
+    "SharedLock",
 )
 
 #: attribute names that read as a private lock (RP011's publication test)
@@ -102,10 +104,6 @@ class LockId:
 
     def __str__(self) -> str:
         return f"{self.owner}.{self.attr}"
-
-    @property
-    def short_module(self) -> str:
-        return PurePath(self.module).name
 
 
 @dataclass(frozen=True)

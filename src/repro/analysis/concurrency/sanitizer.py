@@ -161,10 +161,6 @@ class SanitizedLock:
         self._sanitizer.on_release(self)
         self._inner.release()
 
-    def locked(self) -> bool:
-        probe = getattr(self._inner, "locked", None)
-        return bool(probe()) if probe is not None else False
-
     def __enter__(self) -> SanitizedLock:
         self.acquire()
         return self

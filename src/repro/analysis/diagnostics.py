@@ -164,9 +164,6 @@ class DiagnosticReport:
     def has_errors(self) -> bool:
         return any(d.severity is Severity.ERROR for d in self.diagnostics)
 
-    def by_rule(self, rule_id: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.rule_id == rule_id]
-
     def rule_ids(self) -> list[str]:
         """Distinct rule ids present, in first-appearance order."""
         seen: dict[str, None] = {}

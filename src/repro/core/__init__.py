@@ -16,10 +16,7 @@ from repro.core.answer import (
 from repro.core.batch import BatchExecutor, BatchResult
 from repro.core.cache import (
     CacheReport,
-    EvictingCache,
     KeyCentricCache,
-    LFUCache,
-    LRUCache,
     make_cache,
 )
 from repro.core.clauses import Clause, segment_clauses
@@ -50,14 +47,11 @@ __all__ = [
     "Clause",
     "DataAggregator",
     "DependencyKind",
-    "EvictingCache",
     "ExecutionReport",
     "ExecutorConfig",
     "ExecutorStats",
     "ExecutorStatsReport",
     "KeyCentricCache",
-    "LFUCache",
-    "LRUCache",
     "MergeStats",
     "MergedGraph",
     "QueryGraph",

@@ -85,11 +85,6 @@ class MergedGraph:
     skipped_images: list[int] = field(default_factory=list)
 
     @property
-    def is_partial(self) -> bool:
-        """True when at least one image was skipped during merging."""
-        return bool(self.skipped_images)
-
-    @property
     def edge_labels(self) -> list[str]:
         """All edge labels ``T`` (Algorithm 3, line 2)."""
         return list(self.graph.edge_labels.labels())

@@ -33,11 +33,7 @@ from dataclasses import dataclass
 from repro.core.aggregator import MergedGraph
 from repro.core.answer import Answer, fallback_answer
 from repro.core.cache import KeyCentricCache
-from repro.core.executor import (
-    ExecutorConfig,
-    ExecutorMemo,
-    QueryGraphExecutor,
-)
+from repro.core.executor import ExecutorConfig, QueryGraphExecutor
 from repro.core.spoc import QueryGraph, QuestionType
 from repro.core.stats import ExecutorStats
 from repro.errors import ReproError
@@ -99,7 +95,6 @@ class BatchExecutor:
         stats: ExecutorStats | None = None,
         resilience: ResilienceManager | None = None,
         tracer: Tracer | None = None,
-        memo: ExecutorMemo | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -114,9 +109,6 @@ class BatchExecutor:
         # per-site across the whole batch
         self.resilience = resilience or ResilienceManager()
         self.tracer = tracer
-        # the session's executor memo, shared by every lane (a batch
-        # built without one leaves each lane its own unbound memo)
-        self.memo = memo
 
     def _new_shard(self) -> SimClock:
         if self.costs is not None:
@@ -173,7 +165,6 @@ class BatchExecutor:
                     config=self.config, stats=self.stats,
                     resilience=self.resilience,
                     tracer=self.tracer,
-                    memo=self.memo,
                 )
                 local.executor = executor
             trace_id = trace_ids[index] if trace_ids is not None \

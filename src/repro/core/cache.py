@@ -20,7 +20,13 @@ miss anchored on a static label, and a later path miss under the same
 label derives its pairs from it by membership filtering instead of
 rescanning.  It is on exactly when the path store is.
 
-All three sit on an evicting store; the paper uses LFU [39] and
+A fourth store (``kind``) holds the answer side's ``kind of`` answers
+(is label L under ancestor A in the ``is a`` hierarchy), keyed
+``("kind", label, ancestor)`` and retired like the others; they charge
+nothing, so it holds a constant :data:`KIND_CAPACITY` entries whatever
+the pool size.
+
+All four sit on an evicting store; the paper uses LFU [39] and
 compares it against LRU [47] in Figure 11, so both policies are
 implemented behind one interface.
 
@@ -49,6 +55,16 @@ if TYPE_CHECKING:
 #: a cache-miss computation: the value and the reads it depends on
 Computation = Callable[[], tuple[Any, tuple[Reads, ...]]]
 
+#: ``kind of`` answers the kind store keeps, whatever the pool size
+#: (they are booleans; the fast and paper MVQA runs hold 18 and 15)
+KIND_CAPACITY = 4096
+
+#: the store each key tag names (a possessive's scope is a scope entry)
+_STORE_OF_TAG = {"scope": "scope", "scope-poss": "scope", "path": "path",
+                 "nbr": "nbr", "kind": "kind"}
+
+_GONE = object()
+
 
 class EvictingCache:
     """Interface: a bounded key-value store with an eviction policy.
@@ -56,10 +72,13 @@ class EvictingCache:
     Subclasses must guard every operation with ``self._lock`` so one
     store can be shared by a pool of worker threads.  ``name`` is the
     store's sanitizer role (``cache.scope`` / ``cache.path`` /
-    ``cache.nbr``); locks are created through
+    ``cache.nbr`` / ``cache.kind``); locks are created through
     :func:`repro.locks.wrap_lock`, so with no sanitizer installed this
     is the raw ``RLock``.
     """
+
+    #: every stored key and its value (each policy keeps its own order)
+    _values: dict[Hashable, Any]
 
     def __init__(self, capacity: int, *, name: str = "store") -> None:
         if capacity < 0:
@@ -81,10 +100,25 @@ class EvictingCache:
         the evicted key (``None`` when nothing was evicted)."""
         raise NotImplementedError
 
-    def drop_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Remove every entry whose key satisfies ``predicate``;
-        returns how many were dropped.  Hit/miss counters are
-        untouched — retirement is not a lookup."""
+    def peek(self, key: Hashable,
+             accept: Callable[[Any], bool] | None = None) -> Any | None:
+        """The stored value ``accept`` takes, or ``None``, counting
+        nothing and refreshing nothing (a second look that is not a
+        lookup of its own)."""
+        with self._lock:
+            note_read(f"cache.{self.name}", key)
+            value = self._values.get(key, _GONE)
+            if value is _GONE or (accept is not None and not accept(value)):
+                return None
+            return value
+
+    def pop(self, key: Hashable) -> bool:
+        """Remove ``key``; whether it was stored.  Hit/miss counters
+        are untouched — retirement is not a lookup."""
+        raise NotImplementedError
+
+    def clear(self) -> None:
+        """Remove every entry (counters untouched)."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -95,13 +129,6 @@ class EvictingCache:
         """``(hits, misses)`` read atomically under the store lock."""
         with self._lock:
             return self.hits, self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over total lookups (0.0 before any lookup)."""
-        hits, misses = self.counters()
-        total = hits + misses
-        return hits / total if total else 0.0
 
 
 class LFUCache(EvictingCache):
@@ -157,16 +184,23 @@ class LFUCache(EvictingCache):
         del self._last_used[victim]
         return victim
 
-    def drop_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Remove every entry whose key satisfies ``predicate``."""
+    def pop(self, key: Hashable) -> bool:
+        """Remove ``key``; whether it was stored."""
+        with self._lock:
+            note_write(f"cache.{self.name}", key)
+            if self._values.pop(key, _GONE) is _GONE:
+                return False
+            del self._frequency[key]
+            del self._last_used[key]
+            return True
+
+    def clear(self) -> None:
+        """Remove every entry."""
         with self._lock:
             note_write(f"cache.{self.name}")
-            victims = [k for k in self._values if predicate(k)]
-            for key in victims:
-                del self._values[key]
-                del self._frequency[key]
-                del self._last_used[key]
-            return len(victims)
+            self._values.clear()
+            self._frequency.clear()
+            self._last_used.clear()
 
     def __len__(self) -> int:
         """Number of entries currently stored."""
@@ -208,14 +242,17 @@ class LRUCache(EvictingCache):
             self._values[key] = value
             return victim
 
-    def drop_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Remove every entry whose key satisfies ``predicate``."""
+    def pop(self, key: Hashable) -> bool:
+        """Remove ``key``; whether it was stored."""
+        with self._lock:
+            note_write(f"cache.{self.name}", key)
+            return self._values.pop(key, _GONE) is not _GONE
+
+    def clear(self) -> None:
+        """Remove every entry."""
         with self._lock:
             note_write(f"cache.{self.name}")
-            victims = [k for k in self._values if predicate(k)]
-            for key in victims:
-                del self._values[key]
-            return len(victims)
+            self._values.clear()
 
     def __len__(self) -> int:
         """Number of entries currently stored."""
@@ -250,17 +287,22 @@ class KeyCentricCache:
 
     ``enabled_scope`` / ``enabled_path`` allow the Figure-10(b)
     granularity ablation (No / Scope / Path / Both); the neighborhood
-    store follows ``enabled_path``.
+    store follows ``enabled_path``.  A fourth store keeps the
+    executor's ``kind of`` answers (``("kind", label, ancestor)``
+    keys, :data:`KIND_CAPACITY` entries); it is on whenever the cache
+    observes its graph, that is unless both ablation flags are off.
 
     The ``*_get_or_compute`` methods make miss-then-fill atomic under
     concurrency: the first thread to miss a key becomes the *leader*
-    and runs the computation; threads that miss the same key while the
-    leader is working wait for its result instead of recomputing, and
-    observe it as a hit (the expensive work happened exactly once).
+    and runs the computation; threads that miss the same key under
+    the same stamp while the leader is working wait for its result
+    instead of recomputing, and observe it as a hit (the expensive
+    work happened exactly once).
 
     Keys name what was asked (a label, a pair of slot keys), never an
-    epoch.  Each entry is stored with the :class:`~repro.graph.observe.
-    Reads` its computation made, and the cache, bound to one graph
+    epoch, and start with the tag of their store.  Each entry is
+    stored with the :class:`~repro.graph.observe.Reads` its
+    computation made, and the cache, bound to one graph
     (:meth:`bind`), observes that graph's writes: an op retires exactly
     the entries whose reads it touches (:mod:`repro.graph.observe`).
     A value is stored only under a :meth:`stamp` taken before it was
@@ -271,6 +313,7 @@ class KeyCentricCache:
     scope: EvictingCache
     path: EvictingCache
     nbr: EvictingCache
+    kind: EvictingCache
     enabled_scope: bool = True
     enabled_path: bool = True
     _inflight: dict[Hashable, _InFlight] = field(
@@ -304,11 +347,12 @@ class KeyCentricCache:
         enabled_path: bool = True,
     ) -> KeyCentricCache:
         """Build scope, path and neighborhood stores of ``pool_size``
-        entries each."""
+        entries each, and the kind store."""
         return cls(
             scope=make_cache(policy, pool_size, name="scope"),
             path=make_cache(policy, pool_size, name="path"),
             nbr=make_cache(policy, pool_size, name="nbr"),
+            kind=make_cache(policy, KIND_CAPACITY, name="kind"),
             enabled_scope=enabled_scope,
             enabled_path=enabled_path,
         )
@@ -329,7 +373,7 @@ class KeyCentricCache:
         with the scope and path stores disabled holds nothing and
         observes nothing.
         """
-        if not (self.enabled_scope or self.enabled_path):
+        if not self._observing:
             return
         with self._lock:
             note_write("cache.retire")
@@ -342,7 +386,7 @@ class KeyCentricCache:
             self._observed = graph.epoch
             self._index = ReadIndex()
             for store in self._stores():
-                store.drop_where(_always)
+                store.clear()
         if previous is not None:
             previous.remove_observer(self)
         graph.add_observer(self)
@@ -365,20 +409,25 @@ class KeyCentricCache:
             keys = self._index.affected(op, self._label_is_new)
             dropped = 0
             if keys:
+                stores = {store.name: store for store in self._stores()}
                 for key in keys:
                     self._index.discard(key)
-                # counted: the scope and path entries (the stale-drop
-                # family's meaning), not neighborhoods
-                dropped = self.scope.drop_where(keys.__contains__) \
-                    + self.path.drop_where(keys.__contains__)
-                self.nbr.drop_where(keys.__contains__)
+                    name = _STORE_OF_TAG[key[0]]
+                    # counted: the scope and path entries (the
+                    # stale-drop family's meaning)
+                    if stores[name].pop(key) and name in ("scope", "path"):
+                        dropped += 1
             self._observed = op["epoch"]
             stats = self._stats
         if dropped and stats is not None:
             stats.record_stale_scope_drops(dropped)
 
+    @property
+    def _observing(self) -> bool:
+        return self.enabled_scope or self.enabled_path
+
     def _stores(self) -> tuple[EvictingCache, ...]:
-        return self.scope, self.path, self.nbr
+        return self.scope, self.path, self.nbr, self.kind
 
     def _label_is_new(self, label: str) -> bool:
         graph = self._graph
@@ -398,38 +447,6 @@ class KeyCentricCache:
             self._index.add(key, deps)
             if evicted is not None:
                 self._index.discard(evicted)
-
-    # scope ---------------------------------------------------------------
-    def get_scope(self, key: Hashable) -> Any | None:
-        """Scope-store lookup (``None`` when disabled or missing)."""
-        if not self.enabled_scope:
-            return None
-        found = self.scope.get(key)
-        return None if found is None else found[0]
-
-    def put_scope(self, key: Hashable, value: Any,
-                  deps: tuple[Reads, ...] = (),
-                  stamp: int | None = None) -> None:
-        """Store a matchVertex scope result computed under ``stamp``
-        (no-op when disabled)."""
-        if self.enabled_scope:
-            self._store(self.scope, key, value, deps, stamp)
-
-    # path ----------------------------------------------------------------
-    def get_path(self, key: Hashable) -> Any | None:
-        """Path-store lookup (``None`` when disabled or missing)."""
-        if not self.enabled_path:
-            return None
-        found = self.path.get(key)
-        return None if found is None else found[0]
-
-    def put_path(self, key: Hashable, value: Any,
-                 deps: tuple[Reads, ...] = (),
-                 stamp: int | None = None) -> None:
-        """Store a getRelationpairs result computed under ``stamp``
-        (no-op when disabled)."""
-        if self.enabled_path:
-            self._store(self.path, key, value, deps, stamp)
 
     # atomic get-or-compute ------------------------------------------------
     def scope_get_or_compute(
@@ -464,6 +481,16 @@ class KeyCentricCache:
         return self._get_or_compute(self.nbr, self.enabled_path,
                                     key, compute, stamp, accept)
 
+    def kind_get_or_compute(
+        self, key: Hashable, compute: Computation,
+        stamp: int | None = None,
+    ) -> tuple[Any, tuple[Reads, ...], bool]:
+        """``(value, deps, hit)`` for a ``kind of`` key, as
+        :meth:`scope_get_or_compute`; on whenever the cache observes
+        its graph."""
+        return self._get_or_compute(self.kind, self._observing,
+                                    key, compute, stamp)
+
     def _get_or_compute(
         self,
         store: EvictingCache,
@@ -490,25 +517,35 @@ class KeyCentricCache:
         if found is not None:
             return found[0], found[1], True
         stats = self._stats
-        if rejected and stats is not None and store is not self.nbr:
+        if rejected and stats is not None and \
+                store in (self.scope, self.path):
             # a write made it stale; it is found out on this read (a
             # neighborhood rejected for other endpoint ids is not a
             # scope/path entry, so it is not counted)
             stats.record_stale_scope_drops(1)
         # single-flight: the stores share the in-flight table without
-        # colliding because every key is prefix-tagged
+        # colliding because every key is prefix-tagged; a lookup
+        # under another stamp computes for itself, so nobody is handed
+        # a value of an epoch it did not ask at
+        flight = (key, stamp)
         with self._inflight_lock:
             note_write("cache.inflight", key)
-            entry = self._inflight.get(key)
+            entry = self._inflight.get(flight)
             leader = entry is None
             if leader:
                 entry = _InFlight()
-                self._inflight[key] = entry
+                self._inflight[flight] = entry
         if leader:
             try:
-                value, deps = compute()
+                # a leader that finished between the lookup above and
+                # the in-flight check has stored its value and left
+                found = store.peek(key, check)
+                if found is None:
+                    value, deps = compute()
+                    self._store(store, key, value, deps, stamp)
+                else:
+                    value, deps = found
                 entry.value = (value, deps)
-                self._store(store, key, value, deps, stamp)
             except BaseException as exc:
                 entry.error = exc
                 raise
@@ -516,8 +553,8 @@ class KeyCentricCache:
                 entry.done.set()
                 with self._inflight_lock:
                     note_write("cache.inflight", key)
-                    self._inflight.pop(key, None)
-            return value, deps, False
+                    self._inflight.pop(flight, None)
+            return value, deps, found is not None
         entry.done.wait()
         if entry.error is not None:
             # the leader failed; fall back to computing independently
@@ -525,15 +562,6 @@ class KeyCentricCache:
             return value, deps, False
         value, deps = entry.value
         return value, deps, True
-
-    @property
-    def item_count(self) -> int:
-        """Entries held across every store."""
-        return sum(len(store) for store in self._stores())
-
-
-def _always(_key: Hashable) -> bool:
-    return True
 
 
 @dataclass

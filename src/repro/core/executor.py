@@ -36,20 +36,17 @@ is what the latency experiments measure.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter, deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
-    from repro.analysis.query_validator import QueryGraphValidator
+    from repro.analysis.diagnostics import DiagnosticReport
     from repro.graph.model import Edge
 
 from repro.errors import ExecutionError
-from repro.graph.observe import ReadIndex, Reads
-from repro.locks import note_write, wrap_lock
+from repro.graph.observe import Reads
 from repro.graph import (
     INSTANCE_OF,
     IS_A,
@@ -59,6 +56,7 @@ from repro.graph import (
     Vertex,
     relations_between,
 )
+from repro.memo import Memo
 from repro.nlp.morphology import noun_singular
 from repro.observability.spans import Tracer, maybe_span
 from repro.resilience.events import FaultEvent
@@ -89,121 +87,15 @@ class ExecutorConfig:
     expansion_hops: int = 2           # "is a" hops in matchVertex
 
 
-#: entries each :class:`ExecutorMemo` table keeps before it drops
-#: its oldest
-EXECUTOR_MEMO_CAPACITY = 4096
+#: distinct query graphs whose validator diagnostics are remembered
+#: (the fast and paper MVQA runs validate 100)
+DIAGNOSTICS_CAPACITY = 1024
 
-
-class ExecutorMemo:
-    """A session's memo of two pure, repeated executor lookups.
-
-    * ``kind of`` answers (:meth:`QueryGraphExecutor._is_kind_of`),
-      keyed by ``(label, ancestor.lower())``.  They hold for the graph
-      the memo is bound to (:meth:`bind`); the memo observes that
-      graph's writes, and an op retires the answers whose walk read
-      what it touches: a taxonomy edge at a visited vertex, a visited
-      vertex's label or presence, or the start label's id list.  An
-      unbound memo walks every time.
-    * validator diagnostics, keyed by the frozen query graph; every
-      lookup hands out a fresh :class:`DiagnosticReport`.
-
-    Both tables are bounded (oldest entry out first) and charge
-    nothing, so clocks, spans and answers are those of a fresh walk.
-    One memo is shared by every executor of a session.
-    """
-
-    def __init__(self, capacity: int = EXECUTOR_MEMO_CAPACITY) -> None:
-        self.capacity = capacity
-        self._lock = wrap_lock(threading.Lock(), "core.executor_memo")
-        # the observed graph and the epoch of its last op retired here
-        self._graph: Graph | None = None
-        self._observed = 0
-        self._kinds: dict[tuple[str, str], bool] = {}
-        self._index = ReadIndex()
-        self._reports: dict[QueryGraph, tuple[Diagnostic, ...]] = {}
-
-    @property
-    def graph(self) -> Graph | None:
-        """The graph the remembered ``kind of`` answers hold for."""
-        with self._lock:
-            return self._graph
-
-    def sizes(self) -> tuple[int, int]:
-        """Remembered ``kind of`` answers and diagnostic reports."""
-        with self._lock:
-            return len(self._kinds), len(self._reports)
-
-    def _store(self, table: dict, key: object, value: object) -> None:
-        if len(table) >= self.capacity:
-            oldest = next(iter(table))
-            del table[oldest]
-            if table is self._kinds:
-                self._index.discard(oldest)
-        table[key] = value
-
-    def bind(self, graph: Graph) -> None:
-        """Hold ``kind of`` answers for ``graph`` and observe its
-        writes; rebinding to another graph forgets the answers."""
-        with self._lock:
-            note_write("core.executor_memo")
-            previous = self._graph
-            if previous is graph:
-                return
-            self._graph = graph
-            self._observed = graph.epoch
-            self._kinds.clear()
-            self._index = ReadIndex()
-        if previous is not None:
-            previous.remove_observer(self)
-        graph.add_observer(self)
-
-    def record(self, op: dict[str, Any]) -> None:
-        """Observer hook: retire the answers ``op`` can change."""
-        with self._lock:
-            note_write("core.executor_memo")
-            for key in self._index.affected(op, _never):
-                self._index.discard(key)
-                del self._kinds[key]
-            self._observed = op["epoch"]
-
-    def kind_of(self, graph: Graph, label: str, ancestor: str,
-                walk: Callable[[], tuple[bool, Reads]]) -> bool:
-        """The memoised answer of ``walk()`` for ``label`` under
-        ``ancestor``; ``walk`` also returns what it read."""
-        key = (label, ancestor.lower())
-        with self._lock:
-            note_write("core.executor_memo", key)
-            epoch = graph.epoch
-            current = graph is self._graph and self._observed == epoch
-            if current:
-                known = self._kinds.get(key)
-                if known is not None:
-                    return known
-        answer, reads = walk()
-        if current:
-            with self._lock:
-                note_write("core.executor_memo", key)
-                if graph is self._graph and graph.epoch == epoch:
-                    self._store(self._kinds, key, answer)
-                    self._index.add(key, (reads,))
-        return answer
-
-    def diagnostics(
-        self, query_graph: QueryGraph,
-        validate: Callable[[QueryGraph], DiagnosticReport],
-    ) -> DiagnosticReport:
-        """The memoised ``validate(query_graph)``, as a fresh report."""
-        from repro.analysis.diagnostics import DiagnosticReport
-
-        with self._lock:
-            note_write("core.executor_memo", query_graph.question)
-            known = self._reports.get(query_graph)
-        if known is None:
-            known = tuple(validate(query_graph).diagnostics)
-            with self._lock:
-                note_write("core.executor_memo", query_graph.question)
-                self._store(self._reports, query_graph, known)
-        return DiagnosticReport(list(known))
+#: the default validator's diagnostics per frozen query graph: the
+#: validator is a pure function of the graph, so one memo serves the
+#: whole process; it holds tuples, and every lookup hands out a fresh
+#: report
+_DIAGNOSTICS = Memo(DIAGNOSTICS_CAPACITY, "core.diagnostics")
 
 
 def _survives(before: Sequence[int], now: Sequence[int],
@@ -381,15 +273,9 @@ class QueryGraphExecutor:
         stats: ExecutorStats | None = None,
         resilience: ResilienceManager | None = None,
         tracer: Tracer | None = None,
-        memo: ExecutorMemo | None = None,
     ) -> None:
         self.merged = merged
         self.graph: Graph = merged.graph
-        # shared by a session's executors and bound to this graph; a
-        # standalone executor remembers diagnostics only
-        self.memo = memo if memo is not None else ExecutorMemo()
-        if memo is not None:
-            memo.bind(self.graph)
         # the three embedding lookups go through the graph's exact
         # score memo: a repeat (query, label) pair charges ann_probe
         self._score_memo = self.graph.score_memo
@@ -405,9 +291,6 @@ class QueryGraphExecutor:
         # per-execute fault provenance (executors are single-threaded:
         # the batch engine gives every worker its own instance)
         self._events: list[FaultEvent] | None = None
-        # built lazily on the first memo miss (import cycle: the
-        # analysis package depends on the core SPOC model)
-        self._validator: QueryGraphValidator | None = None
         self._relation_labels = [
             label for label in merged.edge_labels
             if label not in TAXONOMY_LABELS
@@ -430,21 +313,20 @@ class QueryGraphExecutor:
         :class:`~repro.analysis.diagnostics.DiagnosticReport`; a graph
         carrying ERROR diagnostics is counted, never rejected.
         """
-        report = self.memo.diagnostics(query_graph, self._run_validator)
+        # imported lazily: repro.analysis depends on repro.core's SPOC
+        # model, so a module-level import would be circular
+        from repro.analysis.diagnostics import DiagnosticReport
+        from repro.analysis.query_validator import validate_query_graph
+
+        known = _DIAGNOSTICS.get_or_compute(
+            query_graph,
+            lambda: tuple(validate_query_graph(query_graph).diagnostics))
+        report = DiagnosticReport(list(known))
         if self.stats is not None:
             self.stats.record_validation(
                 len(report.errors), len(report.warnings)
             )
         return report
-
-    def _run_validator(self, query_graph: QueryGraph) -> DiagnosticReport:
-        if self._validator is None:
-            # imported lazily: repro.analysis depends on repro.core's
-            # SPOC model, so a module-level import would be circular
-            from repro.analysis.query_validator import QueryGraphValidator
-
-            self._validator = QueryGraphValidator()
-        return self._validator.validate(query_graph)
 
     def execute(
         self, query_graph: QueryGraph,
@@ -1174,11 +1056,16 @@ class QueryGraphExecutor:
     # ------------------------------------------------------------------
     def _is_kind_of(self, label: str, ancestor: str) -> bool:
         """Whether ``label`` is a kind of ``ancestor`` in the merged
-        graph's ``is a`` hierarchy (remembered until a write touches
-        what the walk read)."""
-        return self.memo.kind_of(
-            self.graph, label, ancestor,
-            lambda: self._walk_kind_of(label, ancestor))
+        graph's ``is a`` hierarchy (kept in the cache's kind store
+        until a write touches what the walk read)."""
+
+        def walk() -> tuple[bool, tuple[Reads, ...]]:
+            answer, reads = self._walk_kind_of(label, ancestor)
+            return answer, (reads,)
+
+        answer, _, _ = self.cache.kind_get_or_compute(
+            ("kind", label, ancestor.lower()), walk, self.cache.stamp())
+        return answer
 
     def _walk_kind_of(self, label: str,
                       ancestor: str) -> tuple[bool, Reads]:
@@ -1206,10 +1093,6 @@ class QueryGraphExecutor:
             frontier = next_frontier
             hops += 1
         return False, reads
-
-
-def _never(_label: str) -> bool:
-    return False
 
 
 def _resolved(entry: ScopeEntry, graph: Graph,

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import QueryError, ReproError
 from repro.graph import Graph
+from repro.memo import Memo
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.spans import (
     Span,
@@ -42,8 +43,12 @@ from repro.core.aggregator import AggregatorConfig, DataAggregator, MergedGraph
 from repro.core.answer import Answer, fallback_answer
 from repro.core.batch import BatchExecutor, BatchResult
 from repro.core.cache import CacheReport, KeyCentricCache
-from repro.core.executor import ExecutorConfig, ExecutorMemo
-from repro.core.query_graph import QueryGraphMemo, generate_query_graph
+from repro.core.executor import ExecutorConfig
+from repro.core.query_graph import (
+    QUERY_MEMO_CAPACITY,
+    analyse_question,
+    generate_query_graph,
+)
 from repro.core.scheduler import schedule_queries
 from repro.core.spoc import QueryGraph
 from repro.core.stats import ExecutorStats, ExecutorStatsReport
@@ -125,9 +130,8 @@ class SVQA:
             locks.install(self.sanitizer)
         self._cache = self._make_cache()
         # session-owned: a memoised parse never outlives (or leaks
-        # into another) SVQA instance
-        self._query_graphs = QueryGraphMemo()
-        self._executor_memo = ExecutorMemo()
+        # into another) SVQA instance; failed parses are not kept
+        self._query_graphs = Memo(QUERY_MEMO_CAPACITY, "core.query_memo")
         self._stats = ExecutorStats()
         self._last_batch: BatchResult | None = None
         self.tracer: Tracer | None = None
@@ -227,9 +231,8 @@ class SVQA:
         return merged
 
     def _bind(self, merged: MergedGraph) -> None:
-        """Bind the session's cache and memo to the installed graph,
-        so they observe every write from here on."""
-        self._executor_memo.bind(merged.graph)
+        """Bind the session's cache to the installed graph, so it
+        observes every write from here on."""
         self._cache.bind(merged.graph, self._stats)
 
     def _require_built(self) -> MergedGraph:
@@ -254,12 +257,17 @@ class SVQA:
         """§IV: question -> ordered query graph.
 
         Each distinct question is analysed once per session (the
-        :class:`~repro.core.query_graph.QueryGraphMemo`); a repeat is
+        session's query memo of
+        :func:`~repro.core.query_graph.analyse_question`); a repeat is
         charged and traced exactly like the first ask.
         """
         return generate_query_graph(question, clock=self.clock,
                                     tracer=self.tracer,
-                                    analyse=self._query_graphs.analyse)
+                                    analyse=self._analyse)
+
+    def _analyse(self, question: str) -> QueryGraph:
+        return self._query_graphs.get_or_compute(
+            question, lambda: analyse_question(question))
 
     def _parse_resilient(
         self, question: str, events: list[FaultEvent]
@@ -381,7 +389,6 @@ class SVQA:
             config=self.config.executor, workers=workers,
             costs=self.clock.costs, stats=self._stats,
             resilience=self.resilience, tracer=self.tracer,
-            memo=self._executor_memo,
         )
         result = batch.run(graphs, order=order, trace_ids=trace_ids,
                            deadlines=deadlines)

@@ -15,19 +15,16 @@ The stages depend on the question text alone, so they live in the
 pure :func:`analyse_question`.  :func:`generate_query_graph` wraps an
 analysis in the simulated cost (one charge per stage and clause) and
 the ``query_graph`` span tree.  The wrapper charges the same whether
-the analysis ran now or came from a session's
-:class:`QueryGraphMemo`, so memoising a question never moves a
-simulated latency.
+the analysis ran now or came from a session's query memo (a
+:class:`~repro.memo.Memo` of :func:`analyse_question`), so memoising
+a question never moves a simulated latency.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from collections.abc import Callable
 
 from repro.errors import ParseError, QueryParseError
-from repro.locks import note_write, wrap_lock
 from repro.nlp.depparse import DependencyTree, parse
 from repro.nlp.semlex import are_synonyms
 from repro.observability.spans import Tracer, maybe_span
@@ -36,8 +33,9 @@ from repro.core.clauses import segment_clauses
 from repro.core.spoc import DependencyKind, QueryGraph, SPOC, Term
 from repro.core.spoc_extract import extract_spoc, validate_spoc
 
-#: distinct questions one session's memo keeps (least recently asked
-#: evicted first); the MVQA question sets hold 100-odd distinct texts
+#: distinct questions one session's query memo keeps (least recently
+#: asked dropped first); the MVQA question sets hold 100-odd distinct
+#: texts, 97 of which parse on the fast set
 QUERY_MEMO_CAPACITY = 1024
 
 
@@ -67,8 +65,8 @@ def generate_query_graph(
 ) -> QueryGraph:
     """Decompose a complex question into an ordered query graph.
 
-    ``analyse`` supplies the graph (a session passes its
-    :meth:`QueryGraphMemo.analyse`); this function charges Algorithm
+    ``analyse`` supplies the graph (a session passes its query
+    memo's lookup); this function charges Algorithm
     2's stages on ``clock`` and, with a tracer and an active trace,
     records a ``query_graph`` span wrapping ``parse`` and per-clause
     ``spoc`` spans.  A failed analysis is charged up to the stage that
@@ -117,45 +115,6 @@ def query_graph_from_tree(
         spocs.append(spoc)
     return QueryGraph(vertices=tuple(spocs), edges=tuple(_connect(spocs)),
                       question=question)
-
-
-class QueryGraphMemo:
-    """A session's bounded LRU of :func:`analyse_question` results.
-
-    Keyed by the exact question string (the analysis reads nothing
-    else), so a hit returns the graph a fresh analysis would build.
-    Graphs are immutable and shared between every request that asks
-    the same question.  Failed analyses are not remembered: their
-    error is raised again on every ask.
-    """
-
-    def __init__(self, capacity: int = QUERY_MEMO_CAPACITY) -> None:
-        self.capacity = capacity
-        self._graphs: OrderedDict[str, QueryGraph] = OrderedDict()
-        self._lock = wrap_lock(threading.Lock(), "core.query_memo")
-
-    def __len__(self) -> int:
-        """Number of remembered questions."""
-        with self._lock:
-            return len(self._graphs)
-
-    def analyse(self, question: str) -> QueryGraph:
-        """The memoised :func:`analyse_question`."""
-        with self._lock:
-            note_write("core.query_memo", question)
-            graph = self._graphs.get(question)
-            if graph is not None:
-                self._graphs.move_to_end(question)
-                return graph
-        graph = analyse_question(question)
-        with self._lock:
-            note_write("core.query_memo", question)
-            # concurrent misses converge on the first stored graph
-            graph = self._graphs.setdefault(question, graph)
-            self._graphs.move_to_end(question)
-            if len(self._graphs) > self.capacity:
-                self._graphs.popitem(last=False)
-        return graph
 
 
 def _connect(spocs: list[SPOC]) -> list[tuple[int, int, DependencyKind]]:

@@ -35,10 +35,6 @@ class SchedulePlan:
     key_frequency: dict[tuple, int]
     graph_scores: list[float]
 
-    def scheduled(self, graphs: list[QueryGraph]) -> list[QueryGraph]:
-        """The input graphs in scheduled order."""
-        return [graphs[i] for i in self.order]
-
 
 def schedule_queries(graphs: list[QueryGraph]) -> SchedulePlan:
     """Compute the descending frequency-ratio order of §V-B.

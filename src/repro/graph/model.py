@@ -100,7 +100,7 @@ class Graph:
     >>> a = g.add_vertex("dog")
     >>> b = g.add_vertex("man")
     >>> e = g.add_edge(a.id, b.id, "in front of")
-    >>> [v.label for v in g.successors(a.id)]
+    >>> [g.vertex(edge.dst).label for edge in g.out_edges(a.id)]
     ['man']
     """
 
@@ -392,12 +392,6 @@ class Graph:
             raise VertexNotFoundError(vertex_id)
         return [self._edges[e] for e in self._in[vertex_id]]
 
-    def out_degree(self, vertex_id: int) -> int:
-        """Number of edges leaving ``vertex_id``."""
-        if vertex_id not in self._vertices:
-            raise VertexNotFoundError(vertex_id)
-        return len(self._out[vertex_id])
-
     def in_degree(self, vertex_id: int) -> int:
         """Number of edges entering ``vertex_id``."""
         if vertex_id not in self._vertices:
@@ -454,23 +448,6 @@ class Graph:
             return []
         return [self._edges[e] for e in edge_ids]
 
-    def successors(self, vertex_id: int) -> list[Vertex]:
-        """Vertices reachable by one outgoing edge."""
-        return [self._vertices[e.dst] for e in self.out_edges(vertex_id)]
-
-    def predecessors(self, vertex_id: int) -> list[Vertex]:
-        """Vertices with an edge into ``vertex_id``."""
-        return [self._vertices[e.src] for e in self.in_edges(vertex_id)]
-
-    def neighbors(self, vertex_id: int) -> list[Vertex]:
-        """Union of successors and predecessors (deduplicated, ordered)."""
-        seen: dict[int, Vertex] = {}
-        for v in self.successors(vertex_id):
-            seen.setdefault(v.id, v)
-        for v in self.predecessors(vertex_id):
-            seen.setdefault(v.id, v)
-        return list(seen.values())
-
     def edges_between(self, src: int, dst: int) -> list[Edge]:
         """All directed edges from ``src`` to ``dst``."""
         return [e for e in self.out_edges(src) if e.dst == dst]
@@ -478,10 +455,6 @@ class Graph:
     def find_vertices(self, label: str) -> list[Vertex]:
         """All vertices carrying ``label`` (via the label index)."""
         return [self._vertices[i] for i in self.vertex_labels.ids(label)]
-
-    def find_edges(self, label: str) -> list[Edge]:
-        """All edges carrying ``label`` (via the label index)."""
-        return [self._edges[i] for i in self.edge_labels.ids(label)]
 
     def __contains__(self, vertex_id: int) -> bool:
         """Whether ``vertex_id`` exists in the graph."""

@@ -91,12 +91,6 @@ class DependencyTree:
                 return i
         return None
 
-    def label_of(self, index: int) -> str:
-        return self.labels[index]
-
-    def head_of(self, index: int) -> int:
-        return self.heads[index]
-
     def word(self, index: int) -> str:
         return self.tokens[index].text
 
@@ -137,18 +131,6 @@ class DependencyTree:
             self.tokens[i].text for i in nodes
             if i not in excluded and self.tokens[i].tag not in _PUNCT_TAGS
         )
-
-    def to_table(self) -> str:
-        """Human-readable arc table (for examples and debugging)."""
-        lines = []
-        for i, token in enumerate(self.tokens):
-            head = self.heads[i]
-            head_word = "ROOT" if head == -1 else self.tokens[head].text
-            lines.append(
-                f"{i:3d} {token.text:<14} {token.tag:<6} "
-                f"{self.labels[i]:<12} <- {head_word}"
-            )
-        return "\n".join(lines)
 
 
 @dataclass

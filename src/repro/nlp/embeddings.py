@@ -16,12 +16,10 @@ exactly how the paper's maxScore treats multi-word edge labels.
 from __future__ import annotations
 
 import hashlib
-import threading
-from typing import Any
 
 import numpy as np
 
-from repro import locks
+from repro.memo import Memo
 from repro.nlp.semlex import SYNONYM_CLUSTERS, cluster_of
 
 DIM = 64
@@ -52,66 +50,14 @@ def _build_centroids() -> dict[tuple[str, ...], np.ndarray]:
 _CENTROIDS = _build_centroids()
 
 
-class VectorCache:
-    """Thread-safe word/phrase vector memo shared by every scorer.
+#: word and phrase vectors remembered (least recently used dropped
+#: first); the fast and paper MVQA runs use 75
+VECTOR_CAPACITY = 4096
 
-    The old module-level dict was read-then-written from
-    BatchExecutor worker threads with no lock; this class is the
-    lock-disciplined replacement (RP003 applies).  Vectors are pure
-    functions of their (lowercased) spelling, so the cache never goes
-    stale — the lock only protects the dict itself, and duplicate
-    computes race benignly: ``store`` keeps the first-stored array so
-    every caller shares one canonical object per key.
-
-    The lock is wrapped through :func:`repro.locks.wrap_lock` under
-    the role ``nlp.embed_cache``; because this cache is built at
-    import time (usually before ``repro sanitize`` installs its
-    observer), every public entry point re-wraps the underlying raw
-    lock when the active observer changes, so a runtime-installed
-    sanitizer still sees every acquire.
-    """
-
-    def __init__(self) -> None:
-        # lazy wrap: calling wrap_lock with no observer installed
-        # would trigger SVQA_SANITIZE env activation at import time
-        # (this cache is a module global); _refresh_lock wraps the
-        # raw lock as soon as an observer actually exists
-        self._raw = threading.Lock()
-        self._observer: object | None = None
-        self._lock: Any = self._raw
-        self._refresh_lock()
-        self._vectors: dict[tuple[str, str], np.ndarray] = {}
-
-    def _refresh_lock(self) -> None:
-        """Re-wrap the raw lock when the lock observer has changed.
-
-        Benign under races: every wrapper delegates to the same raw
-        lock, and the sanitizer keys critical sections by role name.
-        """
-        observer = locks.current()
-        if observer is not self._observer:
-            self._observer = observer
-            self._lock = self._raw if observer is None else \
-                locks.wrap_lock(self._raw, "nlp.embed_cache")
-
-    def lookup(self, kind: str, key: str) -> np.ndarray | None:
-        """The cached vector for ``(kind, key)``, or ``None``."""
-        self._refresh_lock()
-        with self._lock:
-            locks.note_read("nlp.embed_cache", (kind, key))
-            return self._vectors.get((kind, key))
-
-    def store(self, kind: str, key: str, vector: np.ndarray) -> np.ndarray:
-        """Memoize ``vector`` and return the canonical stored array
-        (the first writer wins, so concurrent misses converge on one
-        shared object)."""
-        self._refresh_lock()
-        with self._lock:
-            locks.note_write("nlp.embed_cache", (kind, key))
-            return self._vectors.setdefault((kind, key), vector)
-
-
-_VECTORS = VectorCache()
+#: every scorer's vectors, keyed ``("word" | "phrase", spelling)``:
+#: pure functions of the spelling, so they never go stale, and
+#: concurrent misses converge on one shared array per key
+_VECTORS = Memo(VECTOR_CAPACITY, "nlp.embed_cache")
 
 
 def _compute_word_vector(lowered: str) -> np.ndarray:
@@ -139,10 +85,8 @@ def word_vector(word: str) -> np.ndarray:
     variants of a predicate would be mutually dissimilar.
     """
     lowered = word.lower()
-    cached = _VECTORS.lookup("word", lowered)
-    if cached is not None:
-        return cached
-    return _VECTORS.store("word", lowered, _compute_word_vector(lowered))
+    return _VECTORS.get_or_compute(
+        ("word", lowered), lambda: _compute_word_vector(lowered))
 
 
 def _compute_phrase_vector(lowered: str) -> np.ndarray:
@@ -160,20 +104,17 @@ def phrase_vector(phrase: str) -> np.ndarray:
 
     Averaging word-by-word (with lemma-aware word vectors) makes
     morphological variants of a phrase nearly identical:
-    cosine("hang out with", "hanging out with") ~ 1.  Memoized in the
-    shared :class:`VectorCache`, so the executor's score memo and the
-    linear reference scan read the exact same array per phrase.
+    cosine("hang out with", "hanging out with") ~ 1.  Memoised in the
+    shared vector memo, so the executor's score memo and the linear
+    reference scan read the exact same array per phrase.
     """
     lowered = phrase.lower().strip()
     if not lowered:
         raise ValueError("cannot embed an empty phrase")
     if " " not in lowered:
         return word_vector(lowered)
-    cached = _VECTORS.lookup("phrase", lowered)
-    if cached is not None:
-        return cached
-    return _VECTORS.store("phrase", lowered,
-                          _compute_phrase_vector(lowered))
+    return _VECTORS.get_or_compute(
+        ("phrase", lowered), lambda: _compute_phrase_vector(lowered))
 
 
 def cosine(a: str, b: str) -> float:

@@ -30,8 +30,12 @@ floats); adding an edge calls nothing.  The memo itself never touches the
 :class:`~repro.simtime.SimClock` — call sites charge the returned
 ``(fresh, probes)`` counts.
 
+The memo holds at most ``SCORE_CAPACITY`` scores: past that, the
+oldest candidate rows are dropped (a dropped score is recomputed and
+charged as fresh again).
+
 The score memo is read and written from BatchExecutor worker threads,
-so it lives behind a :func:`repro.locks.wrap_lock` lock (role
+so it lives behind a :class:`~repro.memo.SharedLock` (role
 ``nlp.score_memo``).  Scoring calls :func:`phrase_vector`, which takes
 the embed-cache lock — those computations happen strictly *outside*
 this index's critical sections (two-phase: snapshot misses under the
@@ -41,13 +45,15 @@ ever acquired under ours.
 
 from __future__ import annotations
 
-import threading
-from typing import Any
-
 import numpy as np
 
 from repro import locks
+from repro.memo import SharedLock
 from repro.nlp.embeddings import phrase_vector
+
+#: scores one memo holds at most (oldest candidate rows dropped
+#: first); the fast MVQA run stores 201
+SCORE_CAPACITY = 16_384
 
 
 class ScoreMemo:
@@ -60,40 +66,20 @@ class ScoreMemo:
     def __init__(self) -> None:
         #: the memo, lowercased candidate -> lowercased query -> score
         #: (keyed by candidate first, so retiring a label drops its rows
-        #: in one step)
+        #: in one step; row insertion order is the eviction order)
         self._scores: dict[str, dict[str, float]] = {}
-        # lazy wrap: calling wrap_lock with no observer installed
-        # would trigger SVQA_SANITIZE env activation at construction
-        # time (e.g. during test collection); _refresh_lock wraps the
-        # raw lock as soon as an observer actually exists
-        self._raw = threading.Lock()
-        self._observer: object | None = None
-        self._lock: Any = self._raw
-        self._refresh_lock()
-
-    def _refresh_lock(self) -> None:
-        """Re-wrap the raw lock when the lock observer has changed.
-
-        The index is often built before ``repro sanitize`` installs
-        its observer; re-wrapping keeps a runtime-installed sanitizer
-        seeing every acquire (wrappers share one raw lock, and the
-        sanitizer keys critical sections by role name).
-        """
-        observer = locks.current()
-        if observer is not self._observer:
-            self._observer = observer
-            self._lock = self._raw if observer is None else \
-                locks.wrap_lock(self._raw, "nlp.score_memo")
+        #: scores held across every row
+        self._held = 0
+        self._lock = SharedLock("nlp.score_memo")
 
     # ------------------------------------------------------------------
     # maintenance (Graph mutation API only)
     # ------------------------------------------------------------------
     def forget(self, label: str) -> None:
         """Drop every memo row of ``label``, whose last edge is gone."""
-        self._refresh_lock()
         with self._lock:
             locks.note_write("nlp.score_memo", label)
-            self._scores.pop(label.lower(), None)
+            self._held -= len(self._scores.pop(label.lower(), ()))
 
     # ------------------------------------------------------------------
     # exact scoring (extensionally equal to the linear scan)
@@ -145,7 +131,6 @@ class ScoreMemo:
         """
         lowered_query = query.lower()
         keys = [(lowered_query, c.lower()) for c in candidates]
-        self._refresh_lock()
         fresh = 0
         probes = 0
         known: dict[tuple[str, str], float] = {}
@@ -176,8 +161,14 @@ class ScoreMemo:
                         probes += missed[key]
                     else:
                         row[key[0]] = computed[key]
+                        self._held += 1
                         fresh += missed[key]
                     known[key] = row[key[0]]
+                while self._held > SCORE_CAPACITY:
+                    # the oldest candidate's row goes (scores are pure:
+                    # a dropped one is recomputed, never wrong)
+                    oldest = next(iter(self._scores))
+                    self._held -= len(self._scores.pop(oldest))
         return [known[key] for key in keys], fresh, probes
 
 

@@ -44,19 +44,12 @@ class CircuitBreaker:
         self._state = CLOSED
         self._consecutive_failures = 0
         self._rejections_since_open = 0
-        self._trips = 0
 
     @property
     def state(self) -> str:
         """Current breaker state: closed, half-open, or open."""
         with self._lock:
             return self._state
-
-    @property
-    def trips(self) -> int:
-        """How many times this breaker transitioned to open."""
-        with self._lock:
-            return self._trips
 
     def allow(self) -> bool:
         """Whether the next call may proceed.
@@ -89,14 +82,12 @@ class CircuitBreaker:
             if self._state == HALF_OPEN:
                 self._state = OPEN
                 self._rejections_since_open = 0
-                self._trips += 1
                 return True
             self._consecutive_failures += 1
             if self._state == CLOSED and \
                     self._consecutive_failures >= self.failure_threshold:
                 self._state = OPEN
                 self._rejections_since_open = 0
-                self._trips += 1
                 return True
             return False
 

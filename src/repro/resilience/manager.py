@@ -127,10 +127,6 @@ class ResilienceManager:
                 self._breakers[site] = breaker
             return breaker
 
-    def breaker_state(self, site: str) -> str:
-        """The named site's breaker state (for reports and tests)."""
-        return self._breaker(site).state
-
     def breaker_states(self) -> dict[str, str]:
         """Every registered site's breaker state, sorted by site name.
 

@@ -110,15 +110,6 @@ class SimClock:
         self.elapsed = 0.0
         self.counts.clear()
 
-    def fork(self) -> SimClock:
-        """A fresh zeroed clock sharing this clock's cost table.
-
-        Concurrent batch execution gives every worker thread its own
-        *shard* so charging stays race-free; shards are folded back
-        with :meth:`merge` when the batch completes.
-        """
-        return SimClock(costs=dict(self.costs))
-
     def merge(self, other: SimClock) -> None:
         """Fold another clock's charges into this one.
 

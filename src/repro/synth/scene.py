@@ -146,9 +146,6 @@ class SyntheticScene:
     def object(self, index: int) -> SceneObject:
         return self.objects[index]
 
-    def relations_of(self, index: int) -> list[SceneRelation]:
-        return [r for r in self.relations if r.src == index or r.dst == index]
-
     # ------------------------------------------------------------------
     # rendering
     # ------------------------------------------------------------------

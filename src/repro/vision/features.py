@@ -38,14 +38,6 @@ class FeatureMap:
     vector: np.ndarray
 
     @property
-    def geometry(self) -> np.ndarray:
-        return self.vector[:GEOMETRY_DIM]
-
-    @property
-    def appearance(self) -> np.ndarray:
-        return self.vector[GEOMETRY_DIM:GEOMETRY_DIM + APPEARANCE_DIM]
-
-    @property
     def subject_signal(self) -> np.ndarray:
         start = GEOMETRY_DIM + APPEARANCE_DIM
         return self.vector[start:start + len(RELATIONS)]

@@ -14,3 +14,8 @@ def lint_source(source, path, bindings):
         if isinstance(binding.rule, CodeRule) and binding.applies_to(path):
             report.extend(binding.rule.check(tree, path))
     return report
+
+
+def by_rule(report, rule_id):
+    """The report's diagnostics of one rule, in report order."""
+    return [d for d in report.diagnostics if d.rule_id == rule_id]

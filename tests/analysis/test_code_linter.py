@@ -19,7 +19,7 @@ from repro.analysis.code_rules import (
     SeededRngRule,
     WallClockRule,
 )
-from tests.analysis.helpers import lint_source
+from tests.analysis.helpers import by_rule, lint_source
 
 
 def lint_fixture(source, rule, path="src/repro/core/fixture.py"):
@@ -52,7 +52,7 @@ class TestWallClockRule:
             """,
             WallClockRule(),
         )
-        assert len(report.by_rule("RP001")) == 1
+        assert len(by_rule(report, "RP001")) == 1
 
     def test_datetime_now_fires(self):
         report = lint_fixture(
@@ -64,7 +64,7 @@ class TestWallClockRule:
             """,
             WallClockRule(),
         )
-        assert len(report.by_rule("RP001")) == 1
+        assert len(by_rule(report, "RP001")) == 1
 
     def test_simclock_use_is_clean(self):
         report = lint_fixture(
@@ -89,7 +89,7 @@ class TestSeededRngRule:
             """,
             SeededRngRule(),
         )
-        assert len(report.by_rule("RP002")) == 1
+        assert len(by_rule(report, "RP002")) == 1
 
     def test_seeded_default_rng_is_clean(self):
         report = lint_fixture(
@@ -113,7 +113,7 @@ class TestSeededRngRule:
             """,
             SeededRngRule(),
         )
-        assert len(report.by_rule("RP002")) == 1
+        assert len(by_rule(report, "RP002")) == 1
 
     def test_stdlib_global_random_fires(self):
         report = lint_fixture(
@@ -125,7 +125,7 @@ class TestSeededRngRule:
             """,
             SeededRngRule(),
         )
-        assert len(report.by_rule("RP002")) == 1
+        assert len(by_rule(report, "RP002")) == 1
 
 
 class TestLockDisciplineRule:
@@ -144,7 +144,7 @@ class TestLockDisciplineRule:
             """,
             LockDisciplineRule(),
         )
-        assert len(report.by_rule("RP003")) == 1
+        assert len(by_rule(report, "RP003")) == 1
         assert "Counter.bump" in report.diagnostics[0].message
 
     def test_guarded_mutation_is_clean(self):
@@ -180,7 +180,7 @@ class TestLockDisciplineRule:
             """,
             LockDisciplineRule(),
         )
-        assert len(report.by_rule("RP003")) == 1
+        assert len(by_rule(report, "RP003")) == 1
 
     def test_private_helper_is_exempt(self):
         report = lint_fixture(
@@ -224,7 +224,7 @@ class TestOrderedIterationRule:
             """,
             OrderedIterationRule(),
         )
-        assert len(report.by_rule("RP004")) == 1
+        assert len(by_rule(report, "RP004")) == 1
 
     def test_set_call_in_comprehension_fires(self):
         report = lint_fixture(
@@ -234,7 +234,7 @@ class TestOrderedIterationRule:
             """,
             OrderedIterationRule(),
         )
-        assert len(report.by_rule("RP004")) == 1
+        assert len(by_rule(report, "RP004")) == 1
 
     def test_sorted_set_is_clean(self):
         report = lint_fixture(
@@ -257,7 +257,7 @@ class TestMutableDefaultRule:
             """,
             MutableDefaultRule(),
         )
-        assert len(report.by_rule("RP005")) == 1
+        assert len(by_rule(report, "RP005")) == 1
 
     def test_dict_call_default_fires(self):
         report = lint_fixture(
@@ -267,7 +267,7 @@ class TestMutableDefaultRule:
             """,
             MutableDefaultRule(),
         )
-        assert len(report.by_rule("RP005")) == 1
+        assert len(by_rule(report, "RP005")) == 1
 
     def test_none_default_is_clean(self):
         report = lint_fixture(

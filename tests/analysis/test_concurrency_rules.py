@@ -11,10 +11,12 @@ from pathlib import Path
 from repro.analysis.code_linter import (
     LOCK_MODULES,
     RuleBinding,
+    default_bindings,
     default_project_bindings,
     default_source_root,
     lint_paths,
 )
+from repro.analysis.code_rules import LockDisciplineRule
 from repro.analysis.concurrency import (
     BlockingUnderLockRule,
     DispatchUnderLockRule,
@@ -22,6 +24,7 @@ from repro.analysis.concurrency import (
     LockOrderInversionRule,
     LockPublicationRule,
 )
+from tests.analysis.helpers import by_rule
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -115,12 +118,12 @@ class TestFixturesThroughLinter:
             DispatchUnderLockRule, LockPublicationRule)]
         report = lint_paths([FIXTURES], bindings=[],
                             project_bindings=bindings)
-        by_rule = {rid: report.by_rule(rid)
+        found = {rid: by_rule(report, rid)
                    for rid in ("RP008", "RP009", "RP010", "RP011")}
-        assert len(by_rule["RP008"]) == 1
-        assert len(by_rule["RP009"]) == 4
-        assert len(by_rule["RP010"]) == 2
-        assert len(by_rule["RP011"]) == 3
+        assert len(found["RP008"]) == 1
+        assert len(found["RP009"]) == 4
+        assert len(found["RP010"]) == 2
+        assert len(found["RP011"]) == 3
         clean = str(FIXTURES / "clean_module.py")
         assert all(d.location.file != clean for d in report)
 
@@ -134,6 +137,24 @@ class TestDefaultProjectBindings:
         root = default_source_root().parent
         for module in LOCK_MODULES:
             assert (root / module).is_file(), module
+
+    def test_lock_modules_are_the_modules_that_make_locks(self):
+        """``LOCK_MODULES`` names exactly the ``src/`` modules that make
+        a lock (a ``wrap_lock`` call or a ``SharedLock``), apart from
+        the seam itself, and RP003 governs none outside it."""
+        package = default_source_root()
+        making = set()
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", None)
+                ) in ("wrap_lock", "SharedLock"):
+                    making.add(path.relative_to(package.parent).as_posix())
+        making.discard("repro/locks.py")
+        assert making == set(LOCK_MODULES)
+        (discipline,) = [binding for binding in default_bindings()
+                         if isinstance(binding.rule, LockDisciplineRule)]
+        assert set(discipline.paths) <= making
 
 
 class TestRealRepositoryPostTriage:

@@ -6,6 +6,7 @@ from repro.analysis import (
     Location,
     Severity,
 )
+from tests.analysis.helpers import by_rule
 
 
 def diag(rule_id="QG001", severity=Severity.ERROR, **loc):
@@ -77,7 +78,7 @@ class TestDiagnosticReport:
         report = DiagnosticReport(
             [diag("QG002"), diag("QG001"), diag("QG002")]
         )
-        assert len(report.by_rule("QG002")) == 2
+        assert len(by_rule(report, "QG002")) == 2
         assert report.rule_ids() == ["QG002", "QG001"]
 
     def test_sorted_puts_errors_first(self):

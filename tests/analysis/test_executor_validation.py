@@ -12,16 +12,18 @@ from repro.core import (
     generate_query_graph,
 )
 from repro.analysis.query_validator import validate_query_graph
-from repro.core.executor import ExecutorMemo
+from repro.core import executor as executor_module
+from repro.core.executor import DIAGNOSTICS_CAPACITY
 from repro.core.spoc import DependencyKind, QueryGraph, SPOC, Term
+from repro.memo import Memo
 
 from tests.core.test_executor import make_merged
 
 
-def broken_graph():
+def broken_graph(ground="grass"):
     """A graph whose wiring is cyclic (QG002 ERROR)."""
     main = SPOC(subject=Term("dog", "dog"), predicate="be",
-                object=Term("grass", "grass"), is_main=True,
+                object=Term(ground, ground), is_main=True,
                 question_type=QuestionType.JUDGMENT)
     cond = SPOC(subject=Term("dog", "dog"), predicate="be",
                 object=Term("fence", "fence"), depth=1)
@@ -54,19 +56,27 @@ class TestValidationModes:
         assert snapshot.validation_errors >= 1
 
 
-class TestMemoisedValidation:
-    """Executors sharing one ``ExecutorMemo`` validate each distinct
-    graph once, yet count and report on every ask."""
+def diagnostics_memo(monkeypatch, capacity=DIAGNOSTICS_CAPACITY):
+    """A fresh process-wide diagnostics memo for one test."""
+    memo = Memo(capacity, "core.diagnostics")
+    monkeypatch.setattr(executor_module, "_DIAGNOSTICS", memo)
+    return memo
 
-    def test_every_ask_is_counted_with_the_same_numbers(self):
+
+class TestMemoisedValidation:
+    """Executors share one process-wide diagnostics memo: each
+    distinct graph is validated once, yet counted and reported on
+    every ask."""
+
+    def test_every_ask_is_counted_with_the_same_numbers(self,
+                                                        monkeypatch):
         stats = ExecutorStats()
-        memo = ExecutorMemo()
-        first, second = (QueryGraphExecutor(make_merged(), stats=stats,
-                                            memo=memo)
+        memo = diagnostics_memo(monkeypatch)
+        first, second = (QueryGraphExecutor(make_merged(), stats=stats)
                          for _ in range(2))
         reports = [executor.validate(broken_graph())
                    for executor in (first, second, first)]
-        assert memo.sizes()[1] == 1
+        assert len(memo) == 1
         assert len({len(r.errors) for r in reports}) == 1
         snapshot = stats.snapshot()
         assert snapshot.graphs_validated == 3
@@ -81,3 +91,16 @@ class TestMemoisedValidation:
         report.diagnostics.clear()
         assert executor.validate(broken_graph()).diagnostics == \
             fresh.diagnostics
+
+    def test_more_graphs_than_its_capacity(self, monkeypatch):
+        """Distinct graphs beyond a small capacity keep the memo within
+        it, and every report equals a fresh validator run."""
+        memo = diagnostics_memo(monkeypatch, capacity=4)
+        executor = QueryGraphExecutor(make_merged())
+        for i in range(12):
+            graph = broken_graph(ground=f"ground{i}")
+            want = validate_query_graph(graph).diagnostics
+            assert want
+            assert executor.validate(graph).diagnostics == want
+            assert len(memo) <= 4
+        assert len(memo) == 4

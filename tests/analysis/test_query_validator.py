@@ -22,6 +22,7 @@ from repro.core.spoc import (
     Term,
 )
 from repro.errors import QueryParseError
+from tests.analysis.helpers import by_rule
 
 
 def term(head, **kwargs):
@@ -68,7 +69,7 @@ class TestBrokenGraphs:
                    (1, 0, DependencyKind.S2S)],
         )
         report = validate_query_graph(graph)
-        qg002 = report.by_rule("QG002")
+        qg002 = by_rule(report, "QG002")
         assert len(qg002) == 1
         assert qg002[0].severity is Severity.ERROR
         assert "no execution order" in qg002[0].message
@@ -89,7 +90,7 @@ class TestBrokenGraphs:
             vertices=[judgment_main(), condition()], edges=[]
         )
         report = validate_query_graph(graph)
-        qg004 = report.by_rule("QG004")
+        qg004 = by_rule(report, "QG004")
         assert len(qg004) == 1
         assert qg004[0].severity is Severity.WARNING
         assert qg004[0].location.vertex == 1
@@ -124,7 +125,7 @@ class TestBrokenGraphs:
                    (2, 0, DependencyKind.S2S)],
         )
         report = validate_query_graph(graph)
-        qg006 = report.by_rule("QG006")
+        qg006 = by_rule(report, "QG006")
         assert len(qg006) == 1
         assert qg006[0].severity is Severity.WARNING
         assert "'dog'" in qg006[0].message
@@ -140,7 +141,7 @@ class TestBrokenGraphs:
             edges=[(1, 0, DependencyKind.S2S),
                    (2, 0, DependencyKind.S2S)],
         )
-        assert not validate_query_graph(graph).by_rule("QG006")
+        assert not by_rule(validate_query_graph(graph), "QG006")
 
     def test_constraint_on_empty_slot_triggers_qg007_error(self):
         broken = spoc(subject=term("dog"), obj=None,
@@ -148,7 +149,7 @@ class TestBrokenGraphs:
                       question_type=QuestionType.JUDGMENT,
                       answer_role="object")
         report = validate_query_graph(QueryGraph(vertices=[broken]))
-        qg007 = report.by_rule("QG007")
+        qg007 = by_rule(report, "QG007")
         assert len(qg007) == 1
         assert qg007[0].severity is Severity.ERROR
 
@@ -158,7 +159,7 @@ class TestBrokenGraphs:
                      question_type=QuestionType.JUDGMENT,
                      answer_role="object")
         report = validate_query_graph(QueryGraph(vertices=[fuzzy]))
-        qg007 = report.by_rule("QG007")
+        qg007 = by_rule(report, "QG007")
         assert len(qg007) == 1
         assert qg007[0].severity is Severity.WARNING
 
@@ -167,7 +168,7 @@ class TestBrokenGraphs:
             vertices=[judgment_main(subject="canis", obj="grass")]
         )
         report = validate_query_graph(graph)
-        qg008 = report.by_rule("QG008")
+        qg008 = by_rule(report, "QG008")
         assert len(qg008) == 1
         assert qg008[0].severity is Severity.WARNING
         assert "'canis'" in qg008[0].message
@@ -177,14 +178,14 @@ class TestBrokenGraphs:
             vertices=[judgment_main(subject="Harry Potter")]
         )
         # proper names match annotation labels, not the lexicon
-        assert not validate_query_graph(graph).by_rule("QG008")
+        assert not by_rule(validate_query_graph(graph), "QG008")
 
     def test_degenerate_spoc_triggers_qg009(self):
         empty = spoc(subject=None, obj=None, predicate="",
                      is_main=True,
                      question_type=QuestionType.JUDGMENT)
         report = validate_query_graph(QueryGraph(vertices=[empty]))
-        assert len(report.by_rule("QG009")) == 2  # no slots + no verb
+        assert len(by_rule(report, "QG009")) == 2  # no slots + no verb
 
 
 class TestValidatorConfiguration:

@@ -163,18 +163,20 @@ class TestRetiringStoreWrites:
         assert [d.rule_id for d in report] == ["RP007"]
 
     def test_raw_neighborhood_store_put_fires(self):
-        report = lint("self.cache.nbr.put(key, (ids, edges))\n",
-                      path="src/repro/core/executor.py")
-        assert [d.rule_id for d in report] == ["RP007"]
-        assert "nbr_get_or_compute" in next(iter(report)).hint
+        for store in ("nbr", "kind"):
+            report = lint(f"self.cache.{store}.put(key, (ids, edges))\n",
+                          path="src/repro/core/executor.py")
+            assert [d.rule_id for d in report] == ["RP007"]
+            assert f"{store}_get_or_compute" in next(iter(report)).hint
 
     def test_cache_api_is_fine(self):
         report = lint(
             """
-            def store(self, key, value, deps, stamp):
-                self.cache.put_scope(key, value, deps, stamp)
-                self.cache.put_path(key, value, deps, stamp)
+            def store(self, key, compute, stamp):
+                self.cache.scope_get_or_compute(key, compute, stamp)
+                self.cache.path_get_or_compute(key, compute, stamp)
                 self.cache.nbr_get_or_compute(key, compute, stamp)
+                self.cache.kind_get_or_compute(key, compute, stamp)
             """
         )
         assert len(report) == 0

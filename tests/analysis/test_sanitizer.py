@@ -148,7 +148,9 @@ class TestSanitizedLock:
         cond = threading.Condition(lock)
         with cond:
             cond.notify_all()
-        assert not lock.locked()
+        # released again: a non-blocking acquire succeeds
+        assert lock.acquire(blocking=False)
+        lock.release()
 
     def test_nonblocking_acquire_failure_emits_no_event(self):
         san = Sanitizer(SanitizerConfig(seed=1))

@@ -91,7 +91,7 @@ class TestLFU:
         assert cache.get("a") == 1
 
     def test_hit_rate_untouched_cache(self):
-        assert LFUCache(2).hit_rate == 0.0
+        assert LFUCache(2).counters() == (0, 0)
 
 
 class TestLRU:
@@ -124,7 +124,7 @@ class TestLRU:
         cache.put("a", 1)
         cache.get("a")
         cache.get("z")
-        assert cache.hit_rate == pytest.approx(0.5)
+        assert cache.counters() == (1, 1)
 
     def test_put_existing_key_at_capacity_does_not_evict(self):
         cache = LRUCache(2)
@@ -136,7 +136,7 @@ class TestLRU:
         assert cache.get("b") == 2
 
     def test_hit_rate_untouched_cache(self):
-        assert LRUCache(2).hit_rate == 0.0
+        assert LRUCache(2).counters() == (0, 0)
 
 
 class TestFactoryAndProperties:
@@ -167,59 +167,96 @@ class TestFactoryAndProperties:
             assert cache.get(key) == key * 10
 
 
+# Store and look up entries directly: keys are tagged with their
+# store's name, as the executor's are (retirement finds the store of a
+# key by its tag).
+
+def put_scope(cache, key, value, deps=(), stamp=None):
+    """Store a scope entry computed under ``stamp`` (no-op when the
+    scope store is off)."""
+    if cache.enabled_scope:
+        cache._store(cache.scope, ("scope", key), value, deps, stamp)
+
+
+def put_path(cache, key, value, deps=(), stamp=None):
+    """Store a path entry computed under ``stamp``."""
+    if cache.enabled_path:
+        cache._store(cache.path, ("path", key), value, deps, stamp)
+
+
 def put_nbr(cache, key, value, deps=(), stamp=None):
     """Fill a neighborhood through the store's get-or-compute."""
-    cache.nbr_get_or_compute(key, lambda: (value, deps), stamp)
+    cache.nbr_get_or_compute(("nbr", key), lambda: (value, deps), stamp)
+
+
+def held(store, enabled, key):
+    found = store.get((store.name, key)) if enabled else None
+    return None if found is None else found[0]
+
+
+def get_scope(cache, key):
+    """The held scope entry under ``key`` (``None`` when missing)."""
+    return held(cache.scope, cache.enabled_scope, key)
+
+
+def get_path(cache, key):
+    """The held path entry under ``key``."""
+    return held(cache.path, cache.enabled_path, key)
 
 
 def get_nbr(cache, key):
-    """The held neighborhood under ``key`` (``None`` when missing)."""
-    found = cache.nbr.get(key)
-    return None if found is None else found[0]
+    """The held neighborhood under ``key``."""
+    return held(cache.nbr, True, key)
+
+
+def held_items(cache):
+    """Entries held across every store."""
+    return sum(len(store) for store in
+               (cache.scope, cache.path, cache.nbr, cache.kind))
 
 
 class TestKeyCentric:
     def test_scope_and_path_independent(self):
         cache = KeyCentricCache.create(pool_size=4)
-        cache.put_scope("k", [1])
-        cache.put_path("k", [2])
+        put_scope(cache, "k", [1])
+        put_path(cache, "k", [2])
         put_nbr(cache, "k", [3])
-        assert cache.get_scope("k") == [1]
-        assert cache.get_path("k") == [2]
+        assert get_scope(cache, "k") == [1]
+        assert get_path(cache, "k") == [2]
         assert get_nbr(cache, "k") == [3]
 
     def test_disabled_cache_stores_nothing(self):
         cache = KeyCentricCache.disabled()
-        cache.put_scope("k", [1])
-        cache.put_path("k", [2])
+        put_scope(cache, "k", [1])
+        put_path(cache, "k", [2])
         put_nbr(cache, "k", [3])
-        assert cache.get_scope("k") is None
-        assert cache.get_path("k") is None
+        assert get_scope(cache, "k") is None
+        assert get_path(cache, "k") is None
         assert get_nbr(cache, "k") is None
 
     def test_granularity_flags(self):
         cache = KeyCentricCache.create(pool_size=4, enabled_scope=True,
                                        enabled_path=False)
-        cache.put_scope("k", [1])
-        cache.put_path("k", [2])
+        put_scope(cache, "k", [1])
+        put_path(cache, "k", [2])
         put_nbr(cache, "k", [3])
-        assert cache.get_scope("k") == [1]
-        assert cache.get_path("k") is None
+        assert get_scope(cache, "k") == [1]
+        assert get_path(cache, "k") is None
         # the neighborhood store follows the path store
         assert get_nbr(cache, "k") is None
 
     def test_item_count(self):
         cache = KeyCentricCache.create(pool_size=4)
-        cache.put_scope("a", 1)
-        cache.put_path("b", 2)
+        put_scope(cache, "a", 1)
+        put_path(cache, "b", 2)
         put_nbr(cache, "c", 3)
-        assert cache.item_count == 3
+        assert held_items(cache) == 3
 
     def test_report(self):
         cache = KeyCentricCache.create(pool_size=4)
-        cache.put_scope("a", 1)
-        cache.get_scope("a")
-        cache.get_scope("z")
+        put_scope(cache, "a", 1)
+        get_scope(cache, "a")
+        get_scope(cache, "z")
         report = CacheReport.from_cache(cache)
         assert report.scope_hits == 1
         assert report.scope_misses == 1
@@ -354,14 +391,47 @@ class TestThreadSafety:
         assert sum(1 for _, hit in results if not hit) == 1
 
 
+    def test_a_lane_that_stored_after_the_miss_is_not_recomputed(self):
+        """A leader that stores and leaves between another lane's
+        store miss and its in-flight check: that lane takes the stored
+        value instead of computing it a second time."""
+        cache = KeyCentricCache.create(pool_size=4)
+        computes = []
+
+        def compute():
+            computes.append(1)
+            return [42], ()
+
+        real_get = cache.scope.get
+        raced = []
+
+        def get(key, accept=None):
+            found = real_get(key, accept)
+            if found is None and not raced:
+                raced.append(key)
+                # the other lane runs to completion right here
+                cache.scope_get_or_compute(key, compute)
+            return found
+
+        cache.scope.get = get
+        value, _, hit = cache.scope_get_or_compute("k", compute)
+        assert (value, hit) == ([42], True)
+        assert raced == ["k"] and len(computes) == 1
+        assert cache._inflight == {}
+
+
 class TestDropWhere:
+    """Dropping entries: ``pop`` one key (retirement), ``clear`` all
+    (a rebind)."""
+
     @pytest.mark.parametrize("factory", [LFUCache, LRUCache])
     def test_drops_matching_keys_only(self, factory):
         cache = factory(8)
         for key in ("a", "b", "stale-1", "stale-2"):
             cache.put(key, key.upper())
-        dropped = cache.drop_where(lambda k: k.startswith("stale"))
-        assert dropped == 2
+        dropped = [cache.pop(k) for k in ("stale-1", "stale-2", "gone")]
+        assert dropped == [True, True, False]
+        assert len(cache) == 2
         assert cache.get("a") == "A"
         assert cache.get("stale-1") is None
 
@@ -372,7 +442,9 @@ class TestDropWhere:
         cache.get("a")
         cache.get("z")
         hits, misses = cache.hits, cache.misses
-        cache.drop_where(lambda k: True)
+        cache.pop("a")
+        cache.put("b", 2)
+        cache.clear()
         assert (cache.hits, cache.misses) == (hits, misses)
         assert len(cache) == 0
 
@@ -380,7 +452,7 @@ class TestDropWhere:
         cache = LFUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.drop_where(lambda k: k == "a")
+        cache.pop("a")
         cache.put("c", 3)
         cache.put("d", 4)  # b is now least frequent
         assert len(cache) == 2
@@ -401,7 +473,7 @@ def bound_cache(pool_size=16, **flags):
 
 
 def scope_keys(cache):
-    return sorted(cache.scope._values)
+    return sorted(key[1] for key in cache.scope._values)
 
 
 class TestRetireStale:
@@ -409,33 +481,33 @@ class TestRetireStale:
 
     def test_retires_only_touched_entries(self):
         cache, graph = bound_cache()
-        cache.put_scope("dog", [0, 1], (Reads(labels=("dog",)),),
+        put_scope(cache, "dog", [0, 1], (Reads(labels=("dog",)),),
                         cache.stamp())
-        cache.put_scope("cat", [], (Reads(labels=("cat",)),),
+        put_scope(cache, "cat", [], (Reads(labels=("cat",)),),
                         cache.stamp())
-        cache.put_path("near", [], (Reads(out_of={2}),), cache.stamp())
+        put_path(cache, "near", [], (Reads(out_of={2}),), cache.stamp())
         put_nbr(cache, "out", [], (Reads(out_of={2}),), cache.stamp())
         put_nbr(cache, "in", [], (Reads(into={2}),), cache.stamp())
         graph.add_vertex("dog")
         assert scope_keys(cache) == ["cat"]
-        assert cache.get_path("near") == []
+        assert get_path(cache, "near") == []
         graph.add_edge(2, 3, "near")
-        assert cache.get_path("near") is None
+        assert get_path(cache, "near") is None
         assert get_nbr(cache, "out") is None
         assert get_nbr(cache, "in") == []
         # a taxonomy edge at 2 is not an "other" out-edge of 2
-        cache.put_path("near", [], (Reads(out_of={2}),), cache.stamp())
+        put_path(cache, "near", [], (Reads(out_of={2}),), cache.stamp())
         graph.add_edge(2, 3, "is a")
-        assert cache.get_path("near") == []
+        assert get_path(cache, "near") == []
 
     def test_entries_that_read_nothing_touched_survive(self):
         cache, graph = bound_cache()
-        cache.put_scope("dog", [0, 1], (Reads(),), cache.stamp())
+        put_scope(cache, "dog", [0, 1], (Reads(),), cache.stamp())
         graph.add_vertex("dog")
         graph.relabel_vertex(3, "zeppelin")
         graph.add_edge(2, 3, "near")
         graph.remove_vertex(2)
-        assert cache.get_scope("dog") == [0, 1]
+        assert get_scope(cache, "dog") == [0, 1]
 
     def test_disabled_cache_is_a_noop(self):
         cache = KeyCentricCache.disabled()
@@ -443,19 +515,19 @@ class TestRetireStale:
         cache.bind(graph)
         assert graph._observers == []
         graph.add_vertex("dog")
-        assert cache.item_count == 0
+        assert held_items(cache) == 0
 
     def test_each_write_retires_once(self):
         stats = ExecutorStats()
         cache, graph = bound_cache()
         cache.bind(graph, stats)
         held = frozenset({1})
-        cache.put_scope("dog", [1], (Reads(held=held, tax_in=held),),
+        put_scope(cache, "dog", [1], (Reads(held=held, tax_in=held),),
                         cache.stamp())
-        cache.put_path("p", [], (Reads(held=held),), cache.stamp())
+        put_path(cache, "p", [], (Reads(held=held),), cache.stamp())
         put_nbr(cache, "n", [], (Reads(held=held),), cache.stamp())
         graph.relabel_vertex(1, "cat")
-        assert cache.item_count == 0
+        assert held_items(cache) == 0
         # stale drops count scope and path entries only
         assert stats.snapshot().stale_scope_drops == 2
         graph.relabel_vertex(1, "dog")
@@ -464,7 +536,7 @@ class TestRetireStale:
     def test_new_label_is_tested_with_the_candidate_predicate(self):
         cache, graph = bound_cache()
         for query in ("puppies", "horse"):
-            cache.put_scope(query, [], (Reads(probes=((query, 0.34,
+            put_scope(cache, query, [], (Reads(probes=((query, 0.34,
                                                        True),)),),
                             cache.stamp())
         # "puppy" is new to the graph and number-normalizes to
@@ -477,12 +549,12 @@ class TestRetireStale:
     def test_edge_removal_retires_by_edge_id(self):
         cache, graph = bound_cache()
         edge = graph.add_edge(2, 3, "near")
-        cache.put_path("p", [edge.id], (Reads(edges={edge.id}),),
+        put_path(cache, "p", [edge.id], (Reads(edges={edge.id}),),
                        cache.stamp())
-        cache.put_path("q", [], (Reads(edges={0}),), cache.stamp())
+        put_path(cache, "q", [], (Reads(edges={0}),), cache.stamp())
         graph.remove_edge(edge.id)
-        assert cache.get_path("p") is None
-        assert cache.get_path("q") == []
+        assert get_path(cache, "p") is None
+        assert get_path(cache, "q") == []
 
     def test_dependent_entries_outlive_an_evicted_entry(self):
         # an entry may depend on the reads of another (a possessive
@@ -490,33 +562,33 @@ class TestRetireStale:
         # detach the dependent entry from them
         cache, graph = bound_cache(pool_size=1)
         owner_reads = Reads(labels=("dog",))
-        cache.put_scope("dog", [0, 1], (owner_reads,), cache.stamp())
-        cache.put_path("p", [], (Reads(), owner_reads), cache.stamp())
+        put_scope(cache, "dog", [0, 1], (owner_reads,), cache.stamp())
+        put_path(cache, "p", [], (Reads(), owner_reads), cache.stamp())
         cat_reads = Reads(labels=("cat",))
-        cache.put_scope("cat", [], (cat_reads,), cache.stamp())
+        put_scope(cache, "cat", [], (cat_reads,), cache.stamp())
         assert scope_keys(cache) == ["cat"]
         graph.add_vertex("dog")
-        assert cache.get_path("p") is None
+        assert get_path(cache, "p") is None
         assert list(cache._index._reads["labels"]) == [cat_reads]
 
     def test_value_computed_across_a_write_is_not_kept(self):
         cache, graph = bound_cache()
         stamp = cache.stamp()
         graph.add_vertex("fence")
-        cache.put_scope("fence", [3], (Reads(labels=("fence",)),), stamp)
+        put_scope(cache, "fence", [3], (Reads(labels=("fence",)),), stamp)
         value, _, hit = cache.scope_get_or_compute(
             "grass", lambda: (graph.add_vertex("hay") and [4], ()),
             cache.stamp())
         assert (value, hit) == ([4], False)
-        assert cache.item_count == 0
+        assert held_items(cache) == 0
 
     def test_rebinding_empties_the_stores(self):
         cache, graph = bound_cache()
-        cache.put_scope("dog", [0, 1], (), cache.stamp())
+        put_scope(cache, "dog", [0, 1], (), cache.stamp())
         put_nbr(cache, "out", [], (), cache.stamp())
         other = Graph()
         cache.bind(other)
-        assert cache.item_count == 0
+        assert held_items(cache) == 0
         assert all(o is not cache for o in graph._observers)
         assert any(o is cache for o in other._observers)
 
@@ -574,7 +646,7 @@ class TestRetireStaleUnderContention:
         def write_fresh():
             barrier.wait()
             for i in range(200):
-                cache.put_scope(("scope", f"fresh-{i}"), [i],
+                put_scope(cache, ("scope", f"fresh-{i}"), [i],
                                 (Reads(labels=("cat",)),), cache.stamp())
 
         def retire_old():
@@ -583,7 +655,7 @@ class TestRetireStaleUnderContention:
                 graph.add_vertex("dog")
 
         for key in range(30):
-            cache.put_scope(("scope", f"old-{key}"), [key],
+            put_scope(cache, ("scope", f"old-{key}"), [key],
                             (Reads(labels=("dog",)),), cache.stamp())
         writers = threading.Thread(target=write_fresh)
         retirers = threading.Thread(target=retire_old)
@@ -592,17 +664,17 @@ class TestRetireStaleUnderContention:
         writers.join()
         retirers.join()
         for key in range(30):
-            assert cache.get_scope(("scope", f"old-{key}")) is None
+            assert get_scope(cache, ("scope", f"old-{key}")) is None
         survivors = sum(
             1 for i in range(200)
-            if cache.get_scope(("scope", f"fresh-{i}")) is not None
+            if get_scope(cache, ("scope", f"fresh-{i}")) is not None
         )
         # entries that read "cat" are never collateral damage of
         # writes of "dog" (a store racing a write may be refused, but
         # retirement must not drop it)
         assert survivors > 0
         graph.add_vertex("cat")
-        assert cache.item_count == 0
+        assert held_items(cache) == 0
 
     def test_racing_writer_leaves_no_stale_value(self):
         """Eight threads fill entries derived from a vertex's label

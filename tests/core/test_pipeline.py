@@ -22,6 +22,7 @@ from repro.vision import (
     SimulatedDetector,
 )
 from tests.core.oracles import unplanned_answers
+from tests.core.test_cache import held_items
 
 
 @pytest.fixture(scope="module")
@@ -172,10 +173,10 @@ class TestStaleRetirementAcrossBatches:
         assert system.cache_report().scope_misses > 0
         # an isolated vertex with a label no question matches moves
         # the epoch without touching any entry
-        held = system._cache.item_count
+        held = held_items(system._cache)
         system.merged.graph.add_vertex("zeppelin")
         assert system.stats.snapshot().stale_scope_drops == 0
-        assert system._cache.item_count == held
+        assert held_items(system._cache) == held
         misses = system.cache_report().scope_misses
         assert [a.value for a in system.answer_many(self.QUESTIONS)] \
             == before

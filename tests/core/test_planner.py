@@ -27,6 +27,7 @@ from repro.dataset.kg import build_commonsense_kg
 from repro.graph.observe import Reads
 from repro.synth import SceneGenerator
 from tests.core.oracles import unplanned_answers
+from tests.core.test_cache import held_items
 from tests.core.test_executor import make_merged
 from tests.core.test_scope_oracle import (  # noqa: F401 (fixtures)
     clone,
@@ -157,7 +158,7 @@ class TestCacheOffAblation:
         # order the questions ran in, so every count must agree
         assert dict(system.clock.counts) == dict(oracle.clock.counts)
         assert fills(system) == 0
-        assert system._cache.item_count == 0
+        assert held_items(system._cache) == 0
 
     def test_one_cache_off_shares_only_the_other_kind(self):
         scope_only = build_system(enable_path_cache=False)

@@ -1,7 +1,8 @@
 """The session-owned query-graph memo against memo-free sessions.
 
-``SVQA`` analyses each distinct question once (``QueryGraphMemo``) and
-replays Algorithm 2's charges and spans on every ask.  The oracle is
+``SVQA`` analyses each distinct question once (its query memo, a
+:class:`~repro.memo.Memo` of ``analyse_question``) and replays
+Algorithm 2's charges and spans on every ask.  The oracle is
 the same session with a zero-capacity memo, which analyses every ask
 afresh: answers, ``clock.counts``, span trees and parse-site fault
 events must not tell the two apart.
@@ -14,18 +15,26 @@ import pytest
 from repro import locks
 from repro.analysis.concurrency.sanitizer import Sanitizer, SanitizerConfig
 from repro.core import SVQA, SVQAConfig
-from repro.core.query_graph import (
-    QUERY_MEMO_CAPACITY,
-    QueryGraphMemo,
-    analyse_question,
-)
+from repro.core import pipeline
+from repro.core.query_graph import QUERY_MEMO_CAPACITY, analyse_question
 from repro.dataset.kg import build_commonsense_kg
 from repro.dataset.mvqa import build_mvqa
 from repro.errors import QueryParseError
+from repro.memo import Memo
 from repro.resilience import ResilienceConfig
 from repro.synth import SceneGenerator
 
 EXOTIC = "Is there a canis near the fence?"
+
+
+def query_memo(capacity=QUERY_MEMO_CAPACITY):
+    """A memo like the one every session owns."""
+    return Memo(capacity, "core.query_memo")
+
+
+def analyse(memo, question):
+    """The session's lookup: the memoised ``analyse_question``."""
+    return memo.get_or_compute(question, lambda: analyse_question(question))
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +66,7 @@ def session(scenes, kg, memo=True, **config):
     system = SVQA(scenes, kg, SVQAConfig(**config))
     system.build()
     if not memo:
-        system._query_graphs = QueryGraphMemo(capacity=0)
+        system._query_graphs = query_memo(capacity=0)
     return system
 
 
@@ -108,34 +117,34 @@ class TestDifferential:
 
 class TestMemo:
     def test_hit_returns_the_stored_graph(self, questions):
-        memo = QueryGraphMemo()
-        first = memo.analyse(questions[0])
+        memo = query_memo()
+        first = analyse(memo, questions[0])
         assert first == analyse_question(questions[0])
-        assert memo.analyse(questions[0]) is first
+        assert analyse(memo, questions[0]) is first
         assert len(memo) == 1
 
     def test_never_holds_more_than_its_capacity(self, questions):
-        memo = QueryGraphMemo(capacity=4)
+        memo = query_memo(capacity=4)
         parseable = [q for q in questions if "canis" not in q][:10]
-        kept = memo.analyse(parseable[0])
+        kept = analyse(memo, parseable[0])
         for question in parseable[1:4]:
-            memo.analyse(question)
-        memo.analyse(parseable[0])  # the most recent again
-        memo.analyse(parseable[4])
+            analyse(memo, question)
+        analyse(memo, parseable[0])  # the most recent again
+        analyse(memo, parseable[4])
         # least recently asked goes first: parseable[1], not [0]
-        assert memo.analyse(parseable[0]) is kept
-        assert memo.analyse(parseable[1]) is not kept
+        assert analyse(memo, parseable[0]) is kept
+        assert analyse(memo, parseable[1]) is not kept
         for question in parseable[5:]:
-            memo.analyse(question)
+            analyse(memo, question)
             assert len(memo) <= 4
         assert len(memo) == 4
-        assert memo.analyse(parseable[0]) is not kept
+        assert analyse(memo, parseable[0]) is not kept
 
     def test_failed_parses_are_not_memoised(self):
-        memo = QueryGraphMemo()
+        memo = query_memo()
         for _ in range(2):
             with pytest.raises(QueryParseError):
-                memo.analyse(EXOTIC)
+                analyse(memo, EXOTIC)
         assert len(memo) == 0
 
     def test_sessions_do_not_share_a_memo(self):
@@ -145,6 +154,27 @@ class TestMemo:
         a.parse_question("Is there a dog near the fence?")
         assert len(a._query_graphs) == 1
         assert len(b._query_graphs) == 0
+
+
+class TestBoundedGrowth:
+    def test_more_questions_than_its_capacity(self, questions, monkeypatch):
+        """A session asked more distinct questions than a small
+        capacity keeps that many and still parses each like a fresh
+        analysis."""
+        monkeypatch.setattr(pipeline, "QUERY_MEMO_CAPACITY", 8)
+        system = SVQA()
+        distinct = list(dict.fromkeys(questions))
+        assert len(distinct) > 8
+        for question in distinct:
+            try:
+                want = analyse_question(question)
+            except QueryParseError:
+                with pytest.raises(QueryParseError):
+                    system.parse_question(question)
+                continue
+            assert system.parse_question(question) == want
+            assert len(system._query_graphs) <= 8
+        assert len(system._query_graphs) == 8
 
 
 class TestUnderSanitizer:
@@ -175,13 +205,13 @@ class TestUnderSanitizer:
         san = Sanitizer(SanitizerConfig(seed=5))
         locks.install(san)
         try:
-            memo = QueryGraphMemo()
+            memo = query_memo()
             questions = self.QUESTIONS[:3]
             results = [[] for _ in range(4)]
 
             def worker(out):
                 for question in questions * 3:
-                    out.append(memo.analyse(question))
+                    out.append(analyse(memo, question))
 
             locks.note_fork()
             threads = [threading.Thread(target=worker, args=(out,))
@@ -196,5 +226,5 @@ class TestUnderSanitizer:
             locks.uninstall(san)
         assert report.clean, report.render()
         for out in results:
-            assert [g is memo.analyse(g.question) for g in out] == \
+            assert [g is analyse(memo, g.question) for g in out] == \
                 [True] * len(out)

@@ -1,10 +1,10 @@
 """Differential fuzz of key-level retirement: a long-lived session
 against an oracle that remembers nothing.
 
-The session's key-centric cache and ``kind of`` memo observe the merged
-graph's writes and retire only the entries a write can change
-(:mod:`repro.graph.observe`).  The oracle is the same executor with no
-cache and an unbound memo, built afresh for every question, which is
+The session's key-centric cache, its ``kind of`` store included,
+observes the merged graph's writes and retires only the entries a
+write can change (:mod:`repro.graph.observe`).  The oracle is the same
+executor with no cache, built afresh for every question, which is
 what a write used to leave behind.  Both run on clones of the fast-MVQA
 merged graph, and a seeded script applies the same writes to both: all
 five mutators, taxonomy edges, relabels to existing and to brand-new
@@ -188,7 +188,7 @@ class Writes:
 
 
 def oracle_answers(graph: Graph, questions: list[str], config) -> list:
-    """Each question on a fresh executor: no cache, no bound memo."""
+    """Each question on a fresh executor: no cache."""
     values = []
     for question in questions:
         try:
@@ -278,8 +278,8 @@ def assert_held_entries_are_current(session: SVQA, graph: Graph) -> None:
             else ([], sources)
         assert [(e.src, e.id, e.dst) for e in edges] \
             == full_scan_path_pairs(graph, subjects, objects), key
-    memo = session._executor_memo
-    for (label, ancestor), known in list(memo._kinds.items()):
+    for (_, label, ancestor), (known, _) in \
+            list(session._cache.kind._values.items()):
         assert known == full_scan_is_kind_of(graph, label, ancestor,
                                              config), (label, ancestor)
 
@@ -289,7 +289,7 @@ def evict_path_entries(cache: KeyCentricCache) -> None:
     with cache._lock:
         for key in list(cache.path._values):
             cache._index.discard(key)
-        cache.path.drop_where(lambda key: True)
+        cache.path.clear()
 
 
 def run_retirement_fuzz(dataset, base: Graph, labels: list[str],
@@ -361,8 +361,7 @@ def run_writer_race(dataset, base: Graph, labels: list[str], seed: int,
     def reader(index: int) -> None:
         executor = QueryGraphExecutor(
             session.merged, cache=session._cache,
-            config=session.config.executor, stats=session.stats,
-            memo=session._executor_memo)
+            config=session.config.executor, stats=session.stats)
         turn = index
         while not stop.is_set():
             try:

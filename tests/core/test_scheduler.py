@@ -61,8 +61,8 @@ class TestSchedule:
             "Is there a dog near the fence?",
         ])
         plan = schedule_queries(graphs)
-        scheduled = plan.scheduled(graphs)
-        assert scheduled[0] is graphs[plan.order[0]]
+        # the order is a permutation of the input slots
+        assert sorted(plan.order) == list(range(len(graphs)))
 
     def test_key_frequency_counts(self):
         graphs = graphs_for([

@@ -13,9 +13,10 @@ every label the MVQA questions resolve.
 mutation runs (``tests/core/scope_fuzz.py``).
 
 ``TestSessionKindOfMemo`` asks the same answers through one long-lived
-session, whose executors share an ``ExecutorMemo`` that observes the
-graph's writes, while mutator bursts move the epoch between asks; the workers=4 batch runs
-under the runtime sanitizer with the memo's lock role seen.
+session, whose executors share the key-centric cache's ``kind`` store,
+which observes the graph's writes, while mutator bursts move the epoch
+between asks; the workers=4 batch runs under the runtime sanitizer
+with the store's lock role seen.
 """
 
 import random
@@ -29,13 +30,19 @@ from repro.analysis.concurrency.sanitizer import SanitizerConfig
 from repro.core import SVQA, ExecutorConfig, QueryGraphExecutor, SVQAConfig
 from repro.core import generate_query_graph
 from repro.core.aggregator import MergedGraph, MergeStats
-from repro.core.executor import EXECUTOR_MEMO_CAPACITY, ExecutorMemo
+from repro.core import cache as cache_module
+from repro.core import executor as executor_module
+from repro.core.cache import KIND_CAPACITY, KeyCentricCache
 from repro.dataset.mvqa import build_mvqa
 from repro.errors import QueryParseError
 from repro.graph import INSTANCE_OF, IS_A, Graph
 from repro.graph.observe import Reads
 from repro.nlp.semlex import HYPERNYMS
-from tests.core.oracles import full_scan_is_kind_of, full_scan_scope_ids
+from tests.core.oracles import (
+    full_scan_is_kind_of,
+    full_scan_scope_ids,
+    unplanned_answers,
+)
 
 #: ancestors each label's ``kind of`` answer is checked against
 KIND_OF_SAMPLE = 6
@@ -134,12 +141,11 @@ def merged_of(graph: Graph) -> MergedGraph:
 
 def session_executor(session: SVQA) -> QueryGraphExecutor:
     """An executor over the session's graph that shares its cache,
-    memo, stats and clock, as every executor of its batches does."""
+    stats and clock, as every executor of its batches does."""
     return QueryGraphExecutor(
         session.merged, cache=session._cache, clock=session.clock,
         config=session.config.executor, stats=session.stats,
         resilience=session.resilience, tracer=session.tracer,
-        memo=session._executor_memo,
     )
 
 
@@ -198,17 +204,17 @@ def test_scope_and_kind_of_match_full_scans(mvqa_base, seed):
 
 
 class TestSessionKindOfMemo:
-    @pytest.mark.parametrize("capacity", [EXECUTOR_MEMO_CAPACITY, 40])
+    @pytest.mark.parametrize("capacity", [KIND_CAPACITY, 40])
     def test_answers_match_full_walks_across_epochs(self, mvqa_base,
                                                     capacity):
         graph, labels = mvqa_base
         session = SVQA(config=SVQAConfig(workers=1))
         mutated = clone(graph)
         session.adopt_merged(merged_of(mutated))
-        memo = session._executor_memo
-        memo.capacity = capacity
+        kinds = session._cache.kind
+        kinds.capacity = capacity
         executor = session_executor(session)
-        assert executor.memo is memo
+        assert executor.cache.kind is kinds
         ancestors = sorted(set(labels) | set(HYPERNYMS.values()))
         mutations = TaxonomyMutations(mutated, seed=3)
         rng = random.Random(f"session-memo:{capacity}")
@@ -224,8 +230,57 @@ class TestSessionKindOfMemo:
                     # the first ask may walk, the second is a hit
                     assert executor._is_kind_of(label, ancestor) == want
                     assert executor._is_kind_of(label, ancestor) == want
-                    assert memo.graph is mutated
-                    assert 0 < memo.sizes()[0] <= capacity
+                    assert session._cache._graph is mutated
+                    assert 0 < len(kinds) <= capacity
+
+    def test_more_answers_than_a_small_capacity(self, mvqa_base,
+                                                monkeypatch):
+        """More distinct ``kind of`` keys than a patched capacity keep
+        the store within it, and every answer equals a full walk."""
+        monkeypatch.setattr(cache_module, "KIND_CAPACITY", 8)
+        graph, labels = mvqa_base
+        session = SVQA(config=SVQAConfig(workers=1))
+        session.adopt_merged(merged_of(clone(graph)))
+        executor = session_executor(session)
+        kinds = session._cache.kind
+        for label in labels:
+            for ancestor in ("animal", "pet", "vehicle"):
+                assert executor._is_kind_of(label, ancestor) == \
+                    full_scan_is_kind_of(executor.graph, label, ancestor,
+                                         executor.config), (label, ancestor)
+                assert len(kinds) <= 8
+        assert len(labels) * 3 > 8 and len(kinds) == 8
+
+    def test_no_cache_ablation_keeps_no_answer(self, mvqa_base):
+        """With both cache stores off the cache observes nothing, so
+        the kind store holds nothing and a write that flips an answer
+        is seen by the next ask."""
+        graph, labels = mvqa_base
+        question = "What kind of pets are watched by the people that " \
+            "are feeding the horse?"
+        session = SVQA(config=SVQAConfig(workers=1,
+                                         enable_scope_cache=False,
+                                         enable_path_cache=False))
+        mutated = clone(graph)
+        session.adopt_merged(merged_of(mutated))
+        executor = session_executor(session)
+        label = next(label for label in labels
+                     if mutated.vertex_labels.ids(label)
+                     and not full_scan_is_kind_of(mutated, label, "pet",
+                                                  executor.config))
+        for flip in (False, True):
+            if flip:
+                mutated.add_edge(mutated.vertex_labels.ids(label)[0],
+                                 mutated.vertex_labels.ids("pet")[0], IS_A)
+            got = session.answer(question).to_dict()
+            want = unplanned_answers(session, [question])[0].to_dict()
+            assert got["answer"] == want["answer"]
+            assert got["sources"] == want["sources"]
+            assert executor._is_kind_of(label, "pet") is flip
+            assert full_scan_is_kind_of(mutated, label, "pet",
+                                        executor.config) is flip
+            assert len(session._cache.kind) == 0
+        assert mutated._observers == []
 
     def test_a_new_graph_at_the_same_epoch_drops_the_answers(
             self, mvqa_base):
@@ -252,9 +307,9 @@ class TestSessionKindOfMemo:
                                     executor.config) is False
 
     def test_threads_never_read_an_answer_of_another_epoch(self):
-        """Eight threads over a 16-entry memo while a ninth moves the
-        epoch with writes every answer read: a call that saw no epoch
-        move must return that epoch's answer, and the table never
+        """Eight threads over a 16-entry kind store while a ninth moves
+        the epoch with writes every answer read: a call that saw no
+        epoch move must return that epoch's answer, and the store never
         outgrows its bound."""
 
         class Moving:
@@ -272,8 +327,9 @@ class TestSessionKindOfMemo:
                     observer.record({"op": "remove_vertex",
                                      "epoch": self.epoch, "id": 0})
 
-        graph, memo = Moving(), ExecutorMemo(capacity=16)
-        memo.bind(graph)
+        graph, cache = Moving(), KeyCentricCache.create()
+        cache.kind.capacity = 16
+        cache.bind(graph)
         stop = threading.Event()
         failures = []
 
@@ -281,18 +337,19 @@ class TestSessionKindOfMemo:
             return (hash(label) + epoch) % 2 == 0
 
         def walk(label):
-            return answer(label, graph.epoch), Reads(held={0})
+            return answer(label, graph.epoch), (Reads(held={0}),)
 
         def asker(seed):
             rng = random.Random(seed)
             for _ in range(3_000):
                 label = f"label-{rng.randrange(40)}"
                 before = graph.epoch
-                got = memo.kind_of(graph, label, "Thing",
-                                   lambda label=label: walk(label))
+                got, _, _ = cache.kind_get_or_compute(
+                    ("kind", label, "thing"),
+                    lambda label=label: walk(label), cache.stamp())
                 if graph.epoch == before and got != answer(label, before):
                     failures.append((label, before))
-                if memo.sizes()[0] > memo.capacity:
+                if len(cache.kind) > cache.kind.capacity:
                     failures.append("over capacity")
 
         def mover():
@@ -337,8 +394,10 @@ class TestSessionKindOfMemo:
             if previous is not None:
                 locks.install(previous)
         assert report.clean, report.render()
-        assert "core.executor_memo" in report.lock_roles
-        assert "core.executor_memo" in report.structures
-        kinds, reports = system._executor_memo.sizes()
+        for role in ("cache.kind", "core.diagnostics"):
+            assert role in report.lock_roles
+            assert role in report.structures
+        kinds = len(system._cache.kind)
+        reports = len(executor_module._DIAGNOSTICS)
         assert kinds > 0 and reports > 0
         assert [a.value for a in second] == [a.value for a in first]

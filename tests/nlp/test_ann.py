@@ -14,8 +14,10 @@ import threading
 
 from repro.dataset.mvqa import build_mvqa
 from repro.graph import Graph
+from repro.nlp import score_memo as score_memo_module
 from repro.nlp.score_memo import ScoreMemo
 from repro.nlp.embeddings import max_score
+from tests.core.oracles import LinearScores
 from tests.nlp.oracles import rank_scores
 
 PREDICATES = [
@@ -117,6 +119,24 @@ class TestExactScoring:
         probes = sum(p for _, p in results)
         assert fresh == len(queries) * len(PREDICATES)
         assert fresh + probes == 8 * len(queries) * len(PREDICATES)
+
+
+class TestBoundedGrowth:
+    def test_more_scores_than_its_capacity(self, monkeypatch):
+        """More distinct (query, candidate) pairs than a small bound
+        keep the memo within it, dropping its oldest rows, and every
+        result still equals the linear scans."""
+        monkeypatch.setattr(score_memo_module, "SCORE_CAPACITY", 10)
+        index, linear = ScoreMemo(), LinearScores()
+        for i, query in enumerate(PREDICATES):
+            candidates = [f"label{i} {j}" for j in range(4)] + PREDICATES[:3]
+            assert index.rank(query, candidates)[0] == \
+                linear.rank(query, candidates)[0]
+            assert index.best(query, candidates)[:2] == \
+                linear.best(query, candidates)[:2]
+            assert index._held == sum(map(len, index._scores.values()))
+            assert index._held <= 10
+        assert len(index._scores) < len(PREDICATES) * 4
 
 
 class TestRefcounting:

@@ -215,10 +215,6 @@ class TestHelpers:
         text = tree.text_of_subtree(kind, exclude_labels={"det"})
         assert text == "kind of clothes"
 
-    def test_to_table_renders(self):
-        tree = parse("Is there a dog near the fence?")
-        assert "ROOT" in tree.to_table()
-
 
 class TestFailureModes:
     def test_foreign_word_raises(self):

@@ -1,11 +1,14 @@
-"""Thread-safety and identity tests for the shared VectorCache.
+"""Thread-safety, identity and bound tests for the shared vector memo.
 
 The old module-level ``_CACHE`` dict was read-then-written from
-BatchExecutor worker threads with no lock; :class:`VectorCache` is the
-lock-disciplined replacement.  These tests pin the two contracts that
-matter: cached vectors are byte-identical to fresh computes, and
-concurrent misses on the same keys are clean under the runtime
-sanitizer (the ``repro sanitize`` / ``SVQA_SANITIZE=1`` observer).
+BatchExecutor worker threads with no lock and grew with every new
+phrase; word and phrase vectors now live in one bounded
+:class:`~repro.memo.Memo` (role ``nlp.embed_cache``).  These tests pin
+the contracts that matter: memoised vectors are byte-identical to
+fresh computes, concurrent misses on the same keys are clean under the
+runtime sanitizer (the ``repro sanitize`` / ``SVQA_SANITIZE=1``
+observer), and more distinct phrases than the capacity keep the memo
+within it.
 """
 
 import threading
@@ -15,13 +18,20 @@ import pytest
 
 from repro import locks
 from repro.analysis.concurrency.sanitizer import Sanitizer, SanitizerConfig
+from repro.memo import Memo
+from repro.nlp import embeddings
 from repro.nlp.embeddings import (
-    VectorCache,
+    VECTOR_CAPACITY,
     _compute_phrase_vector,
     _compute_word_vector,
     phrase_vector,
     word_vector,
 )
+
+
+def vector_memo(capacity=VECTOR_CAPACITY):
+    """A memo like the shared one."""
+    return Memo(capacity, "nlp.embed_cache")
 
 
 @pytest.fixture(autouse=True)
@@ -57,16 +67,45 @@ class TestCachedVsFresh:
             phrase_vector("standing on")
 
     def test_store_keeps_first_writer(self):
-        cache = VectorCache()
+        memo = vector_memo()
         first = np.zeros(3)
         second = np.ones(3)
-        assert cache.store("word", "x", first) is first
-        assert cache.store("word", "x", second) is first
-        assert cache.lookup("word", "x") is first
 
-    def test_lookup_miss_is_none(self):
-        cache = VectorCache()
-        assert cache.lookup("word", "nothing") is None
+        def racing():
+            # another lane stores the key while this one computes
+            assert memo.get_or_compute(("word", "x"), lambda: first) \
+                is first
+            return second
+
+        assert memo.get_or_compute(("word", "x"), racing) is first
+        assert memo.get_or_compute(("word", "x"), lambda: second) is first
+
+    def test_a_miss_computes_once(self):
+        memo = vector_memo()
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return np.zeros(3)
+
+        first = memo.get_or_compute(("word", "nothing"), compute)
+        assert memo.get_or_compute(("word", "nothing"), compute) is first
+        assert calls == [1]
+
+
+class TestBoundedGrowth:
+    def test_more_phrases_than_its_capacity(self, monkeypatch):
+        """Phrases never seen before keep a small memo within its
+        capacity, and every vector still equals a fresh compute."""
+        monkeypatch.setattr(embeddings, "_VECTORS", vector_memo(8))
+        for i in range(40):
+            phrase = f"unseen phrase {i}"
+            np.testing.assert_array_equal(
+                phrase_vector(phrase), _compute_phrase_vector(phrase))
+            np.testing.assert_array_equal(
+                word_vector(f"unseen{i}"), _compute_word_vector(f"unseen{i}"))
+            assert len(embeddings._VECTORS) <= 8
+        assert len(embeddings._VECTORS) == 8
 
 
 class TestUnderSanitizer:
@@ -77,7 +116,7 @@ class TestUnderSanitizer:
         san = Sanitizer(SanitizerConfig(seed=3))
         locks.install(san)
         try:
-            cache = VectorCache()
+            memo = vector_memo()
 
             def compute(kind, key):
                 if kind == "word":
@@ -90,11 +129,9 @@ class TestUnderSanitizer:
 
             def worker(slot):
                 for kind, key in keys:
-                    cached = cache.lookup(kind, key)
-                    if cached is None:
-                        cached = cache.store(kind, key,
-                                             compute(kind, key))
-                    results[slot].append(cached)
+                    results[slot].append(memo.get_or_compute(
+                        (kind, key),
+                        lambda kind=kind, key=key: compute(kind, key)))
 
             locks.note_fork()
             threads = [threading.Thread(target=worker, args=(slot,))
@@ -118,9 +155,9 @@ class TestUnderSanitizer:
             locks.uninstall(san)
 
     def test_runtime_installed_observer_sees_the_cache_lock(self):
-        """The cache is built at import time; a sanitizer installed
+        """The memo is built at import time; a sanitizer installed
         later must still observe its critical sections (the
-        ``_refresh_lock`` re-wrap seam)."""
+        :class:`~repro.memo.SharedLock` re-wrap seam)."""
         san = Sanitizer(SanitizerConfig(seed=4))
         locks.install(san)
         try:

@@ -6,8 +6,9 @@ from repro.resilience import CLOSED, CircuitBreaker, HALF_OPEN, OPEN
 
 
 def trip(breaker):
-    for _ in range(breaker.failure_threshold):
-        breaker.record_failure()
+    """Fail until the breaker opens; how many failures tripped it."""
+    return sum(breaker.record_failure()
+               for _ in range(breaker.failure_threshold))
 
 
 class TestTrip:
@@ -28,7 +29,7 @@ class TestTrip:
         assert not breaker.record_failure()
         assert breaker.record_failure()  # third consecutive: trips
         assert breaker.state == OPEN
-        assert breaker.trips == 1
+        assert not breaker.record_failure()  # already open: no new trip
 
     def test_success_resets_consecutive_count(self):
         breaker = CircuitBreaker(failure_threshold=2)
@@ -63,8 +64,9 @@ class TestCooldownAndHalfOpen:
 
     def test_probe_failure_reopens(self):
         breaker = CircuitBreaker(failure_threshold=1, cooldown=1)
-        trip(breaker)
+        trips = trip(breaker)
         assert breaker.allow()
         assert breaker.record_failure()
+        trips += 1
         assert breaker.state == OPEN
-        assert breaker.trips == 2
+        assert trips == 2

@@ -85,7 +85,7 @@ class TestGuard:
 class TestBreakerIntegration:
     def trip_site(self, guard):
         """Exhaust retries until the site's breaker opens."""
-        while guard.breaker_state(SITE) != OPEN:
+        while guard.breaker_states()[SITE] != OPEN:
             with pytest.raises(FaultToleranceError):
                 guard.call(SITE, "k", lambda: None)
 
@@ -121,12 +121,12 @@ class TestBreakerIntegration:
                         breaker_cooldown=2)
         breaker = guard._breaker(SITE)
         breaker.record_failure()  # trip
-        assert guard.breaker_state(SITE) == OPEN
+        assert guard.breaker_states()[SITE] == OPEN
         # first guarded call is rejected (cooldown), second is the probe
         assert guard.call(SITE, "k", lambda: "ok",
                           fallback=lambda: "rejected") == "rejected"
         assert guard.call(SITE, "k", lambda: "ok") == "ok"
-        assert guard.breaker_state(SITE) == "closed"
+        assert guard.breaker_states()[SITE] == "closed"
 
 
 class TestBreakerGauge:

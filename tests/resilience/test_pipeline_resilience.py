@@ -246,5 +246,4 @@ class TestChaosSweep:
     def test_chaos_build_marks_skipped_images(self):
         system = build_svqa(resilience=ResilienceConfig.chaos(0.9, seed=1),
                             pool=30)
-        assert system.merged.is_partial
         assert system.merged.skipped_images

@@ -111,10 +111,6 @@ class TestRendering:
         assert raster.object_signals[2, catching] == 1.0
         assert raster.subject_signals[2, catching] == 0.0
 
-    def test_relations_of(self, scene):
-        assert len(scene.relations_of(1)) == 2
-        assert len(scene.relations_of(0)) == 1
-
 
 class TestSpatialRelation:
     def make(self, index, category, box, depth):

@@ -60,3 +60,19 @@ class TestImportsLeaveScipyOut:
         assert result.returncode == 0, result.stderr
         detections, relations = map(int, result.stdout.split())
         assert detections > 0 and relations > 0
+
+
+class TestImportsInstallNoSanitizer:
+    def test_import_leaves_the_lock_seam_untouched(self):
+        """The process-wide memos (vectors, validator diagnostics) are
+        built at import time; building them must not activate
+        ``SVQA_SANITIZE``, which only the first lock actually wrapped
+        may do."""
+        result = run_python(
+            "import os\n"
+            "os.environ['SVQA_SANITIZE'] = '1'\n"
+            "import repro, repro.core, repro.serve\n"
+            "from repro import locks\n"
+            "print(locks.current() is None)\n")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "True"

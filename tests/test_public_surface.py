@@ -1,15 +1,19 @@
 """Regrowth guard: no ``src/`` definition that only tests reach.
 
 Every top-level function, class and UPPER_CASE constant in
-``src/repro`` must be reached from a shipped entry point: the package itself, ``benchmarks/``,
-``scripts/``, ``examples/`` or ``perfbench/``.  Reachability is a
+``src/repro``, and every public method and property of its top-level
+classes, must be reached from a shipped entry point: the package
+itself, ``benchmarks/``, ``scripts/``, ``examples/`` or
+``perfbench/``.  Reachability is a
 fixpoint over names: a definition is live when a live body names it.
 The roots are everything outside ``src/`` and the module-level code
 of each ``src/`` module, minus its ``__all__``, its constants (a
 constant's value counts only once the constant is reached) and the
-package ``__init__`` re-exports, which would keep anything alive.  Functions
-registered by ``@query_rule`` run through the registry and count as
-roots.  Matching is by bare name, so a name used anywhere keeps every
+package ``__init__`` re-exports, which would keep anything alive.  A
+reached class keeps its own body alive (bases, fields, private and
+dunder methods) but not its public methods: each of those is live only
+when its name is.  Functions registered by ``@query_rule`` run through
+the registry and count as roots.  Matching is by bare name, so a name used anywhere keeps every
 definition of it alive; the check can miss dead code, never invent
 it.  A helper that only a test needs belongs in ``tests/``.
 """
@@ -74,9 +78,26 @@ def is_registered(node):
     return False
 
 
+def is_public_method(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+        and not node.name.startswith("_")
+
+
+def class_definitions(module, node):
+    """The class, with its body minus its public methods, and each
+    public method (``module:Class.method``)."""
+    methods = [item for item in node.body if is_public_method(item)]
+    rest = [child for child in ast.iter_child_nodes(node)
+            if child not in methods]
+    return [(f"{module}:{node.name}", node.name, referenced_names(rest))] \
+        + [(f"{module}:{node.name}.{method.name}", method.name,
+            referenced_names([method])) for method in methods]
+
+
 def unreached_definitions():
     """``module:name`` of every top-level ``src/repro`` definition and
-    constant no shipped entry point reaches."""
+    constant, and ``module:Class.method`` of every public method, no
+    shipped entry point reaches."""
     definitions = []   # (label, name, names its body references)
     live = set()
     for directory in SHIPPED:
@@ -89,8 +110,9 @@ def unreached_definitions():
         module = path.relative_to(SRC_ROOT).with_suffix("").as_posix()
         top_level = []
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                definitions += class_definitions(module, node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 body = referenced_names([node])
                 if is_registered(node) or node.name.startswith("__"):
                     live |= body

