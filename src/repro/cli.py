@@ -4,15 +4,18 @@ Commands
 --------
 ``ask``           answer one question over the movie scenario (Figure 1)
 ``serve``         long-lived QA server: POST /ask, /healthz, /metrics
+``snapshot``      write a scenario's merged graph as a durable snapshot
+``recover``       recover a durable store and print the verdict
+``store-torture`` crash-damage the durable store and check each recovery
 ``mvqa``          build MVQA and evaluate SVQA on it (Exp-1 / Table III)
 ``bench``         concurrent batch benchmark + executor statistics
 ``profile``       MVQA suite with tracing: per-stage sim-time breakdown
 ``trace``         answer one question and print its span tree
 ``chaos``         fault-injection sweep: accuracy decay vs fault rate
-``stats``         print the MVQA dataset statistics (Tables I & II)
 ``parse``         show the query graph for a question (Algorithm 2)
 ``lint-queries``  semantic-validate query graphs (MVQA sweep or ad hoc)
 ``lint-code``     run the repo-invariant linter over the source tree
+``sanitize``      run a workload under the runtime lock/race sanitizer
 """
 
 from __future__ import annotations
@@ -546,34 +549,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.dataset.mvqa import build_mvqa
-    from repro.dataset.stats import (
-        average_clause_count,
-        mvqa_row,
-        table2_breakdown,
-        total_unique_spos,
-    )
-    from repro.eval.harness import format_table
-
-    if args.fast:
-        dataset = build_mvqa(seed=5, pool_size=1_200, image_count=400)
-    else:
-        dataset = build_mvqa()
-    ours = mvqa_row(dataset)
-    print(f"MVQA: {ours.images} images, "
-          f"avg query length {ours.avg_query_length:.1f} tokens, "
-          f"{total_unique_spos(dataset)} unique SPOs, "
-          f"{average_clause_count(dataset):.2f} clauses/question")
-    rows = table2_breakdown(dataset)
-    print(format_table(
-        ["Type", "Questions", "Clauses", "SPOs", "Avg. Images"],
-        [[r.question_type.value, str(r.questions), str(r.clauses),
-          str(r.unique_spos), str(r.avg_images)] for r in rows],
-    ))
-    return 0
-
-
 def _cmd_lint_queries(args: argparse.Namespace) -> int:
     from repro.analysis import Severity, validate_query_graph
     from repro.analysis.diagnostics import (
@@ -884,10 +859,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="write every answer as JSON Lines using "
                             "the stable Answer.to_dict() payload")
     chaos.set_defaults(handler=_cmd_chaos)
-
-    stats = commands.add_parser("stats", help="MVQA dataset statistics")
-    stats.add_argument("--fast", action="store_true")
-    stats.set_defaults(handler=_cmd_stats)
 
     parse_cmd = commands.add_parser("parse", help="show a question's "
                                                   "query graph")

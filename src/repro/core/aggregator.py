@@ -150,7 +150,7 @@ class DataAggregator:
     ) -> None:
         self.kg = kg
         self.config = config or AggregatorConfig()
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         self.resilience = resilience or ResilienceManager()
         self.tracer = tracer
 
@@ -187,8 +187,7 @@ class DataAggregator:
                 anchor = concept_by_label.get(category)
                 if anchor is None:
                     continue
-                if self.clock is not None:
-                    self.clock.charge("subgraph_extract")
+                self.clock.charge("subgraph_extract")
                 cache.append(k_hop_subgraph(graph, anchor,
                                             self.config.subgraph_hops))
                 cached_categories.append(category)
@@ -284,8 +283,7 @@ class DataAggregator:
                 tallies.covered_vertices += 1
             else:
                 tallies.storage_links += 1
-            if self.clock is not None:
-                self.clock.charge("merge_link")
+            self.clock.charge("merge_link")
             graph.add_edge(instance.id, concept_id, INSTANCE_OF)
 
             if name is not None:
@@ -319,11 +317,9 @@ class DataAggregator:
         for view in cache:
             matches = view.find_vertices(label)
             if matches:
-                if self.clock is not None:
-                    self.clock.charge("cache_hit")
+                self.clock.charge("cache_hit")
                 return matches[0].id
-        if self.clock is not None:
-            self.clock.charge("kg_lookup")
+        self.clock.charge("kg_lookup")
         return concept_by_label.get(label)
 
 

@@ -45,19 +45,20 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Hashable
 from typing import TYPE_CHECKING, Any
 
+from repro.core.stats import ExecutorStats
 from repro.graph.observe import ReadIndex, Reads
 from repro.locks import note_read, note_write, wrap_lock
 
 if TYPE_CHECKING:
-    from repro.core.stats import ExecutorStats
     from repro.graph.model import Graph
 
 #: a cache-miss computation: the value and the reads it depends on
 Computation = Callable[[], tuple[Any, tuple[Reads, ...]]]
 
-#: ``kind of`` answers the kind store keeps, whatever the pool size
-#: (they are booleans; the fast and paper MVQA runs hold 18 and 15)
-KIND_CAPACITY = 4096
+#: ``kind of`` answers the kind store keeps, whatever the pool size:
+#: each holds its walk's reads (~5.3 kB), so a full store is ~5.4 MB;
+#: the fast and paper MVQA runs hold 18 and 15
+KIND_CAPACITY = 1024
 
 #: the store each key tag names (a possessive's scope is a scope entry)
 _STORE_OF_TAG = {"scope": "scope", "scope-poss": "scope", "path": "path",
@@ -328,8 +329,10 @@ class KeyCentricCache:
     # every stored entry by what it read; all under _lock
     _graph: Graph | None = field(default=None, init=False, repr=False)
     _observed: int = field(default=0, init=False, repr=False)
-    _stats: ExecutorStats | None = field(default=None, init=False,
-                                         repr=False)
+    #: counts retired and stale scope and path entries; the owner's
+    #: collector from :meth:`bind` on, a private one until then
+    stats: ExecutorStats = field(default_factory=ExecutorStats,
+                                 init=False, repr=False)
     _index: ReadIndex = field(default_factory=ReadIndex, init=False,
                               repr=False)
     _lock: Any = field(
@@ -364,12 +367,11 @@ class KeyCentricCache:
                           enabled_path=False)
 
     # the write stream ------------------------------------------------------
-    def bind(self, graph: Graph,
-             stats: ExecutorStats | None = None) -> None:
+    def bind(self, graph: Graph, stats: ExecutorStats) -> None:
         """Hold entries for ``graph`` and observe its writes.
 
         Rebinding to another graph empties every store.  ``stats``
-        (when given) counts retired scope and path entries.  A cache
+        counts retired scope and path entries from here on.  A cache
         with the scope and path stores disabled holds nothing and
         observes nothing.
         """
@@ -377,8 +379,7 @@ class KeyCentricCache:
             return
         with self._lock:
             note_write("cache.retire")
-            if stats is not None:
-                self._stats = stats
+            self.stats = stats
             previous = self._graph
             if previous is graph:
                 return
@@ -418,8 +419,8 @@ class KeyCentricCache:
                     if stores[name].pop(key) and name in ("scope", "path"):
                         dropped += 1
             self._observed = op["epoch"]
-            stats = self._stats
-        if dropped and stats is not None:
+            stats = self.stats
+        if dropped:
             stats.record_stale_scope_drops(dropped)
 
     @property
@@ -516,13 +517,11 @@ class KeyCentricCache:
         found = store.get(key, check)
         if found is not None:
             return found[0], found[1], True
-        stats = self._stats
-        if rejected and stats is not None and \
-                store in (self.scope, self.path):
+        if rejected and store in (self.scope, self.path):
             # a write made it stale; it is found out on this read (a
             # neighborhood rejected for other endpoint ids is not a
             # scope/path entry, so it is not counted)
-            stats.record_stale_scope_drops(1)
+            self.stats.record_stale_scope_drops(1)
         # single-flight: the stores share the in-flight table without
         # colliding because every key is prefix-tagged; a lookup
         # under another stamp computes for itself, so nobody is handed

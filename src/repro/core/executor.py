@@ -84,8 +84,10 @@ class ExecutorConfig:
     ld_threshold: float = 0.34        # normalized-Levenshtein cutoff
     predicate_threshold: float = 0.55  # cosine floor for edge labels
     constraint_threshold: float = 0.5  # cosine floor for constraints
-    expansion_hops: int = 2           # "is a" hops in matchVertex
 
+
+#: reverse ``is a`` levels matchVertex expands a concept through
+EXPANSION_HOPS = 2
 
 #: distinct query graphs whose validator diagnostics are remembered
 #: (the fast and paper MVQA runs validate 100)
@@ -280,10 +282,12 @@ class QueryGraphExecutor:
         # score memo: a repeat (query, label) pair charges ann_probe
         self._score_memo = self.graph.score_memo
         self.cache = cache if cache is not None else KeyCentricCache.disabled()
-        self.cache.bind(self.graph, stats)
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         self.config = config or ExecutorConfig()
-        self.stats = stats
+        # without a collector of its own an executor counts into its
+        # cache's, so binding never moves a session cache's counts
+        self.stats = stats if stats is not None else self.cache.stats
+        self.cache.bind(self.graph, self.stats)
         # a session shares one manager; a standalone executor guards
         # with a private one
         self.resilience = resilience or ResilienceManager()
@@ -322,10 +326,8 @@ class QueryGraphExecutor:
             query_graph,
             lambda: tuple(validate_query_graph(query_graph).diagnostics))
         report = DiagnosticReport(list(known))
-        if self.stats is not None:
-            self.stats.record_validation(
-                len(report.errors), len(report.warnings)
-            )
+        self.stats.record_validation(len(report.errors),
+                                     len(report.warnings))
         return report
 
     def execute(
@@ -377,7 +379,7 @@ class QueryGraphExecutor:
                     and not answer.degraded:
                 answer.degraded = True
                 answer.confidence = min(answer.confidence, 0.5)
-        if answer.degraded and self.stats is not None:
+        if answer.degraded:
             self.stats.record_degraded()
         return answer
 
@@ -405,8 +407,7 @@ class QueryGraphExecutor:
             if deadline is not None and deadline.exceeded:
                 # budget spent: stop walking and salvage what we have
                 cut_off = True
-                if self.stats is not None:
-                    self.stats.record_deadline_cutoff()
+                self.stats.record_deadline_cutoff()
                 if self._events is not None:
                     self._events.append(FaultEvent(
                         "executor.deadline", "deadline",
@@ -450,8 +451,7 @@ class QueryGraphExecutor:
             if cut_off:
                 # best partial answer: the main clause never ran, so
                 # the honest salvage is an attributed "unknown"
-                if self.stats is not None:
-                    self.stats.record_query(len(executed))
+                self.stats.record_query(len(executed))
                 qtype = query_graph.vertices[main_index].question_type \
                     or QuestionType.REASONING
                 from repro.resilience.degrade import \
@@ -462,8 +462,7 @@ class QueryGraphExecutor:
             raise ExecutionError(
                 "main clause never executed — query graph is disconnected"
             )
-        if self.stats is not None:
-            self.stats.record_query(len(executed))
+        self.stats.record_query(len(executed))
         main_result = results[main_index]
         return final_answer(
             main_result.spoc, main_result.pairs, kind_filter=self._is_kind_of
@@ -621,9 +620,8 @@ class QueryGraphExecutor:
                 span.set("pruned", entry.pruned)
         self._slot_candidates += entry.examined
         self._slot_pruned += entry.pruned
-        if self.stats is not None:
-            self.stats.record_scope(hit)
-        if hit and self.clock is not None:
+        self.stats.record_scope(hit)
+        if hit:
             self.clock.charge("cache_hit")
         return _resolved(entry, self.graph, stamp), entry, deps
 
@@ -633,14 +631,12 @@ class QueryGraphExecutor:
         """The uncached scope computation: candidate-index match +
         instance expansion, charging ``scope_scan`` and per-candidate
         ``vertex_match`` (the body of a scope-store miss)."""
-        if self.clock is not None:
-            self.clock.charge("scope_scan")
+        self.clock.charge("scope_scan")
         synonyms = not _is_category(label)
         match = self.graph.candidate_index.match(
             label, self.config.ld_threshold, include_synonyms=synonyms,
         )
-        if self.clock is not None:
-            self.clock.charge("vertex_match", times=match.examined)
+        self.clock.charge("vertex_match", times=match.examined)
         direct: list[int] = []
         for candidate in match.labels:
             direct.extend(self.graph.vertex_labels.ids(candidate))
@@ -718,9 +714,8 @@ class QueryGraphExecutor:
         # invariant
         self._slot_candidates = base_candidates + entry.examined
         self._slot_pruned = base_pruned + entry.pruned
-        if self.stats is not None:
-            self.stats.record_scope(hit)
-        if hit and self.clock is not None:
+        self.stats.record_scope(hit)
+        if hit:
             self.clock.charge("cache_hit")
         return self.graph.vertices_by_id(
             _resolved(entry, self.graph, stamp))
@@ -728,8 +723,8 @@ class QueryGraphExecutor:
     def _expand_to_instances(self, vertex_ids: list[int],
                              edges_read: list[int]) -> list[int]:
         """Close the match set downward: concepts -> hyponym concepts
-        (reverse ``is a``, up to ``expansion_hops`` levels) -> instances
-        (one final reverse ``instance of`` sweep).  Both walks visit
+        (reverse ``is a``, up to :data:`EXPANSION_HOPS` levels) ->
+        instances (one final reverse ``instance of`` sweep).  Both walks visit
         only the vertices the graph's taxonomy adjacency lists as
         having a taxonomy in-edge; the ids of the edges they read are
         added to ``edges_read``."""
@@ -737,7 +732,7 @@ class QueryGraphExecutor:
         targets = self.graph.taxonomy_targets()
         result = dict.fromkeys(vertex_ids)
         frontier = vertex_ids
-        for _ in range(self.config.expansion_hops):
+        for _ in range(EXPANSION_HOPS):
             next_frontier: list[int] = []
             for vertex_id in frontier:
                 if vertex_id not in targets:
@@ -799,8 +794,7 @@ class QueryGraphExecutor:
             return entry.holds(self.graph, subjects, objects, stamp)
 
         def scan() -> list[RelationPair]:
-            if self.clock is not None:
-                self.clock.charge("path_probe")
+            self.clock.charge("path_probe")
             # path-store miss on a static head: its whole neighborhood
             # is read from (or scanned once into) the neighborhood
             # store, and this request's pairs are filtered from it
@@ -821,9 +815,8 @@ class QueryGraphExecutor:
                                                       holds)
             if span is not None:
                 span.set("hit", hit)
-        if self.stats is not None:
-            self.stats.record_path(hit)
-        if hit and self.clock is not None:
+        self.stats.record_path(hit)
+        if hit:
             self.clock.charge("cache_hit")
         # defensive copy: the cached list must never alias the list
         # handed to callers, or a later in-place mutation would
@@ -865,8 +858,6 @@ class QueryGraphExecutor:
         """Charge the edge mass of the branch a path miss takes: the
         subject branches scan subject out-edges, the objects-only
         branch every object's *in*-edges."""
-        if self.clock is None:
-            return
         if subjects:
             scans = self.graph.out_degree_sum([v.id for v in subjects])
         else:
@@ -930,10 +921,8 @@ class QueryGraphExecutor:
             # a concurrent fill from other endpoint ids: scan our own
             (_, edges), _ = fill()
         elif held:
-            if self.clock is not None:
-                self.clock.charge("pair_filter", times=len(edges))
-            if self.stats is not None:
-                self.stats.record_neighborhood_fill()
+            self.clock.charge("pair_filter", times=len(edges))
+            self.stats.record_neighborhood_fill()
         return edges
 
     def _slot_key(
@@ -951,13 +940,11 @@ class QueryGraphExecutor:
         the first time cost the same ``embed_score`` the linear scan
         charged; ``probes`` memo hits cost the far cheaper
         ``ann_probe``.  Zero counts charge (and record) nothing."""
-        if self.clock is not None:
-            if fresh:
-                self.clock.charge("embed_score", times=fresh)
-            if probes:
-                self.clock.charge("ann_probe", times=probes)
-        if self.stats is not None:
-            self.stats.record_retrieval(site, fresh, probes)
+        if fresh:
+            self.clock.charge("embed_score", times=fresh)
+        if probes:
+            self.clock.charge("ann_probe", times=probes)
+        self.stats.record_retrieval(site, fresh, probes)
 
     def _filter_by_predicate(
         self, predicate: str, pairs: list[RelationPair]
@@ -970,8 +957,7 @@ class QueryGraphExecutor:
         self._charge_retrieval("predicate", fresh, probes)
         best, best_score = ranked[0]
         if best_score < self.config.predicate_threshold:
-            if self.stats is not None:
-                self.stats.record_filter(len(pairs), 0)
+            self.stats.record_filter(len(pairs), 0)
             return None, []
         accepted = {
             label for label, score in ranked
@@ -979,8 +965,7 @@ class QueryGraphExecutor:
                             best_score - 0.05)
         }
         kept = [p for p in pairs if p.edge.label in accepted]
-        if self.stats is not None:
-            self.stats.record_filter(len(pairs), len(kept))
+        self.stats.record_filter(len(pairs), len(kept))
         return best, kept
 
     def _be_pairs(
@@ -1043,8 +1028,7 @@ class QueryGraphExecutor:
         ranked = counts.most_common()
         target = ranked[0][1] if keep_max else ranked[-1][1]
         winners = {label for label, count in ranked if count == target}
-        if self.stats is not None:
-            self.stats.record_constraint()
+        self.stats.record_constraint()
         return [
             pair for pair in pairs
             if (pair.subject if slot == "subject"
@@ -1078,7 +1062,7 @@ class QueryGraphExecutor:
         frontier = self.graph.vertex_labels.ids(label)
         target = ancestor.lower()
         hops = 0
-        while frontier and hops <= self.config.expansion_hops + 1:
+        while frontier and hops <= EXPANSION_HOPS + 1:
             next_frontier: list[int] = []
             for vertex_id in frontier:
                 if vertex_id in seen:

@@ -72,10 +72,10 @@ def generate_query_graph(
     ``spoc`` spans.  A failed analysis is charged up to the stage that
     failed and its error re-raised.
     """
+    clock = clock if clock is not None else SimClock()
     with maybe_span(tracer, "query_graph", question=question) as root:
-        if clock is not None:
-            clock.charge("pos_tag")
-            clock.charge("dep_parse")
+        clock.charge("pos_tag")
+        clock.charge("dep_parse")
         try:
             with maybe_span(tracer, "parse"):
                 graph = analyse(question)
@@ -93,15 +93,13 @@ def generate_query_graph(
 
 
 def _charge_clauses(
-    count: int, clock: SimClock | None, tracer: Tracer | None
+    count: int, clock: SimClock, tracer: Tracer | None
 ) -> None:
     """The Parse stage's cost: one segmentation, one SPOC per clause."""
-    if clock is not None:
-        clock.charge("clause_segment")
+    clock.charge("clause_segment")
     for index in range(count):
         with maybe_span(tracer, "spoc", clause=index):
-            if clock is not None:
-                clock.charge("spoc_extract")
+            clock.charge("spoc_extract")
 
 
 def query_graph_from_tree(

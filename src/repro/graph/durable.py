@@ -70,7 +70,7 @@ class WriteAheadLog:
     ``append`` frames, writes, flushes and fsyncs one op record.
     """
 
-    def __init__(self, path: str | Path, clock: SimClock | None = None) -> None:
+    def __init__(self, path: str | Path, clock: SimClock) -> None:
         self.path = Path(path)
         self.clock = clock
         self._handle: Any = None
@@ -97,9 +97,8 @@ class WriteAheadLog:
                 f"cannot append to WAL {self.path}: {exc}",
                 path=self.path, reason="unwritable",
             ) from exc
-        if self.clock is not None:
-            self.clock.charge("store_record_io")
-            self.clock.charge("store_fsync")
+        self.clock.charge("store_record_io")
+        self.clock.charge("store_fsync")
 
     def close(self) -> None:
         """Close the append handle (idempotent)."""
@@ -225,11 +224,11 @@ class DurableStore:
         self.wal_path = self.root / self.WAL_NAME
         self.quarantine_dir = self.root / self.QUARANTINE_DIR
         self.resilience = resilience or ResilienceManager()
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = wrap_lock(threading.Lock(), "durable.store")
-        self._wal = WriteAheadLog(self.wal_path, clock=clock)
+        self._wal = WriteAheadLog(self.wal_path, self.clock)
         self._wal_healthy = True
         self._attached: Graph | None = None
         r = self.metrics
@@ -280,10 +279,8 @@ class DurableStore:
                     self._wal.reset(
                         manifest["payload_digest"], manifest["epoch"])
                     self._wal_healthy = True
-            if self.clock is not None:
-                self.clock.charge("store_record_io",
-                                  manifest["records"] + 1)
-                self.clock.charge("store_fsync", 2)
+            self.clock.charge("store_record_io", manifest["records"] + 1)
+            self.clock.charge("store_fsync", 2)
             self._snapshots.inc()
             return manifest
 
@@ -405,8 +402,7 @@ class DurableStore:
         manifest = loaded.manifest
         report.source = "snapshot"
         report.snapshot_digest = manifest["payload_digest"]
-        if self.clock is not None:
-            self.clock.charge("store_record_io", manifest["records"] + 1)
+        self.clock.charge("store_record_io", manifest["records"] + 1)
         replayed = self._replay_wal(graph, manifest, report)
         report.wal_records_replayed = replayed
         report.epoch = graph.epoch
@@ -478,8 +474,7 @@ class DurableStore:
                 break
             good.append(line)
             replayed += 1
-            if self.clock is not None:
-                self.clock.charge("store_record_io")
+            self.clock.charge("store_record_io")
         return replayed
 
     def _apply(

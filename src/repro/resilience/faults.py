@@ -106,20 +106,6 @@ class FaultInjector:
         self.seed = seed
         self.specs = dict(specs)
 
-    @classmethod
-    def uniform(
-        cls,
-        rate: float,
-        seed: int = 0,
-        persistent_fraction: float = 0.25,
-        latency: float = 0.02,
-        fail_times: int = 1,
-    ) -> FaultInjector:
-        """One spec with the given rate at every registered site."""
-        spec = FaultSpec(rate=rate, persistent_fraction=persistent_fraction,
-                         latency=latency, fail_times=fail_times)
-        return cls(seed=seed, specs=dict.fromkeys(FAULT_SITES, spec))
-
     def spec_for(self, site: str) -> FaultSpec | None:
         """The fault spec registered for ``site``, if any."""
         if site not in FAULT_SITES:

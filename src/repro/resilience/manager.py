@@ -8,7 +8,7 @@ guarded pipeline stage goes through:
    ``fallback`` routes around the stage (cache bypass, skip-image, ...);
 2. the seeded :class:`~repro.resilience.faults.FaultInjector` decides
    whether this attempt faults (charging fault latency on the clock);
-3. faults are retried under the :class:`~repro.resilience.retry.RetryPolicy`
+3. faults are retried under the :data:`RETRY` policy
    with exponential backoff charged in simulated seconds;
 4. an exhausted retry budget either raises
    :class:`~repro.errors.FaultToleranceError` or, when the caller
@@ -51,10 +51,27 @@ if TYPE_CHECKING:
 #: sentinel distinguishing "no fallback" from "fallback returns None"
 _RAISE = object()
 
+#: the retry budget and backoff of every guarded call
+RETRY = RetryPolicy()
+
+#: consecutive failures that open a site's circuit
+BREAKER_THRESHOLD = 3
+
+#: calls an open circuit short-circuits before it half-opens
+BREAKER_COOLDOWN = 8
+
+#: of the keys a chaos configuration faults, the share that never
+#: recover
+CHAOS_PERSISTENT_FRACTION = 0.25
+
+#: simulated seconds each injected chaos fault charges
+CHAOS_FAULT_LATENCY = 0.02
+
 
 @dataclass
 class ResilienceConfig:
-    """Every knob of the resilience layer in one place.
+    """What a run injects and how long a query may take; the retry
+    policy and breaker limits are the module constants above.
 
     ``fault_specs`` maps registered site names to
     :class:`~repro.resilience.faults.FaultSpec` values (empty = no
@@ -65,24 +82,22 @@ class ResilienceConfig:
 
     seed: int = 0
     fault_specs: dict[str, FaultSpec] = field(default_factory=dict)
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     query_deadline: float | None = None
-    breaker_threshold: int = 3
-    breaker_cooldown: int = 8
 
     @classmethod
     def chaos(
         cls,
         rate: float,
         seed: int = 0,
-        persistent_fraction: float = 0.25,
-        fault_latency: float = 0.02,
         query_deadline: float | None = None,
     ) -> ResilienceConfig:
         """A uniform chaos-testing configuration: the same fault rate
-        at every registered site."""
-        spec = FaultSpec(rate=rate, persistent_fraction=persistent_fraction,
-                         latency=fault_latency)
+        at every registered site, :data:`CHAOS_PERSISTENT_FRACTION` of
+        the faulted keys never recovering and each fault charging
+        :data:`CHAOS_FAULT_LATENCY`."""
+        spec = FaultSpec(rate=rate,
+                         persistent_fraction=CHAOS_PERSISTENT_FRACTION,
+                         latency=CHAOS_FAULT_LATENCY)
         return cls(
             seed=seed,
             fault_specs=dict.fromkeys(FAULT_SITES, spec),
@@ -120,10 +135,8 @@ class ResilienceManager:
         with self._lock:
             breaker = self._breakers.get(site)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    failure_threshold=self.config.breaker_threshold,
-                    cooldown=self.config.breaker_cooldown,
-                )
+                breaker = CircuitBreaker(failure_threshold=BREAKER_THRESHOLD,
+                                         cooldown=BREAKER_COOLDOWN)
                 self._breakers[site] = breaker
             return breaker
 
@@ -202,7 +215,7 @@ class ResilienceManager:
                     f"circuit open at {site} (key={key!r})", site=site,
                 )
             return fallback()
-        policy = self.config.retry
+        policy = RETRY
         last_fault: InjectedFaultError | None = None
         for attempt in range(policy.max_attempts):
             try:

@@ -4,7 +4,7 @@ The detector sees only the rendered raster — not the scene spec — so
 it exhibits the real failure modes of a detector:
 
 * small or heavily occluded objects are missed (their visible region
-  falls under ``min_area``);
+  falls under :data:`MIN_AREA`);
 * adjacent same-category objects can merge into one region (connected
   components run on the *label* raster, like class-wise segmentation);
 * bounding boxes carry regression jitter;
@@ -67,12 +67,17 @@ class Detection:
     depth_estimate: float  # 0 = front (fully visible), 1 = hidden
 
 
+#: regions with fewer visible pixels than this are missed
+MIN_AREA = 12
+
+#: standard deviation of box-coordinate noise, relative to box size
+BOX_JITTER = 0.06
+
+
 @dataclass
 class DetectorConfig:
     """Noise knobs of the simulated detector."""
 
-    min_area: int = 12          # visible pixels below this are missed
-    box_jitter: float = 0.06    # stddev of box-coordinate noise, rel. size
     label_noise: float = 0.05   # probability of a confusion-table flip
     miss_rate: float = 0.02     # extra probability of dropping a region
     seed: int = 0
@@ -93,7 +98,7 @@ class SimulatedDetector:
         for label_value, (x, y, w, h), visible, owners in zip(
                 label_values.tolist(), boxes.tolist(), visibles.tolist(),
                 instance_pixels):
-            if visible < self.config.min_area:
+            if visible < MIN_AREA:
                 continue
             if rng.random() < self.config.miss_rate:
                 continue
@@ -116,11 +121,10 @@ class SimulatedDetector:
         return detections
 
     def _jitter_box(self, box: Box, rng: np.random.Generator) -> Box:
-        jitter = self.config.box_jitter
-        dx = rng.normal(0, jitter * box.w)
-        dy = rng.normal(0, jitter * box.h)
-        dw = rng.normal(0, jitter * box.w)
-        dh = rng.normal(0, jitter * box.h)
+        dx = rng.normal(0, BOX_JITTER * box.w)
+        dy = rng.normal(0, BOX_JITTER * box.h)
+        dw = rng.normal(0, BOX_JITTER * box.w)
+        dh = rng.normal(0, BOX_JITTER * box.h)
         return Box(
             int(round(box.x + dx)),
             int(round(box.y + dy)),

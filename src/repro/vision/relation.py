@@ -159,10 +159,15 @@ def spatial_predicates(
             for subject, obj in pairs]
 
 
+#: detection pairs scored per image
+MAX_PAIRS = 48
+
+
 def candidate_pairs(
-    detections: list[Detection], max_pairs: int = 48
+    detections: list[Detection],
 ) -> list[tuple[Detection, Detection]]:
-    """Ordered detection pairs worth scoring, nearest first.
+    """The :data:`MAX_PAIRS` nearest ordered detection pairs, the ones
+    worth scoring, nearest first.
 
     Ties keep subject-major order (a stable sort of the pairs as
     ``(subject, object)`` loops enumerate them).
@@ -173,7 +178,7 @@ def candidate_pairs(
     distance = np.hypot(offset[..., 0], offset[..., 1])
     subjects, objects = np.nonzero(~np.eye(count, dtype=bool))
     nearest = np.argsort(distance[subjects, objects], kind="stable")
-    nearest = nearest[:max_pairs]
+    nearest = nearest[:MAX_PAIRS]
     return [(detections[a], detections[b])
             for a, b in zip(subjects[nearest].tolist(),
                             objects[nearest].tolist())]

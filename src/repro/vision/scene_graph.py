@@ -57,17 +57,26 @@ class SceneGraphResult:
 
 @dataclass
 class SGGConfig:
-    """Scene-graph generation knobs."""
+    """Scene-graph generation: ``use_tde`` switches Table V's TDE
+    ablation; the pair and keep limits are the module constants
+    below."""
 
     use_tde: bool = True
-    max_pairs: int = 48
-    predicates_per_pair: int = 3     # candidates emitted per pair for ranking
-    keep_per_detection: float = 3.0  # kept edges <= n_detections * this
-    min_keep: int = 4
-    keep_min_score: float = 0.05     # per-pair argmax below this is noise
 
 
-#: score assigned to geometry-fallback edges: above keep_min_score but
+#: predicate candidates emitted per pair for ranking
+PREDICATES_PER_PAIR = 3
+
+#: kept edges per image are at most its detections times this ...
+KEEP_PER_DETECTION = 3.0
+
+#: ... and at least this many
+MIN_KEEP = 4
+
+#: a per-pair argmax below this is noise
+KEEP_MIN_SCORE = 0.05
+
+#: score assigned to geometry-fallback edges: above KEEP_MIN_SCORE but
 #: below any confident TDE prediction
 GEOMETRY_FALLBACK_SCORE = 0.08
 
@@ -86,7 +95,7 @@ class SGGPipeline:
         self.detector = detector
         self.predictor = predictor
         self.config = config or SGGConfig()
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         self.resilience = resilience or ResilienceManager()
         #: image ids dropped by :meth:`run_many` after the detector
         #: failed permanently (the merged graph is then partial)
@@ -101,9 +110,8 @@ class SGGPipeline:
         degrades to a relation-less scene graph when its retry budget
         is exhausted.
         """
-        if self.clock is not None:
-            self.clock.charge("detector_forward")
-            self.clock.charge("relation_forward")
+        self.clock.charge("detector_forward")
+        self.clock.charge("relation_forward")
         raster = scene.render()
         detections = self.resilience.call(
             "detector.detect", scene.image_id,
@@ -134,7 +142,7 @@ class SGGPipeline:
         self, scene: SyntheticScene, detections: list[Detection]
     ) -> tuple[list[PredictedRelation], list[PredictedRelation]]:
         """Score candidate pairs; returns ``(ranked_triples, kept)``."""
-        pairs = candidate_pairs(detections, self.config.max_pairs)
+        pairs = candidate_pairs(detections)
         if not pairs:
             return [], []
         predicates = spatial_predicates(pairs)
@@ -147,7 +155,7 @@ class SGGPipeline:
         # standard SGG ranking emits several predicate candidates per
         # pair; the top one is the pair's argmax (Eq. 3)
         order = np.argsort(scores, axis=1)[:, ::-1]
-        order = order[:, :self.config.predicates_per_pair]
+        order = order[:, :PREDICATES_PER_PAIR]
         top = np.take_along_axis(scores, order, axis=1)
         triples: list[PredictedRelation] = []
         best_per_pair: list[PredictedRelation] = []
@@ -163,7 +171,7 @@ class SGGPipeline:
             triples.extend(candidates)
             pair_best = candidates[0]
             if self.config.use_tde and predicate is not None and \
-                    pair_best.score < self.config.keep_min_score:
+                    pair_best.score < KEEP_MIN_SCORE:
                 # TDE found no direct visual effect for this pair:
                 # ubiquitous predicates have none.  The unmasked
                 # geometry (boxes + depth estimates are never masked)
@@ -179,10 +187,8 @@ class SGGPipeline:
         # Eq. 3 keeps the argmax relation of every pair; pairs whose
         # best score is indistinguishable from noise are dropped, and a
         # density cap keeps merged-graph degree realistic
-        keep = max(self.config.min_keep,
-                   int(len(detections) * self.config.keep_per_detection))
-        kept = [r for r in best_per_pair
-                if r.score >= self.config.keep_min_score][:keep]
+        keep = max(MIN_KEEP, int(len(detections) * KEEP_PER_DETECTION))
+        kept = [r for r in best_per_pair if r.score >= KEEP_MIN_SCORE][:keep]
         return triples, kept
 
     def run_many(self, scenes: list[SyntheticScene]) -> list[SceneGraphResult]:

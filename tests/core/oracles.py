@@ -26,7 +26,7 @@ scans that adjacency replaced:
 """
 
 from repro.core import Answer, QueryGraphExecutor, SVQA, generate_query_graph
-from repro.core.executor import ExecutorConfig, _is_category
+from repro.core.executor import EXPANSION_HOPS, ExecutorConfig, _is_category
 from repro.errors import ReproError
 from repro.graph import INSTANCE_OF, IS_A, TAXONOMY_LABELS, Graph, Vertex
 from repro.nlp.embeddings import max_score
@@ -111,19 +111,18 @@ def full_scan_scope_ids(graph: Graph, label: str,
     for candidate in match.labels:
         direct.extend(graph.find_vertices(candidate))
     expanded = full_scan_expand_to_instances(graph, direct,
-                                             config.expansion_hops)
+                                             EXPANSION_HOPS)
     return [v.id for v in expanded]
 
 
-def full_scan_is_kind_of(graph: Graph, label: str, ancestor: str,
-                         config: ExecutorConfig) -> bool:
+def full_scan_is_kind_of(graph: Graph, label: str, ancestor: str) -> bool:
     """Whether ``label`` reaches ``ancestor`` over taxonomy out-edges
-    within ``expansion_hops + 1`` levels, reading every out-edge."""
+    within ``EXPANSION_HOPS + 1`` levels, reading every out-edge."""
     seen: set[int] = set()
     frontier = [v.id for v in graph.find_vertices(label)]
     target = ancestor.lower()
     hops = 0
-    while frontier and hops <= config.expansion_hops + 1:
+    while frontier and hops <= EXPANSION_HOPS + 1:
         next_frontier: list[int] = []
         for vertex_id in frontier:
             if vertex_id in seen:

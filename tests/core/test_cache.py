@@ -468,7 +468,7 @@ def bound_cache(pool_size=16, **flags):
     graph.add_vertex("fence")
     graph.add_vertex("grass")
     cache = KeyCentricCache.create(pool_size=pool_size, **flags)
-    cache.bind(graph)
+    cache.bind(graph, ExecutorStats())
     return cache, graph
 
 
@@ -512,7 +512,7 @@ class TestRetireStale:
     def test_disabled_cache_is_a_noop(self):
         cache = KeyCentricCache.disabled()
         graph = Graph()
-        cache.bind(graph)
+        cache.bind(graph, ExecutorStats())
         assert graph._observers == []
         graph.add_vertex("dog")
         assert held_items(cache) == 0
@@ -587,7 +587,7 @@ class TestRetireStale:
         put_scope(cache, "dog", [0, 1], (), cache.stamp())
         put_nbr(cache, "out", [], (), cache.stamp())
         other = Graph()
-        cache.bind(other)
+        cache.bind(other, ExecutorStats())
         assert held_items(cache) == 0
         assert all(o is not cache for o in graph._observers)
         assert any(o is cache for o in other._observers)

@@ -280,8 +280,8 @@ def assert_held_entries_are_current(session: SVQA, graph: Graph) -> None:
             == full_scan_path_pairs(graph, subjects, objects), key
     for (_, label, ancestor), (known, _) in \
             list(session._cache.kind._values.items()):
-        assert known == full_scan_is_kind_of(graph, label, ancestor,
-                                             config), (label, ancestor)
+        assert known == full_scan_is_kind_of(graph, label, ancestor), \
+            (label, ancestor)
 
 
 def evict_path_entries(cache: KeyCentricCache) -> None:
@@ -324,7 +324,7 @@ def run_retirement_fuzz(dataset, base: Graph, labels: list[str],
                 full_scan_scope_ids(oracle, label, config), (burst, label)
             for ancestor in kind_of_sample(label, ancestors, rng):
                 assert executor._is_kind_of(label, ancestor) == \
-                    full_scan_is_kind_of(oracle, label, ancestor, config)
+                    full_scan_is_kind_of(oracle, label, ancestor)
         assert_held_entries_are_current(session, oracle)
     # the writes really were retired key by key, not all at once
     assert session.stats.snapshot().stale_scope_drops > 0

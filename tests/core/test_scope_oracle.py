@@ -33,6 +33,7 @@ from repro.core.aggregator import MergedGraph, MergeStats
 from repro.core import cache as cache_module
 from repro.core import executor as executor_module
 from repro.core.cache import KIND_CAPACITY, KeyCentricCache
+from repro.core.stats import ExecutorStats
 from repro.dataset.mvqa import build_mvqa
 from repro.errors import QueryParseError
 from repro.graph import INSTANCE_OF, IS_A, Graph
@@ -157,7 +158,7 @@ def assert_matches_oracle(executor: QueryGraphExecutor, labels: list[str],
         assert got == full_scan_scope_ids(graph, label, config), label
         for ancestor in kind_of_sample(label, ancestors, rng):
             assert executor._is_kind_of(label, ancestor) == \
-                full_scan_is_kind_of(graph, label, ancestor, config), \
+                full_scan_is_kind_of(graph, label, ancestor), \
                 (label, ancestor)
 
 
@@ -225,8 +226,7 @@ class TestSessionKindOfMemo:
                 assert mutated.epoch > epoch
             for label in labels:
                 for ancestor in kind_of_sample(label, ancestors, rng):
-                    want = full_scan_is_kind_of(mutated, label, ancestor,
-                                                executor.config)
+                    want = full_scan_is_kind_of(mutated, label, ancestor)
                     # the first ask may walk, the second is a hit
                     assert executor._is_kind_of(label, ancestor) == want
                     assert executor._is_kind_of(label, ancestor) == want
@@ -246,8 +246,8 @@ class TestSessionKindOfMemo:
         for label in labels:
             for ancestor in ("animal", "pet", "vehicle"):
                 assert executor._is_kind_of(label, ancestor) == \
-                    full_scan_is_kind_of(executor.graph, label, ancestor,
-                                         executor.config), (label, ancestor)
+                    full_scan_is_kind_of(executor.graph, label, ancestor), \
+                    (label, ancestor)
                 assert len(kinds) <= 8
         assert len(labels) * 3 > 8 and len(kinds) == 8
 
@@ -266,8 +266,7 @@ class TestSessionKindOfMemo:
         executor = session_executor(session)
         label = next(label for label in labels
                      if mutated.vertex_labels.ids(label)
-                     and not full_scan_is_kind_of(mutated, label, "pet",
-                                                  executor.config))
+                     and not full_scan_is_kind_of(mutated, label, "pet"))
         for flip in (False, True):
             if flip:
                 mutated.add_edge(mutated.vertex_labels.ids(label)[0],
@@ -277,8 +276,7 @@ class TestSessionKindOfMemo:
             assert got["answer"] == want["answer"]
             assert got["sources"] == want["sources"]
             assert executor._is_kind_of(label, "pet") is flip
-            assert full_scan_is_kind_of(mutated, label, "pet",
-                                        executor.config) is flip
+            assert full_scan_is_kind_of(mutated, label, "pet") is flip
             assert len(session._cache.kind) == 0
         assert mutated._observers == []
 
@@ -290,7 +288,7 @@ class TestSessionKindOfMemo:
         label, parent = next(
             (label, HYPERNYMS[label]) for label in labels
             if label in HYPERNYMS and full_scan_is_kind_of(
-                graph, label, HYPERNYMS[label], ExecutorConfig()))
+                graph, label, HYPERNYMS[label]))
         assert session_executor(session)._is_kind_of(label, parent)
         # same epoch, different graph: the remembered True must not
         # answer for a graph without the taxonomy
@@ -303,8 +301,7 @@ class TestSessionKindOfMemo:
         session.adopt_merged(merged_of(bare))
         executor = session_executor(session)
         assert executor._is_kind_of(label, parent) is False
-        assert full_scan_is_kind_of(bare, label, parent,
-                                    executor.config) is False
+        assert full_scan_is_kind_of(bare, label, parent) is False
 
     def test_threads_never_read_an_answer_of_another_epoch(self):
         """Eight threads over a 16-entry kind store while a ninth moves
@@ -329,7 +326,7 @@ class TestSessionKindOfMemo:
 
         graph, cache = Moving(), KeyCentricCache.create()
         cache.kind.capacity = 16
-        cache.bind(graph)
+        cache.bind(graph, ExecutorStats())
         stop = threading.Event()
         failures = []
 

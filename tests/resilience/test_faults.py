@@ -3,11 +3,23 @@
 import pytest
 
 from repro.errors import InjectedFaultError
-from repro.resilience import FAULT_SITES, FaultInjector, FaultSpec
+from repro.resilience import (
+    FAULT_SITES,
+    FaultInjector,
+    FaultSpec,
+    ResilienceConfig,
+)
 from repro.simtime import SimClock
 
 SITE = "executor.match"
 KEYS = [f"key-{i}" for i in range(400)]
+
+
+def chaos_injector(rate, seed=0):
+    """The injector a chaos run at ``rate`` builds: one spec at every
+    registered site."""
+    specs = ResilienceConfig.chaos(rate, seed=seed).fault_specs
+    return FaultInjector(seed=seed, specs=specs)
 
 
 class TestFaultSpec:
@@ -32,40 +44,40 @@ class TestRegistry:
             FaultInjector(specs={"nonexistent.site": FaultSpec(rate=0.5)})
 
     def test_unregistered_site_rejected_at_query(self):
-        injector = FaultInjector.uniform(0.5)
+        injector = chaos_injector(0.5)
         with pytest.raises(ValueError):
             injector.would_fault("nonexistent.site", "k")
 
     def test_uniform_covers_every_site(self):
-        injector = FaultInjector.uniform(0.5)
+        injector = chaos_injector(0.5)
         assert set(injector.specs) == set(FAULT_SITES)
 
 
 class TestDeterminism:
     def test_same_seed_same_decisions(self):
-        a = FaultInjector.uniform(0.3, seed=7)
-        b = FaultInjector.uniform(0.3, seed=7)
+        a = chaos_injector(0.3, seed=7)
+        b = chaos_injector(0.3, seed=7)
         decisions_a = [a.would_fault(SITE, k) for k in KEYS]
         decisions_b = [b.would_fault(SITE, k) for k in KEYS]
         assert decisions_a == decisions_b
 
     def test_different_seeds_differ(self):
-        a = FaultInjector.uniform(0.3, seed=1)
-        b = FaultInjector.uniform(0.3, seed=2)
+        a = chaos_injector(0.3, seed=1)
+        b = chaos_injector(0.3, seed=2)
         assert [a.would_fault(SITE, k) for k in KEYS] != \
             [b.would_fault(SITE, k) for k in KEYS]
 
     def test_rate_zero_never_faults(self):
-        injector = FaultInjector.uniform(0.0)
+        injector = chaos_injector(0.0)
         assert not any(injector.would_fault(SITE, k) for k in KEYS)
 
     def test_rate_one_always_faults(self):
-        injector = FaultInjector.uniform(1.0)
+        injector = chaos_injector(1.0)
         assert all(injector.would_fault(SITE, k) for k in KEYS)
 
     def test_raising_rate_grows_faulted_set_monotonically(self):
-        low = FaultInjector.uniform(0.05, seed=3)
-        high = FaultInjector.uniform(0.4, seed=3)
+        low = chaos_injector(0.05, seed=3)
+        high = chaos_injector(0.4, seed=3)
         low_set = {k for k in KEYS if low.would_fault(SITE, k)}
         high_set = {k for k in KEYS if high.would_fault(SITE, k)}
         assert low_set  # the sample is large enough to fault something
@@ -98,7 +110,7 @@ class TestCheck:
         assert clock.elapsed == pytest.approx(0.5)
 
     def test_check_passes_quietly_when_no_fault(self):
-        injector = FaultInjector.uniform(0.0)
+        injector = chaos_injector(0.0)
         clock = SimClock()
         injector.check(SITE, "k", clock=clock)
         assert clock.elapsed == 0.0

@@ -12,6 +12,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.observability import parse_prometheus
+from repro.resilience import manager as manager_module
 from repro.resilience.faults import FAULT_SITES
 from repro.simtime import SimClock
 
@@ -23,6 +24,13 @@ def manager(spec=None, stats=None, **config_kwargs):
     return ResilienceManager(
         ResilienceConfig(fault_specs=specs, **config_kwargs), stats=stats
     )
+
+
+def limits(monkeypatch, **constants):
+    """Patch the manager's retry and breaker constants for one test
+    (``breaker_threshold=1`` sets ``BREAKER_THRESHOLD``)."""
+    for name, value in constants.items():
+        monkeypatch.setattr(manager_module, name.upper(), value)
 
 
 class TestGuard:
@@ -57,7 +65,7 @@ class TestGuard:
         with pytest.raises(FaultToleranceError) as excinfo:
             guard.call(SITE, "k", lambda: calls.append(1))
         assert excinfo.value.site == SITE
-        assert excinfo.value.attempts == guard.config.retry.max_attempts
+        assert excinfo.value.attempts == manager_module.RETRY.max_attempts
         assert not calls  # the guarded fn never ran
         assert stats.snapshot().retries_exhausted == 1
 
@@ -70,11 +78,12 @@ class TestGuard:
         assert events[-1].kind == "degraded"
         assert any(e.kind == "exhausted" for e in events)
 
-    def test_backoff_is_charged_in_simulated_time(self):
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.1,
-                             backoff_multiplier=2.0, jitter=0.0)
-        guard = manager(FaultSpec(rate=1.0, persistent_fraction=1.0),
-                        retry=policy)
+    def test_backoff_is_charged_in_simulated_time(self, monkeypatch):
+        limits(monkeypatch, retry=RetryPolicy(max_attempts=3,
+                                              backoff_base=0.1,
+                                              backoff_multiplier=2.0,
+                                              jitter=0.0))
+        guard = manager(FaultSpec(rate=1.0, persistent_fraction=1.0))
         clock = SimClock()
         with pytest.raises(FaultToleranceError):
             guard.call(SITE, "k", lambda: None, clock=clock)
@@ -89,18 +98,19 @@ class TestBreakerIntegration:
             with pytest.raises(FaultToleranceError):
                 guard.call(SITE, "k", lambda: None)
 
-    def test_repeated_faults_trip_the_breaker(self):
+    def test_repeated_faults_trip_the_breaker(self, monkeypatch):
+        limits(monkeypatch, breaker_threshold=3)
         stats = ExecutorStats()
         guard = manager(FaultSpec(rate=1.0, persistent_fraction=1.0),
-                        stats=stats, breaker_threshold=3)
+                        stats=stats)
         self.trip_site(guard)
         assert stats.snapshot().breaker_trips == 1
 
-    def test_open_breaker_short_circuits_to_fallback(self):
+    def test_open_breaker_short_circuits_to_fallback(self, monkeypatch):
+        limits(monkeypatch, breaker_threshold=3, breaker_cooldown=100)
         stats = ExecutorStats()
         guard = manager(FaultSpec(rate=1.0, persistent_fraction=1.0),
-                        stats=stats, breaker_threshold=3,
-                        breaker_cooldown=100)
+                        stats=stats)
         self.trip_site(guard)
         events = []
         value = guard.call(SITE, "other", lambda: "never",
@@ -109,16 +119,16 @@ class TestBreakerIntegration:
         assert events[0].kind == "short-circuit"
         assert stats.snapshot().breaker_short_circuits == 1
 
-    def test_open_breaker_raises_without_fallback(self):
-        guard = manager(FaultSpec(rate=1.0, persistent_fraction=1.0),
-                        breaker_threshold=3, breaker_cooldown=100)
+    def test_open_breaker_raises_without_fallback(self, monkeypatch):
+        limits(monkeypatch, breaker_threshold=3, breaker_cooldown=100)
+        guard = manager(FaultSpec(rate=1.0, persistent_fraction=1.0))
         self.trip_site(guard)
         with pytest.raises(CircuitOpenError):
             guard.call(SITE, "other", lambda: "never")
 
-    def test_breaker_recovers_through_half_open_probe(self):
-        guard = manager(FaultSpec(rate=0.0), breaker_threshold=1,
-                        breaker_cooldown=2)
+    def test_breaker_recovers_through_half_open_probe(self, monkeypatch):
+        limits(monkeypatch, breaker_threshold=1, breaker_cooldown=2)
+        guard = manager(FaultSpec(rate=0.0))
         breaker = guard._breaker(SITE)
         breaker.record_failure()  # trip
         assert guard.breaker_states()[SITE] == OPEN
@@ -155,11 +165,11 @@ class TestBreakerGauge:
         stats.record_breaker_state = record
         return writes
 
-    def test_trip_half_open_and_recovery_reach_metrics(self):
+    def test_trip_half_open_and_recovery_reach_metrics(self, monkeypatch):
+        limits(monkeypatch, breaker_threshold=1, breaker_cooldown=2)
         stats = ExecutorStats()
         writes = self.recording(stats)
-        guard = manager(FaultSpec(rate=0.0), stats=stats,
-                        breaker_threshold=1, breaker_cooldown=2)
+        guard = manager(FaultSpec(rate=0.0), stats=stats)
         for _ in range(3):
             assert guard.call(SITE, "k", lambda: "ok") == "ok"
         assert writes == ["closed"]
@@ -174,11 +184,11 @@ class TestBreakerGauge:
         assert self.exposed(stats) == BREAKER_STATE_VALUES["closed"]
         assert writes == ["closed", "open", "half-open", "closed"]
 
-    def test_injected_faults_trip_the_gauge_open(self):
+    def test_injected_faults_trip_the_gauge_open(self, monkeypatch):
+        limits(monkeypatch, breaker_threshold=3, breaker_cooldown=100)
         stats = ExecutorStats()
         guard = manager(FaultSpec(rate=1.0, persistent_fraction=1.0),
-                        stats=stats, breaker_threshold=3,
-                        breaker_cooldown=100)
+                        stats=stats)
         TestBreakerIntegration().trip_site(guard)
         assert self.exposed(stats) == BREAKER_STATE_VALUES["open"]
 

@@ -1,10 +1,45 @@
 """Tests for the command-line interface."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: where a verb counts as documented: the user's, the operator's, CI's
+#: and the developer's entry points
+VERB_DOCS = ("README.md", "docs/OPERATIONS.md",
+             ".github/workflows/ci.yml", "Makefile")
+
+
+def registered_verbs():
+    """Every subcommand ``cli.main`` registers (``add_parser``'s
+    first argument)."""
+    tree = ast.parse((REPO_ROOT / "src" / "repro" / "cli.py")
+                     .read_text("utf-8"))
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "main")
+    return sorted(node.args[0].value for node in ast.walk(main_def)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", "") == "add_parser")
+
+
+def test_every_verb_is_named_in_the_docs_ci_or_makefile():
+    """A verb stays only if a reader can find it: each is named as
+    ``repro <verb>`` in README, OPERATIONS.md, CI or the Makefile."""
+    text = "\n".join((REPO_ROOT / name).read_text("utf-8")
+                     for name in VERB_DOCS)
+    verbs = registered_verbs()
+    assert {"ask", "parse", "serve"} <= set(verbs)  # the scan finds them
+    unnamed = [verb for verb in verbs
+               if not re.search(rf"repro {re.escape(verb)}(?![\w-])", text)]
+    assert unnamed == [], f"CLI verbs named nowhere: {unnamed}"
 
 
 class TestParseCommand:
@@ -118,15 +153,6 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "aggregate.merge" in out
-
-
-class TestStatsCommand:
-    def test_fast_stats(self, capsys):
-        code = main(["stats", "--fast"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "MVQA: 400 images" in out
-        assert "judgment" in out
 
 
 class TestArgumentErrors:

@@ -1,14 +1,15 @@
-"""Regrowth guard: no ``*Config`` toggle that only its default uses.
+"""Regrowth guard: no ``*Config`` field that only its default uses.
 
-Every ``bool``- or ``str``-annotated field (``| None`` included) of a
-``*Config`` dataclass in ``src/repro`` must be set by name somewhere in
+Every field (an annotated class-body name, of any type) of a
+``*Config`` class in ``src/repro`` must be set by name somewhere in
 shipped code — ``src/repro``, ``benchmarks/``, ``scripts/``,
-``examples/`` or ``perfbench/``, outside the field's own class body:
-a ``field=`` keyword in a call of the class (``SVQAConfig(trace=...)``),
-or an ``x.field = ...`` assignment whose receiver is named like a
-config (``config.trace = ...``).  Tests do not count: an option no
-shipped caller sets selects a code path nothing runs.  Matching is by
-name, not type, so the check can miss a dead toggle, never invent one.
+``examples/`` or ``perfbench/``: a ``field=`` keyword in a call of the
+class (``SVQAConfig(trace=...)``, or ``cls(seed=...)`` inside one of
+the class's own classmethods), or an ``x.field = ...`` assignment whose
+receiver is named like a config (``config.trace = ...``).  Tests do
+not count: a value no shipped caller picks is a module constant, not
+an option.  Matching is by name, not type, so the check can miss a
+dead field, never invent one.
 """
 
 import ast
@@ -17,39 +18,30 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
 SHIPPED = ("benchmarks", "scripts", "examples", "perfbench")
-TOGGLE_TYPES = {"bool", "str"}
 
-#: paper ablations no shipped code runs at a second value, kept so the
-#: ablation can be reproduced by hand
+#: paper parameters no shipped code sets to a second value, kept so the
+#: experiment can be rerun by hand, each with the paper section it
+#: reproduces
 ALLOWED = {
-    # §V-B: frequency-ratio scheduling on/off
-    "SVQAConfig.enable_scheduler",
+    "SVQAConfig.enable_scheduler": "§V-B frequency-ratio scheduling",
+    "SVQAConfig.cache_pool_size": "§V-B cache pool size (Fig. 11)",
+    "SVQAConfig.executor": "§V Algorithm 3 matching thresholds",
+    "SVQAConfig.aggregator": "§III-B Algorithm 1 parameters",
+    "ExecutorConfig.ld_threshold": "§V vertex matching",
+    "ExecutorConfig.predicate_threshold": "§V edge-label matching",
+    "ExecutorConfig.constraint_threshold": "§V constraint matching",
+    "AggregatorConfig.subgraph_hops": "§III-B Algorithm 1's k",
 }
 
 
-def is_toggle(annotation):
-    """Whether an annotation is ``bool``/``str``, or one of them
-    ``| None``."""
-    if isinstance(annotation, ast.Name):
-        return annotation.id in TOGGLE_TYPES
-    if isinstance(annotation, ast.BinOp) and \
-            isinstance(annotation.op, ast.BitOr):
-        sides = (annotation.left, annotation.right)
-        return any(is_toggle(side) for side in sides) and any(
-            isinstance(side, ast.Constant) and side.value is None
-            for side in sides)
-    return False
-
-
-def config_toggles(tree):
-    """``(class node, field name)`` of every toggle field of every
+def config_fields(tree):
+    """``(class node, field name)`` of every field of every
     ``*Config`` class in the module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
             for statement in node.body:
                 if isinstance(statement, ast.AnnAssign) and \
-                        isinstance(statement.target, ast.Name) and \
-                        is_toggle(statement.annotation):
+                        isinstance(statement.target, ast.Name):
                     yield node, statement.target.id
 
 
@@ -58,16 +50,38 @@ def last_name(node):
     return getattr(node, "id", None) or getattr(node, "attr", "")
 
 
+def call_keywords(node):
+    return {k.arg for k in node.keywords if k.arg is not None}
+
+
+def own_classmethod_sets(cls):
+    """Fields ``cls`` sets on itself: keywords of a ``cls(...)`` call
+    inside one of its classmethods."""
+    names = set()
+    for method in cls.body:
+        if isinstance(method, ast.FunctionDef) and method.args.args and any(
+                last_name(d) == "classmethod" for d in method.decorator_list):
+            receiver = method.args.args[0].arg
+            names |= {k for node in ast.walk(method)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == receiver
+                      for k in call_keywords(node)}
+    return names
+
+
 def set_fields(root, cls):
-    """Fields of ``cls`` set under ``root``, outside ``cls`` itself."""
+    """Fields of ``cls`` set under ``root``: by callers outside ``cls``
+    and by ``cls``'s own classmethods."""
     names = set()
     stack = [root]
     while stack:
         node = stack.pop()
         if node is cls:
+            names |= own_classmethod_sets(cls)
             continue
         if isinstance(node, ast.Call) and last_name(node.func) == cls.name:
-            names |= {k.arg for k in node.keywords if k.arg is not None}
+            names |= call_keywords(node)
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
@@ -83,27 +97,27 @@ def parse_all(root):
             for path in sorted(root.rglob("*.py"))]
 
 
-def unset_toggles():
-    """``Class.field`` of every toggle no shipped code sets."""
+def unset_fields():
+    """``Class.field`` of every field no shipped code sets."""
     src = parse_all(SRC_ROOT)
     shipped = src + [tree for directory in SHIPPED
                      for tree in parse_all(REPO_ROOT / directory)]
-    unset = {f"{cls.name}.{name}"
-             for tree in src for cls, name in config_toggles(tree)
-             if not any(name in set_fields(other, cls)
-                        for other in shipped)}
-    return sorted(unset - ALLOWED)
+    return sorted(
+        f"{cls.name}.{name}"
+        for tree in src for cls, name in config_fields(tree)
+        if not any(name in set_fields(other, cls) for other in shipped))
 
 
 def test_every_config_toggle_is_set_by_shipped_code():
-    unset = unset_toggles()
+    unset = [name for name in unset_fields() if name not in ALLOWED]
     assert unset == [], (
-        "bool/str *Config fields no shipped code sets (delete the "
-        f"option and the path it selects): {unset}"
+        "*Config fields no shipped code sets (make each a module "
+        f"constant beside the code that reads it): {unset}"
     )
 
 
 def test_allowlist_names_live_fields():
     fields = {f"{cls.name}.{name}" for tree in parse_all(SRC_ROOT)
-              for cls, name in config_toggles(tree)}
-    assert ALLOWED <= fields
+              for cls, name in config_fields(tree)}
+    assert set(ALLOWED) <= fields
+    assert all(section.startswith("§") for section in ALLOWED.values())

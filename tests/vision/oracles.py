@@ -23,6 +23,9 @@ import numpy as np
 
 from repro.synth.relations import RELATIONS, relation_index
 from repro.synth.scene import Box, CANVAS, spatial_relation
+from repro.vision import detector as detector_module
+from repro.vision import relation as relation_module
+from repro.vision import scene_graph as sgg_module
 from repro.vision.detector import Detection
 from repro.vision.features import (
     APPEARANCE_DIM,
@@ -113,7 +116,7 @@ def detect(detector, raster, image_id=0):
     detections = []
     for label_value, mask in connected_regions(raster.labels):
         visible = int(mask.sum())
-        if visible < config.min_area:
+        if visible < detector_module.MIN_AREA:
             continue
         if rng.random() < config.miss_rate:
             continue
@@ -200,8 +203,9 @@ def predict_relation(predictor, subject, obj, image_id, use_tde=True):
     return best, float(scores[best]), scores
 
 
-def candidate_pairs(detections, max_pairs=48):
-    """Ordered detection pairs worth scoring, nearest first."""
+def candidate_pairs(detections):
+    """The ``MAX_PAIRS`` nearest ordered detection pairs, nearest
+    first."""
     from repro.synth.scene import center_distance
 
     scored = []
@@ -211,7 +215,7 @@ def candidate_pairs(detections, max_pairs=48):
                 continue
             scored.append((center_distance(a.box, b.box), a, b))
     scored.sort(key=lambda item: item[0])
-    return [(a, b) for _, a, b in scored[:max_pairs]]
+    return [(a, b) for _, a, b in scored[:relation_module.MAX_PAIRS]]
 
 
 def predict_relations(pipeline, image_id, detections):
@@ -219,13 +223,13 @@ def predict_relations(pipeline, image_id, detections):
     config = pipeline.config
     triples = []
     best_per_pair = []
-    for subject, obj in candidate_pairs(detections, config.max_pairs):
+    for subject, obj in candidate_pairs(detections):
         if config.use_tde:
             scores = tde_scores(pipeline.predictor, subject, obj, image_id)
         else:
             scores = pair_probabilities(pipeline.predictor, subject, obj,
                                         image_id)
-        order = np.argsort(scores)[::-1][:config.predicates_per_pair]
+        order = np.argsort(scores)[::-1][:sgg_module.PREDICATES_PER_PAIR]
         pair_best = None
         for rank, class_index in enumerate(order):
             relation = PredictedRelation(
@@ -236,7 +240,7 @@ def predict_relations(pipeline, image_id, detections):
             if rank == 0:
                 pair_best = relation
         if config.use_tde and pair_best is not None and \
-                pair_best.score < config.keep_min_score:
+                pair_best.score < sgg_module.KEEP_MIN_SCORE:
             predicate = spatial_relation(_GeometryShim(subject),
                                          _GeometryShim(obj))
             if predicate is not None:
@@ -248,10 +252,10 @@ def predict_relations(pipeline, image_id, detections):
             best_per_pair.append(pair_best)
     triples.sort(key=lambda t: -t.score)
     best_per_pair.sort(key=lambda t: -t.score)
-    keep = max(config.min_keep,
-               int(len(detections) * config.keep_per_detection))
+    keep = max(sgg_module.MIN_KEEP,
+               int(len(detections) * sgg_module.KEEP_PER_DETECTION))
     kept = [r for r in best_per_pair
-            if r.score >= config.keep_min_score][:keep]
+            if r.score >= sgg_module.KEEP_MIN_SCORE][:keep]
     return triples, kept
 
 

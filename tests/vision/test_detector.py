@@ -5,6 +5,7 @@ import pytest
 from repro.synth import Box, SceneGenerator, SceneObject, SceneRelation, SyntheticScene
 from repro.synth.scene import iou
 from repro.vision import DetectorConfig, SimulatedDetector
+from repro.vision import detector as detector_module
 
 
 def match_boxes(detected, truth, threshold=0.5):
@@ -64,21 +65,23 @@ class TestDetection:
         assert [(d.label, d.box) for d in first] == \
             [(d.label, d.box) for d in second]
 
-    def test_different_image_id_different_noise(self, simple_scene):
-        detector = SimulatedDetector(DetectorConfig(box_jitter=0.2))
+    def test_different_image_id_different_noise(self, simple_scene,
+                                                 monkeypatch):
+        monkeypatch.setattr(detector_module, "BOX_JITTER", 0.2)
+        detector = SimulatedDetector()
         raster = simple_scene.render()
         first = detector.detect(raster, 1)
         second = detector.detect(raster, 2)
         assert [d.box for d in first] != [d.box for d in second]
 
-    def test_tiny_object_missed(self):
+    def test_tiny_object_missed(self, monkeypatch):
         objects = [
             SceneObject(0, "grass", Box(0, 0, 128, 128), 0.9),
             SceneObject(1, "frisbee", Box(60, 60, 3, 3), 0.2),
         ]
         scene = SyntheticScene(0, objects, [SceneRelation(1, 0, "on")])
-        detector = SimulatedDetector(DetectorConfig(min_area=12,
-                                                    miss_rate=0.0))
+        monkeypatch.setattr(detector_module, "MIN_AREA", 12)
+        detector = SimulatedDetector(DetectorConfig(miss_rate=0.0))
         detections = detector.detect(scene.render(), 0)
         assert all(d.label != "frisbee" for d in detections)
 

@@ -23,7 +23,7 @@ from repro.vision import (
     SGGPipeline,
     SimulatedDetector,
 )
-from repro.vision.scene_graph import GEOMETRY_FALLBACK_SCORE
+from repro.vision.scene_graph import GEOMETRY_FALLBACK_SCORE, KEEP_MIN_SCORE
 
 
 @pytest.fixture
@@ -53,7 +53,7 @@ class TestFallback:
 
     def test_fallback_score_below_confident_tde(self):
         assert GEOMETRY_FALLBACK_SCORE < 0.3
-        assert GEOMETRY_FALLBACK_SCORE >= SGGConfig().keep_min_score
+        assert GEOMETRY_FALLBACK_SCORE >= KEEP_MIN_SCORE
 
     def test_semantic_pair_not_replaced(self):
         # a pair WITH visual evidence keeps its TDE prediction

@@ -22,6 +22,7 @@ from repro.vision import (
     SimulatedDetector,
     VTRANSE,
 )
+from repro.vision import detector as detector_module
 from tests.vision.oracles import (
     pair_logits,
     pair_probabilities,
@@ -46,10 +47,10 @@ def catch_scene():
 
 
 @pytest.fixture
-def detections(catch_scene):
+def detections(catch_scene, monkeypatch):
+    monkeypatch.setattr(detector_module, "BOX_JITTER", 0.0)
     detector = SimulatedDetector(DetectorConfig(label_noise=0.0,
-                                                miss_rate=0.0,
-                                                box_jitter=0.0))
+                                                miss_rate=0.0))
     return detector.detect(catch_scene.render(), 3)
 
 

@@ -13,6 +13,7 @@ from repro.vision import (
     SimulatedDetector,
     mean_recall_at,
 )
+from repro.vision import scene_graph as sgg_module
 
 
 @pytest.fixture(scope="module")
@@ -40,10 +41,11 @@ class TestPipeline:
             assert 0 <= relation.dst < n
             assert relation.predicate in RELATIONS
 
-    def test_kept_relations_bounded(self, scenes, pipeline):
-        config = SGGConfig(keep_per_detection=1.0, min_keep=2)
+    def test_kept_relations_bounded(self, scenes, pipeline, monkeypatch):
+        monkeypatch.setattr(sgg_module, "KEEP_PER_DETECTION", 1.0)
+        monkeypatch.setattr(sgg_module, "MIN_KEEP", 2)
         pipe = SGGPipeline(SimulatedDetector(),
-                           RelationPredictor(MOTIFNET), config)
+                           RelationPredictor(MOTIFNET))
         result = pipe.run(scenes[1])
         assert len(result.relations) <= max(2, len(result.detections))
 

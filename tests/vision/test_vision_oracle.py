@@ -15,6 +15,8 @@ mask-based features, per-pair scoring) byte for byte:
   three relation models with TDE on and off.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,15 +34,26 @@ from repro.vision import (
     SimulatedDetector,
     candidate_pairs,
 )
+from repro.vision import detector as detector_module
 from repro.vision.detector import _regions
 from repro.vision.relation import spatial_predicates
 from tests.vision import oracles
 
 pytest.importorskip("scipy")
 
-#: keeps every region and makes every random draw matter
-NOISY = DetectorConfig(min_area=1, miss_rate=0.2, label_noise=0.5,
-                       box_jitter=0.1, seed=7)
+#: with :func:`noisy_detector`'s constants, keeps every region and
+#: makes every random draw matter
+NOISY = DetectorConfig(miss_rate=0.2, label_noise=0.5, seed=7)
+
+
+@contextlib.contextmanager
+def noisy_detector():
+    """A detector under ``NOISY`` that keeps 1-pixel regions and jitters
+    boxes by a tenth of their size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detector_module, "MIN_AREA", 1)
+        patch.setattr(detector_module, "BOX_JITTER", 0.1)
+        yield SimulatedDetector(NOISY)
 
 
 def detection_bytes(detections):
@@ -86,10 +99,17 @@ def make_raster(labels, instances, objects, seed=0):
 
 def assert_matches_oracle(raster):
     assert run_regions(raster) == oracle_regions(raster)
-    detector = SimulatedDetector(NOISY)
-    for image_id in (0, 5):
-        assert detection_bytes(detector.detect(raster, image_id)) == \
-            detection_bytes(oracles.detect(detector, raster, image_id))
+    with noisy_detector() as detector:
+        for image_id in (0, 5):
+            assert detection_bytes(detector.detect(raster, image_id)) == \
+                detection_bytes(oracles.detect(detector, raster, image_id))
+
+
+def assert_scene_detections_match(detector, scenes):
+    for scene in scenes:
+        raster = scene.render()
+        assert detection_bytes(detector.detect(raster, scene.image_id)) == \
+            detection_bytes(oracles.detect(detector, raster, scene.image_id))
 
 
 @pytest.fixture(scope="module")
@@ -99,14 +119,9 @@ def scenes():
 
 class TestSeededScenes:
     def test_detections_byte_equal(self, scenes):
-        for config in (DetectorConfig(), NOISY):
-            detector = SimulatedDetector(config)
-            for scene in scenes:
-                raster = scene.render()
-                assert detection_bytes(
-                    detector.detect(raster, scene.image_id)) == \
-                    detection_bytes(oracles.detect(detector, raster,
-                                                   scene.image_id))
+        assert_scene_detections_match(SimulatedDetector(), scenes)
+        with noisy_detector() as detector:
+            assert_scene_detections_match(detector, scenes)
 
     @pytest.mark.parametrize("use_tde", [True, False])
     @pytest.mark.parametrize("model", sorted(MODELS))
