@@ -2,7 +2,7 @@
 
 .PHONY: test lint lint-analysis sanitize docs-check doc-links profile \
 	bench chaos retrieval-fuzz scope-fuzz serve serve-smoke snapshot-smoke \
-	store-torture src-size
+	store-torture src-size warm-ask
 
 test:
 	PYTHONPATH=src python -m pytest -x -q
@@ -98,6 +98,12 @@ serve-smoke:
 # /ask and /metrics transcripts (warm start must be indistinguishable)
 snapshot-smoke:
 	python scripts/snapshot_smoke.py
+
+# in-process wall time of a warm, repeated /ask: the WSGI call,
+# answer() and execute per ask, and Python calls per ask, as median
+# and IQR over passes of a seeded Zipf stream (ungated: host-dependent)
+warm-ask:
+	python scripts/warm_ask.py
 
 # exhaustive crash-torture sweep: damage every snapshot/WAL byte
 # boundary and assert recovery never yields a silent partial load

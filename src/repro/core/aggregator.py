@@ -84,11 +84,6 @@ class MergedGraph:
     instance_ids: list[int] = field(default_factory=list)
     skipped_images: list[int] = field(default_factory=list)
 
-    @property
-    def edge_labels(self) -> list[str]:
-        """All edge labels ``T`` (Algorithm 3, line 2)."""
-        return list(self.graph.edge_labels.labels())
-
     def meta_dict(self) -> dict[str, object]:
         """The non-graph bookkeeping, JSON-ready.
 

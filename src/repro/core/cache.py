@@ -88,7 +88,8 @@ class EvictingCache:
         self.name = name
         self.hits = 0
         self.misses = 0
-        self._lock = wrap_lock(threading.RLock(), f"cache.{name}")
+        self._role = f"cache.{name}"
+        self._lock = wrap_lock(threading.RLock(), self._role)
 
     def get(self, key: Hashable,
             accept: Callable[[Any], bool] | None = None) -> Any | None:
@@ -107,7 +108,7 @@ class EvictingCache:
         nothing and refreshing nothing (a second look that is not a
         lookup of its own)."""
         with self._lock:
-            note_read(f"cache.{self.name}", key)
+            note_read(self._role, key)
             value = self._values.get(key, _GONE)
             if value is _GONE or (accept is not None and not accept(value)):
                 return None
@@ -147,7 +148,7 @@ class LFUCache(EvictingCache):
             accept: Callable[[Any], bool] | None = None) -> Any | None:
         """Look up ``key``, bumping its frequency on a hit."""
         with self._lock:
-            note_read(f"cache.{self.name}", key)
+            note_read(self._role, key)
             if key not in self._values or \
                     (accept is not None and not accept(self._values[key])):
                 self.misses += 1
@@ -161,7 +162,7 @@ class LFUCache(EvictingCache):
         if self.capacity == 0:
             return None
         with self._lock:
-            note_write(f"cache.{self.name}", key)
+            note_write(self._role, key)
             victim = None
             if key not in self._values and \
                     len(self._values) >= self.capacity:
@@ -188,7 +189,7 @@ class LFUCache(EvictingCache):
     def pop(self, key: Hashable) -> bool:
         """Remove ``key``; whether it was stored."""
         with self._lock:
-            note_write(f"cache.{self.name}", key)
+            note_write(self._role, key)
             if self._values.pop(key, _GONE) is _GONE:
                 return False
             del self._frequency[key]
@@ -198,7 +199,7 @@ class LFUCache(EvictingCache):
     def clear(self) -> None:
         """Remove every entry."""
         with self._lock:
-            note_write(f"cache.{self.name}")
+            note_write(self._role)
             self._values.clear()
             self._frequency.clear()
             self._last_used.clear()
@@ -220,7 +221,7 @@ class LRUCache(EvictingCache):
             accept: Callable[[Any], bool] | None = None) -> Any | None:
         """Look up ``key``, marking it most recently used on a hit."""
         with self._lock:
-            note_read(f"cache.{self.name}", key)
+            note_read(self._role, key)
             if key not in self._values or \
                     (accept is not None and not accept(self._values[key])):
                 self.misses += 1
@@ -234,7 +235,7 @@ class LRUCache(EvictingCache):
         if self.capacity == 0:
             return None
         with self._lock:
-            note_write(f"cache.{self.name}", key)
+            note_write(self._role, key)
             victim = None
             if key in self._values:
                 self._values.move_to_end(key)
@@ -246,13 +247,13 @@ class LRUCache(EvictingCache):
     def pop(self, key: Hashable) -> bool:
         """Remove ``key``; whether it was stored."""
         with self._lock:
-            note_write(f"cache.{self.name}", key)
+            note_write(self._role, key)
             return self._values.pop(key, _GONE) is not _GONE
 
     def clear(self) -> None:
         """Remove every entry."""
         with self._lock:
-            note_write(f"cache.{self.name}")
+            note_write(self._role)
             self._values.clear()
 
     def __len__(self) -> int:

@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -172,8 +173,10 @@ class ScopeEntry:
 
 class PathEntry:
     """A path-store value: the relation pairs between two endpoint
-    sets, the endpoint ids they were computed from, and the last epoch
-    those endpoints were checked at.
+    sets, their distinct edge labels (sorted, the candidates predicate
+    filtering ranks) and the pairs each accepted label set keeps, the
+    endpoint ids they were computed from, and the last epoch those
+    endpoints were checked at.
 
     Writes to the edges the pairs were read from retire the entry (its
     :class:`~repro.graph.observe.Reads`).  A write that moves an
@@ -184,27 +187,39 @@ class PathEntry:
     the others keep their relative order.
     """
 
-    __slots__ = ("pairs", "subject_ids", "object_ids", "checked")
+    __slots__ = ("pairs", "labels", "subject_ids", "object_ids",
+                 "checked", "_labelled")
 
-    def __init__(self, pairs: list[RelationPair],
+    def __init__(self, pairs: tuple[RelationPair, ...],
                  subject_ids: tuple[int, ...],
                  object_ids: tuple[int, ...], checked: int) -> None:
         self.pairs = pairs
+        self.labels = sorted({pair.edge.label for pair in pairs})
         self.subject_ids = subject_ids
         self.object_ids = object_ids
         self.checked = checked
+        self._labelled: dict[frozenset[str], tuple[RelationPair, ...]] = {}
 
-    def holds(self, graph: Graph, subjects: list[Vertex],
-              objects: list[Vertex], stamp: int | None) -> bool:
-        """Whether the pairs are those of ``subjects`` x ``objects`` in
-        ``graph`` at epoch ``stamp`` (rechecked when ``stamp`` differs
-        from the last check; the check is kept if no write landed)."""
+    def labelled(self, accepted: frozenset[str]) -> tuple[RelationPair, ...]:
+        """The pairs whose edge label is in ``accepted``, in order, kept
+        per label set: the pairs never change (lanes that race store
+        equal tuples)."""
+        kept = self._labelled.get(accepted)
+        if kept is None:
+            kept = tuple(p for p in self.pairs if p.edge.label in accepted)
+            self._labelled[accepted] = kept
+        return kept
+
+    def holds(self, graph: Graph, subject_ids: tuple[int, ...],
+              object_ids: tuple[int, ...], stamp: int | None) -> bool:
+        """Whether the pairs are those of the vertices ``subject_ids``
+        x ``object_ids`` in ``graph`` at epoch ``stamp`` (rechecked
+        when ``stamp`` differs from the last check; the check is kept
+        if no write landed)."""
         if stamp is None:
             return False
         if stamp == self.checked:
             return True
-        subject_ids = tuple(v.id for v in subjects)
-        object_ids = tuple(v.id for v in objects)
         if (subject_ids, object_ids) != (self.subject_ids,
                                          self.object_ids) \
                 and not self._moved_inertly(graph, subject_ids, object_ids):
@@ -243,8 +258,6 @@ class VertexResult:
     """What executing one query-graph vertex produced."""
 
     spoc: SPOC
-    subjects: list[Vertex]
-    objects: list[Vertex]
     pairs: list[RelationPair]
     matched_predicate: str | None
 
@@ -295,10 +308,6 @@ class QueryGraphExecutor:
         # per-execute fault provenance (executors are single-threaded:
         # the batch engine gives every worker its own instance)
         self._events: list[FaultEvent] | None = None
-        self._relation_labels = [
-            label for label in merged.edge_labels
-            if label not in TAXONOMY_LABELS
-        ]
         # candidate work done by the current slot resolution (feeds the
         # executor.match span's candidates/pruned attributes); cached
         # scope values replay the numbers of the original miss, so the
@@ -484,46 +493,48 @@ class QueryGraphExecutor:
             pairs = self._be_pairs(subjects, objects)
             matched = "be"
         else:
-            pairs = self._relation_pairs(spoc, binding, subjects, objects,
+            entry = self._relation_pairs(spoc, binding, subjects, objects,
                                          stamp)
-            matched, pairs = self._filter_by_predicate(spoc.predicate, pairs)
+            matched, pairs = self._filter_by_predicate(spoc.predicate,
+                                                       entry)
         pairs = self._apply_constraint(spoc, pairs)
-        return VertexResult(spoc, subjects, objects, pairs, matched)
+        return VertexResult(spoc, pairs, matched)
 
     def _guarded_resolve(
         self, term: Term | None, bound_labels: list[str] | None
-    ) -> list[Vertex]:
-        """Slot resolution under the ``executor.match`` fault site.
+    ) -> tuple[int, ...]:
+        """Slot resolution (vertex ids) under the ``executor.match``
+        fault site.
 
         Retry-exhausted matching degrades to an empty vertex set (the
         query proceeds, typically toward "no"/"unknown") rather than
         killing the query.
         """
-        if bound_labels is not None:
-            key = "|".join(sorted(label.lower() for label in bound_labels))
-        elif term is not None:
-            key = term.head.lower()
-        else:
-            key = ""
-        with maybe_span(self.tracer, "executor.match", key=key) as span:
-            self._slot_candidates = 0
-            self._slot_pruned = 0
-            if term is None and bound_labels is None:
-                result = self._resolve_slot(term, bound_labels)
-            else:
-                result = self.resilience.call(
-                    "executor.match",
-                    key=key,
-                    fn=lambda: self._resolve_slot(term, bound_labels),
-                    clock=self.clock,
-                    events=self._events,
-                    fallback=list,
-                )
-            if span is not None:
-                span.set("matches", len(result))
-                span.set("candidates", self._slot_candidates)
-                span.set("pruned", self._slot_pruned)
+        self._slot_candidates = 0
+        self._slot_pruned = 0
+        if self.tracer is None:
+            return self._guarded_ids(term, bound_labels)
+        with self.tracer.span("executor.match",
+                              key=_match_key(term, bound_labels)) as span:
+            result = self._guarded_ids(term, bound_labels)
+            span.set("matches", len(result))
+            span.set("candidates", self._slot_candidates)
+            span.set("pruned", self._slot_pruned)
             return result
+
+    def _guarded_ids(
+        self, term: Term | None, bound_labels: list[str] | None
+    ) -> tuple[int, ...]:
+        if term is None and bound_labels is None:
+            return ()
+        return self.resilience.call(
+            "executor.match",
+            key=lambda: _match_key(term, bound_labels),
+            fn=lambda: self._resolve_slot(term, bound_labels),
+            clock=self.clock,
+            events=self._events,
+            fallback=tuple,
+        )
 
     def _scope_get_or_compute(
         self, key: tuple, compute: Computation, stamp: int | None
@@ -536,7 +547,7 @@ class QueryGraphExecutor:
 
         return self.resilience.call(
             "cache.scope",
-            key=self._fault_key(key),
+            key=lambda: self._fault_key(key),
             fn=lambda: self.cache.scope_get_or_compute(key, compute,
                                                        stamp, holds),
             clock=self.clock,
@@ -558,7 +569,7 @@ class QueryGraphExecutor:
         """Path-store access under the ``cache.path`` fault site."""
         return self.resilience.call(
             "cache.path",
-            key=self._fault_key(key),
+            key=lambda: self._fault_key(key),
             fn=lambda: self.cache.path_get_or_compute(key, compute,
                                                       stamp, holds),
             clock=self.clock,
@@ -568,28 +579,28 @@ class QueryGraphExecutor:
 
     def _resolve_slot(
         self, term: Term | None, bound_labels: list[str] | None
-    ) -> list[Vertex]:
+    ) -> tuple[int, ...]:
+        """A slot's vertex ids: a bound slot's labels' ids in label
+        order, each id once at its first place."""
         if bound_labels is not None:
-            vertices: dict[int, Vertex] = {}
-            for label in bound_labels:
-                for vertex in self.match_vertex_label(label):
-                    vertices.setdefault(vertex.id, vertex)
-            return list(vertices.values())
+            return tuple(dict.fromkeys(chain.from_iterable(
+                map(self.match_vertex_label, bound_labels))))
         if term is None:
-            return []
+            return ()
         return self.match_vertex(term)
 
     # ------------------------------------------------------------------
     # matchVertex
     # ------------------------------------------------------------------
-    def match_vertex(self, term: Term) -> list[Vertex]:
-        """The paper's ``matchVertex``: term -> merged-graph vertices."""
+    def match_vertex(self, term: Term) -> tuple[int, ...]:
+        """The paper's ``matchVertex``: term -> merged-graph vertex
+        ids."""
         if term.owner is not None:
             return self._match_possessive(term)
         return self.match_vertex_label(term.head)
 
-    def match_vertex_label(self, label: str) -> list[Vertex]:
-        """Label -> vertices: candidate-index match + is-a/instance-of
+    def match_vertex_label(self, label: str) -> tuple[int, ...]:
+        """Label -> vertex ids: candidate-index match + is-a/instance-of
         expansion.
 
         The candidate index returns exactly the labels the linear
@@ -601,7 +612,7 @@ class QueryGraphExecutor:
         ``has_vertex`` filter is needed on the way out).
         """
         ids, _, _ = self._label_scope(label)
-        return self.graph.vertices_by_id(ids)
+        return tuple(ids)
 
     def _label_scope(
         self, label: str
@@ -610,14 +621,8 @@ class QueryGraphExecutor:
         behind them."""
         stamp = self.cache.stamp()
         key = ("scope", label.lower())
-        with maybe_span(self.tracer, "cache.scope",
-                        key=str(key)) as span:
-            entry, deps, hit = self._scope_get_or_compute(
-                key, lambda: self._scope_value(label), stamp)
-            if span is not None:
-                span.set("hit", hit)
-                span.set("candidates", entry.examined)
-                span.set("pruned", entry.pruned)
+        entry, deps, hit = self._traced_scope(
+            key, lambda: self._scope_value(label), stamp)
         self._slot_candidates += entry.examined
         self._slot_pruned += entry.pruned
         self.stats.record_scope(hit)
@@ -652,7 +657,7 @@ class QueryGraphExecutor:
                            match.labels, len(direct), self.graph.epoch)
         return entry, (reads,)
 
-    def _match_possessive(self, term: Term) -> list[Vertex]:
+    def _match_possessive(self, term: Term) -> tuple[int, ...]:
         """"Harry Potter's girlfriend": resolve the owner, follow its
         most similar out-edge, expand the targets."""
         stamp = self.cache.stamp()
@@ -662,13 +667,12 @@ class QueryGraphExecutor:
             base_candidates = self._slot_candidates
             base_pruned = self._slot_pruned
             owner_ids, owner, owner_deps = self._label_scope(term.owner)
-            owners = self.graph.vertices_by_id(owner_ids)
             examined = self._slot_candidates - base_candidates
             pruned = self._slot_pruned - base_pruned
             out_edges = [
                 edge
-                for owner in owners
-                for edge in self.graph.out_edges(owner.id)
+                for owner_id in owner_ids
+                for edge in self.graph.out_edges(owner_id)
                 if edge.label not in TAXONOMY_LABELS
             ]
             out_labels = sorted({edge.label for edge in out_edges})
@@ -700,14 +704,7 @@ class QueryGraphExecutor:
 
         base_candidates = self._slot_candidates
         base_pruned = self._slot_pruned
-        with maybe_span(self.tracer, "cache.scope",
-                        key=str(key)) as span:
-            entry, _, hit = \
-                self._scope_get_or_compute(key, compute, stamp)
-            if span is not None:
-                span.set("hit", hit)
-                span.set("candidates", entry.examined)
-                span.set("pruned", entry.pruned)
+        entry, _, hit = self._traced_scope(key, compute, stamp)
         # assignment, not +=: a miss already accumulated the nested
         # owner lookup's numbers, a hit replays the stored ones — both
         # land on the same total, keeping span attributes worker-count
@@ -717,8 +714,22 @@ class QueryGraphExecutor:
         self.stats.record_scope(hit)
         if hit:
             self.clock.charge("cache_hit")
-        return self.graph.vertices_by_id(
-            _resolved(entry, self.graph, stamp))
+        return tuple(_resolved(entry, self.graph, stamp))
+
+    def _traced_scope(
+        self, key: tuple, compute: Computation, stamp: int | None
+    ) -> tuple[ScopeEntry, tuple[Reads, ...], bool]:
+        """:meth:`_scope_get_or_compute` in a ``cache.scope`` span when
+        a tracer is on."""
+        if self.tracer is None:
+            return self._scope_get_or_compute(key, compute, stamp)
+        with self.tracer.span("cache.scope", key=str(key)) as span:
+            found = self._scope_get_or_compute(key, compute, stamp)
+            entry, _, hit = found
+            span.set("hit", hit)
+            span.set("candidates", entry.examined)
+            span.set("pruned", entry.pruned)
+        return found
 
     def _expand_to_instances(self, vertex_ids: list[int],
                              edges_read: list[int]) -> list[int]:
@@ -759,10 +770,13 @@ class QueryGraphExecutor:
         self,
         spoc: SPOC,
         binding: dict[str, list[str] | None],
-        subjects: list[Vertex],
-        objects: list[Vertex],
+        subjects: tuple[int, ...],
+        objects: tuple[int, ...],
         stamp: int | None = None,
-    ) -> list[RelationPair]:
+    ) -> PathEntry:
+        """The path entry of the relation pairs between the vertices
+        ``subjects`` and ``objects``: held, or scanned and stored.
+        Its pairs are a tuple, so no caller can change a held entry."""
         # the path key is (subject-key, object-key) — no predicate.
         # Retrieval collects *every* relation between the two endpoint
         # sets; predicate filtering (maxScore) runs on the retrieved
@@ -778,17 +792,14 @@ class QueryGraphExecutor:
         epoch = self.graph.epoch
 
         def compute() -> tuple[PathEntry, tuple[Reads, ...]]:
-            pairs = scan()
-            subject_ids = tuple(v.id for v in subjects)
-            object_ids = tuple(v.id for v in objects)
+            pairs = tuple(scan())
             edges = [p.edge.id for p in pairs]
             if subjects:
-                reads = Reads(out_of=subject_ids, into=object_ids,
+                reads = Reads(out_of=subjects, into=objects,
                               between=bool(objects), edges=edges)
             else:
-                reads = Reads(into=object_ids, edges=edges)
-            return PathEntry(pairs, subject_ids, object_ids, epoch), \
-                (reads,)
+                reads = Reads(into=objects, edges=edges)
+            return PathEntry(pairs, subjects, objects, epoch), (reads,)
 
         def holds(entry: PathEntry) -> bool:
             return entry.holds(self.graph, subjects, objects, stamp)
@@ -803,28 +814,29 @@ class QueryGraphExecutor:
             if edges is None:
                 self._charge_edge_scan(subjects, objects)
                 if subjects and objects:
+                    vertices = self.graph.vertices_by_id
                     return [p for p in relations_between(
-                                self.graph, subjects, objects)
+                                self.graph, vertices(subjects),
+                                vertices(objects))
                             if p.edge.label not in TAXONOMY_LABELS]
                 edges = self._side_edges(subjects, objects)
             return self._pairs_on(edges, subjects, objects)
 
-        with maybe_span(self.tracer, "cache.path",
-                        key=str(key)) as span:
+        if self.tracer is None:
             entry, _, hit = self._path_get_or_compute(key, compute, stamp,
                                                       holds)
-            if span is not None:
+        else:
+            with self.tracer.span("cache.path", key=str(key)) as span:
+                entry, _, hit = self._path_get_or_compute(
+                    key, compute, stamp, holds)
                 span.set("hit", hit)
         self.stats.record_path(hit)
         if hit:
             self.clock.charge("cache_hit")
-        # defensive copy: the cached list must never alias the list
-        # handed to callers, or a later in-place mutation would
-        # corrupt the cache entry for every subsequent hit
-        return list(entry.pairs)
+        return entry
 
-    def _side_edges(self, subjects: list[Vertex],
-                    objects: list[Vertex]) -> list[Edge]:
+    def _side_edges(self, subjects: tuple[int, ...],
+                    objects: tuple[int, ...]) -> list[Edge]:
         """The non-taxonomy edges a path miss scans: every out-edge of
         the subjects, or with no subjects every in-edge of the objects,
         in vertex then adjacency order."""
@@ -832,44 +844,38 @@ class QueryGraphExecutor:
             adjacent, sources = self.graph.out_edges, subjects
         else:
             adjacent, sources = self.graph.in_edges, objects
-        return [edge for v in sources for edge in adjacent(v.id)
+        return [edge for v in sources for edge in adjacent(v)
                 if edge.label not in TAXONOMY_LABELS]
 
-    def _pairs_on(self, edges: list[Edge], subjects: list[Vertex],
-                  objects: list[Vertex]) -> list[RelationPair]:
+    def _pairs_on(self, edges: list[Edge], subjects: tuple[int, ...],
+                  objects: tuple[int, ...]) -> list[RelationPair]:
         """The relation pairs of ``edges`` (from :meth:`_side_edges`
         over these endpoints) that run between ``subjects`` and
         ``objects``; an empty side is unconstrained."""
         vertex = self.graph.vertex
-        if not subjects:
-            object_map = {v.id: v for v in objects}
-            return [RelationPair(vertex(e.src), e, object_map[e.dst])
-                    for e in edges]
-        subject_map = {v.id: v for v in subjects}
-        if not objects:
-            return [RelationPair(subject_map[e.src], e, vertex(e.dst))
-                    for e in edges]
-        object_map = {v.id: v for v in objects}
-        return [RelationPair(subject_map[e.src], e, object_map[e.dst])
-                for e in edges if e.dst in object_map]
+        if subjects and objects:
+            targets = set(objects)
+            edges = [e for e in edges if e.dst in targets]
+        return [RelationPair(vertex(e.src), e, vertex(e.dst))
+                for e in edges]
 
-    def _charge_edge_scan(self, subjects: list[Vertex],
-                          objects: list[Vertex]) -> None:
+    def _charge_edge_scan(self, subjects: tuple[int, ...],
+                          objects: tuple[int, ...]) -> None:
         """Charge the edge mass of the branch a path miss takes: the
         subject branches scan subject out-edges, the objects-only
         branch every object's *in*-edges."""
         if subjects:
-            scans = self.graph.out_degree_sum([v.id for v in subjects])
+            scans = self.graph.out_degree_sum(subjects)
         else:
-            scans = self.graph.in_degree_sum([v.id for v in objects])
+            scans = self.graph.in_degree_sum(objects)
         self.clock.charge("edge_scan", times=scans)
 
     def _neighborhood_edges(
         self,
         spoc: SPOC,
         binding: dict[str, list[str] | None],
-        subjects: list[Vertex],
-        objects: list[Vertex],
+        subjects: tuple[int, ...],
+        objects: tuple[int, ...],
         stamp: int | None,
     ) -> list[Edge] | None:
         """A path miss's :meth:`_side_edges`, read from its head's
@@ -903,7 +909,7 @@ class QueryGraphExecutor:
         if binding[slot] is not None or term is None \
                 or term.owner is not None:
             return None
-        ids = tuple(v.id for v in sources)
+        ids = sources
 
         def fill() -> tuple[tuple[tuple[int, ...], list[Edge]],
                             tuple[Reads, ...]]:
@@ -947,55 +953,83 @@ class QueryGraphExecutor:
         self.stats.record_retrieval(site, fresh, probes)
 
     def _filter_by_predicate(
-        self, predicate: str, pairs: list[RelationPair]
+        self, predicate: str, entry: PathEntry
     ) -> tuple[str | None, list[RelationPair]]:
-        """Keep pairs whose edge label best matches the predicate."""
+        """Keep the entry's pairs whose edge label best matches the
+        predicate, as a new list."""
+        pairs = entry.pairs
         if not pairs:
             return None, []
-        labels = sorted({pair.edge.label for pair in pairs})
-        ranked, fresh, probes = self._score_memo.rank(predicate, labels)
+        ranked, fresh, probes = self._score_memo.rank(predicate,
+                                                      entry.labels)
         self._charge_retrieval("predicate", fresh, probes)
         best, best_score = ranked[0]
         if best_score < self.config.predicate_threshold:
             self.stats.record_filter(len(pairs), 0)
             return None, []
-        accepted = {
+        accepted = frozenset(
             label for label, score in ranked
             if score >= max(self.config.predicate_threshold,
                             best_score - 0.05)
-        }
-        kept = [p for p in pairs if p.edge.label in accepted]
+        )
+        kept = list(entry.labelled(accepted))
         self.stats.record_filter(len(pairs), len(kept))
         return best, kept
 
     def _be_pairs(
-        self, subjects: list[Vertex], objects: list[Vertex]
+        self, subjects: tuple[int, ...], objects: tuple[int, ...]
     ) -> list[RelationPair]:
-        """Identity/IS-A pairs for copular predicates ("Is X a cat?")."""
-        object_ids = {v.id for v in objects}
-        object_labels = {v.label.lower() for v in objects}
+        """Identity/IS-A pairs for copular predicates ("Is X a cat?"),
+        in subject order: a subject whose (lowercased) label an object
+        carries pairs with the first other object of that label, over
+        their first edge or a virtual one; any other subject pairs
+        through each of its taxonomy out-edges into the objects.
+
+        One pass over each side: the objects are grouped by label, and
+        only subjects with a taxonomy edge into the objects (read from
+        the objects' taxonomy in-edges) have their out-edges read.
+        """
+        graph = self.graph
+        # per label, the first two objects carrying it: a subject
+        # pairs with the first that is not itself
+        firsts: dict[str, list[Vertex]] = {}
+        for obj in graph.vertices_by_id(objects):
+            same = firsts.setdefault(obj.label.lower(), [])
+            if len(same) < 2:
+                same.append(obj)
+        object_ids = set(objects)
+        targets = graph.taxonomy_targets()
+        linked = {edge.src for object_id in objects if object_id in targets
+                  for edge in graph.taxonomy_in_edges(object_id)}
+        # per paired object, the first edge into it from each source:
+        # in- and out-lists keep one pair's edges in the same order, so
+        # it is the first of the source's out-edges into the object
+        first_edges: dict[int, dict[int, Edge]] = {}
         pairs: list[RelationPair] = []
-        for subject in subjects:
-            if subject.label.lower() in object_labels:
-                for obj in objects:
-                    if obj.label.lower() == subject.label.lower() \
-                            and obj.id != subject.id:
-                        between = self.graph.edges_between(
-                            subject.id, obj.id
-                        )
-                        pairs.append(RelationPair(
-                            subject,
-                            between[0] if between
-                            else _virtual_edge(subject, obj),
-                            obj,
-                        ))
-                        break
-                continue
-            for edge in self.graph.taxonomy_out_edges(subject.id):
-                if edge.dst in object_ids:
+        for subject in graph.vertices_by_id(subjects):
+            same = firsts.get(subject.label.lower())
+            if same is not None:
+                obj = same[0] if same[0].id != subject.id \
+                    else same[1] if len(same) > 1 else None
+                if obj is not None:
+                    into = first_edges.get(obj.id)
+                    if into is None:
+                        into = first_edges[obj.id] = {}
+                        for edge in graph.in_edges(obj.id):
+                            into.setdefault(edge.src, edge)
+                    edge = into.get(subject.id)
                     pairs.append(RelationPair(
-                        subject, edge, self.graph.vertex(edge.dst)
+                        subject,
+                        edge if edge is not None
+                        else _virtual_edge(subject, obj),
+                        obj,
                     ))
+                continue
+            if subject.id in linked:
+                for edge in graph.taxonomy_out_edges(subject.id):
+                    if edge.dst in object_ids:
+                        pairs.append(RelationPair(
+                            subject, edge, graph.vertex(edge.dst)))
         return pairs
 
     # ------------------------------------------------------------------
@@ -1077,6 +1111,16 @@ class QueryGraphExecutor:
             frontier = next_frontier
             hops += 1
         return False, reads
+
+
+def _match_key(term: Term | None, bound_labels: list[str] | None) -> str:
+    """The identity ``executor.match`` faults and spans name a slot
+    by."""
+    if bound_labels is not None:
+        return "|".join(sorted(label.lower() for label in bound_labels))
+    if term is not None:
+        return term.head.lower()
+    return ""
 
 
 def _resolved(entry: ScopeEntry, graph: Graph,

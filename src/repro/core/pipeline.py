@@ -402,8 +402,9 @@ class SVQA:
     def _batch_order(self, graphs: list[QueryGraph | None]) -> list[int]:
         """The submission order of one :meth:`answer_many` batch: the
         §V-B frequency-ratio order with the scheduler on (unparseable
-        slots last), the input order with it off."""
-        if not self.config.enable_scheduler:
+        slots last), the input order with it off (or with one
+        question, where both orders are ``[0]``)."""
+        if not self.config.enable_scheduler or len(graphs) == 1:
             return list(range(len(graphs)))
         valid = [i for i, g in enumerate(graphs) if g is not None]
         schedule = schedule_queries([graphs[i] for i in valid])

@@ -8,7 +8,7 @@ needs (is it a "kind of X" phrase? does it have a possessive owner?).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -132,11 +132,22 @@ class QueryGraph:
     vertices: tuple[SPOC, ...]
     edges: tuple[tuple[int, int, DependencyKind], ...] = ()
     question: str = ""
+    #: the hash of the fields above, computed once: a served graph
+    #: keys the diagnostics memo on every ask, and hashing it anew
+    #: walks every SPOC
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        """Store ``vertices``/``edges`` as tuples whatever was passed."""
+        """Store ``vertices``/``edges`` as tuples whatever was passed,
+        and the graph's hash."""
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(self.edges))
+        object.__setattr__(self, "_hash",
+                           hash((self.vertices, self.edges, self.question)))
+
+    def __hash__(self) -> int:
+        """The hash of the fields, computed once."""
+        return self._hash
 
     @property
     def main_index(self) -> int:

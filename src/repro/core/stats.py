@@ -29,6 +29,7 @@ from repro.observability.metrics import (
     COUNT_BUCKETS,
     LATENCY_BUCKETS,
     MetricsRegistry,
+    Series,
 )
 
 #: numeric encoding of breaker states for the ``svqa_breaker_state``
@@ -217,15 +218,30 @@ class ExecutorStats:
             "Embedding scores through the score memo by executor site "
             "and outcome (fresh=computed, probe=memo hit).",
             labels=("site", "outcome"))
+        # the series every warm ask counts into, keyed once
+        self._store_lookups = {
+            (store, hit): self._cache_requests.labels(
+                store=store, outcome="hit" if hit else "miss")
+            for store in ("scope", "path") for hit in (True, False)}
+        self._retrieval_lookups: dict[tuple[str, str], Series] = {}
 
     def record_retrieval(self, site: str, fresh: int,
                          probes: int) -> None:
         """One score-memo lookup at ``site`` computed ``fresh`` scores
         and served ``probes`` from the memo."""
         if fresh:
-            self._ann_lookups.inc(fresh, site=site, outcome="fresh")
+            self._retrieval_series(site, "fresh").inc(fresh)
         if probes:
-            self._ann_lookups.inc(probes, site=site, outcome="probe")
+            self._retrieval_series(site, "probe").inc(probes)
+
+    def _retrieval_series(self, site: str, outcome: str) -> Series:
+        series = self._retrieval_lookups.get((site, outcome))
+        if series is None:
+            # a racing lane binds an equal key; either one may stay
+            series = self._retrieval_lookups.setdefault(
+                (site, outcome),
+                self._ann_lookups.labels(site=site, outcome=outcome))
+        return series
 
     def record_query(self, vertex_count: int) -> None:
         """One query ran to completion, executing ``vertex_count``
@@ -239,13 +255,11 @@ class ExecutorStats:
 
     def record_scope(self, hit: bool) -> None:
         """One scope-store (matchVertex) lookup."""
-        self._cache_requests.inc(store="scope",
-                                outcome="hit" if hit else "miss")
+        self._store_lookups["scope", hit].inc()
 
     def record_path(self, hit: bool) -> None:
         """One path-store (getRelationpairs) lookup."""
-        self._cache_requests.inc(store="path",
-                                outcome="hit" if hit else "miss")
+        self._store_lookups["path", hit].inc()
 
     def record_filter(self, before: int, after: int) -> None:
         """Predicate filtering reduced ``before`` pairs to ``after``."""

@@ -448,10 +448,6 @@ class Graph:
             return []
         return [self._edges[e] for e in edge_ids]
 
-    def edges_between(self, src: int, dst: int) -> list[Edge]:
-        """All directed edges from ``src`` to ``dst``."""
-        return [e for e in self.out_edges(src) if e.dst == dst]
-
     def find_vertices(self, label: str) -> list[Vertex]:
         """All vertices carrying ``label`` (via the label index)."""
         return [self._vertices[i] for i in self.vertex_labels.ids(label)]

@@ -45,6 +45,8 @@ ever acquired under ours.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
 from repro import locks
@@ -92,11 +94,11 @@ class ScoreMemo:
         ``(fresh, probes)``: how many scores were computed this call
         (charge ``embed_score``) vs. served from the memo (charge
         ``ann_probe``)."""
-        query_vec = phrase_vector(query)
-        scores, fresh, probes = self._score_all(query, query_vec,
-                                                candidates)
+        scores, fresh, probes = self._score_all(query, candidates)
         scored = list(zip(candidates, scores))
-        return sorted(scored, key=lambda cs: -cs[1]), fresh, probes
+        # (a stable sort keeps ties in candidate order either way)
+        return sorted(scored, key=itemgetter(1), reverse=True), \
+            fresh, probes
 
     def best(self, query: str,
              candidates: list[str]) -> tuple[str | None, float,
@@ -106,19 +108,18 @@ class ScoreMemo:
         on an empty candidate list) — plus ``(fresh, probes)``."""
         if not candidates:
             return None, float("-inf"), 0, 0
-        query_vec = phrase_vector(query)
-        scores, fresh, probes = self._score_all(query, query_vec,
-                                                candidates)
+        scores, fresh, probes = self._score_all(query, candidates)
         best, best_score = None, float("-inf")
         for candidate, score in zip(candidates, scores):
             if score > best_score:
                 best, best_score = candidate, score
         return best, best_score, fresh, probes
 
-    def _score_all(self, query: str, query_vec: np.ndarray,
+    def _score_all(self, query: str,
                    candidates: list[str]) -> tuple[list[float],
                                                    int, int]:
-        """Scores aligned with ``candidates``, via the memo.
+        """Scores aligned with ``candidates``, via the memo (the query
+        is embedded only when a score is missing).
 
         Two-phase with respect to the index lock: snapshot hits and
         misses under the lock, compute the misses *unlocked* (scoring
@@ -146,6 +147,8 @@ class ScoreMemo:
                     probes += 1
                     known[key] = cached
         computed: dict[tuple[str, str], float] = {}
+        if missed:
+            query_vec = phrase_vector(query)
         for key, candidate in zip(keys, candidates):
             if key in known or key in computed:
                 continue

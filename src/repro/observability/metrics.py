@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import re
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Any
 
 from repro.locks import note_write, wrap_lock
@@ -94,10 +96,13 @@ class MetricFamily:
         self.name = name
         self.help_text = help_text
         self.label_names = tuple(labels)
-        self._lock = wrap_lock(threading.Lock(), f"metrics.{name}")
+        self._role = f"metrics.{name}"
+        self._lock = wrap_lock(threading.Lock(), self._role)
 
     def _series_key(self, labels: dict[str, str]) -> tuple[str, ...]:
         """Validate ``labels`` against the schema and key the series."""
+        if not labels and not self.label_names:
+            return ()
         if set(labels) != set(self.label_names):
             raise ValueError(
                 f"{self.name}: expected labels {self.label_names}, "
@@ -137,13 +142,21 @@ class Counter(MetricFamily):
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         """Add ``amount`` (must be >= 0) to the labeled series."""
+        self._add(self._series_key(labels), amount)
+
+    def labels(self, **labels: str) -> Series:
+        """The labeled series, its labels validated once: a hot call
+        site binds it up front and counts through :meth:`Series.inc`.
+        Binding creates no series; the first increment does."""
+        return Series(self, self._series_key(labels))
+
+    def _add(self, key: tuple[str, ...], amount: float) -> None:
         if amount < 0:
             raise ValueError(
                 f"counter {self.name} cannot decrease (got {amount})"
             )
-        key = self._series_key(labels)
         with self._lock:
-            note_write(f"metrics.{self.name}", key)
+            note_write(self._role, key)
             self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: str) -> float:
@@ -198,19 +211,35 @@ class Gauge(Counter):
         """Overwrite the labeled series with ``value``."""
         key = self._series_key(labels)
         with self._lock:
-            note_write(f"metrics.{self.name}", key)
+            note_write(self._role, key)
             self._series[key] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        """Add ``amount`` (may be negative) to the labeled series."""
-        key = self._series_key(labels)
+    def _add(self, key: tuple[str, ...], amount: float) -> None:
+        # a gauge may go down
         with self._lock:
-            note_write(f"metrics.{self.name}", key)
+            note_write(self._role, key)
             self._series[key] = self._series.get(key, 0.0) + amount
 
 
+class Series:
+    """One series of a :class:`Counter` or :class:`Gauge`, keyed once
+    by :meth:`Counter.labels`."""
+
+    __slots__ = ("_family", "_key")
+
+    def __init__(self, family: Counter, key: tuple[str, ...]) -> None:
+        self._family = family
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` to the series, as the family's ``inc``."""
+        self._family._add(self._key, amount)
+
+
 class _HistogramSeries:
-    """One labeled histogram series: bucket counts + sum + count."""
+    """One labeled histogram series: per-bucket counts (each
+    observation in the first bucket whose bound covers it) + sum +
+    count."""
 
     __slots__ = ("bucket_counts", "total", "count")
 
@@ -242,23 +271,24 @@ class Histogram(MetricFamily):
         """Record one observation into the labeled series."""
         key = self._series_key(labels)
         with self._lock:
-            note_write(f"metrics.{self.name}", key)
+            note_write(self._role, key)
             series = self._series.get(key)
             if series is None:
                 series = _HistogramSeries(len(self.buckets))
                 self._series[key] = series
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    series.bucket_counts[i] += 1
+            bucket = bisect_left(self.buckets, value)
+            if bucket < len(self.buckets):
+                series.bucket_counts[bucket] += 1
             series.total += value
             series.count += 1
 
     def series_items(self) -> list[tuple[tuple[str, ...],
                                          tuple[list[int], float, int]]]:
-        """Sorted ``(label_values, (buckets, sum, count))`` snapshots."""
+        """Sorted ``(label_values, (buckets, sum, count))`` snapshots,
+        the bucket counts cumulative."""
         with self._lock:
             return sorted(
-                (key, (list(s.bucket_counts), s.total, s.count))
+                (key, (list(accumulate(s.bucket_counts)), s.total, s.count))
                 for key, s in self._series.items()
             )
 
@@ -272,8 +302,6 @@ class Histogram(MetricFamily):
         lines = [f"# HELP {self.name} {self.help_text}",
                  f"# TYPE {self.name} {self.metric_type}"]
         for key, (counts, total, count) in self.series_items():
-            # bucket_counts are already cumulative (observe() increments
-            # every bucket whose bound covers the value)
             for bound, bucket in zip(self.buckets, counts, strict=True):
                 label_text = self._label_text(
                     key, extra=f'le="{_format_value(bound)}"'

@@ -27,11 +27,18 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: consecutive failures that open a circuit
+BREAKER_THRESHOLD = 3
+
+#: calls an open circuit short-circuits before it half-opens
+BREAKER_COOLDOWN = 8
+
 
 class CircuitBreaker:
     """One stage's trip/half-open/reset state machine."""
 
-    def __init__(self, failure_threshold: int = 3, cooldown: int = 8) -> None:
+    def __init__(self, failure_threshold: int = BREAKER_THRESHOLD,
+                 cooldown: int = BREAKER_COOLDOWN) -> None:
         if failure_threshold < 1:
             raise ValueError(
                 f"failure_threshold must be >= 1, got {failure_threshold}"

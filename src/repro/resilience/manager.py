@@ -23,6 +23,9 @@ The layer is always on.  With no fault specs (the default
 :class:`ResilienceConfig`) nothing is injected, so ``call`` retries
 nothing and charges nothing: it only routes real failures — a question
 the grammar rejects, a crashed query — down the degradation ladder.
+Only an injected fault moves a breaker, so the breaker of a site with
+no fault spec stays closed for good: ``call`` runs ``fn`` there
+directly, after publishing the site's gauge on its first consultation.
 """
 
 from __future__ import annotations
@@ -38,7 +41,11 @@ from repro.errors import (
     InjectedFaultError,
 )
 from repro.observability.spans import Tracer, maybe_span
-from repro.resilience.breaker import CircuitBreaker
+from repro.resilience.breaker import (
+    BREAKER_COOLDOWN,
+    BREAKER_THRESHOLD,
+    CircuitBreaker,
+)
 from repro.resilience.events import FaultEvent
 from repro.resilience.faults import FAULT_SITES, FaultInjector, FaultSpec
 from repro.resilience.retry import DeadlineBudget, RetryPolicy
@@ -53,12 +60,6 @@ _RAISE = object()
 
 #: the retry budget and backoff of every guarded call
 RETRY = RetryPolicy()
-
-#: consecutive failures that open a site's circuit
-BREAKER_THRESHOLD = 3
-
-#: calls an open circuit short-circuits before it half-opens
-BREAKER_COOLDOWN = 8
 
 #: of the keys a chaos configuration faults, the share that never
 #: recover
@@ -105,6 +106,13 @@ class ResilienceConfig:
         )
 
 
+def _private_stats() -> ExecutorStats:
+    # imported here: repro.core imports this module
+    from repro.core.stats import ExecutorStats
+
+    return ExecutorStats()
+
+
 class ResilienceManager:
     """Shared, thread-safe guard state for one SVQA system.
 
@@ -112,7 +120,8 @@ class ResilienceManager:
     instance and threaded through the SGG pipeline, the aggregator,
     the executor, the batch engine and the durable store; breakers are
     per-site and shared across worker threads.  A component built on
-    its own holds a private default manager.
+    its own holds a private default manager, which counts into a
+    private collector.
     """
 
     def __init__(
@@ -124,7 +133,7 @@ class ResilienceManager:
         self.config = config or ResilienceConfig()
         self.injector = FaultInjector(seed=self.config.seed,
                                       specs=self.config.fault_specs)
-        self.stats = stats
+        self.stats = stats if stats is not None else _private_stats()
         self.tracer = tracer
         self._breakers: dict[str, CircuitBreaker] = {}
         #: the breaker state last written to the gauge, per site
@@ -163,7 +172,7 @@ class ResilienceManager:
             self._publish_breaker_state(site, self._breaker(site))
 
     def deadline(
-        self, clock: SimClock | None, limit: float | None = None
+        self, clock: SimClock, limit: float | None = None
     ) -> DeadlineBudget | None:
         """A fresh per-query budget, or ``None`` when unconfigured.
 
@@ -174,7 +183,7 @@ class ResilienceManager:
         """
         limits = [value for value in (limit, self.config.query_deadline)
                   if value is not None]
-        if clock is None or not limits:
+        if not limits:
             return None
         return DeadlineBudget.start(clock, min(limits))
 
@@ -193,15 +202,26 @@ class ResilienceManager:
         """Run ``fn`` under this site's breaker + retry policy.
 
         ``key`` is the stable identity of the operation (image id,
-        cache key, term label): fault decisions are a pure function of
-        ``(seed, site, key)``, so runs are reproducible regardless of
-        thread interleaving.  ``fallback`` (a zero-arg callable) routes
-        around the stage on breaker-open or retry exhaustion; without
-        it those conditions raise :class:`~repro.errors.CircuitOpenError`
-        / :class:`~repro.errors.FaultToleranceError`.
+        cache key, term label), or a zero-argument callable that
+        builds it, called only at a site with a fault spec: fault
+        decisions are a pure function of ``(seed, site, key)``, so
+        runs are reproducible regardless of thread interleaving.
+        ``fallback`` (a zero-arg callable) routes around the stage on
+        breaker-open or retry exhaustion; without it those conditions
+        raise :class:`~repro.errors.CircuitOpenError` /
+        :class:`~repro.errors.FaultToleranceError`.
         """
-        if site not in FAULT_SITES:
-            raise ValueError(f"unregistered fault site: {site!r}")
+        if site not in self.injector.specs:
+            # nothing can fault here, so the breaker never leaves
+            # closed and there is nothing to retry
+            if site not in self._published:
+                if site not in FAULT_SITES:
+                    raise ValueError(f"unregistered fault site: {site!r}")
+                self._publish_breaker_state(site, self._breaker(site))
+            return fn()
+        if callable(key):
+            key = key()
+        clock = clock if clock is not None else SimClock()
         breaker = self._breaker(site)
         allowed = breaker.allow()
         self._publish_breaker_state(site, breaker)
@@ -234,11 +254,10 @@ class ResilienceManager:
                 if attempt + 1 < policy.max_attempts:
                     with maybe_span(self.tracer, "resilience.retry",
                                     site=site, attempt=attempt + 1):
-                        if clock is not None:
-                            clock.charge_amount(
-                                "retry_backoff",
-                                policy.backoff(attempt, site, str(key)),
-                            )
+                        clock.charge_amount(
+                            "retry_backoff",
+                            policy.backoff(attempt, site, str(key)),
+                        )
                     self._record("retry", site)
                     if events is not None:
                         events.append(FaultEvent(site, "retry",
@@ -278,8 +297,6 @@ class ResilienceManager:
         only when the state differs from the one last published for
         ``site`` (the first consultation always publishes).
         """
-        if self.stats is None:
-            return
         with self._lock:
             state = breaker.state
             if self._published.get(site) != state:
@@ -287,8 +304,6 @@ class ResilienceManager:
                 self.stats.record_breaker_state(site, state)
 
     def _record(self, incident: str, site: str) -> None:
-        if self.stats is None:
-            return
         if incident == "fault":
             self.stats.record_fault(site)
         elif incident == "retry":

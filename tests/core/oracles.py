@@ -23,12 +23,30 @@ scans that adjacency replaced:
 * :func:`full_scan_is_kind_of` — the answer-side ``kind of`` filter;
 * :func:`full_scan_path_pairs` — ``getRelationpairs`` over two
   endpoint lists, read from every out- or in-edge.
+
+The executor resolves slots to vertex ids and pairs copular ("be")
+clauses in one pass over each side; their oracles are the loops those
+replaced:
+
+* :func:`dict_merged_slot_ids` — a bound slot's vertices merged label
+  by label into a dict keyed by id;
+* :func:`nested_be_pairs` — every subject scanned against every object
+  of its label.
 """
+
+from collections.abc import Sequence
 
 from repro.core import Answer, QueryGraphExecutor, SVQA, generate_query_graph
 from repro.core.executor import EXPANSION_HOPS, ExecutorConfig, _is_category
 from repro.errors import ReproError
-from repro.graph import INSTANCE_OF, IS_A, TAXONOMY_LABELS, Graph, Vertex
+from repro.graph import (
+    INSTANCE_OF,
+    IS_A,
+    TAXONOMY_LABELS,
+    Graph,
+    RelationPair,
+    Vertex,
+)
 from repro.nlp.embeddings import max_score
 from repro.resilience.degrade import classify_question_text, keyword_query_graph
 from tests.nlp.oracles import rank_scores
@@ -138,20 +156,69 @@ def full_scan_is_kind_of(graph: Graph, label: str, ancestor: str) -> bool:
     return False
 
 
-def full_scan_path_pairs(graph: Graph, subjects: list[Vertex],
-                         objects: list[Vertex]) -> list[tuple[int, int, int]]:
+def full_scan_path_pairs(graph: Graph, subjects: Sequence[int],
+                         objects: Sequence[int]) -> list[tuple[int, int, int]]:
     """The ``(subject id, edge id, object id)`` triples a path-store
-    miss over these endpoints retrieves: every non-taxonomy out-edge
-    of the subjects (into the objects, when there are any), or, with
-    no subjects, every non-taxonomy in-edge of the objects."""
+    miss over the vertex ids ``subjects`` x ``objects`` retrieves:
+    every non-taxonomy out-edge of the subjects (into the objects,
+    when there are any), or, with no subjects, every non-taxonomy
+    in-edge of the objects."""
     if subjects:
-        object_ids = {v.id for v in objects}
-        return [(subject.id, edge.id, edge.dst)
+        object_ids = set(objects)
+        return [(subject, edge.id, edge.dst)
                 for subject in subjects
-                for edge in graph.out_edges(subject.id)
+                for edge in graph.out_edges(subject)
                 if edge.label not in TAXONOMY_LABELS
                 and (not objects or edge.dst in object_ids)]
-    return [(edge.src, edge.id, obj.id)
+    return [(edge.src, edge.id, obj)
             for obj in objects
-            for edge in graph.in_edges(obj.id)
+            for edge in graph.in_edges(obj)
             if edge.label not in TAXONOMY_LABELS]
+
+
+def dict_merged_slot_ids(executor: QueryGraphExecutor,
+                         bound_labels: list[str]) -> list[int]:
+    """A bound slot's vertex ids as the executor once merged them: each
+    label's matched vertices into a dict keyed by id, in label order,
+    the first place of an id winning."""
+    graph = executor.graph
+    vertices: dict[int, Vertex] = {}
+    for label in bound_labels:
+        for vertex in graph.vertices_by_id(
+                executor.match_vertex_label(label)):
+            vertices.setdefault(vertex.id, vertex)
+    return list(vertices)
+
+
+def nested_be_pairs(graph: Graph, subjects: list[Vertex],
+                    objects: list[Vertex]) -> list[RelationPair]:
+    """The copular ("be") pairs by the nested loop: a subject whose
+    lowercased label an object carries pairs with the first *other*
+    object of that label over their first edge (or a virtual ``be``
+    edge), and otherwise through its taxonomy out-edges into the
+    objects."""
+    from repro.graph.model import Edge
+
+    object_ids = {v.id for v in objects}
+    object_labels = {v.label.lower() for v in objects}
+    pairs: list[RelationPair] = []
+    for subject in subjects:
+        if subject.label.lower() in object_labels:
+            for obj in objects:
+                if obj.label.lower() == subject.label.lower() \
+                        and obj.id != subject.id:
+                    between = [e for e in graph.out_edges(subject.id)
+                               if e.dst == obj.id]
+                    pairs.append(RelationPair(
+                        subject,
+                        between[0] if between
+                        else Edge(-1, subject.id, obj.id, "be", {}),
+                        obj,
+                    ))
+                    break
+            continue
+        for edge in graph.out_edges(subject.id):
+            if edge.label in TAXONOMY_LABELS and edge.dst in object_ids:
+                pairs.append(RelationPair(subject, edge,
+                                          graph.vertex(edge.dst)))
+    return pairs

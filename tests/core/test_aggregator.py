@@ -117,4 +117,4 @@ class TestAnnotations:
 
     def test_edge_labels_exposed(self, scene_graphs):
         merged = DataAggregator(build_commonsense_kg()).merge(scene_graphs)
-        assert INSTANCE_OF in merged.edge_labels
+        assert INSTANCE_OF in merged.graph.edge_labels

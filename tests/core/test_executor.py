@@ -80,32 +80,37 @@ def executor():
     return QueryGraphExecutor(make_merged())
 
 
+def vertices(executor, ids):
+    """The executor's graph's vertices with ``ids``, in order."""
+    return executor.graph.vertices_by_id(ids)
+
+
 class TestMatchVertex:
     def test_exact_label(self, executor):
         graph = generate_query_graph("Is there a dog near the fence?")
         term = graph.vertices[0].subject
-        matches = executor.match_vertex(term)
+        matches = vertices(executor, executor.match_vertex(term))
         labels = {v.label for v in matches}
         assert labels == {"dog"}
 
     def test_plural_resolves(self, executor):
-        matches = executor.match_vertex_label("dogs")
+        matches = vertices(executor, executor.match_vertex_label("dogs"))
         assert all(v.label == "dog" for v in matches)
         assert any(v.props.get("kind") == "instance" for v in matches)
 
     def test_hypernym_expansion(self, executor):
-        matches = executor.match_vertex_label("pet")
+        matches = vertices(executor, executor.match_vertex_label("pet"))
         labels = {v.label for v in matches}
         # concept pet + hyponym concepts + their instances
         assert {"pet", "dog", "cat", "bird"} <= labels
 
     def test_synonym_non_category(self, executor):
-        matches = executor.match_vertex_label("puppy")
+        matches = vertices(executor, executor.match_vertex_label("puppy"))
         assert any(v.label == "dog" for v in matches)
 
     def test_category_does_not_bleed(self, executor):
         # "cat" must not match "dog" instances via any fuzzy path
-        matches = executor.match_vertex_label("cat")
+        matches = vertices(executor, executor.match_vertex_label("cat"))
         assert all(v.label in {"cat", "kitten", "feline"}
                    for v in matches)
 
@@ -115,7 +120,7 @@ class TestMatchVertex:
             "out with Harry Potter's girlfriend?"
         )
         condition = graph.vertices[1]
-        matches = executor.match_vertex(condition.object)
+        matches = vertices(executor, executor.match_vertex(condition.object))
         labels = {v.label for v in matches}
         assert "Ginny Weasley" in labels
         assert "Cho Chang" in labels
@@ -305,17 +310,14 @@ class TestPathCacheAliasing:
         graph = generate_query_graph("Is there a fence near the grass?")
         spoc = graph.vertices[0]
         binding = {"subject": None, "object": None}
-        subjects = executor._resolve_slot(spoc.subject, None)
-        objects = executor._resolve_slot(spoc.object, None)
 
-        first = executor._relation_pairs(spoc, binding, subjects,
-                                         objects)
+        first = executor._execute_vertex(spoc, binding).pairs
         assert first
         first.clear()  # in-place caller mutation
-        second = executor._relation_pairs(spoc, binding, subjects,
-                                          objects)
+        second = executor._execute_vertex(spoc, binding).pairs
         assert second  # the cached entry survived the mutation
         assert second is not first
+        assert executor.cache.path.counters() == (1, 1)
 
 
 class TestCachingConsistency:
@@ -456,7 +458,7 @@ class TestPossessiveShortCircuit:
         executor = QueryGraphExecutor(merged, clock=clock)
         term = Term("Harry Potter's girlfriend", "girlfriend",
                     owner="Harry Potter")
-        assert executor.match_vertex(term) == []
+        assert executor.match_vertex(term) == ()
         assert clock.counts.get("embed_score", 0) == 0
 
     def test_owner_with_out_edges_still_scores(self, executor):
@@ -465,6 +467,6 @@ class TestPossessiveShortCircuit:
         charged = QueryGraphExecutor(merged, clock=clock)
         term = Term("Harry Potter's girlfriend", "girlfriend",
                     owner="Harry Potter")
-        matches = charged.match_vertex(term)
+        matches = vertices(charged, charged.match_vertex(term))
         assert {v.label for v in matches} >= {"Ginny Weasley"}
         assert clock.counts.get("embed_score", 0) > 0

@@ -5,7 +5,7 @@ satellite bugfixes that rode along with it.
   and hard-code its ``0.5`` cosine floor — the mixed-case regression
   here fails on the old code;
 * ``_be_pairs`` used to call ``edges_between`` twice per matched
-  identity pair;
+  identity pair (it now reads each paired object's in-edges once);
 * through the score memo, answers must stay byte-identical to the
   linear-scan oracle (:class:`tests.core.oracles.LinearScores`) while
   its ``embed_score`` charges split into ``fresh + probes``.
@@ -90,33 +90,34 @@ class TestConstraintBugfixes:
 
 
 class TestBePairsSingleScan:
-    def test_edges_between_called_once_per_identity_pair(self):
+    def test_each_paired_object_is_scanned_once(self):
         executor = QueryGraphExecutor(make_merged())
         graph = executor.graph
-        a = graph.add_vertex("sofa", {"kind": "instance",
-                                      "image_id": 50})
-        b = graph.add_vertex("sofa", {"kind": "instance",
-                                      "image_id": 50})
+        a, b, c = (graph.add_vertex("sofa", {"kind": "instance",
+                                             "image_id": 50})
+                   for _ in range(3))
         graph.add_edge(a.id, b.id, "next to", {"image_id": 50})
         calls = []
-        real = graph.edges_between
+        real = graph.in_edges
 
-        def counted(src, dst):
-            calls.append((src, dst))
-            return real(src, dst)
+        def counted(vertex_id):
+            calls.append(vertex_id)
+            return real(vertex_id)
 
-        graph.edges_between = counted
+        graph.in_edges = counted
+        sofas = (a.id, b.id, c.id)
         try:
-            subject = graph.vertex(a.id)
-            obj = graph.vertex(b.id)
-            pairs = executor._be_pairs([subject], [obj])
+            pairs = executor._be_pairs(sofas, sofas)
         finally:
-            graph.edges_between = real
-        assert len(pairs) == 1
-        assert pairs[0].edge.label == "next to"
-        # the old code scanned edges_between twice (once to test,
-        # once to index); now exactly once per matched pair
-        assert calls == [(a.id, b.id)]
+            graph.in_edges = real
+        # a pairs with b over their edge; b and c with a, virtually
+        assert [(p.subject.id, p.edge.label, p.object.id)
+                for p in pairs] == [(a.id, "next to", b.id),
+                                    (b.id, "be", a.id), (c.id, "be", a.id)]
+        # the old code scanned edges_between twice per pair (once to
+        # test, once to index), then once; now each paired object's
+        # in-edges are read once, however many subjects pair with it
+        assert sorted(calls) == [a.id, b.id]
 
 
 def run_questions(scores=None):

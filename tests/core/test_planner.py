@@ -193,7 +193,7 @@ class TestHeldNeighborhood:
         merged = make_merged()
         executor = QueryGraphExecutor(merged, cache=KeyCentricCache.create(),
                                       stats=ExecutorStats())
-        ids = tuple(v.id for v in executor.match_vertex_label("fence"))
+        ids = executor.match_vertex_label("fence")
         if source_ids is not None:
             ids = source_ids(ids)
         executor.cache.nbr_get_or_compute(
@@ -321,8 +321,7 @@ class TestConcurrentFill:
             system.release_sanitizer()
         assert report.clean, report.render()
         graph = system.merged.graph
-        dogs = [v.id for v in QueryGraphExecutor(
-            system.merged).match_vertex_label("dog")]
+        dogs = QueryGraphExecutor(system.merged).match_vertex_label("dog")
         assert delta["edge_scan"] == graph.out_degree_sum(dogs)
         assert [key for key in system._cache.nbr._values
                 if key[2] == "dog"] == [("nbr", "out", "dog")]

@@ -209,13 +209,14 @@ def served_pairs(monkeypatch):
     original = QueryGraphExecutor._relation_pairs
 
     def checked(self, spoc, binding, subjects, objects, *args):
-        pairs = original(self, spoc, binding, subjects, objects, *args)
+        entry = original(self, spoc, binding, subjects, objects, *args)
         if self.cache.enabled_path:
-            got = [(p.subject.id, p.edge.id, p.object.id) for p in pairs]
+            got = [(p.subject.id, p.edge.id, p.object.id)
+                   for p in entry.pairs]
             want = full_scan_path_pairs(self.graph, subjects, objects)
             if got != want:
                 mismatches.append((spoc.predicate, got, want))
-        return pairs
+        return entry
 
     monkeypatch.setattr(QueryGraphExecutor, "_relation_pairs", checked)
     return mismatches
@@ -267,13 +268,12 @@ def assert_held_entries_are_current(session: SVQA, graph: Graph) -> None:
             want = full_scan_scope_ids(graph, key[1], config)
         else:
             term = Term(text=key[2], head=key[2], owner=key[1])
-            want = [v.id for v in fresh.match_vertex(term)]
+            want = list(fresh.match_vertex(term))
         assert entry.resolve(graph, stamp) in (None, want), key
     for key, ((source_ids, edges), _) in \
             list(session._cache.nbr._values.items()):
         # a source vertex that left took no edge of the entry with it
-        sources = [graph.vertex(i) for i in source_ids
-                   if graph.has_vertex(i)]
+        sources = [i for i in source_ids if graph.has_vertex(i)]
         subjects, objects = (sources, []) if key[1] == "out" \
             else ([], sources)
         assert [(e.src, e.id, e.dst) for e in edges] \
@@ -320,7 +320,7 @@ def run_retirement_fuzz(dataset, base: Graph, labels: list[str],
         got = [a.value for a in session.answer_many(questions)]
         assert got == want, burst
         for label in labels:
-            assert [v.id for v in executor.match_vertex_label(label)] == \
+            assert list(executor.match_vertex_label(label)) == \
                 full_scan_scope_ids(oracle, label, config), (burst, label)
             for ancestor in kind_of_sample(label, ancestors, rng):
                 assert executor._is_kind_of(label, ancestor) == \
@@ -421,8 +421,8 @@ class TestRecheckOnRead:
 
     def assert_scope_is_fresh(self, executor, label):
         fresh = QueryGraphExecutor(merged_of(executor.graph))
-        assert [v.id for v in executor.match_vertex_label(label)] == \
-            [v.id for v in fresh.match_vertex_label(label)]
+        assert executor.match_vertex_label(label) == \
+            fresh.match_vertex_label(label)
 
     def test_a_concept_moving_between_matched_labels_is_rescanned(self):
         # "dog" matches the labels "dog" and "dogs"; moving concept A
@@ -474,8 +474,8 @@ class TestPossessiveRetirement:
 
     def assert_fresh(self, executor):
         fresh = QueryGraphExecutor(merged_of(executor.graph))
-        assert [v.id for v in executor.match_vertex(self.TERM)] == \
-            [v.id for v in fresh.match_vertex(self.TERM)]
+        assert executor.match_vertex(self.TERM) == \
+            fresh.match_vertex(self.TERM)
 
     def test_owner_and_out_edge_writes(self):
         from tests.core.test_executor import make_merged

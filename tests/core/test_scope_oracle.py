@@ -154,7 +154,7 @@ def assert_matches_oracle(executor: QueryGraphExecutor, labels: list[str],
                           ancestors: list[str], rng: random.Random) -> None:
     graph, config = executor.graph, executor.config
     for label in labels:
-        got = [v.id for v in executor.match_vertex_label(label)]
+        got = list(executor.match_vertex_label(label))
         assert got == full_scan_scope_ids(graph, label, config), label
         for ancestor in kind_of_sample(label, ancestors, rng):
             assert executor._is_kind_of(label, ancestor) == \

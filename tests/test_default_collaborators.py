@@ -19,7 +19,6 @@ COLLABORATORS = {"clock", "stats"}
 #: modules whose ``clock``/``stats`` is an optional per-call argument
 #: or a span's clock, not a component's collaborator
 PER_CALL_CLOCKS = {
-    "resilience/manager.py",
     "resilience/faults.py",
     "observability/spans.py",
 }
